@@ -308,6 +308,10 @@ def read_arr(path: str | Path):
     sizes = tuple(int(s) for s in raw[1].split())
     if len(sizes) != rows:
         raise ValueError(f"{path}: alphabet line does not match row count")
+    if len(raw) < 2 + rows:
+        raise ValueError(
+            f"{path}: header claims {rows} rows, found {len(raw) - 2}"
+        )
     chain = _chain_for(sizes)
     cells, positions = [], []
     for k_idx in range(rows):

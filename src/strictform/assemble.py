@@ -451,7 +451,8 @@ def read_kit(path: str | Path) -> StitchKit:
     kit = StitchKit(None, horizon, bases)
     while i < len(raw):
         tag, l_s = raw[i].split()
-        assert tag == "tab"
+        if tag != "tab":
+            raise ValueError(f"{path}: expected a tab line, got {raw[i]!r}")
         l = int(l_s)
         k = kit.level_for(l)
         r_rows = [
@@ -459,7 +460,8 @@ def read_kit(path: str | Path) -> StitchKit:
         ]
         i += 1 + k
         tag2, l2 = raw[i].split()
-        assert tag2 == "tabbar" and int(l2) == l
+        if tag2 != "tabbar" or int(l2) != l:
+            raise ValueError(f"{path}: expected 'tabbar {l}', got {raw[i]!r}")
         rb_rows = [
             tuple(int(t) for t in raw[i + 1 + r].split()) for r in range(k)
         ]

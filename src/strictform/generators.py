@@ -13,6 +13,8 @@ from itertools import product
 from typing import Iterator
 
 CHACON_RULES = {"0": "0010", "1": "1"}
+# the shallowest iterate a chacon oracle holds (797,161 symbols)
+CHACON_DEPTH = 12
 
 _MASK64 = (1 << 64) - 1
 
@@ -106,6 +108,14 @@ def chacon_oracle(depth: int = 10) -> LanguageOracle:
     return substitution_oracle(CHACON_RULES, "0", depth)
 
 
+def _chacon_iterate(length: int, depth: int) -> LanguageOracle:
+    """The first Chacon iterate of at least ``depth`` folds that holds
+    ``length`` symbols; every iterate is a prefix of the next."""
+    while (oracle := chacon_oracle(depth)).horizon < length:
+        depth += 1
+    return oracle
+
+
 def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
     """Mechanical word c_i = floor((i+1)a + r) - floor(i a + r), i < n.
 
@@ -182,7 +192,6 @@ class GeneratorSpec:
     seed: int = 0
     word_arg: str = ""
     size: int = 0
-    depth: int = 12
 
     def word(self, n: int) -> str:
         if self.kind == "periodic":
@@ -191,10 +200,7 @@ class GeneratorSpec:
         if self.kind == "sturmian":
             return sturmian_word(self.alpha, self.rho, n)
         if self.kind == "chacon":
-            text = "0"
-            while len(text) < n:
-                text = "".join(CHACON_RULES[c] for c in text)
-            return text[:n]
+            return _chacon_iterate(n, 0).text[:n]
         if self.kind == "bernoulli":
             return bernoulli_window(self.p, self.seed, n)
         raise ValueError(f"{self.kind} oracle does not generate words")
@@ -205,12 +211,7 @@ class GeneratorSpec:
         if self.kind == "sturmian":
             return sturmian_oracle(self.alpha, self.rho, horizon)
         if self.kind == "chacon":
-            depth = self.depth
-            while True:
-                oracle = chacon_oracle(depth)
-                if oracle.horizon >= horizon:
-                    break
-                depth += 1
+            oracle = _chacon_iterate(horizon, CHACON_DEPTH)
             return LanguageOracle(
                 "chacon", oracle.alphabet, horizon, oracle.text
             )

@@ -76,13 +76,12 @@ class MarkerSystem:
         )
 
 
-def decompose_gap(p: int, l: int) -> GapDecomposition:
-    """Split p into a pieces of length l and b of length l+1, both positive,
-    choosing the counts that minimize |a/b - 1| (ties go to the larger a).
+def _best_split(p: int, l: int, cross: int, key) -> GapDecomposition:
+    """The split p = a*l + b*(l+1), a and b positive, minimizing key(a, b)
+    over the lattice neighbours of b = cross and the two lattice ends.
 
-    Solutions form the lattice b = (p mod l) + t*l; a/b is decreasing in b,
-    so |a/b - 1| is unimodal and the optimum sits at a lattice neighbour of
-    the crossing b = p/(2l+1).
+    Solutions form the lattice b = (p mod l) + t*l; each caller's key is
+    unimodal along it, so its optimum is among those candidates.
     """
     if l < 2:
         raise ValueError("base gap must be at least 2")
@@ -93,24 +92,26 @@ def decompose_gap(p: int, l: int) -> GapDecomposition:
     if b_hi < b_lo:
         raise NoDecomposition(f"gap {p} has no positive split for l={l}")
     b_hi = b_lo + ((b_hi - b_lo) // l) * l
-    cross = p // (2 * l + 1)
-    candidates = set()
-    for b in (
-        b_lo + ((cross - b_lo) // l) * l,
-        b_lo + ((cross - b_lo) // l + 1) * l,
-        b_lo,
-        b_hi,
-    ):
-        if b_lo <= b <= b_hi:
-            candidates.add(b)
-    best = None
-    best_pair = None
-    for b in sorted(candidates):
-        a = (p - b * (l + 1)) // l
-        key = (abs(Fraction(a, b) - 1), b)
-        if best is None or key < best:
-            best, best_pair = key, (a, b)
-    return GapDecomposition(best_pair[0], best_pair[1], l)
+    near = b_lo + ((cross - b_lo) // l) * l
+    pairs = [
+        ((p - b * (l + 1)) // l, b)
+        for b in (near, near + l, b_lo, b_hi)
+        if b_lo <= b <= b_hi
+    ]
+    a, b = min(pairs, key=lambda pair: key(*pair))
+    return GapDecomposition(a, b, l)
+
+
+def decompose_gap(p: int, l: int) -> GapDecomposition:
+    """Split p into a pieces of length l and b of length l+1, both positive,
+    choosing the counts that minimize |a/b - 1| (ties go to the larger a).
+
+    a/b is decreasing in b, so |a/b - 1| is unimodal and the optimum sits at
+    a lattice neighbour of the crossing b = p/(2l+1).
+    """
+    return _best_split(
+        p, l, p // (2 * l + 1), lambda a, b: (Fraction(abs(a - b), b), b)
+    )
 
 
 def _decompose_balanced(p: int, l: int) -> GapDecomposition:
@@ -119,29 +120,14 @@ def _decompose_balanced(p: int, l: int) -> GapDecomposition:
     Used when refining a coarse gap: near-equal column shares keep the short
     and long densities strictly above the balanced-frequency thresholds
     1/(3l) and 1/(3(l+1)), which the count-ratio optimum does not guarantee.
+    Mass is balanced at b = p / (2(l+1)).
     """
-    if l < 2:
-        raise ValueError("base gap must be at least 2")
-    if p < 2 * l + 1:
-        raise NoDecomposition(f"gap {p} too short for pieces {l},{l + 1}")
-    b_lo = p % l or l
-    b_hi = (p - l) // (l + 1)
-    if b_hi < b_lo:
-        raise NoDecomposition(f"gap {p} has no positive split for l={l}")
-    b_hi = b_lo + ((b_hi - b_lo) // l) * l
-    # mass is balanced at b = p / (2(l+1)); check the lattice neighbours
-    cross = p // (2 * (l + 1))
-    best = None
-    best_pair = None
-    for t in ((cross - b_lo) // l, (cross - b_lo) // l + 1, 0, (b_hi - b_lo) // l):
-        b = b_lo + t * l
-        if not b_lo <= b <= b_hi:
-            continue
-        a = (p - b * (l + 1)) // l
-        key = (abs(a * l - b * (l + 1)), abs(Fraction(a, b) - 1), b)
-        if best is None or key < best:
-            best, best_pair = key, (a, b)
-    return GapDecomposition(best_pair[0], best_pair[1], l)
+    return _best_split(
+        p,
+        l,
+        p // (2 * (l + 1)),
+        lambda a, b: (abs(a * l - b * (l + 1)), Fraction(abs(a - b), b), b),
+    )
 
 
 def subdivide_gap(start: int, end: int, l: int) -> list[int]:

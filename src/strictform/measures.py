@@ -7,10 +7,10 @@ caller formats a report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .arrays import Rectangle
 
@@ -46,7 +46,6 @@ class EmpiricalMeasure:
 
     truncation: Truncation
     weights: Mapping[Rectangle, Fraction]
-    source_tag: str = ""
 
     def weight(self, q: Rectangle) -> Fraction:
         return self.weights.get(q, Fraction(0))
@@ -73,7 +72,7 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> dict[Rectangle, int]:
 
 
 def empirical_measure(
-    r: Rectangle, truncation: Truncation, source_tag: str = ""
+    r: Rectangle, truncation: Truncation
 ) -> EmpiricalMeasure:
     """Weights(q) = frequency(r, q) for every q within the truncation."""
     max_rows, max_width = truncation
@@ -87,7 +86,7 @@ def empirical_measure(
             offsets = r.width - width + 1
             for q, c in _slab_counts(r, rows, width).items():
                 weights[q] = Fraction(c, offsets)
-    return EmpiricalMeasure(truncation, weights, source_tag)
+    return EmpiricalMeasure(truncation, weights)
 
 
 def point_mass(q: Rectangle, truncation: Truncation) -> EmpiricalMeasure:
@@ -99,7 +98,7 @@ def point_mass(q: Rectangle, truncation: Truncation) -> EmpiricalMeasure:
     wide = Rectangle.from_rows(
         [[row[0]] * max(max_width, 1) for row in q.cells[:max_rows]]
     )
-    return empirical_measure(wide, truncation, source_tag="point-mass")
+    return empirical_measure(wide, truncation)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def mixture(
             continue
         for q, w in m.weights.items():
             weights[q] = weights.get(q, Fraction(0)) + lam * w
-    return EmpiricalMeasure(trunc, weights, source_tag="mixture")
+    return EmpiricalMeasure(trunc, weights)
 
 
 def concat(rectangles: Sequence[Rectangle]) -> Rectangle:

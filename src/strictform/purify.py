@@ -56,6 +56,10 @@ class TargetFamily:
     path: tuple[int, ...]
     members: tuple[EmpiricalMeasure, ...]
     gamma: Fraction
+    # classify's memo, keyed by the rectangle as extracted
+    _verdicts: dict[Rectangle, str] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -86,12 +90,21 @@ class GoodFamily:
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
-    """Good iff the truncated distance to some member is below gamma."""
-    bare = rect.without_marks()
-    for member in family.members:
-        if dstar(bare, member, family.truncation).value < family.gamma:
-            return GOOD
-    return BAD
+    """Good iff the truncated distance to some member is below gamma.
+
+    The verdict is a pure function of the rectangle and the immutable family,
+    so it is memoised on the family.
+    """
+    verdict = family._verdicts.get(rect)
+    if verdict is None:
+        trunc = family.truncation
+        bare = empirical_measure(rect.without_marks(), trunc)
+        near = any(
+            dstar(bare, member, trunc).value < family.gamma
+            for member in family.members
+        )
+        verdict = family._verdicts[rect] = GOOD if near else BAD
+    return verdict
 
 
 def extract_k_rectangles(
@@ -134,8 +147,6 @@ def replace_bad(
     k: int,
     family: TargetFamily,
     tabbed: dict[int, Rectangle],
-    *,
-    verdicts: dict[Rectangle, str] | None = None,
 ) -> tuple[ArrayWindow, MarkerSystem, int, int]:
     """Overwrite every bad k-rectangle with the tabbed rectangle of its width.
 
@@ -144,21 +155,16 @@ def replace_bad(
     Returns (window, markers, changed columns, replaced count); the output
     window is in independent mode.
     """
-    l = ms.gaps[k - 1]
+    rects = extract_k_rectangles(w, ms, k)
     cells = [list(row) for row in w.cells]
-    sub_rows = {
-        j: set(ms.row(j)) for j in range(1, min(k, ms.row_count + 1))
-    }
+    sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
     changed = replaced = 0
     ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
-    for p, q in zip(ps, ps[1:]):
-        rect = extract_rectangle(w, k, p + 1, q, ms)
-        verdict = (
-            verdicts.get(rect) if verdicts is not None else None
-        ) or classify(rect, family)
-        if verdict == GOOD:
+    for p, rect in zip(ps, rects):
+        if classify(rect, family) == GOOD:
             continue
-        block = tabbed[q - p]
+        q = p + rect.width
+        block = tabbed[rect.width]
         a = p + 1 - w.origin
         for i in range(k):
             cells[i][a : a + block.width] = block.cells[i]
@@ -273,20 +279,14 @@ class _Sample:
     spec: GeneratorSpec
     window: ArrayWindow
     markers: MarkerSystem
+    # measure of the window; recounted only when replacement changes it
+    measure: EmpiricalMeasure
     changed: list[int] = field(default_factory=list)
-
-
-def _window_measure(
-    sample: _Sample, truncation: Truncation, tag: str
-) -> EmpiricalMeasure:
-    rect = window_to_rectangle(sample.window).without_marks()
-    return empirical_measure(rect, truncation, source_tag=tag)
 
 
 def _stage_gamma(
     config: PurifyConfig,
     stage: int,
-    families: dict[tuple[int, ...], TargetFamily | None],
     members: dict[tuple[int, ...], list[EmpiricalMeasure]],
 ) -> Fraction:
     eps = config.epsilons[stage - 1]
@@ -332,33 +332,25 @@ def purify_stage(
         p: [targets[lp] for lp in sorted(targets) if lp[:stage] == p]
         for p in paths
     }
-    gamma = _stage_gamma(config, stage, {}, members)
-
-    families = {
-        p: TargetFamily(p, tuple(members[p]), gamma) for p in paths
-    }
+    gamma = _stage_gamma(config, stage, members)
     report: dict = {"stage": stage, "k": k, "gamma": gamma, "families": {}}
     good_records: dict[tuple[int, ...], GoodFamily] = {}
 
     for path in paths:
-        family = families[path]
+        family = TargetFamily(path, tuple(members[path]), gamma)
         record = GoodFamily(stage, k, path)
-        verdict_cache: dict[Rectangle, str] = {}
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        all_good: list[Rectangle] = []
         for sample in fam_samples:
             for rect in extract_k_rectangles(sample.window, sample.markers, k):
-                verdict = verdict_cache.get(rect)
-                if verdict is None:
-                    verdict = classify(rect, family)
-                    verdict_cache[rect] = verdict
+                verdict = classify(rect, family)
                 census[verdict] += 1
                 if verdict == GOOD:
-                    all_good.append(rect)
                     record.add(rect)
         l = config.gaps[k - 1]
-        short, long = select_tabbed(all_good, l)
+        short, long = select_tabbed(
+            [r for rects in record.by_width.values() for r in rects], l
+        )
         tabbed = {short.width: short, long.width: long}
         record.tabbed = dict(tabbed)
 
@@ -371,25 +363,18 @@ def purify_stage(
         displacement_max = Fraction(0)
         out_measures = []
         for sample in fam_samples:
-            before = _window_measure(sample, trunc, "before")
+            before = sample.measure
             window, ms, changed, replaced = replace_bad(
-                sample.window,
-                sample.markers,
-                k,
-                family,
-                tabbed,
-                verdicts=verdict_cache,
+                sample.window, sample.markers, k, family, tabbed
             )
             sample.window, sample.markers = window, ms
             sample.changed.append(changed)
-            # an untouched window keeps its measure; skip the recount
-            after = (
-                before
-                if changed == 0
-                else _window_measure(sample, trunc, "after")
-            )
-            out_measures.append(after)
-            moved = dstar(before, after, trunc).value
+            if changed:
+                sample.measure = empirical_measure(
+                    window_to_rectangle(window), trunc
+                )
+            out_measures.append(sample.measure)
+            moved = dstar(before, sample.measure, trunc).value
             displacement_max = max(displacement_max, moved)
             total_good = all(
                 classify(rect, family) == GOOD
@@ -459,16 +444,18 @@ def purify_pipeline(config: PurifyConfig) -> dict:
         target_rect = window_to_rectangle(
             lift_binary(leaf.target.word(word_len), rows)
         )
-        targets[leaf.path] = empirical_measure(
-            target_rect, config.truncation, source_tag=leaf.target.spec
-        )
+        targets[leaf.path] = empirical_measure(target_rect, config.truncation)
         for spec in leaf.samples:
+            window = lift_binary(spec.word(word_len), rows)
             samples.append(
                 _Sample(
                     leaf.path,
                     spec,
-                    lift_binary(spec.word(word_len), rows),
+                    window,
                     base_ms,
+                    empirical_measure(
+                        window_to_rectangle(window), config.truncation
+                    ),
                 )
             )
 

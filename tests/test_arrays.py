@@ -210,3 +210,11 @@ class TestArrFormat:
             write_arr(p, w)
             back, _ = read_arr(p)
         assert back == w
+
+    def test_missing_row_lines_rejected(self, tmp_path):
+        p = tmp_path / "a.arr"
+        write_arr(p, lift_binary("0110100", 3))
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="header claims 3 rows"):
+            read_arr(p)

@@ -319,3 +319,15 @@ class TestKitFormat:
         back = read_kit(p)
         with pytest.raises(NoWitness):
             tabbed_rectangles(back, 7)  # any length not stored in the file
+
+    @pytest.mark.parametrize(
+        "old, new", [("tab 2", "tub 2"), ("tabbar 2", "tabbar 4")]
+    )
+    def test_bad_tab_tag_rejected(self, tmp_path, fs_kit, old, new):
+        # a ValueError, not an assert that python -O strips
+        tabbed_rectangles(fs_kit, 2)
+        p = tmp_path / "fs.kit"
+        write_kit(p, fs_kit)
+        p.write_text(p.read_text().replace(old + "\n", new + "\n"))
+        with pytest.raises(ValueError, match="expected"):
+            read_kit(p)

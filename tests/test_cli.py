@@ -179,6 +179,12 @@ class TestVerify:
         assert main(["verify", "--arr", str(p)]) == 1
         assert "window_valid: fail" in capsys.readouterr().out
 
+    def test_missing_rows_reported(self, tmp_path, capsys):
+        p = tmp_path / "w.arr"
+        p.write_text("2 3 0 independent\n2 4\n1 2 1\n")
+        assert main(["verify", "--arr", str(p)]) != 0
+        assert "header claims 2 rows, found 1" in capsys.readouterr().err
+
 
 class TestReport:
     def test_csv_from_purify_report(self, tmp_path, capsys):

@@ -1,0 +1,97 @@
+"""Byte-for-byte guards on CLI reports.
+
+Each case runs one small CLI job in-process and compares the SHA-256 of the
+report file with the hash recorded before the purify, markers and generator
+refactors.  A refactor that changes any report byte (a verdict, a census, a
+fraction, a key) fails here, so update a hash only for a deliberate change of
+behaviour.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from strictform.cli import main
+
+_STURMIAN = ("309017/500000", "190983/500000")
+
+# two Sturmian families: every rectangle is good, nothing is replaced
+CLEAN_CONFIG = {
+    "truncation": [1, 3],
+    "gaps": [8, 576],
+    "depths": [1, 2],
+    "epsilons": ["1/4", "1/8"],
+    "columns": 2 * 576 + 2 * 577,
+    "tree": [
+        {"families": [
+            {"target": f"sturmian:{a}",
+             "samples": [f"sturmian:{a}", f"sturmian:{a}:rho={rho}"]},
+        ]}
+        for a, rho in zip(_STURMIAN, ("1/3", "2/7"))
+    ],
+}
+
+# periodic targets with Bernoulli samples: both stages replace columns
+NOISY_CONFIG = {
+    "truncation": [1, 2],
+    "gaps": [5, 225],
+    "depths": [1, 2],
+    "epsilons": ["1/2", "1/4"],
+    "columns": 4 * 225 + 4 * 226,
+    "tree": [
+        {"families": [
+            {"target": "periodic:0",
+             "samples": ["periodic:0", "bernoulli:1/4:seed=1"]},
+            {"target": "periodic:0011", "samples": ["periodic:0011"]},
+        ]},
+        {"families": [
+            {"target": "periodic:1",
+             "samples": ["periodic:1", "bernoulli:3/4:seed=2"]},
+            {"target": "periodic:1101",
+             "samples": ["periodic:1101", "bernoulli:2/3:seed=3"]},
+        ]},
+    ],
+}
+
+GOLDEN = {
+    "purify-clean": (
+        "303aaa002654f4e4dc62805cdb35c443472500a03aef29f5c9e94cb1dc25dbf6"
+    ),
+    "purify-noisy": (
+        "a8e4dd35b14d4aa091cc311b9f4a0446e5d3a6ef1763e1bf67688b3e9bf4b331"
+    ),
+    "assemble-chacon": (
+        "2fdc74efa8a2a8a53014b864307a4e0d68fd3fe2c0a5151ba79688299b712fc8"
+    ),
+    "markers": (
+        "41ac474762257e21d497b800e1f92cf7597975d6dcfd8cdc824cee05ef413efa"
+    ),
+}
+
+
+def _purify_argv(config: dict, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config, sort_keys=True, indent=1))
+    return ["purify", "--config", str(path), "--out"]
+
+
+def _argv(case: str, tmp_path) -> list[str]:
+    if case == "purify-clean":
+        return _purify_argv(CLEAN_CONFIG, tmp_path)
+    if case == "purify-noisy":
+        return _purify_argv(NOISY_CONFIG, tmp_path)
+    if case == "assemble-chacon":
+        return [
+            "assemble", "--oracle", "chacon", "--levels", "1",
+            "--horizon", "64", "--report",
+        ]
+    return ["markers", "--columns", "4000", "--origin", "7",
+            "--gaps", "3,81", "--report"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_report_bytes_unchanged(case, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(_argv(case, tmp_path) + [str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]

@@ -1,10 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from strictform.markers import (
+    GapDecomposition,
     InsufficientRoom,
     MarkerSystem,
     NoDecomposition,
+    _decompose_balanced,
     build_marker_system,
     check_balanced,
     check_congruency,
@@ -15,6 +19,84 @@ from strictform.markers import (
     subdivide_gap,
     write_mrk,
 )
+
+
+def reference_decompose_gap(p, l):
+    """The count-ratio split as first written, kept as the reference."""
+    if l < 2:
+        raise ValueError("base gap must be at least 2")
+    if p < 2 * l + 1:
+        raise NoDecomposition(f"gap {p} too short for pieces {l},{l + 1}")
+    b_lo = p % l or l
+    b_hi = (p - l) // (l + 1)
+    if b_hi < b_lo:
+        raise NoDecomposition(f"gap {p} has no positive split for l={l}")
+    b_hi = b_lo + ((b_hi - b_lo) // l) * l
+    cross = p // (2 * l + 1)
+    candidates = set()
+    for b in (
+        b_lo + ((cross - b_lo) // l) * l,
+        b_lo + ((cross - b_lo) // l + 1) * l,
+        b_lo,
+        b_hi,
+    ):
+        if b_lo <= b <= b_hi:
+            candidates.add(b)
+    best = None
+    best_pair = None
+    for b in sorted(candidates):
+        a = (p - b * (l + 1)) // l
+        key = (abs(Fraction(a, b) - 1), b)
+        if best is None or key < best:
+            best, best_pair = key, (a, b)
+    return GapDecomposition(best_pair[0], best_pair[1], l)
+
+
+def reference_decompose_balanced(p, l):
+    """The mass-balance split as first written, kept as the reference."""
+    if l < 2:
+        raise ValueError("base gap must be at least 2")
+    if p < 2 * l + 1:
+        raise NoDecomposition(f"gap {p} too short for pieces {l},{l + 1}")
+    b_lo = p % l or l
+    b_hi = (p - l) // (l + 1)
+    if b_hi < b_lo:
+        raise NoDecomposition(f"gap {p} has no positive split for l={l}")
+    b_hi = b_lo + ((b_hi - b_lo) // l) * l
+    cross = p // (2 * (l + 1))
+    best = None
+    best_pair = None
+    t_cross = (cross - b_lo) // l
+    for t in (t_cross, t_cross + 1, 0, (b_hi - b_lo) // l):
+        b = b_lo + t * l
+        if not b_lo <= b <= b_hi:
+            continue
+        a = (p - b * (l + 1)) // l
+        key = (abs(a * l - b * (l + 1)), abs(Fraction(a, b) - 1), b)
+        if best is None or key < best:
+            best, best_pair = key, (a, b)
+    return GapDecomposition(best_pair[0], best_pair[1], l)
+
+
+def _outcome(fn, p, l):
+    try:
+        return fn(p, l)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "fn, reference",
+    [
+        (decompose_gap, reference_decompose_gap),
+        (_decompose_balanced, reference_decompose_balanced),
+    ],
+)
+def test_decomposition_matches_reference(fn, reference):
+    # every gap up to 3000 for every base gap 2..12, failures included
+    for l in range(2, 13):
+        for p in range(1, 3001):
+            assert _outcome(fn, p, l) == _outcome(reference, p, l), (p, l)
 
 
 def row_system(positions, l, lo=None, hi=None):

@@ -208,7 +208,7 @@ class TestCesaroSpread:
 class TestEmpFormat:
     def test_roundtrip(self, tmp_path):
         w = lift_binary("0100110", 2)
-        m = empirical_measure(window_to_rectangle(w), (2, 2), "tag")
+        m = empirical_measure(window_to_rectangle(w), (2, 2))
         p = tmp_path / "m.emp"
         write_emp(p, m)
         back = read_emp(p)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.markers import MarkerSystem, build_marker_system
-from strictform.measures import empirical_measure, point_mass
+from strictform.measures import dstar, empirical_measure, point_mass
 from strictform.purify import (
     GOOD,
     BAD,
@@ -21,6 +22,15 @@ from strictform.purify import (
 )
 
 F = Fraction
+
+
+def reference_classify(rect, family):
+    """classify without a memo, as first written: the reference."""
+    bare = rect.without_marks()
+    for member in family.members:
+        if dstar(bare, member, family.truncation).value < family.gamma:
+            return GOOD
+    return BAD
 
 
 def point_family(symbol, gamma, truncation=(1, 2)):
@@ -112,6 +122,81 @@ class TestClassify:
         assert classify(Rectangle.from_word("222"), fam) == GOOD
 
 
+def _grids(rows, min_width, max_width):
+    return st.integers(min_width, max_width).flatmap(
+        lambda w: st.lists(
+            st.lists(st.integers(1, 2), min_size=w, max_size=w),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+
+
+@st.composite
+def family_and_calls(draw):
+    """A family of 1-3 members and a sequence of classify calls that mixes
+    marked and unmarked copies of the same cells and repeats them."""
+    rows, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    trunc = (rows, width)
+    members = tuple(
+        empirical_measure(Rectangle.from_rows(g), trunc)
+        for g in draw(st.lists(_grids(rows, width, 8), min_size=1, max_size=3))
+    )
+    pool = []
+    for grid in draw(st.lists(_grids(rows, width, 5), min_size=2, max_size=5)):
+        marks = draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=len(grid[0]),
+                         max_size=len(grid[0])),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        pool += [Rectangle.from_rows(grid), Rectangle.from_rows(grid, marks)]
+    # a radius equal to one rectangle's distance splits the pool
+    gamma = draw(
+        st.sampled_from(
+            [min(dstar(r, m, trunc).value for m in members) for r in pool]
+        )
+    )
+    family = TargetFamily((1,), members, gamma)
+    calls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    return family, pool + calls
+
+
+class TestClassifyMemo:
+    @given(family_and_calls())
+    def test_matches_reference(self, case):
+        family, calls = case
+        for rect in calls:
+            assert classify(rect, family) == reference_classify(rect, family)
+
+    @given(
+        st.lists(st.sampled_from([3, 4]), min_size=1, max_size=6),
+        st.data(),
+    )
+    def test_replace_bad_output_good_on_fresh_family(self, widths, data):
+        # judged by the reference on a new family, so no verdict cached
+        # during the replacement can vouch for its own output
+        cuts = [0]
+        for width in widths:
+            cuts.append(cuts[-1] + width)
+        word = data.draw(
+            st.text("01", min_size=cuts[-1] + 1, max_size=cuts[-1] + 1)
+        )
+        w = lift_binary(word, 1)
+        ms = MarkerSystem((tuple(cuts),), (3,), 0, cuts[-1])
+        tabbed = {
+            3: Rectangle.from_word("111"),
+            4: Rectangle.from_word("1111"),
+        }
+        fam = point_family(1, F(3, 10))
+        out, ms2, _, _ = replace_bad(w, ms, 1, fam, tabbed)
+        fresh = point_family(1, F(3, 10))
+        for rect in extract_k_rectangles(out, ms2, 1):
+            assert reference_classify(rect, fresh) == GOOD
+
+
 class TestSelectTabbed:
     def test_basic_pair(self):
         good = [Rectangle.from_word("111"), Rectangle.from_word("1111")]
@@ -184,8 +269,10 @@ class TestReplaceBad:
     def test_all_good_after(self):
         w, ms, fam, tabbed = self._fixture()
         out, ms2, _, _ = replace_bad(w, ms, 1, fam, tabbed)
+        fresh = point_family(1, F(3, 10))
         for rect in extract_k_rectangles(out, ms2, 1):
             assert classify(rect, fam) == GOOD
+            assert reference_classify(rect, fresh) == GOOD
 
     def test_submarkers_rewritten(self):
         # replacing a 2-rectangle moves the interior row-1 markers to the
