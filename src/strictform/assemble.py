@@ -143,6 +143,11 @@ def lifted_contains(oracle: LanguageOracle, rect: Rectangle) -> bool:
 # --- transition lengths and kits --------------------------------------------
 
 
+def _overlaps(bits: str, l: int) -> bool:
+    """Whether one word can hold ``bits`` at offsets 0 and l >= 1."""
+    return l >= len(bits) or bits[l:] == bits[: len(bits) - l]
+
+
 def transition_length(
     x0: LanguageOracle, B: Rectangle, horizon: int
 ) -> int:
@@ -152,25 +157,26 @@ def transition_length(
     bits = rectangle_to_binary_word(B)
     if bits is None or not x0.contains(_to_oracle_word(x0, bits)):
         raise ValueError("base rectangle not in the language")
-    n = len(bits)
-    witnessed = set()
     if x0.text is None:
-        for l in range(1, horizon + 1):
-            if l >= n or bits[l:] == bits[: n - l]:
-                witnessed.add(l)
+        def witnessed(l: int) -> bool:
+            return _overlaps(bits, l)
     else:
-        occ = x0.occurrences(_to_oracle_word(x0, bits))
-        occ_set = set(occ)
-        for i in occ:
-            for l in range(1, horizon + 1):
-                if i + l in occ_set:
-                    witnessed.add(l)
-    for l0 in range(1, horizon + 1):
-        if all(l in witnessed for l in range(l0, horizon + 1)):
-            return l0
-    raise NotFoundWithinHorizon(
-        f"no transition length certified up to horizon {horizon}"
-    )
+        # bit i of the mask is set iff B occurs at offset i of the text
+        hits = bytearray(b"0") * len(x0.text)
+        for i in x0.occurrences(_to_oracle_word(x0, bits)):
+            hits[i] = ord("1")
+        mask = int(hits[::-1], 2)
+
+        def witnessed(l: int) -> bool:
+            return mask & (mask >> l) != 0
+    l0 = horizon + 1
+    while l0 > 1 and witnessed(l0 - 1):
+        l0 -= 1
+    if l0 > horizon:
+        raise NotFoundWithinHorizon(
+            f"no transition length certified up to horizon {horizon}"
+        )
+    return l0
 
 
 @dataclass
@@ -237,28 +243,17 @@ def _witness(x0: LanguageOracle, bits: str, l: int) -> str:
     """Lexicographically smallest language word (as bits) containing the base
     word at offsets 0 and l."""
     n = len(bits)
-    total = l + n
     if x0.text is None:
-        merged = [None] * total
-        for start in (0, l):
-            for j, c in enumerate(bits):
-                if merged[start + j] not in (None, c):
-                    raise NoWitness(l)
-                merged[start + j] = c
-        return "".join(c if c is not None else "0" for c in merged)
-    if total > x0.horizon:
+        if not _overlaps(bits, l):
+            raise NoWitness(l)
+        return bits[:l] + "0" * (l - n) + bits
+    if l + n > x0.horizon:
         raise NoWitness(l)
     u = _to_oracle_word(x0, bits)
-    occ = set(x0.occurrences(u))
-    best: str | None = None
-    for i in sorted(occ):
-        if i + l in occ and i + total <= len(x0.text):
-            cand = x0.text[i : i + total]
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        raise NoWitness(l)
-    return _to_bits(x0, best)
+    for word in x0.words(l + n):
+        if word.startswith(u) and word.endswith(u):
+            return _to_bits(x0, word)
+    raise NoWitness(l)
 
 
 def tabbed_rectangles(

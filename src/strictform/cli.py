@@ -89,8 +89,20 @@ def _parse_trunc(s: str) -> tuple[int, int]:
         raise ConfigError(f"bad truncation {s!r}, expected LxR") from exc
 
 
+def _parse(what: str, parser, arg: str):
+    """``parser(arg)``, reporting a ValueError as a configuration error."""
+    try:
+        return parser(arg)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _int_list(s: str) -> tuple[int, ...]:
+    return tuple(int(g) for g in s.split(","))
+
+
 def _cmd_markers(args) -> int:
-    gaps = tuple(int(g) for g in args.gaps.split(","))
+    gaps = _parse("gap list", _int_list, args.gaps)
     ms = build_marker_system(args.columns, args.origin, gaps)
     checks = {
         "two_gaps": all(check_two_gaps(ms, k) for k in range(1, ms.row_count + 1)),
@@ -119,8 +131,8 @@ def _cmd_markers(args) -> int:
 
 def _cmd_dstar(args) -> int:
     trunc = _parse_trunc(args.trunc)
-    wa, _ = read_arr(args.a)
-    wb, _ = read_arr(args.b)
+    wa, _ = _parse(".arr file", read_arr, args.a)
+    wb, _ = _parse(".arr file", read_arr, args.b)
     d = dstar(
         empirical_measure(window_to_rectangle(wa), trunc),
         empirical_measure(window_to_rectangle(wb), trunc),
@@ -146,7 +158,7 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    spec = parse_spec(args.oracle)
+    spec = _parse("oracle", parse_spec, args.oracle)
     oracle = spec.oracle(args.horizon)
     config = f"assemble {args.oracle} {args.levels} {args.horizon}".encode()
     try:
@@ -163,7 +175,7 @@ def _cmd_assemble(args) -> int:
             config,
         )
         return 1
-    lengths = sorted(set(kit.l_sequence + [int(t) for t in args.tab]))
+    lengths = sorted(set(kit.l_sequence + args.tab))
     stitch = {}
     ok = True
     for l in lengths:
@@ -194,7 +206,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    w, ms = read_arr(args.arr)
+    w, ms = _parse(".arr file", read_arr, args.arr)
     checks = {"window_valid": validate_window(w)}
     if ms is not None:
         checks["two_gaps"] = all(
@@ -274,7 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--oracle", required=True, help="generator spec string")
     a.add_argument("--levels", type=int, default=2)
     a.add_argument("--horizon", type=int, default=64)
-    a.add_argument("--tab", nargs="*", default=[], help="extra tab lengths")
+    a.add_argument(
+        "--tab", nargs="*", type=int, default=[], help="extra tab lengths"
+    )
     a.add_argument("--out", help="write .kit file")
     a.add_argument("--report", help="write JSON report")
     a.set_defaults(func=_cmd_assemble)
@@ -299,10 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -77,16 +77,11 @@ class TargetFamily:
 class GoodFamily:
     """Record of one family's good rectangles at one stage, split by width."""
 
-    stage: int
     depth: int
-    path: tuple[int, ...]
-    by_width: dict[int, list[Rectangle]] = field(default_factory=dict)
-    tabbed: dict[int, Rectangle] = field(default_factory=dict)
+    by_width: dict[int, set[Rectangle]] = field(default_factory=dict)
 
     def add(self, rect: Rectangle) -> None:
-        bucket = self.by_width.setdefault(rect.width, [])
-        if rect not in bucket:
-            bucket.append(rect)
+        self.by_width.setdefault(rect.width, set()).add(rect)
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
@@ -208,7 +203,6 @@ class PurifyConfig:
     columns: int
     leaves: tuple[LeafSpec, ...]
     gammas: tuple[Fraction, ...] | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         m = len(self.depths)
@@ -266,7 +260,6 @@ def config_from_dict(raw: dict) -> PurifyConfig:
             if raw.get("gammas")
             else None
         ),
-        seed=int(raw.get("seed", 0)),
     )
 
 
@@ -338,7 +331,7 @@ def purify_stage(
 
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
-        record = GoodFamily(stage, k, path)
+        record = GoodFamily(k)
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
         for sample in fam_samples:
@@ -352,7 +345,6 @@ def purify_stage(
             [r for rects in record.by_width.values() for r in rects], l
         )
         tabbed = {short.width: short, long.width: long}
-        record.tabbed = dict(tabbed)
 
         fam_report: dict = {
             "census": dict(census),

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strictform.arrays import (
     INDEPENDENT,
@@ -25,8 +28,18 @@ from strictform.assemble import (
     tabbed_rectangles,
     transition_length,
     write_kit,
+    _to_bits,
+    _to_oracle_word,
+    _witness,
 )
-from strictform.generators import full_shift_oracle, parse_spec, periodic_oracle
+from strictform.generators import (
+    bernoulli_oracle,
+    chacon_oracle,
+    full_shift_oracle,
+    parse_spec,
+    periodic_oracle,
+    sturmian_oracle,
+)
 from strictform.markers import MarkerSystem
 
 
@@ -109,6 +122,114 @@ class TestTransitionLength:
         o = periodic_oracle("12", 64)
         with pytest.raises(ValueError):
             transition_length(o, Rectangle.from_word("11"), 31)
+
+
+# --- reference lag search: the pair scans the occurrence mask replaced ------
+
+
+def ref_transition_length(x0, B, horizon):
+    bits = rectangle_to_binary_word(B)
+    if bits is None or not x0.contains(_to_oracle_word(x0, bits)):
+        raise ValueError("base rectangle not in the language")
+    n = len(bits)
+    witnessed = set()
+    if x0.text is None:
+        for l in range(1, horizon + 1):
+            if l >= n or bits[l:] == bits[: n - l]:
+                witnessed.add(l)
+    else:
+        occ = x0.occurrences(_to_oracle_word(x0, bits))
+        occ_set = set(occ)
+        for i in occ:
+            for l in range(1, horizon + 1):
+                if i + l in occ_set:
+                    witnessed.add(l)
+    for l0 in range(1, horizon + 1):
+        if all(l in witnessed for l in range(l0, horizon + 1)):
+            return l0
+    raise NotFoundWithinHorizon(
+        f"no transition length certified up to horizon {horizon}"
+    )
+
+
+def ref_witness(x0, bits, l):
+    n = len(bits)
+    total = l + n
+    if x0.text is None:
+        merged = [None] * total
+        for start in (0, l):
+            for j, c in enumerate(bits):
+                if merged[start + j] not in (None, c):
+                    raise NoWitness(l)
+                merged[start + j] = c
+        return "".join(c if c is not None else "0" for c in merged)
+    if total > x0.horizon:
+        raise NoWitness(l)
+    u = _to_oracle_word(x0, bits)
+    occ = set(x0.occurrences(u))
+    best = None
+    for i in sorted(occ):
+        if i + l in occ and i + total <= len(x0.text):
+            cand = x0.text[i : i + total]
+            if best is None or cand < best:
+                best = cand
+    if best is None:
+        raise NoWitness(l)
+    return _to_bits(x0, best)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+horizons = st.integers(8, 64)
+lag_oracles = st.one_of(
+    st.builds(
+        periodic_oracle,
+        st.sampled_from(["01", "12"]).flatmap(
+            lambda ab: st.text(ab, min_size=1, max_size=7)
+        ),
+        horizons,
+    ),
+    st.builds(
+        bernoulli_oracle,
+        st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
+        st.integers(0, 50),
+        horizons,
+    ),
+    st.builds(
+        sturmian_oracle,
+        st.integers(1, 1008).map(lambda a: Fraction(a, 1009)),
+        st.integers(0, 6).map(lambda r: Fraction(r, 7)),
+        horizons,
+    ),
+    st.builds(chacon_oracle, st.integers(0, 8)),
+    st.just(full_shift_oracle(2)),
+)
+
+
+class TestLagSearchDifferential:
+    @settings(deadline=None, max_examples=150)
+    @given(lag_oracles, st.data())
+    def test_matches_pair_scans(self, x0, data):
+        n = data.draw(st.integers(1, min(6, x0.horizon)))
+        word = data.draw(st.sampled_from(sorted(x0.words(n))))
+        bits = "".join(str(sorted(x0.alphabet).index(c)) for c in word)
+        k = data.draw(st.integers(1, min(3, n)))
+        B = window_to_rectangle(lift_binary(bits, k))
+        horizon = data.draw(st.integers(1, 40))
+        assert _outcome(transition_length, x0, B, horizon) == _outcome(
+            ref_transition_length, x0, B, horizon
+        )
+        if len(x0.alphabet) != 2:
+            return
+        for l in range(1, horizon + 3):
+            assert _outcome(_witness, x0, bits, l) == _outcome(
+                ref_witness, x0, bits, l
+            )
 
 
 class TestBuildKit:

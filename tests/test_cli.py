@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import strictform
 from strictform.arrays import lift_binary, write_arr
 from strictform.cli import main
 from strictform.markers import build_marker_system
@@ -45,10 +48,14 @@ class TestArgparse:
         capsys.readouterr()
 
     def test_module_entry_point(self):
+        # the child imports the package from wherever this process found it
+        src = str(Path(strictform.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "strictform.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
 
@@ -71,6 +78,11 @@ class TestMarkers:
         assert data["config_sha256"]
         assert out.exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("gaps", ["x", "3,", "3;100"])
+    def test_unparseable_gaps_exit_2(self, gaps, capsys):
+        assert main(["markers", "--columns", "10", "--gaps", gaps]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_infeasible_gaps_exit_1(self, capsys):
         rc = main(["markers", "--columns", "100", "--gaps", "3,12"])
@@ -161,6 +173,47 @@ class TestAssemble:
         data = json.loads(report.read_text())
         assert data["outcome"] == "not_found_within_horizon"
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec", ["bogus", "full", "periodic:", "chacon:3"])
+    def test_unparseable_oracle_exits_2(self, spec, capsys):
+        assert main(["assemble", "--oracle", spec]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_unparseable_tab_exits_2(self, capsys):
+        rc = main(
+            [
+                "assemble", "--oracle", "chacon", "--levels", "1",
+                "--horizon", "64", "--tab", "x",
+            ]
+        )
+        assert rc == 2
+        capsys.readouterr()
+
+
+MALFORMED_ARR = {
+    "short_file": "2 3 0\n2 4\n",
+    "short_header": "2 3 0\n2 4\n1 2 1\n1 2 3\n",
+    "missing_rows": "2 3 0 independent\n2 4\n1 2 1\n",
+    "bad_token": "1 3 0 independent\n2\n1 x 1\n",
+}
+
+
+class TestMalformedArr:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARR))
+    def test_verify_exits_2(self, case, tmp_path, capsys):
+        p = tmp_path / "w.arr"
+        p.write_text(MALFORMED_ARR[case])
+        assert main(["verify", "--arr", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARR))
+    def test_dstar_exits_2(self, case, tmp_path, capsys):
+        good, bad = tmp_path / "a.arr", tmp_path / "b.arr"
+        write_arr(good, lift_binary("00", 1))
+        bad.write_text(MALFORMED_ARR[case])
+        rc = main(["dstar", "--a", str(good), "--b", str(bad), "--trunc", "1x2"])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,8 +1,8 @@
 """Byte-for-byte guards on CLI reports.
 
-Each case runs one small CLI job in-process and compares the SHA-256 of the
-report file with the hash recorded before the purify, markers and generator
-refactors.  A refactor that changes any report byte (a verdict, a census, a
+Each case runs one small CLI job in-process and compares its exit code and
+the SHA-256 of its report file with those recorded before the purify,
+markers, generator and lag-search refactors.  A refactor that changes any report byte (a verdict, a census, a
 fraction, a key) fails here, so update a hash only for a deliberate change of
 behaviour.
 """
@@ -54,19 +54,47 @@ NOISY_CONFIG = {
     ],
 }
 
+# case -> (exit code, report SHA-256)
 GOLDEN = {
     "purify-clean": (
-        "303aaa002654f4e4dc62805cdb35c443472500a03aef29f5c9e94cb1dc25dbf6"
+        0, "303aaa002654f4e4dc62805cdb35c443472500a03aef29f5c9e94cb1dc25dbf6"
     ),
     "purify-noisy": (
-        "a8e4dd35b14d4aa091cc311b9f4a0446e5d3a6ef1763e1bf67688b3e9bf4b331"
+        0, "a8e4dd35b14d4aa091cc311b9f4a0446e5d3a6ef1763e1bf67688b3e9bf4b331"
     ),
     "assemble-chacon": (
-        "2fdc74efa8a2a8a53014b864307a4e0d68fd3fe2c0a5151ba79688299b712fc8"
+        0, "2fdc74efa8a2a8a53014b864307a4e0d68fd3fe2c0a5151ba79688299b712fc8"
+    ),
+    # gap 64 needs a witness of length 66, beyond the oracle horizon
+    "assemble-chacon-no-witness": (
+        1, "24b18db993aec9c65d767a2a793a2705b72d6e88fe06d30d1be4d1b204aa4a14"
+    ),
+    # the level-3 base word has length 8, so gaps 9 and 10 are zero-filled
+    "assemble-full-gap-fill": (
+        0, "7ca32f74a987a2404c1bf50c92bd066803b6cca102efd4b4a91ff45c9ee99932"
     ),
     "markers": (
-        "41ac474762257e21d497b800e1f92cf7597975d6dcfd8cdc824cee05ef413efa"
+        0, "41ac474762257e21d497b800e1f92cf7597975d6dcfd8cdc824cee05ef413efa"
     ),
+}
+
+_CLI_ARGV = {
+    "assemble-chacon": [
+        "assemble", "--oracle", "chacon", "--levels", "1",
+        "--horizon", "64", "--report",
+    ],
+    "assemble-chacon-no-witness": [
+        "assemble", "--oracle", "chacon", "--levels", "1",
+        "--horizon", "64", "--tab", "64", "--report",
+    ],
+    "assemble-full-gap-fill": [
+        "assemble", "--oracle", "full:2", "--levels", "3",
+        "--horizon", "50", "--tab", "9", "--report",
+    ],
+    "markers": [
+        "markers", "--columns", "4000", "--origin", "7",
+        "--gaps", "3,81", "--report",
+    ],
 }
 
 
@@ -81,17 +109,12 @@ def _argv(case: str, tmp_path) -> list[str]:
         return _purify_argv(CLEAN_CONFIG, tmp_path)
     if case == "purify-noisy":
         return _purify_argv(NOISY_CONFIG, tmp_path)
-    if case == "assemble-chacon":
-        return [
-            "assemble", "--oracle", "chacon", "--levels", "1",
-            "--horizon", "64", "--report",
-        ]
-    return ["markers", "--columns", "4000", "--origin", "7",
-            "--gaps", "3,81", "--report"]
+    return _CLI_ARGV[case]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_report_bytes_unchanged(case, tmp_path):
     out = tmp_path / "report.json"
-    assert main(_argv(case, tmp_path) + [str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[case]
+    code = main(_argv(case, tmp_path) + [str(out)])
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert (code, digest) == GOLDEN[case]
