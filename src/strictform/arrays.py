@@ -255,16 +255,20 @@ def window_to_rectangle(w: ArrayWindow, markers=None) -> Rectangle:
 
 
 def replace_cells(
-    w: ArrayWindow, k: int, first: int, block: Rectangle, mode: str
+    w: ArrayWindow, k: int, placements: Iterable[tuple[int, Rectangle]]
 ) -> ArrayWindow:
-    """Overwrite rows 1..k from absolute column ``first`` with ``block``."""
-    a = first - w.origin
-    if a < 0 or a + block.width > w.columns or block.rows != k:
-        raise ValueError("replacement block out of range")
+    """Write each ``(first, block)`` placement over rows 1..k, the block from
+    absolute column ``first`` on; the output is in independent mode."""
     cells = [list(row) for row in w.cells]
-    for i in range(k):
-        cells[i][a : a + block.width] = block.cells[i]
-    return ArrayWindow(w.chain, w.origin, tuple(tuple(r) for r in cells), mode)
+    for first, block in placements:
+        a = first - w.origin
+        if a < 0 or a + block.width > w.columns or block.rows != k:
+            raise ValueError("replacement block out of range")
+        for i in range(k):
+            cells[i][a : a + block.width] = block.cells[i]
+    return ArrayWindow(
+        w.chain, w.origin, tuple(tuple(r) for r in cells), INDEPENDENT
+    )
 
 
 # --- .arr text format -------------------------------------------------------

@@ -14,12 +14,12 @@ from pathlib import Path
 from typing import Sequence
 
 from .arrays import (
-    INDEPENDENT,
     INVERSE_LIMIT,
     ArrayWindow,
     Rectangle,
     extract_rectangle,
     lift_binary,
+    replace_cells,
     window_to_rectangle,
 )
 from .generators import LanguageOracle
@@ -310,22 +310,20 @@ def check_stitchable(
 
 
 def _replace_gaps(
-    w: ArrayWindow,
-    cuts: Sequence[int],
-    blocks: dict[int, Rectangle],
-    k: int,
+    w: ArrayWindow, cuts: Sequence[int], l: int, kit: StitchKit
 ) -> ArrayWindow:
-    cells = [list(row) for row in w.cells]
+    """Overwrite rows 1..k_l of each gap between consecutive cuts with the
+    tabbed rectangle of its width, l or l+1."""
+    k = kit.level_for(l)
+    if k >= w.rows:
+        raise ValueError("model window needs rows above the embedding level")
+    blocks = {r.width: r for r in tabbed_rectangles(kit, l)}
+    placements = []
     for a, b in zip(cuts, cuts[1:]):
-        block = blocks.get(b - a)
-        if block is None:
+        if b - a not in blocks:
             raise NoWitness(b - a)
-        j = a + 1 - w.origin
-        for i in range(k):
-            cells[i][j : j + block.width] = block.cells[i]
-    return ArrayWindow(
-        w.chain, w.origin, tuple(tuple(r) for r in cells), INDEPENDENT
-    )
+        placements.append((a + 1, blocks[b - a]))
+    return replace_cells(w, k, placements)
 
 
 def embed_periodic(
@@ -336,11 +334,7 @@ def embed_periodic(
     is in independent mode."""
     if any(b - a != p for a, b in zip(cuts, cuts[1:])):
         raise ValueError("cut positions are not p-periodic")
-    k = kit.level_for(p)
-    if k >= w.rows:
-        raise ValueError("model window needs rows above the embedding level")
-    R, _ = tabbed_rectangles(kit, p)
-    return _replace_gaps(w, cuts, {p: R}, k)
+    return _replace_gaps(w, cuts, p, kit)
 
 
 def embed_aperiodic(
@@ -348,13 +342,8 @@ def embed_aperiodic(
 ) -> ArrayWindow:
     """As embed_periodic over a two-gap marker row: each gap is replaced by
     the tabbed rectangle of matching width (R for l, R-bar for l+1)."""
-    l = ms.gaps[row - 1]
-    k = kit.level_for(l)
-    if k >= w.rows:
-        raise ValueError("model window needs rows above the embedding level")
-    R, Rbar = tabbed_rectangles(kit, l)
     cuts = ms.positions_between(row, w.origin, w.origin + w.columns - 1)
-    return _replace_gaps(w, cuts, {l: R, l + 1: Rbar}, k)
+    return _replace_gaps(w, cuts, ms.gaps[row - 1], kit)
 
 
 def convergence_check(

@@ -21,13 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arrays import read_arr, validate_window, write_arr
+from .arrays import read_arr, validate_window, window_to_rectangle
 from .assemble import (
     NotFoundWithinHorizon,
     NoWitness,
     build_stitch_kit,
     check_stitchable,
-    tabbed_rectangles,
     write_kit,
 )
 from .generators import parse_spec
@@ -39,7 +38,6 @@ from .markers import (
     write_mrk,
 )
 from .measures import dstar, empirical_measure
-from .arrays import window_to_rectangle
 from .purify import config_from_dict, purify_pipeline
 
 
@@ -175,19 +173,19 @@ def _cmd_assemble(args) -> int:
             config,
         )
         return 1
-    lengths = sorted(set(kit.l_sequence + args.tab))
     stitch = {}
-    ok = True
-    for l in lengths:
+    for l in sorted(set(kit.l_sequence + args.tab)):
+        if l < kit.l_sequence[0]:
+            detail = f"length {l} below l_1 = {kit.l_sequence[0]}"
+            stitch[str(l)] = {"outcome": "below_l1", "detail": detail}
+            continue
         try:
-            tabbed_rectangles(kit, l)
             good, bad = check_stitchable(kit, l)
         except (NoWitness, NotFoundWithinHorizon) as exc:
             stitch[str(l)] = {"outcome": "no_witness", "detail": str(exc)}
-            ok = False
             continue
         stitch[str(l)] = {"stitchable": good, "violations": len(bad)}
-        ok = ok and good
+    ok = all(entry.get("stitchable") for entry in stitch.values())
     if args.out:
         write_kit(args.out, kit)
     _emit_report(

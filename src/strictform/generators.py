@@ -233,31 +233,30 @@ def parse_spec(spec: str) -> GeneratorSpec:
             if not word or any(c not in "0123456789" for c in word):
                 raise ValueError("period word must be decimal digits")
             return GeneratorSpec(kind, spec, word_arg=word)
-        if kind == "sturmian":
-            alpha = Fraction(parts[1])
-            rho = Fraction(0)
+        if kind in ("sturmian", "bernoulli"):
+            # P/Q in (0, 1), then options of one key per kind; the last wins
+            x = Fraction(parts[1])
+            if not 0 < x < 1:
+                raise ValueError(f"{kind} parameter must lie in (0, 1)")
+            option = "rho" if kind == "sturmian" else "seed"
+            value = "0"
             for extra in parts[2:]:
                 key, _, value = extra.partition("=")
-                if key != "rho":
-                    raise ValueError(f"unknown sturmian option {key!r}")
-                rho = Fraction(value)
-            return GeneratorSpec(kind, spec, alpha=alpha, rho=rho)
+                if key != option:
+                    raise ValueError(f"unknown {kind} option {key!r}")
+            if kind == "sturmian":
+                return GeneratorSpec(kind, spec, alpha=x, rho=Fraction(value))
+            return GeneratorSpec(kind, spec, p=x, seed=int(value))
         if kind == "chacon":
             if parts[1:]:
                 raise ValueError("chacon takes no options")
             return GeneratorSpec(kind, spec)
-        if kind == "bernoulli":
-            p = Fraction(parts[1])
-            seed = 0
-            for extra in parts[2:]:
-                key, _, value = extra.partition("=")
-                if key != "seed":
-                    raise ValueError(f"unknown bernoulli option {key!r}")
-                seed = int(value)
-            return GeneratorSpec(kind, spec, p=p, seed=seed)
         if kind == "full":
-            (size,) = parts[1:]
-            return GeneratorSpec(kind, spec, size=int(size))
+            (digits,) = parts[1:]
+            size = int(digits)
+            if not 1 <= size <= 9:
+                raise ValueError("alphabet size must be in [1, 9]")
+            return GeneratorSpec(kind, spec, size=size)
     except (IndexError, ValueError) as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown generator kind {kind!r}")

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from itertools import combinations
+from typing import Iterable
 
 from .arrays import (
-    INDEPENDENT,
     ArrayWindow,
     Rectangle,
     extract_rectangle,
     lift_binary,
+    replace_cells,
     window_to_rectangle,
 )
 from .generators import GeneratorSpec, parse_spec
@@ -73,17 +74,6 @@ class TargetFamily:
         return self.members[0].truncation
 
 
-@dataclass
-class GoodFamily:
-    """Record of one family's good rectangles at one stage, split by width."""
-
-    depth: int
-    by_width: dict[int, set[Rectangle]] = field(default_factory=dict)
-
-    def add(self, rect: Rectangle) -> None:
-        self.by_width.setdefault(rect.width, set()).add(rect)
-
-
 def classify(rect: Rectangle, family: TargetFamily) -> str:
     """Good iff the truncated distance to some member is below gamma.
 
@@ -122,7 +112,7 @@ def extract_k_rectangles(
 
 
 def select_tabbed(
-    good: Sequence[Rectangle], l: int
+    good: Iterable[Rectangle], l: int
 ) -> tuple[Rectangle, Rectangle]:
     """Lexicographically smallest good rectangle of each width l and l+1."""
     chosen: dict[int, Rectangle] = {}
@@ -151,18 +141,16 @@ def replace_bad(
     window is in independent mode.
     """
     rects = extract_k_rectangles(w, ms, k)
-    cells = [list(row) for row in w.cells]
     sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
-    changed = replaced = 0
+    placements = []
+    changed = 0
     ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
     for p, rect in zip(ps, rects):
         if classify(rect, family) == GOOD:
             continue
         q = p + rect.width
         block = tabbed[rect.width]
-        a = p + 1 - w.origin
-        for i in range(k):
-            cells[i][a : a + block.width] = block.cells[i]
+        placements.append((p + 1, block))
         for j in range(1, k):
             inside = {x for x in sub_rows[j] if p < x < q}
             fresh = {
@@ -172,14 +160,10 @@ def replace_bad(
             }
             sub_rows[j] = (sub_rows[j] - inside) | fresh
         changed += q - p
-        replaced += 1
-    out = ArrayWindow(
-        w.chain, w.origin, tuple(tuple(r) for r in cells), INDEPENDENT
-    )
     new_ms = ms
     for j in range(1, k):
         new_ms = new_ms.with_row(j, sorted(sub_rows[j]))
-    return out, new_ms, changed, replaced
+    return replace_cells(w, k, placements), new_ms, changed, len(placements)
 
 
 # --- configuration ----------------------------------------------------------
@@ -284,13 +268,11 @@ def _stage_gamma(
 ) -> Fraction:
     eps = config.epsilons[stage - 1]
     sep: Fraction | None = None
-    paths = sorted(members)
-    for i, pa in enumerate(paths):
-        for pb in paths[i + 1 :]:
-            for ma in members[pa]:
-                for mb in members[pb]:
-                    d = dstar(ma, mb, config.truncation).value
-                    sep = d if sep is None else min(sep, d)
+    for pa, pb in combinations(sorted(members), 2):
+        for ma in members[pa]:
+            for mb in members[pb]:
+                d = dstar(ma, mb, config.truncation).value
+                sep = d if sep is None else min(sep, d)
     if config.gammas is not None:
         gamma = config.gammas[stage - 1]
         if gamma >= eps:
@@ -310,14 +292,83 @@ def _stage_gamma(
     return min(eps, sep / 2) * Fraction(9, 10)
 
 
+def _census(
+    samples: list[_Sample], family: TargetFamily, k: int
+) -> tuple[dict[str, int], set[Rectangle], list[bool]]:
+    """Extract and classify every k-rectangle of the samples once: the
+    good/bad counts, the good rectangles, and which samples hold a bad one."""
+    census = {GOOD: 0, BAD: 0}
+    good: set[Rectangle] = set()
+    has_bad = []
+    for sample in samples:
+        bad_before = census[BAD]
+        for rect in extract_k_rectangles(sample.window, sample.markers, k):
+            verdict = classify(rect, family)
+            census[verdict] += 1
+            if verdict == GOOD:
+                good.add(rect)
+        has_bad.append(census[BAD] > bad_before)
+    return census, good, has_bad
+
+
+# _repair's result for a sample whose k-rectangles are all good, which
+# replacement would leave as it is
+_CLEAN = (0, 0, Fraction(0), True)
+
+
+def _repair(
+    sample: _Sample,
+    family: TargetFamily,
+    k: int,
+    tabbed: dict[int, Rectangle],
+    trunc: Truncation,
+) -> tuple[int, int, Fraction, bool]:
+    """Overwrite the sample's bad k-rectangles in place and re-check it:
+    (replaced, changed columns, displacement, all good after)."""
+    before = sample.measure
+    window, ms, changed, replaced = replace_bad(
+        sample.window, sample.markers, k, family, tabbed
+    )
+    sample.window, sample.markers = window, ms
+    sample.measure = empirical_measure(window_to_rectangle(window), trunc)
+    all_good = all(
+        classify(rect, family) == GOOD
+        for rect in extract_k_rectangles(window, ms, k)
+    )
+    moved = dstar(before, sample.measure, trunc).value
+    return replaced, changed, moved, all_good
+
+
+def _family_summary(
+    rows: list[dict],
+    measures: list[EmpiricalMeasure],
+    eps: Fraction,
+    trunc: Truncation,
+) -> dict:
+    """Largest sample displacement and the diameter of the repaired
+    measures, each with its bound check."""
+    displacement = max(row["displacement"] for row in rows)
+    diameter = max(
+        (dstar(ma, mb, trunc).value for ma, mb in combinations(measures, 2)),
+        default=Fraction(0),
+    )
+    return {
+        "displacement_max": displacement,
+        "displacement_ok": displacement < 2 * eps,
+        "diameter": diameter,
+        "diameter_ok": diameter <= 3 * eps,
+    }
+
+
 def purify_stage(
     samples: list[_Sample],
     config: PurifyConfig,
     stage: int,
     targets: dict[tuple[int, ...], EmpiricalMeasure],
-) -> tuple[dict, dict[tuple[int, ...], GoodFamily]]:
+) -> tuple[dict, dict[tuple[int, ...], set[Rectangle]]]:
     """Run one classification/replacement stage in place over the samples."""
     k = config.depths[stage - 1]
+    l = config.gaps[k - 1]
     eps = config.epsilons[stage - 1]
     trunc = config.truncation
     paths = sorted({s.path[:stage] for s in samples})
@@ -327,98 +378,62 @@ def purify_stage(
     }
     gamma = _stage_gamma(config, stage, members)
     report: dict = {"stage": stage, "k": k, "gamma": gamma, "families": {}}
-    good_records: dict[tuple[int, ...], GoodFamily] = {}
+    good_records: dict[tuple[int, ...], set[Rectangle]] = {}
 
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
-        record = GoodFamily(k)
-        census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        for sample in fam_samples:
-            for rect in extract_k_rectangles(sample.window, sample.markers, k):
-                verdict = classify(rect, family)
-                census[verdict] += 1
-                if verdict == GOOD:
-                    record.add(rect)
-        l = config.gaps[k - 1]
-        short, long = select_tabbed(
-            [r for rects in record.by_width.values() for r in rects], l
-        )
-        tabbed = {short.width: short, long.width: long}
-
-        fam_report: dict = {
-            "census": dict(census),
-            "census_ok": census[GOOD] * 1
-            >= (census[GOOD] + census[BAD]) * (1 - gamma),
-            "samples": [],
-        }
-        displacement_max = Fraction(0)
-        out_measures = []
-        for sample in fam_samples:
-            before = sample.measure
-            window, ms, changed, replaced = replace_bad(
-                sample.window, sample.markers, k, family, tabbed
+        census, good, has_bad = _census(fam_samples, family, k)
+        tabbed = {r.width: r for r in select_tabbed(good, l)}
+        rows = []
+        for sample, bad in zip(fam_samples, has_bad):
+            replaced, changed, moved, all_good = (
+                _repair(sample, family, k, tabbed, trunc) if bad else _CLEAN
             )
-            sample.window, sample.markers = window, ms
             sample.changed.append(changed)
-            if changed:
-                sample.measure = empirical_measure(
-                    window_to_rectangle(window), trunc
-                )
-            out_measures.append(sample.measure)
-            moved = dstar(before, sample.measure, trunc).value
-            displacement_max = max(displacement_max, moved)
-            total_good = all(
-                classify(rect, family) == GOOD
-                for rect in extract_k_rectangles(window, ms, k)
-            )
-            fam_report["samples"].append(
+            rows.append(
                 {
                     "generator": sample.spec.spec,
                     "replaced": replaced,
                     "changed_columns": changed,
                     "changed_fraction": Fraction(changed, config.columns),
                     "displacement": moved,
-                    "all_good_after": total_good,
+                    "all_good_after": all_good,
                 }
             )
-        fam_report["displacement_max"] = displacement_max
-        fam_report["displacement_ok"] = displacement_max < 2 * eps
-        diameter = Fraction(0)
-        for i, ma in enumerate(out_measures):
-            for mb in out_measures[i + 1 :]:
-                diameter = max(diameter, dstar(ma, mb, trunc).value)
-        fam_report["diameter"] = diameter
-        fam_report["diameter_ok"] = diameter <= 3 * eps
-        report["families"]["/".join(map(str, path))] = fam_report
-        good_records[path] = record
+        report["families"]["/".join(map(str, path))] = {
+            "census": census,
+            "census_ok": census[GOOD]
+            >= (census[GOOD] + census[BAD]) * (1 - gamma),
+            "samples": rows,
+            **_family_summary(
+                rows, [s.measure for s in fam_samples], eps, trunc
+            ),
+        }
+        good_records[path] = good
     return report, good_records
 
 
 def check_nesting(
-    fine: GoodFamily, coarse: GoodFamily, coarse_l: int
+    fine: set[Rectangle], coarse: set[Rectangle], k: int, coarse_l: int
 ) -> bool:
-    """Every good fine-stage rectangle, restricted to the coarse depth, must
-    split along its embedded coarse-row markers into coarse-stage good
+    """Every good fine-stage rectangle, restricted to the coarse depth k,
+    must split along its embedded row-k markers into coarse-stage good
     rectangles of the parent family."""
-    k = coarse.depth
-    coarse_good = {
-        r.without_marks() for rects in coarse.by_width.values() for r in rects
-    }
-    for rects in fine.by_width.values():
-        for rect in rects:
-            cuts = [
-                j + 1
-                for j, flag in enumerate(rect.marks[k - 1])
-                if flag and j + 1 < rect.width
-            ]
-            bounds = [0] + cuts + [rect.width]
-            for a, b in zip(bounds, bounds[1:]):
-                if b - a not in (coarse_l, coarse_l + 1):
-                    return False
-                piece = rect.sub(k, a, b - a).without_marks()
-                if piece not in coarse_good:
-                    return False
+    coarse_good = {r.without_marks() for r in coarse}
+    for rect in fine:
+        cuts = [
+            j + 1
+            for j, flag in enumerate(rect.marks[k - 1])
+            if flag and j + 1 < rect.width
+        ]
+        bounds = [0] + cuts + [rect.width]
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a not in (coarse_l, coarse_l + 1):
+                return False
+            piece = rect.sub(k, a, b - a).without_marks()
+            if piece not in coarse_good:
+                return False
     return True
 
 
@@ -452,7 +467,7 @@ def purify_pipeline(config: PurifyConfig) -> dict:
             )
 
     report: dict = {"stages": [], "columns": config.columns}
-    records: dict[int, dict[tuple[int, ...], GoodFamily]] = {}
+    records: dict[int, dict[tuple[int, ...], set[Rectangle]]] = {}
     for stage in range(1, config.stage_count + 1):
         stage_report, good = purify_stage(samples, config, stage, targets)
         records[stage] = good
@@ -460,10 +475,10 @@ def purify_pipeline(config: PurifyConfig) -> dict:
 
     nesting_ok = True
     for stage in range(2, config.stage_count + 1):
-        coarse_l = config.gaps[config.depths[stage - 2] - 1]
+        k = config.depths[stage - 2]
         for path, fine in records[stage].items():
             coarse = records[stage - 1][path[: stage - 1]]
-            if not check_nesting(fine, coarse, coarse_l):
+            if not check_nesting(fine, coarse, k, config.gaps[k - 1]):
                 nesting_ok = False
     report["nesting_ok"] = nesting_ok
     report["cumulative_changes"] = [

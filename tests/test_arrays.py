@@ -176,10 +176,33 @@ class TestReplaceCells:
     def test_rows_above_unchanged(self):
         w = lift_binary("010010", 3)
         block = Rectangle.from_rows([[2, 2], [1, 1]])
-        out = replace_cells(w, 2, 1, block, INDEPENDENT)
+        out = replace_cells(w, 2, [(1, block)])
+        assert out.mode == INDEPENDENT
         assert out.cells[2] == w.cells[2]
         assert out.cells[0][1:3] == (2, 2)
         assert out.cells[1][1:3] == (1, 1)
+
+    def test_several_placements(self):
+        w = shift(lift_binary("00000000", 2), -10)
+        a = Rectangle.from_rows([[2], [3]])
+        b = Rectangle.from_rows([[2, 2, 2], [4, 4, 4]])
+        out = replace_cells(w, 2, [(10, a), (13, b)])
+        assert out.cells == ((2, 1, 1, 2, 2, 2, 1), (3, 1, 1, 4, 4, 4, 1))
+        assert w.cells == ((1,) * 7, (1,) * 7)
+
+    @pytest.mark.parametrize(
+        "first, block",
+        [
+            (9, Rectangle.from_rows([[2], [2]])),
+            (15, Rectangle.from_rows([[2, 2], [2, 2]])),
+            (12, Rectangle.from_word("2")),
+        ],
+    )
+    def test_placement_out_of_range(self, first, block):
+        w = shift(lift_binary("000000", 2), -10)
+        ok = Rectangle.from_rows([[2], [2]])
+        with pytest.raises(ValueError):
+            replace_cells(w, 2, [(10, ok), (first, block)])
 
 
 class TestArrFormat:

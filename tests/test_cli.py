@@ -136,6 +136,12 @@ class TestPurify:
         assert main(["purify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_out_of_range_spec_exits_2(self, tmp_path, capsys):
+        tree = [{"target": "periodic:0", "samples": ["bernoulli:3/2:seed=1"]}]
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, tree=tree))
+        assert main(["purify", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_stdout_report_is_sorted_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["purify", "--config", str(cfg)]) == 0
@@ -174,10 +180,31 @@ class TestAssemble:
         assert data["outcome"] == "not_found_within_horizon"
         capsys.readouterr()
 
-    @pytest.mark.parametrize("spec", ["bogus", "full", "periodic:", "chacon:3"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bogus", "full", "periodic:", "chacon:3",
+            "full:0", "full:10", "bernoulli:2", "bernoulli:0", "sturmian:3/2",
+        ],
+    )
     def test_unparseable_oracle_exits_2(self, spec, capsys):
         assert main(["assemble", "--oracle", spec]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_tab_below_l1_reported(self, tmp_path, capsys):
+        report = tmp_path / "kit.json"
+        rc = main(
+            [
+                "assemble", "--oracle", "periodic:011", "--levels", "2",
+                "--horizon", "30", "--tab", "8", "--report", str(report),
+            ]
+        )
+        assert rc == 1
+        data = json.loads(report.read_text())
+        assert data["outcome"] == "failed"
+        assert data["l_sequence"][0] > 8
+        assert data["stitchable"]["8"]["outcome"] == "below_l1"
+        capsys.readouterr()
 
     def test_unparseable_tab_exits_2(self, capsys):
         rc = main(

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import strictform.purify as purify
 
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.markers import MarkerSystem, build_marker_system
@@ -13,6 +16,7 @@ from strictform.purify import (
     PurifyConfig,
     SeparationViolation,
     TargetFamily,
+    _stage_gamma,
     classify,
     config_from_dict,
     extract_k_rectangles,
@@ -31,6 +35,85 @@ def reference_classify(rect, family):
         if dstar(bare, member, family.truncation).value < family.gamma:
             return GOOD
     return BAD
+
+
+def reference_purify_stage(samples, config, stage, targets):
+    """purify_stage as first written, extracting every window three times
+    per stage: the reference for the census/repair split."""
+    k = config.depths[stage - 1]
+    eps = config.epsilons[stage - 1]
+    trunc = config.truncation
+    paths = sorted({s.path[:stage] for s in samples})
+    members = {
+        p: [targets[lp] for lp in sorted(targets) if lp[:stage] == p]
+        for p in paths
+    }
+    gamma = _stage_gamma(config, stage, members)
+    report = {"stage": stage, "k": k, "gamma": gamma, "families": {}}
+    good_records = {}
+
+    for path in paths:
+        family = TargetFamily(path, tuple(members[path]), gamma)
+        record = set()
+        census = {GOOD: 0, BAD: 0}
+        fam_samples = [s for s in samples if s.path[:stage] == path]
+        for sample in fam_samples:
+            for rect in extract_k_rectangles(sample.window, sample.markers, k):
+                verdict = classify(rect, family)
+                census[verdict] += 1
+                if verdict == GOOD:
+                    record.add(rect)
+        l = config.gaps[k - 1]
+        short, long = select_tabbed(record, l)
+        tabbed = {short.width: short, long.width: long}
+
+        fam_report = {
+            "census": dict(census),
+            "census_ok": census[GOOD] * 1
+            >= (census[GOOD] + census[BAD]) * (1 - gamma),
+            "samples": [],
+        }
+        displacement_max = Fraction(0)
+        out_measures = []
+        for sample in fam_samples:
+            before = sample.measure
+            window, ms, changed, replaced = replace_bad(
+                sample.window, sample.markers, k, family, tabbed
+            )
+            sample.window, sample.markers = window, ms
+            sample.changed.append(changed)
+            if changed:
+                sample.measure = empirical_measure(
+                    window_to_rectangle(window), trunc
+                )
+            out_measures.append(sample.measure)
+            moved = dstar(before, sample.measure, trunc).value
+            displacement_max = max(displacement_max, moved)
+            total_good = all(
+                classify(rect, family) == GOOD
+                for rect in extract_k_rectangles(window, ms, k)
+            )
+            fam_report["samples"].append(
+                {
+                    "generator": sample.spec.spec,
+                    "replaced": replaced,
+                    "changed_columns": changed,
+                    "changed_fraction": Fraction(changed, config.columns),
+                    "displacement": moved,
+                    "all_good_after": total_good,
+                }
+            )
+        fam_report["displacement_max"] = displacement_max
+        fam_report["displacement_ok"] = displacement_max < 2 * eps
+        diameter = Fraction(0)
+        for i, ma in enumerate(out_measures):
+            for mb in out_measures[i + 1 :]:
+                diameter = max(diameter, dstar(ma, mb, trunc).value)
+        fam_report["diameter"] = diameter
+        fam_report["diameter_ok"] = diameter <= 3 * eps
+        report["families"]["/".join(map(str, path))] = fam_report
+        good_records[path] = record
+    return report, good_records
 
 
 def point_family(symbol, gamma, truncation=(1, 2)):
@@ -409,3 +492,84 @@ class TestPipeline:
         )
         with pytest.raises(SeparationViolation):
             purify_pipeline(cfg)
+
+
+def _outcome(config):
+    try:
+        return purify_pipeline(config)
+    except ValueError as exc:
+        return type(exc)
+
+
+@st.composite
+def small_configs(draw):
+    """One- or two-stage configs on gaps 4,144 with distinct periodic targets
+    and Bernoulli samples; the target itself is usually a sample too, so
+    tabbed rectangles of both widths are usually available."""
+    stages = draw(st.integers(1, 2))
+    targets = iter(
+        draw(st.permutations(["0", "1", "01", "0011", "1101", "001", "0111"]))
+    )
+
+    def leaf():
+        target = next(targets)
+        samples = [
+            f"bernoulli:{draw(st.integers(1, 7))}/8:seed={draw(st.integers(0, 99))}"
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        if draw(st.integers(0, 4)) or not samples:
+            samples.insert(0, f"periodic:{target}")
+        return {"target": f"periodic:{target}", "samples": samples}
+
+    def node(depth):
+        if depth == stages:
+            return leaf()
+        return {"families": [node(depth + 1)
+                             for _ in range(draw(st.integers(1, 2)))]}
+
+    return config_from_dict(
+        {
+            "truncation": [1, 2],
+            "gaps": [4, 144],
+            "depths": [1, 2][:stages],
+            "epsilons": ["1/2", "1/4"][:stages],
+            "columns": 578,
+            "tree": [node(1) for _ in range(draw(st.integers(1, 3)))],
+        }
+    )
+
+
+class TestStageSplit:
+    @settings(max_examples=25, deadline=None)
+    @given(small_configs())
+    def test_matches_reference_stage(self, config):
+        with mock.patch.object(purify, "purify_stage", reference_purify_stage):
+            expected = _outcome(config)
+        assert _outcome(config) == expected
+
+    def test_one_extraction_per_clean_sample(self, monkeypatch):
+        calls = {"extract": 0, "replace": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(purify, "extract_k_rectangles",
+                            counted("extract", extract_k_rectangles))
+        monkeypatch.setattr(purify, "replace_bad",
+                            counted("replace", replace_bad))
+        rep = purify_pipeline(mixed_tree_config())
+        rows = [
+            s
+            for st in rep["stages"]
+            for fam in st["families"].values()
+            for s in fam["samples"]
+        ]
+        repaired = sum(1 for s in rows if s["replaced"] > 0)
+        assert 0 < repaired < len(rows)
+        assert calls == {
+            "extract": len(rows) + 2 * repaired,
+            "replace": repaired,
+        }

@@ -17,3 +17,25 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return {name: line for name, line in imported.items() if name not in used}
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _unused_imports(ast.parse(path.read_text())).items()
+    ]
+    assert found == []
