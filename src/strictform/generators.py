@@ -128,17 +128,15 @@ def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
         raise ValueError(
             f"denominator {alpha.denominator} too small for length {n}"
         )
+    # with alpha = p/q and rho = u/v, floor(i a + r) = (i p v + u q) // (q v)
+    (p, q), (u, v) = alpha.as_integer_ratio(), rho.as_integer_ratio()
     out = []
-    prev = _floor(rho)
+    prev = u * q // (q * v)
     for i in range(1, n + 1):
-        cur = _floor(i * alpha + rho)
+        cur = (i * p * v + u * q) // (q * v)
         out.append(str(cur - prev))
         prev = cur
     return "".join(out)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def sturmian_oracle(

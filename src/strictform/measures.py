@@ -7,8 +7,10 @@ caller formats a report.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,13 +32,8 @@ def frequency(r: Rectangle, q: Rectangle) -> Fraction:
     """
     if q.rows > r.rows or q.width > r.width:
         return Fraction(0)
-    offsets = r.width - q.width + 1
-    hits = sum(
-        1
-        for i in range(offsets)
-        if r.sub(q.rows, i, q.width) == q
-    )
-    return Fraction(hits, offsets)
+    hits = _slab_counts(r, q.rows, q.width).get(q, 0)
+    return Fraction(hits, r.width - q.width + 1)
 
 
 @dataclass(frozen=True)
@@ -58,17 +55,20 @@ class EmpiricalMeasure:
 
 
 def _slab_counts(r: Rectangle, rows: int, width: int) -> dict[Rectangle, int]:
-    # count on raw tuples first; distinct slabs are few even in huge windows
-    raw: dict[tuple, int] = {}
-    cells = r.cells[:rows]
-    marks = r.marks[:rows]
-    for i in range(r.width - width + 1):
-        key = (
-            tuple(row[i : i + width] for row in cells),
-            tuple(row[i : i + width] for row in marks),
-        )
-        raw[key] = raw.get(key, 0) + 1
-    return {Rectangle(c, m): n for (c, m), n in raw.items()}
+    # one slab per horizontal offset: each row's width-wide windows, zipped
+    # across the cell and flag rows, counted as raw tuples in one lazy pass
+    # (building the column tuples first measured slower and larger); distinct
+    # slabs are few even in huge windows, so only they become rectangles.
+    # The iterators are unpacked from lists, not generators: unpacking a
+    # generator builds a resized tuple, and freeing it grew CPython's tuple
+    # free list by one per call until it held 2,000 tuples (about 90 KB)
+    # for the rest of a purify run.
+    windows = [
+        zip(*[islice(row, i, None) for i in range(width)])
+        for row in r.cells[:rows] + r.marks[:rows]
+    ]
+    raw = Counter(zip(*windows))
+    return {Rectangle(k[:rows], k[rows:]): n for k, n in raw.items()}
 
 
 def empirical_measure(
@@ -83,9 +83,8 @@ def empirical_measure(
     weights: dict[Rectangle, Fraction] = {}
     for rows in range(1, max_rows + 1):
         for width in range(1, max_width + 1):
-            offsets = r.width - width + 1
             for q, c in _slab_counts(r, rows, width).items():
-                weights[q] = Fraction(c, offsets)
+                weights[q] = Fraction(c, r.width - width + 1)
     return EmpiricalMeasure(truncation, weights)
 
 
@@ -235,21 +234,29 @@ def write_emp(path: str | Path, m: EmpiricalMeasure) -> None:
 
 
 def read_emp(path: str | Path) -> EmpiricalMeasure:
-    raw = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    max_rows, max_width = (int(t) for t in raw[0].split())
+    """Parse a .emp file; any malformed line raises ValueError naming it."""
+    lines = [
+        (n, line.split())
+        for n, line in enumerate(Path(path).read_text().splitlines(), 1)
+        if line.strip()
+    ]
+    n, head = lines[0] if lines else (1, [])
     weights: dict[Rectangle, Fraction] = {}
-    for line in raw[1:]:
-        toks = line.split()
-        rows, width = int(toks[0]), int(toks[1])
-        syms = [int(t) for t in toks[2 : 2 + rows * width]]
-        mask = int(toks[2 + rows * width])
-        num, den = toks[3 + rows * width].split("/")
-        cells = tuple(
-            tuple(syms[i * width : (i + 1) * width]) for i in range(rows)
-        )
-        marks = tuple(
-            tuple(bool(mask >> (i * width + j) & 1) for j in range(width))
-            for i in range(rows)
-        )
-        weights[Rectangle(cells, marks)] = Fraction(int(num), int(den))
+    try:
+        max_rows, max_width = (int(t) for t in head)
+        for n, toks in lines[1:]:
+            rows, width = (int(t) for t in toks[:2])
+            if len(toks) != (need := 4 + rows * width):
+                raise ValueError(f"expected {need} tokens, got {len(toks)}")
+            mask = int(toks[-2])
+            num, den = (int(t) for t in toks[-1].split("/"))
+            if den == 0:
+                raise ValueError("weight has a zero denominator")
+            syms = [int(t) for t in toks[2:-2]]
+            flags = [bool(mask >> j & 1) for j in range(rows * width)]
+            spans = [slice(i * width, (i + 1) * width) for i in range(rows)]
+            q = Rectangle.from_rows([syms[s] for s in spans], [flags[s] for s in spans])
+            weights[q] = Fraction(num, den)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {n}: {exc}") from None
     return EmpiricalMeasure((max_rows, max_width), weights)

@@ -420,7 +420,8 @@ def check_nesting(
     """Every good fine-stage rectangle, restricted to the coarse depth k,
     must split along its embedded row-k markers into coarse-stage good
     rectangles of the parent family."""
-    coarse_good = {r.without_marks() for r in coarse}
+    # flags play no part in the match: compare cell grids, copy no flag rows
+    coarse_good = {r.cells for r in coarse}
     for rect in fine:
         cuts = [
             j + 1
@@ -431,8 +432,7 @@ def check_nesting(
         for a, b in zip(bounds, bounds[1:]):
             if b - a not in (coarse_l, coarse_l + 1):
                 return False
-            piece = rect.sub(k, a, b - a).without_marks()
-            if piece not in coarse_good:
+            if tuple(row[a:b] for row in rect.cells[:k]) not in coarse_good:
                 return False
     return True
 

@@ -59,7 +59,42 @@ class TestFullShiftOracle:
         assert not o.contains("131")
 
 
+def reference_sturmian_word(alpha, rho, n):
+    # the Fraction loop that sturmian_word used before its integer floors
+    def floor(x):
+        return x.numerator // x.denominator
+
+    out = []
+    prev = floor(rho)
+    for i in range(1, n + 1):
+        cur = floor(i * alpha + rho)
+        out.append(str(cur - prev))
+        prev = cur
+    return "".join(out)
+
+
+@st.composite
+def rotations(draw):
+    # alpha = P/Q with Q up to 10^6, a signed phase and a length below Q
+    q = draw(st.integers(2, 10**6))
+    alpha = F(draw(st.integers(1, q - 1)), q)
+    rho = F(draw(st.integers(-(10**6), 10**6)), draw(st.integers(1, 10**6)))
+    n = draw(st.integers(0, min(alpha.denominator - 1, 3000)))
+    return alpha, rho, n
+
+
 class TestSturmian:
+    @settings(max_examples=200, deadline=None)
+    @given(rotations())
+    def test_matches_fraction_reference(self, args):
+        assert sturmian_word(*args) == reference_sturmian_word(*args)
+
+    @pytest.mark.parametrize("rho", [F(-7, 5), F(22, 7)])
+    def test_long_word_matches_fraction_reference(self, rho):
+        assert sturmian_word(GOLDEN, rho, 24302) == reference_sturmian_word(
+            GOLDEN, rho, 24302
+        )
+
     def test_frozen_golden_prefix(self):
         # independent evaluation of the floor formula gives 01011
         assert sturmian_word(GOLDEN, F(0), 5) == "01011"

@@ -49,6 +49,56 @@ class TestFrequency:
         assert frequency(host, rect("11")) == 0
 
 
+def reference_frequency(r, q):
+    # the per-offset comparison that frequency used before the slab counter
+    if q.rows > r.rows or q.width > r.width:
+        return Fraction(0)
+    offsets = r.width - q.width + 1
+    hits = sum(1 for i in range(offsets) if r.sub(q.rows, i, q.width) == q)
+    return Fraction(hits, offsets)
+
+
+@st.composite
+def marked_rectangles(draw):
+    # 1-3 rows, widths 1-12, symbols 0-2 and random marker flags
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+
+    def grid(values):
+        row = st.lists(values, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    return Rectangle.from_rows(grid(st.integers(0, 2)), grid(st.booleans()))
+
+
+class TestSlabCounterDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rectangles(), st.data())
+    def test_measure_matches_reference(self, r, data):
+        t = (data.draw(st.integers(1, r.rows)), data.draw(st.integers(1, r.width)))
+        m = empirical_measure(r, t)
+        for q, w in m.weights.items():
+            assert w == reference_frequency(r, q)
+        dims = m.by_dimension()
+        assert set(dims) == {
+            (k, w) for k in range(1, t[0] + 1) for w in range(1, t[1] + 1)
+        }
+        for weights in dims.values():
+            assert sum(weights.values()) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rectangles(), marked_rectangles(), st.data())
+    def test_frequency_matches_reference(self, r, other, data):
+        rows = data.draw(st.integers(1, r.rows))
+        width = data.draw(st.integers(1, r.width))
+        col = data.draw(st.integers(0, r.width - width))
+        q = r.sub(rows, col, width)
+        assert frequency(r, q) == reference_frequency(r, q) > 0
+        # an unrelated query: absent, oversized or present by chance
+        assert frequency(r, other) == reference_frequency(r, other)
+        absent = Rectangle(tuple((9,) + row[1:] for row in q.cells), q.marks)
+        assert frequency(r, absent) == reference_frequency(r, absent) == 0
+
+
 class TestEmpiricalMeasure:
     def test_constant_word(self):
         m = empirical_measure(rect("1111"), (1, 2))
@@ -221,3 +271,19 @@ class TestEmpFormat:
         p = tmp_path / "m.emp"
         write_emp(p, m)
         assert dict(read_emp(p).weights) == dict(m.weights)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("1 2\n1 2 1 2 0\n", 2),
+            ("1 2\n1 1 1 0 1/2\n\n1 1 2 0 1/0\n", 4),
+            ("1 2\n1 1 1 0 1/2 7\n", 2),
+        ],
+        ids=["empty", "too_few_tokens", "zero_denominator", "extra_tokens"],
+    )
+    def test_malformed_rejected(self, tmp_path, text, line):
+        p = tmp_path / "bad.emp"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.emp: line {line}: "):
+            read_emp(p)

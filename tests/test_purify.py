@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -17,6 +18,7 @@ from strictform.purify import (
     SeparationViolation,
     TargetFamily,
     _stage_gamma,
+    check_nesting,
     classify,
     config_from_dict,
     extract_k_rectangles,
@@ -278,6 +280,71 @@ class TestClassifyMemo:
         fresh = point_family(1, F(3, 10))
         for rect in extract_k_rectangles(out, ms2, 1):
             assert reference_classify(rect, fresh) == GOOD
+
+
+def reference_check_nesting(fine, coarse, k, coarse_l):
+    """check_nesting as first written, on whole rectangles with their flags
+    cleared: the reference."""
+    coarse_good = {r.without_marks() for r in coarse}
+    for rect in fine:
+        cuts = [
+            j + 1
+            for j, flag in enumerate(rect.marks[k - 1])
+            if flag and j + 1 < rect.width
+        ]
+        bounds = [0] + cuts + [rect.width]
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a not in (coarse_l, coarse_l + 1):
+                return False
+            if rect.sub(k, a, b - a).without_marks() not in coarse_good:
+                return False
+    return True
+
+
+@st.composite
+def nesting_cases(draw):
+    """Flagged coarse rectangles of widths l and l+1, and fine rectangles
+    glued from them under extra rows and random flags, with row-k cuts at
+    the junctions; the first fine rectangle may get a stray cut or a
+    changed cell in rows 1..k."""
+    k, l = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    rows = draw(st.integers(k, 3))
+
+    def flags(width, n):
+        row = st.lists(st.booleans(), min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=n, max_size=n))
+
+    coarse = [
+        Rectangle.from_rows(grid, flags(len(grid[0]), k))
+        for grid in draw(st.lists(_grids(k, l, l + 1), min_size=1, max_size=4))
+    ]
+    grids = []
+    for _ in range(draw(st.integers(1, 3))):
+        pieces = draw(st.lists(st.sampled_from(coarse), min_size=1, max_size=4))
+        cells = [[v for p in pieces for v in p.cells[i]] for i in range(k)]
+        width = len(cells[0])
+        cells += draw(_grids(rows - k, width, width))
+        marks = flags(width, rows)
+        ends = set(itertools.accumulate(p.width for p in pieces))
+        marks[k - 1] = [j + 1 in ends for j in range(width)]
+        grids.append((cells, marks))
+    cells, marks = grids[0]
+    j = draw(st.integers(0, len(cells[0]) - 1))
+    change = draw(st.sampled_from(["none", "cut", "cell"]))
+    if change == "cut":
+        marks[k - 1][j] = not marks[k - 1][j]
+    elif change == "cell":
+        i = draw(st.integers(0, k - 1))
+        cells[i][j] = 3 - cells[i][j]
+    fine = {Rectangle.from_rows(c, m) for c, m in grids}
+    return fine, set(coarse), k, l
+
+
+class TestCheckNesting:
+    @settings(max_examples=200, deadline=None)
+    @given(nesting_cases())
+    def test_matches_reference(self, case):
+        assert check_nesting(*case) == reference_check_nesting(*case)
 
 
 class TestSelectTabbed:

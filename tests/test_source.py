@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
 import strictform
@@ -39,3 +43,80 @@ def test_no_unused_imports():
         for name, line in _unused_imports(ast.parse(path.read_text())).items()
     ]
     assert found == []
+
+
+def _absolute_imports(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def test_stdlib_only_imports():
+    # the runtime is pure standard library: every absolute import is stdlib
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in _absolute_imports(node)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert found == []
+
+
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("_strictform_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _arg_reads(tree, counter):
+    # (index, name) of every _arg(args, kwargs, index, name) in a counter
+    fn = next(
+        n for n in tree.body
+        if isinstance(n, ast.FunctionDef) and n.name == counter.__name__
+    )
+    return [
+        (call.args[2].value, call.args[3].value)
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == "_arg"
+    ]
+
+
+def test_tracer_targets_exist():
+    # a renamed function or argument would silently zero a per-layer metric
+    tracer = _load_tracer()
+    methods = {}
+    for mname, cls_name, meth in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"strictform.{mname}"), cls_name)
+        assert inspect.isfunction(vars(cls)[meth]), (cls_name, meth)
+        methods[f"{mname}.{meth}"] = vars(cls)[meth]
+    targets = {}
+    for name in tracer.NAMED | set(tracer.COUNTERS):
+        mname, attr = name.split(".")
+        fn = methods.get(name) or getattr(
+            importlib.import_module(f"strictform.{mname}"), attr, None
+        )
+        assert inspect.isfunction(fn), name
+        targets[name] = fn
+    tree = ast.parse(TRACER.read_text())
+    reads = {
+        name: _arg_reads(tree, counter)
+        for name, counter in tracer.COUNTERS.items()
+    }
+    assert {name for name, r in reads.items() if r} == {
+        "measures.empirical_measure",
+        "purify.classify",
+        "markers.check_balanced",
+    }
+    for name, pairs in reads.items():
+        params = list(inspect.signature(targets[name]).parameters)
+        for index, arg in pairs:
+            assert params[index] == arg, (name, index, arg)
