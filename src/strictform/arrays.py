@@ -235,15 +235,13 @@ def lift_binary(word: str | Sequence[int], rows: int) -> ArrayWindow:
         raise ValueError("word shorter than the row count")
     n = len(bits) - rows + 1
     chain = AmalgamationChain.canonical(rows)
-    cells = []
-    for k in range(1, rows + 1):
-        row = []
-        for j in range(n):
-            v = 0
-            for b in bits[j : j + k]:
-                v = (v << 1) | b
-            row.append(1 + v)
-        cells.append(tuple(row))
+    # the block of cell (k, j) is that of cell (k-1, j) with bit j+k-1
+    # appended, so the cell is twice the one above it, minus 1, plus that bit
+    row = tuple(1 + b for b in bits[:n])
+    cells = [row]
+    for k in range(2, rows + 1):
+        row = tuple(2 * v - 1 + b for v, b in zip(row, bits[k - 1 :]))
+        cells.append(row)
     return ArrayWindow(chain, 0, tuple(cells), INVERSE_LIMIT)
 
 

@@ -147,7 +147,7 @@ def _cmd_purify(args) -> int:
     raw_bytes = Path(args.config).read_bytes()
     try:
         config = config_from_dict(json.loads(raw_bytes))
-    except (KeyError, ValueError) as exc:
+    except (LookupError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"bad purify config: {exc}") from exc
     report = purify_pipeline(config)
     report["command"] = "purify"

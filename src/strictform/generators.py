@@ -13,8 +13,6 @@ from itertools import product
 from typing import Iterator
 
 CHACON_RULES = {"0": "0010", "1": "1"}
-# the shallowest iterate a chacon oracle holds (797,161 symbols)
-CHACON_DEPTH = 12
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,18 +25,13 @@ class HorizonExhausted(ValueError):
 class LanguageOracle:
     """A queryable finite-horizon language of a subshift.
 
-    Either text-backed (the language is the factor set of ``text``) or a full
-    shift over ``alphabet``.  Factor-closure is automatic in both cases.
+    The factor set of ``text``, or with no text the full shift over
+    ``alphabet``.  Factor-closure is automatic in both cases.
     """
 
-    kind: str
     alphabet: tuple[str, ...]
     horizon: int
     text: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.text is None and self.kind != "full_shift":
-            raise ValueError("only the full shift may omit a backing text")
 
     def contains(self, word: str) -> bool:
         if len(word) > self.horizon:
@@ -79,14 +72,14 @@ def periodic_oracle(word: str, horizon: int | None = None) -> LanguageOracle:
         raise ValueError("period word must be nonempty")
     h = horizon if horizon is not None else max(64, 8 * len(word))
     reps = h // len(word) + 2
-    return LanguageOracle("periodic", tuple(sorted(set(word))), h, word * reps)
+    return LanguageOracle(tuple(sorted(set(word))), h, word * reps)
 
 
 def full_shift_oracle(size: int, horizon: int = 10**6) -> LanguageOracle:
     if not 1 <= size <= 9:
         raise ValueError("alphabet size must be in [1, 9]")
     alphabet = tuple(str(s) for s in range(1, size + 1))
-    return LanguageOracle("full_shift", alphabet, horizon)
+    return LanguageOracle(alphabet, horizon)
 
 
 def substitution_oracle(
@@ -101,19 +94,19 @@ def substitution_oracle(
     for _ in range(depth):
         text = "".join(rules[c] for c in text)
     alphabet = tuple(sorted(set(rules)))
-    return LanguageOracle("substitution", alphabet, len(text), text)
+    return LanguageOracle(alphabet, len(text), text)
 
 
 def chacon_oracle(depth: int = 10) -> LanguageOracle:
     return substitution_oracle(CHACON_RULES, "0", depth)
 
 
-def _chacon_iterate(length: int, depth: int) -> LanguageOracle:
-    """The first Chacon iterate of at least ``depth`` folds that holds
-    ``length`` symbols; every iterate is a prefix of the next."""
+def _chacon_text(length: int) -> str:
+    """The shortest Chacon iterate with at least ``length`` symbols."""
+    depth = 0
     while (oracle := chacon_oracle(depth)).horizon < length:
         depth += 1
-    return oracle
+    return oracle.text
 
 
 def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
@@ -142,8 +135,11 @@ def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
 def sturmian_oracle(
     alpha: Fraction, rho: Fraction, horizon: int
 ) -> LanguageOracle:
+    """Factors of the ``8 * horizon`` prefix.  When ``alpha`` is close to a
+    rational with a small denominator the prefix is nearly periodic and can
+    miss factors: it has fewer than ``n + 1`` of length ``n``."""
     text = sturmian_word(alpha, rho, 8 * horizon)
-    return LanguageOracle("sturmian", ("0", "1"), horizon, text)
+    return LanguageOracle(("0", "1"), horizon, text)
 
 
 def _splitmix64(state: int) -> Iterator[int]:
@@ -173,8 +169,10 @@ def bernoulli_window(p: Fraction, seed: int, n: int) -> str:
 def bernoulli_oracle(
     p: Fraction, seed: int, horizon: int
 ) -> LanguageOracle:
+    """By design, the language is the factor set of the ``8 * horizon``
+    sample, not of the full Bernoulli shift."""
     return LanguageOracle(
-        "bernoulli", ("0", "1"), horizon, bernoulli_window(p, seed, 8 * horizon)
+        ("0", "1"), horizon, bernoulli_window(p, seed, 8 * horizon)
     )
 
 
@@ -198,7 +196,7 @@ class GeneratorSpec:
         if self.kind == "sturmian":
             return sturmian_word(self.alpha, self.rho, n)
         if self.kind == "chacon":
-            return _chacon_iterate(n, 0).text[:n]
+            return _chacon_text(n)[:n]
         if self.kind == "bernoulli":
             return bernoulli_window(self.p, self.seed, n)
         raise ValueError(f"{self.kind} oracle does not generate words")
@@ -209,10 +207,13 @@ class GeneratorSpec:
         if self.kind == "sturmian":
             return sturmian_oracle(self.alpha, self.rho, horizon)
         if self.kind == "chacon":
-            oracle = _chacon_iterate(horizon, CHACON_DEPTH)
-            return LanguageOracle(
-                "chacon", oracle.alphabet, horizon, oracle.text
-            )
+            # B_{d+1} = B_d B_d 1 B_d holds every factor of length <= |B_d|,
+            # since each lies in B_d B_d or B_d 1 B_d.  Queries reach
+            # 2 * horizon (a base word of length <= horizon plus a lag <=
+            # horizon), and |B_{d+1}| = 3 |B_d| + 1 >= 6 * horizon + 1
+            # exactly when |B_d| >= 2 * horizon.
+            text = _chacon_text(6 * horizon + 1)
+            return LanguageOracle(("0", "1"), horizon, text)
         if self.kind == "bernoulli":
             return bernoulli_oracle(self.p, self.seed, horizon)
         if self.kind == "full":

@@ -187,18 +187,18 @@ def check_congruency(ms: MarkerSystem) -> bool:
 
 
 def repair_congruency(
-    positions: Sequence[int], target: int, l: int, *, max_shift: int | None = None
+    positions: Sequence[int], target: int, l: int
 ) -> tuple[int, ...]:
     """Rearrange markers of one row so that ``target`` becomes a marker.
 
-    Markers outside a bounded neighbourhood of the target are untouched; the
+    Markers farther than 9 l^2 + l from the target are untouched; the
     flanking markers are re-decomposed on both sides so all gaps stay in
     {l, l+1}.  Idempotent when the target is already a marker.
     """
     ps = tuple(sorted(positions))
     if target in ps:
         return ps
-    radius = max_shift if max_shift is not None else 9 * l * l + l
+    radius = 9 * l * l + l
     left = _flank(ps, target, l, radius, side=-1)
     right = _flank(ps, target, l, radius, side=+1)
     keep = [p for p in ps if p <= left or p >= right]

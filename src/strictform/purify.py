@@ -189,6 +189,8 @@ class PurifyConfig:
     gammas: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
+        if min(self.truncation) < 1:
+            raise ValueError("truncation rows and width must be at least 1")
         m = len(self.depths)
         if len(self.epsilons) != m or (self.gammas and len(self.gammas) != m):
             raise ValueError("one epsilon (and gamma, if given) per stage")

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strictform.arrays import (
     INDEPENDENT,
@@ -125,6 +125,34 @@ class TestLiftBinary:
                 word = format(v, f"0{n}b")
                 for rows in range(1, 5):
                     assert validate_window(lift_binary(word, rows))
+
+
+def reference_lift_cells(word, rows):
+    # the per-cell block evaluation that lift_binary used before the row
+    # recurrence
+    bits = [int(c) for c in word]
+    n = len(bits) - rows + 1
+    cells = []
+    for k in range(1, rows + 1):
+        row = []
+        for j in range(n):
+            v = 0
+            for b in bits[j : j + k]:
+                v = (v << 1) | b
+            row.append(1 + v)
+        cells.append(tuple(row))
+    return tuple(cells)
+
+
+class TestLiftBinaryDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_matches_reference(self, rows, data):
+        word = data.draw(st.text(alphabet="01", min_size=rows, max_size=40))
+        w = lift_binary(word, rows)
+        assert w.cells == reference_lift_cells(word, rows)
+        assert w.chain == AmalgamationChain.canonical(rows)
+        assert (w.origin, w.mode) == (0, INVERSE_LIMIT)
 
 
 class TestExtractRectangle:

@@ -33,6 +33,7 @@ from strictform.assemble import (
     _witness,
 )
 from strictform.generators import (
+    LanguageOracle,
     bernoulli_oracle,
     chacon_oracle,
     full_shift_oracle,
@@ -259,6 +260,34 @@ class TestBuildKit:
     def test_chacon_frozen_outcome(self, chacon_kit):
         assert [lb for _, lb in chacon_kit.bases] == [3, 197]
         assert chacon_kit.l_sequence == [4, 199]
+
+
+class TestChaconOracleDifferential:
+    # the depth-10 iterate (88,573 symbols) holds every factor of length
+    # up to 29,524, far beyond twice each horizon below
+    REFERENCE_TEXT = chacon_oracle(10).text
+
+    def _kit_and_pairs(self, x0, levels, horizon):
+        try:
+            kit = build_stitch_kit(x0, levels, horizon)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        ls = kit.l_sequence
+        lengths = {ls[0] - 1, *ls, *(l + 1 for l in ls), horizon - 1, horizon}
+        pairs = [_outcome(tabbed_rectangles, kit, l) for l in sorted(lengths)]
+        return kit.bases, ls, pairs
+
+    @pytest.mark.parametrize(
+        "levels, horizon",
+        [(1, 1), (1, 3), (1, 64), (2, 10), (2, 40), (2, 200), (2, 300),
+         (3, 400)],
+    )
+    def test_matches_long_text(self, levels, horizon):
+        short = parse_spec("chacon").oracle(horizon)
+        long = LanguageOracle(("0", "1"), horizon, self.REFERENCE_TEXT)
+        assert self._kit_and_pairs(short, levels, horizon) == (
+            self._kit_and_pairs(long, levels, horizon)
+        )
 
 
 class TestTabbedRectangles:

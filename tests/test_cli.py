@@ -23,6 +23,23 @@ PURIFY_CONFIG = {
     ],
 }
 
+# one config key replaced by a value of the wrong shape or range
+MALFORMED_FIELDS = [
+    ("truncation", [1]),
+    ("truncation", None),
+    ("truncation", [0, 2]),
+    ("gaps", 4),
+    ("depths", None),
+    ("columns", None),
+    ("epsilons", None),
+    ("tree", 5),
+    ("tree", [3]),
+    ("tree", [{"families": 3}]),
+    ("tree", [{"target": 1, "samples": ["periodic:0"]}]),
+    ("tree", [{"target": "periodic:0", "samples": 7}]),
+    ("gammas", 5),
+]
+
 
 def write_config(tmp_path, data=PURIFY_CONFIG):
     p = tmp_path / "config.json"
@@ -139,6 +156,15 @@ class TestPurify:
     def test_out_of_range_spec_exits_2(self, tmp_path, capsys):
         tree = [{"target": "periodic:0", "samples": ["bernoulli:3/2:seed=1"]}]
         cfg = write_config(tmp_path, dict(PURIFY_CONFIG, tree=tree))
+        assert main(["purify", "--config", str(cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value", MALFORMED_FIELDS,
+        ids=[f"{k}={json.dumps(v)}" for k, v in MALFORMED_FIELDS],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, **{key: value}))
         assert main(["purify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 

@@ -155,6 +155,26 @@ class TestSubstitution:
             substitution_oracle({"0": "", "1": "1"}, "0", 3)
 
 
+class TestChaconOracle:
+    # |B_d| = (3^(d+1) - 1) / 2 is 13, 40, 121, 364, 1093 for d = 2..6, so
+    # h = 2, 6, 20, 60, 182 are the largest horizons those iterates serve
+    @pytest.mark.parametrize(
+        "h", [1, 2, 3, 6, 7, 20, 21, 60, 61, 64, 182, 183]
+    )
+    def test_full_complexity_up_to_twice_horizon(self, h):
+        text = parse_spec("chacon").oracle(h).text
+        # the shortest iterate with at least 6h + 1 symbols
+        assert len(text) >= 6 * h + 1 > (len(text) - 1) // 3
+        for n in range(2, 2 * h + 1):
+            factors = {text[i : i + n] for i in range(len(text) - n + 1)}
+            assert len(factors) == 2 * n - 1, n
+
+    def test_horizon_64_holds_depth_6(self):
+        o = parse_spec("chacon").oracle(64)
+        assert o.text == chacon_oracle(6).text and len(o.text) == 1093
+        assert o.horizon == 64
+
+
 class TestBernoulli:
     def test_deterministic(self):
         a = bernoulli_window(F(1, 2), 42, 64)

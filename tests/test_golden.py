@@ -65,6 +65,9 @@ GOLDEN = {
     "assemble-chacon": (
         0, "2fdc74efa8a2a8a53014b864307a4e0d68fd3fe2c0a5151ba79688299b712fc8"
     ),
+    "assemble-chacon-2-300": (
+        0, "1d02df8da2b87382ee53def2a5db06710d05a1b17f4a0b726610940a64129235"
+    ),
     # gap 64 needs a witness of length 66, beyond the oracle horizon
     "assemble-chacon-no-witness": (
         1, "24b18db993aec9c65d767a2a793a2705b72d6e88fe06d30d1be4d1b204aa4a14"
@@ -82,6 +85,10 @@ _CLI_ARGV = {
     "assemble-chacon": [
         "assemble", "--oracle", "chacon", "--levels", "1",
         "--horizon", "64", "--report",
+    ],
+    "assemble-chacon-2-300": [
+        "assemble", "--oracle", "chacon", "--levels", "2",
+        "--horizon", "300", "--report",
     ],
     "assemble-chacon-no-witness": [
         "assemble", "--oracle", "chacon", "--levels", "1",
