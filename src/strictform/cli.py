@@ -82,9 +82,17 @@ def _emit_report(path: str | None, report: dict, config_bytes: bytes) -> None:
 def _parse_trunc(s: str) -> tuple[int, int]:
     try:
         rows, width = s.lower().split("x")
-        return int(rows), int(width)
+        trunc = int(rows), int(width)
     except ValueError as exc:
         raise ConfigError(f"bad truncation {s!r}, expected LxR") from exc
+    if min(trunc) < 1:
+        raise ConfigError(f"bad truncation {s!r}, both sizes must be at least 1")
+    return trunc
+
+
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
 def _parse(what: str, parser, arg: str):
@@ -100,6 +108,7 @@ def _int_list(s: str) -> tuple[int, ...]:
 
 
 def _cmd_markers(args) -> int:
+    _require_positive("--columns", args.columns)
     gaps = _parse("gap list", _int_list, args.gaps)
     ms = build_marker_system(args.columns, args.origin, gaps)
     checks = {
@@ -156,6 +165,8 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    _require_positive("--levels", args.levels)
+    _require_positive("--horizon", args.horizon)
     spec = _parse("oracle", parse_spec, args.oracle)
     oracle = spec.oracle(args.horizon)
     config = f"assemble {args.oracle} {args.levels} {args.horizon}".encode()

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,33 +32,38 @@ def frequency(r: Rectangle, q: Rectangle) -> Fraction:
     """
     if q.rows > r.rows or q.width > r.width:
         return Fraction(0)
-    hits = _slab_counts(r, q.rows, q.width).get(q, 0)
+    hits = _slab_counts(r, q.rows, q.width)[q.cells + q.marks]
     return Fraction(hits, r.width - q.width + 1)
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Cylinder weights up to a truncation; for each dimension pair the
-    weights over all rectangles of that dimension sum to one."""
+    """Cylinder weights up to a truncation: for each dimension (rows, width)
+    within it, ``dims`` holds ``(n, counts)`` with counts summing to n, and q
+    weighs ``counts[q.cells + q.marks] / n`` (n = 1 for fractional weights)."""
 
     truncation: Truncation
-    weights: Mapping[Rectangle, Fraction]
+    dims: Mapping[tuple[int, int], tuple[int, Mapping[tuple, int | Fraction]]]
 
     def weight(self, q: Rectangle) -> Fraction:
-        return self.weights.get(q, Fraction(0))
+        n, counts = self.dims.get((q.rows, q.width), (1, {}))
+        return Fraction(counts.get(q.cells + q.marks, 0), n)
 
-    def by_dimension(self) -> dict[tuple[int, int], dict[Rectangle, Fraction]]:
-        out: dict[tuple[int, int], dict[Rectangle, Fraction]] = {}
-        for q, w in self.weights.items():
-            out.setdefault((q.rows, q.width), {})[q] = w
-        return out
+    @property
+    def weights(self) -> dict[Rectangle, Fraction]:
+        # sorted by dimension, then by cells and flags: the .emp line order
+        return {
+            Rectangle(key[:rows], key[rows:]): Fraction(counts[key], n)
+            for (rows, _), (n, counts) in sorted(self.dims.items())
+            for key in sorted(counts)
+        }
 
 
-def _slab_counts(r: Rectangle, rows: int, width: int) -> dict[Rectangle, int]:
+def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
     # one slab per horizontal offset: each row's width-wide windows, zipped
-    # across the cell and flag rows, counted as raw tuples in one lazy pass
-    # (building the column tuples first measured slower and larger); distinct
-    # slabs are few even in huge windows, so only they become rectangles.
+    # across the cell and flag rows, counted as raw ``cells + marks`` tuples
+    # in one lazy pass (building the column tuples first measured slower and
+    # larger); these tuples are the keys an EmpiricalMeasure stores.
     # The iterators are unpacked from lists, not generators: unpacking a
     # generator builds a resized tuple, and freeing it grew CPython's tuple
     # free list by one per call until it held 2,000 tuples (about 90 KB)
@@ -67,8 +72,7 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> dict[Rectangle, int]:
         zip(*[islice(row, i, None) for i in range(width)])
         for row in r.cells[:rows] + r.marks[:rows]
     ]
-    raw = Counter(zip(*windows))
-    return {Rectangle(k[:rows], k[rows:]): n for k, n in raw.items()}
+    return Counter(zip(*windows))
 
 
 def empirical_measure(
@@ -80,12 +84,11 @@ def empirical_measure(
         raise ValueError("truncation must be positive in both dimensions")
     if r.rows < max_rows or r.width < max_width:
         raise ValueError("rectangle smaller than the requested truncation")
-    weights: dict[Rectangle, Fraction] = {}
-    for rows in range(1, max_rows + 1):
-        for width in range(1, max_width + 1):
-            for q, c in _slab_counts(r, rows, width).items():
-                weights[q] = Fraction(c, r.width - width + 1)
-    return EmpiricalMeasure(truncation, weights)
+    dims = {
+        (rows, width): (r.width - width + 1, _slab_counts(r, rows, width))
+        for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1))
+    }
+    return EmpiricalMeasure(truncation, dims)
 
 
 def point_mass(q: Rectangle, truncation: Truncation) -> EmpiricalMeasure:
@@ -111,9 +114,6 @@ class TruncatedDistance:
         if self.value < 0 or self.value + self.tail_bound > 2:
             raise ValueError("distance outside [0, 2]")
 
-    def __float__(self) -> float:
-        return float(self.value)
-
 
 def _as_measure(
     x: Rectangle | EmpiricalMeasure, truncation: Truncation
@@ -137,10 +137,11 @@ def dstar(
     ma = _as_measure(a, truncation)
     mb = _as_measure(b, truncation)
     total = Fraction(0)
-    for q in set(ma.weights) | set(mb.weights):
-        diff = abs(ma.weight(q) - mb.weight(q))
-        if diff:
-            total += Fraction(diff, 2 ** (q.rows + q.width))
+    for (rows, width), (na, ca) in ma.dims.items():
+        nb, cb = mb.dims[rows, width]
+        # na * nb times the L1 distance of this dimension, in integers
+        diff = sum(abs(ca.get(k, 0) * nb - cb.get(k, 0) * na) for k in {*ca, *cb})
+        total += Fraction(diff, na * nb * 2 ** (rows + width))
     max_rows, max_width = truncation
     covered = (1 - Fraction(1, 2**max_rows)) * (1 - Fraction(1, 2**max_width))
     return TruncatedDistance(total, 2 * (1 - covered))
@@ -157,13 +158,14 @@ def mixture(
     trunc = measures[0].truncation
     if any(m.truncation != trunc for m in measures):
         raise TruncationMismatch("mixture components must share a truncation")
-    weights: dict[Rectangle, Fraction] = {}
+    dims = {dim: (1, Counter()) for dim in measures[0].dims}
     for m, lam in zip(measures, lambdas):
         if lam == 0:
             continue
-        for q, w in m.weights.items():
-            weights[q] = weights.get(q, Fraction(0)) + lam * w
-    return EmpiricalMeasure(trunc, weights)
+        for dim, (n, counts) in m.dims.items():
+            for key, c in counts.items():
+                dims[dim][1][key] += lam * Fraction(c, n)
+    return EmpiricalMeasure(trunc, dims)
 
 
 def concat(rectangles: Sequence[Rectangle]) -> Rectangle:
@@ -220,13 +222,12 @@ def cesaro_spread(
 
 def write_emp(path: str | Path, m: EmpiricalMeasure) -> None:
     lines = [f"{m.truncation[0]} {m.truncation[1]}"]
-    for q in sorted(m.weights, key=lambda q: (q.rows, q.width, q.cells, q.marks)):
+    for q, w in m.weights.items():
         syms = " ".join(str(v) for row in q.cells for v in row)
         mask = 0
         for i, flag in enumerate(f for row in q.marks for f in row):
             if flag:
                 mask |= 1 << i
-        w = m.weights[q]
         lines.append(
             f"{q.rows} {q.width} {syms} {mask} {w.numerator}/{w.denominator}"
         )
@@ -234,29 +235,41 @@ def write_emp(path: str | Path, m: EmpiricalMeasure) -> None:
 
 
 def read_emp(path: str | Path) -> EmpiricalMeasure:
-    """Parse a .emp file; any malformed line raises ValueError naming it."""
+    """Parse a .emp file.  A malformed line, a negative weight, a rectangle
+    beyond the truncation or a dimension of it whose weights do not sum to
+    one raises ValueError naming the line."""
     lines = [
         (n, line.split())
         for n, line in enumerate(Path(path).read_text().splitlines(), 1)
         if line.strip()
     ]
     n, head = lines[0] if lines else (1, [])
-    weights: dict[Rectangle, Fraction] = {}
     try:
         max_rows, max_width = (int(t) for t in head)
+        grid = product(range(1, max_rows + 1), range(1, max_width + 1))
+        dims = {dim: (1, {}) for dim in grid}
         for n, toks in lines[1:]:
             rows, width = (int(t) for t in toks[:2])
+            if (rows, width) not in dims:
+                raise ValueError(f"a {rows}x{width} rectangle is beyond the truncation")
             if len(toks) != (need := 4 + rows * width):
                 raise ValueError(f"expected {need} tokens, got {len(toks)}")
             mask = int(toks[-2])
             num, den = (int(t) for t in toks[-1].split("/"))
             if den == 0:
                 raise ValueError("weight has a zero denominator")
+            if num < 0 or den < 0:
+                raise ValueError(f"weight {num}/{den} has a negative term")
             syms = [int(t) for t in toks[2:-2]]
             flags = [bool(mask >> j & 1) for j in range(rows * width)]
             spans = [slice(i * width, (i + 1) * width) for i in range(rows)]
             q = Rectangle.from_rows([syms[s] for s in spans], [flags[s] for s in spans])
-            weights[q] = Fraction(num, den)
+            dims[rows, width][1][q.cells + q.marks] = Fraction(num, den)
+        n = lines[0][0]
+        for (rows, width), (_, counts) in dims.items():
+            total = sum(counts.values())
+            if total != 1:
+                raise ValueError(f"the {rows}x{width} weights sum to {total}, not 1")
     except ValueError as exc:
         raise ValueError(f"{path}: line {n}: {exc}") from None
-    return EmpiricalMeasure((max_rows, max_width), weights)
+    return EmpiricalMeasure((max_rows, max_width), dims)

@@ -47,6 +47,15 @@ def write_config(tmp_path, data=PURIFY_CONFIG):
     return p
 
 
+# a count below 1 on the command line is bad input, whatever the subcommand
+COUNTS_BELOW_ONE = [
+    ["assemble", "--oracle", "chacon", "--levels", "0"],
+    ["assemble", "--oracle", "chacon", "--horizon", "0"],
+    ["dstar", "--a", "a.arr", "--b", "a.arr", "--trunc", "0x2"],
+    ["markers", "--gaps", "3", "--columns", "0"],
+]
+
+
 class TestArgparse:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["--frobnicate"]) == 2
@@ -63,6 +72,18 @@ class TestArgparse:
     def test_version_exits_0(self, capsys):
         assert main(["--version"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        COUNTS_BELOW_ONE,
+        ids=[" ".join(a[:1] + a[-2:]) for a in COUNTS_BELOW_ONE],
+    )
+    def test_count_below_one_exits_2(self, argv, tmp_path, capsys, monkeypatch):
+        # a readable window, so that only the count can make dstar exit 2
+        monkeypatch.chdir(tmp_path)
+        write_arr("a.arr", lift_binary("0110", 2))
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         # the child imports the package from wherever this process found it

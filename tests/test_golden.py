@@ -1,10 +1,10 @@
 """Byte-for-byte guards on CLI reports.
 
 Each case runs one small CLI job in-process and compares its exit code and
-the SHA-256 of its report file with those recorded before the purify,
-markers, generator and lag-search refactors.  A refactor that changes any report byte (a verdict, a census, a
-fraction, a key) fails here, so update a hash only for a deliberate change of
-behaviour.
+the SHA-256 of its report file (of stdout for `dstar`) with those recorded
+before the purify, markers, generator, lag-search and measure refactors.  A
+refactor that changes any report byte (a verdict, a census, a fraction, a
+key) fails here, so update a hash only for a deliberate change of behaviour.
 """
 
 import hashlib
@@ -125,3 +125,24 @@ def test_report_bytes_unchanged(case, tmp_path):
     code = main(_argv(case, tmp_path) + [str(out)])
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert (code, digest) == GOLDEN[case]
+
+
+# two fixed 2-row windows for the dstar command, which prints to stdout
+DSTAR_WINDOWS = {
+    "a.arr": "2 15 0 inverse_limit\n2 4\n"
+    "1 2 1 1 2 2 1 2 1 2 2 2 1 1 2\n2 3 1 2 4 3 2 3 2 4 4 3 1 2 3\n",
+    "b.arr": "2 15 0 inverse_limit\n2 4\n"
+    "1 1 2 2 1 2 1 1 2 2 2 1 1 2 1\n1 2 4 3 2 3 1 2 4 4 3 1 2 3 2\n",
+}
+DSTAR_GOLDEN = (
+    0, "0e15dd6cc1710166efafb5185772c0a4395d6933faec8f9588d29036391f8e86"
+)
+
+
+def test_dstar_stdout_unchanged(tmp_path, capsys):
+    for name, text in DSTAR_WINDOWS.items():
+        (tmp_path / name).write_text(text)
+    a, b = tmp_path / "a.arr", tmp_path / "b.arr"
+    code = main(["dstar", "--a", str(a), "--b", str(b), "--trunc", "2x3"])
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (code, digest) == DSTAR_GOLDEN

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.measures import (
@@ -78,12 +78,13 @@ class TestSlabCounterDifferential:
         m = empirical_measure(r, t)
         for q, w in m.weights.items():
             assert w == reference_frequency(r, q)
-        dims = m.by_dimension()
-        assert set(dims) == {
+        assert set(m.dims) == {
             (k, w) for k in range(1, t[0] + 1) for w in range(1, t[1] + 1)
         }
-        for weights in dims.values():
-            assert sum(weights.values()) == 1
+        for (_, width), (n, counts) in m.dims.items():
+            assert n == r.width - width + 1
+            assert all(type(c) is int for c in counts.values())
+            assert sum(counts.values()) == n
 
     @settings(max_examples=200, deadline=None)
     @given(marked_rectangles(), marked_rectangles(), st.data())
@@ -134,8 +135,9 @@ class TestEmpiricalMeasure:
     @given(words)
     def test_dimension_sums_are_one(self, word):
         m = empirical_measure(rect(word), (1, 3))
-        for dim, weights in m.by_dimension().items():
-            assert sum(weights.values()) == 1
+        assert set(m.dims) == {(1, 1), (1, 2), (1, 3)}
+        for n, counts in m.dims.values():
+            assert sum(counts.values()) == n
 
 
 class TestDstar:
@@ -173,6 +175,70 @@ class TestDstar:
         bc = dstar(rect(b), rect(c), t).value
         ac = dstar(rect(a), rect(c), t).value
         assert ac <= ab + bc
+
+
+def reference_dstar(ma, mb):
+    # the per-cylinder body dstar used before measures stored counts
+    total = Fraction(0)
+    for q in set(ma.weights) | set(mb.weights):
+        diff = abs(ma.weight(q) - mb.weight(q))
+        if diff:
+            total += Fraction(diff, 2 ** (q.rows + q.width))
+    return total
+
+
+@st.composite
+def counted_measures(draw):
+    # 2-4 measures of marked rectangles at one truncation within all of them
+    rects = draw(st.lists(marked_rectangles(), min_size=2, max_size=4))
+    rows = draw(st.integers(1, min(r.rows for r in rects)))
+    width = draw(st.integers(1, min(r.width for r in rects)))
+    return [empirical_measure(r, (rows, width)) for r in rects]
+
+
+@st.composite
+def lambdas(draw, k):
+    # k nonnegative integers, zeros allowed, normalised to sum to one
+    raw = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+    raw[draw(st.integers(0, k - 1))] += 1
+    return [F(x, sum(raw)) for x in raw]
+
+
+class TestDstarDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(counted_measures())
+    def test_counted_measures(self, ms):
+        t = ms[0].truncation
+        for ma in ms:
+            for mb in ms:
+                assert dstar(ma, mb, t).value == reference_dstar(ma, mb)
+
+    @settings(max_examples=150, deadline=None)
+    @given(counted_measures(), st.data())
+    def test_mixtures(self, ms, data):
+        t = ms[0].truncation
+        left = mixture(ms, data.draw(lambdas(len(ms))))
+        right = mixture(ms, data.draw(lambdas(len(ms))))
+        for ma, mb in [(left, right), (left, ms[0]), (ms[-1], right)]:
+            assert dstar(ma, mb, t).value == reference_dstar(ma, mb)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(counted_measures(), st.data())
+    def test_emp_roundtrips(self, tmp_path, ms, data):
+        t = ms[0].truncation
+        mix = mixture(ms, data.draw(lambdas(len(ms))))
+        parsed = []
+        for i, m in enumerate([ms[0], ms[1], mix]):
+            write_emp(tmp_path / f"{i}.emp", m)
+            parsed.append(read_emp(tmp_path / f"{i}.emp"))
+        for ma in parsed:
+            for mb in parsed + ms:
+                assert dstar(ma, mb, t).value == reference_dstar(ma, mb)
+                assert dstar(mb, ma, t).value == reference_dstar(ma, mb)
 
 
 class TestMixture:
@@ -279,8 +345,17 @@ class TestEmpFormat:
             ("1 2\n1 2 1 2 0\n", 2),
             ("1 2\n1 1 1 0 1/2\n\n1 1 2 0 1/0\n", 4),
             ("1 2\n1 1 1 0 1/2 7\n", 2),
+            ("1 1\n1 1 1 0 1/1\n2 1 1 1 0 1/8\n", 3),
+            ("1 2\n1 1 1 0 1/2\n1 1 2 0 1/2\n", 1),
+            ("1 1\n\n1 1 1 0 1/2\n1 1 2 0 1/3\n", 1),
+            ("1 1\n", 1),
+            ("1 1\n1 1 1 0 3/1\n1 1 2 0 -2/1\n", 3),
         ],
-        ids=["empty", "too_few_tokens", "zero_denominator", "extra_tokens"],
+        ids=[
+            "empty", "too_few_tokens", "zero_denominator", "extra_tokens",
+            "beyond_truncation", "missing_dimension",
+            "sum_not_one", "no_rectangles", "negative_weight",
+        ],
     )
     def test_malformed_rejected(self, tmp_path, text, line):
         p = tmp_path / "bad.emp"

@@ -23,6 +23,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_floats_outside_cli():
+    # exact fractions decide every verdict; only the CLI formats floats
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "float"
+    ]
+    assert found == []
+
+
 def _unused_imports(tree):
     imported = {}
     for node in tree.body:
