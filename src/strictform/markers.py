@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import lt
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +55,7 @@ class MarkerSystem:
         if len(self.positions) != len(self.gaps):
             raise ValueError("one base gap per row required")
         for row in self.positions:
-            if list(row) != sorted(set(row)):
+            if not all(map(lt, row, row[1:])):
                 raise ValueError("positions must be sorted and distinct")
 
     @property
@@ -153,29 +154,50 @@ def check_two_gaps(ms: MarkerSystem, k: int) -> bool:
 def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     """True iff every length-``window`` interval inside [lo, hi] fully contains
     at least window/(3 l_k) gaps of length l_k and window/(3 (l_k+1)) gaps of
-    length l_k+1.  Only gaps with both endpoints inside the interval count."""
+    length l_k+1.  Only gaps with both endpoints inside the interval count.
+
+    Only the start lo and the start p + 1 just after each marker p are
+    checked.  The gaps inside an interval [t, t + window] are those between
+    the first marker at or after t and the last at or before t + window.
+    Between two such starts the first marker stays put while the last can
+    only move right, so both counts only rise; each is smallest at a checked
+    start.
+    """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
     ps = ms.row(k)
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
-    short = [0]
-    long = [0]
-    for a, b in zip(ps, ps[1:]):
-        short.append(short[-1] + (b - a == l))
-        long.append(long[-1] + (b - a == l + 1))
-    for t in range(ms.lo, ms.hi - window + 1):
-        i = bisect_left(ps, t)
-        j = bisect_right(ps, t + window) - 1
-        if j <= i:
-            return False
-        n_short = short[j] - short[i]
-        n_long = long[j] - long[i]
+    last = ms.hi - window  # the last interval start
+    n = len(ps)
+    # the counts cover the gaps between markers i and j
+    i = j = bisect_left(ps, ms.lo)
+    n_short = n_long = 0
+    t = ms.lo
+    while True:
+        end = t + window
+        while j + 1 < n and ps[j + 1] <= end:
+            g = ps[j + 1] - ps[j]
+            if g == l:
+                n_short += 1
+            elif g == l + 1:
+                n_long += 1
+            j += 1
         # exact comparison against window/(3l) and window/(3(l+1))
         if 3 * l * n_short < window or 3 * (l + 1) * n_long < window:
             return False
-    return True
+        # the next start lies just past marker i, so the gap after it leaves
+        # (it was counted: the counts passed, so j > i)
+        t = ps[i] + 1
+        if t > last:
+            return True
+        g = ps[i + 1] - ps[i]
+        if g == l:
+            n_short -= 1
+        elif g == l + 1:
+            n_long -= 1
+        i += 1
 
 
 def check_congruency(ms: MarkerSystem) -> bool:
@@ -272,10 +294,16 @@ def build_marker_system(
     for k in range(rows - 2, -1, -1):
         above = per_row[0]
         l = gaps[k]
-        refined: list[int] = list(above)
+        # every gap above is l_{k+1} or l_{k+1} + 1 long: split each length once
+        offsets: dict[int, list[int]] = {}
+        refined: list[int] = []
         for a, b in zip(above, above[1:]):
-            refined.extend(subdivide_gap(a, b, l))
-        per_row.insert(0, tuple(sorted(refined)))
+            cuts = offsets.get(b - a)
+            if cuts is None:
+                cuts = offsets[b - a] = [0, *subdivide_gap(0, b - a, l)]
+            refined.extend(map(a.__add__, cuts))
+        refined.append(above[-1])
+        per_row.insert(0, tuple(refined))
 
     # certified balance windows: 16*(coarse gap + 2) below the top row (each
     # window holds >= 14 full coarse gaps whose short/long shares are each

@@ -235,9 +235,9 @@ def write_emp(path: str | Path, m: EmpiricalMeasure) -> None:
 
 
 def read_emp(path: str | Path) -> EmpiricalMeasure:
-    """Parse a .emp file.  A malformed line, a negative weight, a rectangle
-    beyond the truncation or a dimension of it whose weights do not sum to
-    one raises ValueError naming the line."""
+    """Parse a .emp file.  A malformed line, a truncation below 1, a negative
+    weight, a rectangle beyond the truncation or a dimension of it whose
+    weights do not sum to one raises ValueError naming the line."""
     lines = [
         (n, line.split())
         for n, line in enumerate(Path(path).read_text().splitlines(), 1)
@@ -246,6 +246,8 @@ def read_emp(path: str | Path) -> EmpiricalMeasure:
     n, head = lines[0] if lines else (1, [])
     try:
         max_rows, max_width = (int(t) for t in head)
+        if max_rows < 1 or max_width < 1:
+            raise ValueError("truncation must be positive in both dimensions")
         grid = product(range(1, max_rows + 1), range(1, max_width + 1))
         dims = {dim: (1, {}) for dim in grid}
         for n, toks in lines[1:]:

@@ -79,6 +79,10 @@ GOLDEN = {
     "markers": (
         0, "41ac474762257e21d497b800e1f92cf7597975d6dcfd8cdc824cee05ef413efa"
     ),
+    # three rows [24001, 1601, 6]: two levels of refinement below the top
+    "markers-3row": (
+        0, "de04b5e6f8c6470b4cd3fd331bce9d7a6f3981b236612f59d71368aaf171faeb"
+    ),
 }
 
 _CLI_ARGV = {
@@ -101,6 +105,10 @@ _CLI_ARGV = {
     "markers": [
         "markers", "--columns", "4000", "--origin", "7",
         "--gaps", "3,81", "--report",
+    ],
+    "markers-3row": [
+        "markers", "--columns", "58323", "--origin", "-3",
+        "--gaps", "2,36,11664", "--report",
     ],
 }
 

@@ -1,4 +1,5 @@
 import pytest
+from bisect import bisect_left, bisect_right
 from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
@@ -78,9 +79,9 @@ def reference_decompose_balanced(p, l):
     return GapDecomposition(best_pair[0], best_pair[1], l)
 
 
-def _outcome(fn, p, l):
+def _outcome(fn, *args):
     try:
-        return fn(p, l)
+        return fn(*args)
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -97,6 +98,65 @@ def test_decomposition_matches_reference(fn, reference):
     for l in range(2, 13):
         for p in range(1, 3001):
             assert _outcome(fn, p, l) == _outcome(reference, p, l), (p, l)
+
+
+def reference_check_balanced(ms, k, window):
+    """check_balanced as first written: two bisects per interval start."""
+    l = ms.gaps[k - 1]
+    if window < 3 * (l + 1):
+        raise ValueError("interval too short to constrain both gap lengths")
+    ps = ms.row(k)
+    if ms.hi - ms.lo < window:
+        return True
+    short = [0]
+    long = [0]
+    for a, b in zip(ps, ps[1:]):
+        short.append(short[-1] + (b - a == l))
+        long.append(long[-1] + (b - a == l + 1))
+    for t in range(ms.lo, ms.hi - window + 1):
+        i = bisect_left(ps, t)
+        j = bisect_right(ps, t + window) - 1
+        if j <= i:
+            return False
+        n_short = short[j] - short[i]
+        n_long = long[j] - long[i]
+        if 3 * l * n_short < window or 3 * (l + 1) * n_long < window:
+            return False
+    return True
+
+
+def reference_build_marker_system(columns, origin, gaps):
+    """build_marker_system as first written: one split per gap, then a sort."""
+    gaps = tuple(gaps)
+    if not gaps or any(l < 2 for l in gaps):
+        raise ValueError("base gaps must be >= 2")
+    for a, b in zip(gaps, gaps[1:]):
+        if b < 9 * a * a:
+            raise ValueError(f"gap sequence must grow: {b} < 9*{a}^2")
+    rows = len(gaps)
+    lo, hi = origin, origin + columns
+    top = gaps[-1]
+    d = decompose_gap(columns, top)
+    positions = [lo]
+    placed_long = 0
+    for i in range(d.a + d.b):
+        want_long = (i + 1) * d.b // (d.a + d.b)
+        step = top + 1 if want_long > placed_long else top
+        placed_long = want_long
+        positions.append(positions[-1] + step)
+    per_row = [tuple(positions)]
+    for k in range(rows - 2, -1, -1):
+        above = per_row[0]
+        l = gaps[k]
+        refined = list(above)
+        for a, b in zip(above, above[1:]):
+            refined.extend(subdivide_gap(a, b, l))
+        per_row.insert(0, tuple(sorted(refined)))
+    balance = tuple(
+        16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
+        for k in range(rows)
+    )
+    return MarkerSystem(tuple(per_row), gaps, lo, hi, balance)
 
 
 def row_system(positions, l, lo=None, hi=None):
@@ -193,6 +253,76 @@ class TestPredicates:
 
     def test_congruency_single_row(self):
         assert check_congruency(row_system([0, 3], 3))
+
+
+@st.composite
+def balance_cases(draw):
+    """A one-row system and a window for check_balanced.
+
+    Gaps repeat a pattern of l and l+1, and up to three of them are changed,
+    often to 1, l+2 or 7, which break the two-gap rule.  The row may hold no
+    marker at all, and markers may lie before lo and after hi.  The window
+    runs from just below 3(l+1) (which raises) to past hi - lo, and hi - lo
+    falls on both sides of it.
+    """
+    l = draw(st.integers(2, 4))
+    if draw(st.integers(0, 9)) == 0:
+        ps = []
+    else:
+        pattern = draw(
+            st.sampled_from([(l, l + 1), (l, l, l + 1), (l, l + 1, l + 1)])
+        )
+        gaps = [pattern[i % len(pattern)] for i in range(draw(st.integers(0, 80)))]
+        for _ in range(draw(st.integers(0, 3)) if gaps else 0):
+            at = draw(st.integers(0, len(gaps) - 1))
+            gaps[at] = draw(st.sampled_from([1, l, l + 1, l + 2, 7]))
+        ps = [draw(st.integers(-10, 10))]
+        for g in gaps:
+            ps.append(ps[-1] + g)
+    window = 3 * (l + 1) + draw(st.integers(-1, 80))
+    lo = (ps[0] if ps else 0) + draw(st.integers(-3, 12))
+    if draw(st.booleans()):
+        hi = lo + window + draw(st.integers(-3, 3))
+    else:
+        hi = (ps[-1] if ps else 0) - draw(st.integers(-3, 12))
+    return MarkerSystem((tuple(ps),), (l,), lo, max(lo, hi)), window
+
+
+class TestCheckBalancedDifferential:
+    @settings(deadline=None, max_examples=400)
+    @given(balance_cases())
+    def test_matches_reference(self, case):
+        ms, window = case
+        assert _outcome(check_balanced, ms, 1, window) == _outcome(
+            reference_check_balanced, ms, 1, window
+        )
+
+
+class TestBuildMarkerSystemDifferential:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.integers(-50, 20), st.data())
+    def test_matches_reference(self, rows, origin, data):
+        # three rows from l_1 = 2 already span 26k-56k columns
+        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
+        for _ in range(rows - 1):
+            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
+        top = gaps[-1]
+        most = {1: 40, 2: 8, 3: 2}[rows]
+        a = data.draw(st.integers(1, most))
+        b = data.draw(st.integers(1, most))
+        n = a * top + b * (top + 1)
+        assert build_marker_system(n, origin, gaps) == reference_build_marker_system(
+            n, origin, gaps
+        )
+
+
+class TestMarkerSystemOrder:
+    @pytest.mark.parametrize(
+        "row", [(0, 6, 3), (0, 3, 3, 6)], ids=["unsorted", "duplicate"]
+    )
+    def test_rejected(self, row):
+        with pytest.raises(ValueError, match="positions must be sorted and distinct"):
+            MarkerSystem((row,), (3,), 0, 6)
 
 
 class TestRepairCongruency:

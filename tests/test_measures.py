@@ -350,11 +350,14 @@ class TestEmpFormat:
             ("1 1\n\n1 1 1 0 1/2\n1 1 2 0 1/3\n", 1),
             ("1 1\n", 1),
             ("1 1\n1 1 1 0 3/1\n1 1 2 0 -2/1\n", 3),
+            ("0 3\n", 1),
+            ("2 0\n", 1),
         ],
         ids=[
             "empty", "too_few_tokens", "zero_denominator", "extra_tokens",
             "beyond_truncation", "missing_dimension",
             "sum_not_one", "no_rectangles", "negative_weight",
+            "no_rows", "no_width",
         ],
     )
     def test_malformed_rejected(self, tmp_path, text, line):
