@@ -420,38 +420,42 @@ def write_kit(path: str | Path, kit: StitchKit) -> None:
 
 
 def read_kit(path: str | Path) -> StitchKit:
-    raw = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    levels, horizon = (int(t) for t in raw[0].split())
-    i = 1
-    bases: list[tuple[Rectangle, int]] = []
-    for _ in range(levels):
-        _, k_s, lb_s = raw[i].split()
-        k, lb = int(k_s), int(lb_s)
-        rows = [
-            tuple(int(t) for t in raw[i + 1 + r].split()) for r in range(k)
-        ]
-        bases.append((Rectangle.from_rows(rows), lb))
-        i += 1 + k
-    kit = StitchKit(None, horizon, bases)
-    while i < len(raw):
-        tag, l_s = raw[i].split()
-        if tag != "tab":
-            raise ValueError(f"{path}: expected a tab line, got {raw[i]!r}")
-        l = int(l_s)
-        k = kit.level_for(l)
-        r_rows = [
-            tuple(int(t) for t in raw[i + 1 + r].split()) for r in range(k)
-        ]
-        i += 1 + k
-        tag2, l2 = raw[i].split()
-        if tag2 != "tabbar" or int(l2) != l:
-            raise ValueError(f"{path}: expected 'tabbar {l}', got {raw[i]!r}")
-        rb_rows = [
-            tuple(int(t) for t in raw[i + 1 + r].split()) for r in range(k)
-        ]
-        i += 1 + k
-        kit.tabbed[l] = (
-            Rectangle.from_rows(r_rows),
-            Rectangle.from_rows(rb_rows),
-        )
+    """Parse a .kit file.  A malformed line, a level count below 1 or a file
+    that ends early raises ValueError naming the line."""
+    text = Path(path).read_text().splitlines()
+    lines = ((n, l.split()) for n, l in enumerate(text, 1) if l.strip())
+    n = 1
+
+    def line() -> list[str]:
+        nonlocal n
+        n, toks = next(lines, (len(text) + 1, None))
+        if toks is None:
+            raise ValueError("the file ends early")
+        return toks
+
+    def grid(k: int) -> Rectangle:
+        return Rectangle.from_rows([[int(t) for t in line()] for _ in range(k)])
+
+    try:
+        levels, horizon = (int(t) for t in line())
+        if levels < 1:
+            raise ValueError("a kit needs at least one level")
+        bases: list[tuple[Rectangle, int]] = []
+        for _ in range(levels):
+            _, k_s, lb_s = line()
+            bases.append((grid(int(k_s)), int(lb_s)))
+        kit = StitchKit(None, horizon, bases)
+        for n, toks in lines:
+            tag, l_s = toks
+            if tag != "tab":
+                raise ValueError(f"expected a tab line, got {tag!r}")
+            l = int(l_s)
+            k = kit.level_for(l)
+            r = grid(k)
+            tag, l_s = line()
+            if tag != "tabbar" or int(l_s) != l:
+                raise ValueError(f"expected 'tabbar {l}', got '{tag} {l_s}'")
+            kit.tabbed[l] = (r, grid(k))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {n}: {exc}") from None
     return kit

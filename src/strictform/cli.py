@@ -38,7 +38,6 @@ from .markers import (
     write_mrk,
 )
 from .measures import dstar, empirical_measure
-from .purify import config_from_dict, purify_pipeline
 
 
 class ConfigError(ValueError):
@@ -153,6 +152,10 @@ def _cmd_dstar(args) -> int:
 
 
 def _cmd_purify(args) -> int:
+    # imported here, so that other commands do not load the purify module:
+    # compiling it at start-up set the peak memory of an assemble run
+    from .purify import config_from_dict, purify_pipeline
+
     raw_bytes = Path(args.config).read_bytes()
     try:
         config = config_from_dict(json.loads(raw_bytes))
@@ -232,6 +235,25 @@ def _cmd_report(args) -> int:
         data = json.loads(Path(args.input).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
+    try:
+        rows = _report_rows(data)
+    except (LookupError, TypeError, AttributeError, ArithmeticError,
+            ValueError) as exc:
+        raise ConfigError(
+            f"not a purify report: {type(exc).__name__}: {exc}"
+        ) from exc
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "y", "series"])
+    writer.writerows(rows)
+    if args.out:
+        _atomic_write(args.out, buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
+    return 0
+
+
+def _report_rows(data: dict) -> list[tuple[int, float, str]]:
     rows = []
     for si, stage in enumerate(data.get("stages", []), start=1):
         for path, fam in sorted(stage.get("families", {}).items()):
@@ -247,15 +269,7 @@ def _cmd_report(args) -> int:
                         f"changed:{s['generator']}",
                     )
                 )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y", "series"])
-    writer.writerows(rows)
-    if args.out:
-        _atomic_write(args.out, buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return 0
+    return rows
 
 
 def _as_float(v) -> float:

@@ -92,23 +92,26 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
     return verdict
 
 
+# a k-rectangle with its left row-k marker p: it covers columns p+1..p+width
+Gap = tuple[int, Rectangle]
+
+
 def extract_k_rectangles(
     w: ArrayWindow, ms: MarkerSystem, k: int
-) -> list[Rectangle]:
-    """All blocks of rows 1..k between consecutive row-k markers, with the
-    finer-row markers embedded as flags."""
+) -> list[Gap]:
+    """All blocks of rows 1..k between consecutive row-k markers, each as
+    ``(p, rect)`` with p its left marker, with the finer-row markers embedded
+    as flags."""
     if not 1 <= k <= ms.row_count:
         raise InvalidMarkers(f"marker system has no row {k}")
+    # every gap of row k, so every gap cut out below, has length l or l+1
     if not check_two_gaps(ms, k):
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    l = ms.gaps[k - 1]
-    out = []
     ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
-    for p, q in zip(ps, ps[1:]):
-        if q - p not in (l, l + 1):
-            raise InvalidMarkers(f"gap {q - p} at {p} not in {{{l},{l + 1}}}")
-        out.append(extract_rectangle(w, k, p + 1, q, ms))
-    return out
+    return [
+        (p, extract_rectangle(w, k, p + 1, q, ms))
+        for p, q in zip(ps, ps[1:])
+    ]
 
 
 def select_tabbed(
@@ -130,40 +133,28 @@ def replace_bad(
     w: ArrayWindow,
     ms: MarkerSystem,
     k: int,
-    family: TargetFamily,
+    bad: list[Gap],
     tabbed: dict[int, Rectangle],
 ) -> tuple[ArrayWindow, MarkerSystem, int, int]:
-    """Overwrite every bad k-rectangle with the tabbed rectangle of its width.
+    """Overwrite each bad k-rectangle, given as ``(p, rect)`` with p its left
+    row-k marker, with the tabbed rectangle of its width.
 
     Rows above k and row->=k markers never change; markers of rows below k
     inside a replaced gap are rewritten from the tabbed rectangle's flags.
     Returns (window, markers, changed columns, replaced count); the output
     window is in independent mode.
     """
-    rects = extract_k_rectangles(w, ms, k)
-    sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
-    placements = []
-    changed = 0
-    ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
-    for p, rect in zip(ps, rects):
-        if classify(rect, family) == GOOD:
-            continue
-        q = p + rect.width
+    sub_rows = [set(ms.row(j)) for j in range(1, k)]
+    for p, rect in bad:
         block = tabbed[rect.width]
-        placements.append((p + 1, block))
-        for j in range(1, k):
-            inside = {x for x in sub_rows[j] if p < x < q}
-            fresh = {
-                p + 1 + c
-                for c, flag in enumerate(block.marks[j - 1])
-                if flag and p + 1 + c < q
-            }
-            sub_rows[j] = (sub_rows[j] - inside) | fresh
-        changed += q - p
-    new_ms = ms
-    for j in range(1, k):
-        new_ms = new_ms.with_row(j, sorted(sub_rows[j]))
-    return replace_cells(w, k, placements), new_ms, changed, len(placements)
+        # flags before the last cell are the markers strictly inside the gap
+        for row, old, new in zip(sub_rows, rect.marks, block.marks):
+            row -= {p + 1 + c for c, f in enumerate(old[:-1]) if f}
+            row |= {p + 1 + c for c, f in enumerate(new[:-1]) if f}
+    for j, row in enumerate(sub_rows, start=1):
+        ms = ms.with_row(j, row)
+    window = replace_cells(w, k, [(p + 1, tabbed[r.width]) for p, r in bad])
+    return window, ms, sum(r.width for _, r in bad), len(bad)
 
 
 # --- configuration ----------------------------------------------------------
@@ -189,8 +180,8 @@ class PurifyConfig:
     gammas: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        if min(self.truncation) < 1:
-            raise ValueError("truncation rows and width must be at least 1")
+        if len(self.truncation) != 2 or min(self.truncation) < 1:
+            raise ValueError("truncation must be [rows, width], each >= 1")
         m = len(self.depths)
         if len(self.epsilons) != m or (self.gammas and len(self.gammas) != m):
             raise ValueError("one epsilon (and gamma, if given) per stage")
@@ -207,13 +198,31 @@ class PurifyConfig:
             raise ValueError(
                 "truncation rows must not exceed the first stage depth"
             )
-        depth = len(self.leaves[0].path) if self.leaves else 0
-        if depth != m or any(len(l.path) != m for l in self.leaves):
+        if not self.leaves or any(len(l.path) != m for l in self.leaves):
             raise ValueError("leaf paths must match the number of stages")
 
     @property
     def stage_count(self) -> int:
         return len(self.depths)
+
+
+def _exact(field: str, value, kind: type):
+    """A JSON int as ``kind`` (int or Fraction), or for Fraction also a "p/q"
+    string; a bool, a float or any other value raises ValueError naming the
+    field, so no float reaches a verdict."""
+    if type(value) is int or kind is Fraction and isinstance(value, str):
+        try:
+            return kind(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    want = "an integer" if kind is int else 'an integer or a "p/q" string'
+    raise ValueError(f"{field}: expected {want}, got {value!r}")
+
+
+def _exacts(field: str, value, kind: type) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list, got {value!r}")
+    return tuple(_exact(f"{field}[{i}]", v, kind) for i, v in enumerate(value))
 
 
 def config_from_dict(raw: dict) -> PurifyConfig:
@@ -235,14 +244,14 @@ def config_from_dict(raw: dict) -> PurifyConfig:
 
     walk(raw["tree"], ())
     return PurifyConfig(
-        truncation=(int(raw["truncation"][0]), int(raw["truncation"][1])),
-        gaps=tuple(int(g) for g in raw["gaps"]),
-        depths=tuple(int(d) for d in raw["depths"]),
-        epsilons=tuple(Fraction(e) for e in raw["epsilons"]),
-        columns=int(raw["columns"]),
+        truncation=_exacts("truncation", raw["truncation"], int),
+        gaps=_exacts("gaps", raw["gaps"], int),
+        depths=_exacts("depths", raw["depths"], int),
+        epsilons=_exacts("epsilons", raw["epsilons"], Fraction),
+        columns=_exact("columns", raw["columns"], int),
         leaves=tuple(leaves),
         gammas=(
-            tuple(Fraction(g) for g in raw["gammas"])
+            _exacts("gammas", raw["gammas"], Fraction)
             if raw.get("gammas")
             else None
         ),
@@ -296,21 +305,23 @@ def _stage_gamma(
 
 def _census(
     samples: list[_Sample], family: TargetFamily, k: int
-) -> tuple[dict[str, int], set[Rectangle], list[bool]]:
+) -> tuple[dict[str, int], set[Rectangle], list[list[Gap]]]:
     """Extract and classify every k-rectangle of the samples once: the
-    good/bad counts, the good rectangles, and which samples hold a bad one."""
+    good/bad counts, the good rectangles and each sample's bad gaps."""
     census = {GOOD: 0, BAD: 0}
     good: set[Rectangle] = set()
-    has_bad = []
+    bad_gaps = []
     for sample in samples:
-        bad_before = census[BAD]
-        for rect in extract_k_rectangles(sample.window, sample.markers, k):
+        bad = []
+        for p, rect in extract_k_rectangles(sample.window, sample.markers, k):
             verdict = classify(rect, family)
             census[verdict] += 1
             if verdict == GOOD:
                 good.add(rect)
-        has_bad.append(census[BAD] > bad_before)
-    return census, good, has_bad
+            else:
+                bad.append((p, rect))
+        bad_gaps.append(bad)
+    return census, good, bad_gaps
 
 
 # _repair's result for a sample whose k-rectangles are all good, which
@@ -322,20 +333,21 @@ def _repair(
     sample: _Sample,
     family: TargetFamily,
     k: int,
+    bad: list[Gap],
     tabbed: dict[int, Rectangle],
-    trunc: Truncation,
 ) -> tuple[int, int, Fraction, bool]:
     """Overwrite the sample's bad k-rectangles in place and re-check it:
     (replaced, changed columns, displacement, all good after)."""
+    trunc = family.truncation
     before = sample.measure
     window, ms, changed, replaced = replace_bad(
-        sample.window, sample.markers, k, family, tabbed
+        sample.window, sample.markers, k, bad, tabbed
     )
     sample.window, sample.markers = window, ms
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
     all_good = all(
         classify(rect, family) == GOOD
-        for rect in extract_k_rectangles(window, ms, k)
+        for _, rect in extract_k_rectangles(window, ms, k)
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -385,12 +397,12 @@ def purify_stage(
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        census, good, has_bad = _census(fam_samples, family, k)
+        census, good, bad_gaps = _census(fam_samples, family, k)
         tabbed = {r.width: r for r in select_tabbed(good, l)}
         rows = []
-        for sample, bad in zip(fam_samples, has_bad):
+        for sample, bad in zip(fam_samples, bad_gaps):
             replaced, changed, moved, all_good = (
-                _repair(sample, family, k, tabbed, trunc) if bad else _CLEAN
+                _repair(sample, family, k, bad, tabbed) if bad else _CLEAN
             )
             sample.changed.append(changed)
             rows.append(
@@ -445,28 +457,19 @@ def purify_pipeline(config: PurifyConfig) -> dict:
     accounting."""
     word_len = config.columns + len(config.gaps) - 1
     base_ms = build_marker_system(config.columns, 0, config.gaps)
-    rows = len(config.gaps)
+    rows, trunc = len(config.gaps), config.truncation
+
+    def lifted(spec: GeneratorSpec) -> tuple[ArrayWindow, EmpiricalMeasure]:
+        window = lift_binary(spec.word(word_len), rows)
+        return window, empirical_measure(window_to_rectangle(window), trunc)
 
     targets: dict[tuple[int, ...], EmpiricalMeasure] = {}
     samples: list[_Sample] = []
     for leaf in config.leaves:
-        target_rect = window_to_rectangle(
-            lift_binary(leaf.target.word(word_len), rows)
-        )
-        targets[leaf.path] = empirical_measure(target_rect, config.truncation)
+        targets[leaf.path] = lifted(leaf.target)[1]
         for spec in leaf.samples:
-            window = lift_binary(spec.word(word_len), rows)
-            samples.append(
-                _Sample(
-                    leaf.path,
-                    spec,
-                    window,
-                    base_ms,
-                    empirical_measure(
-                        window_to_rectangle(window), config.truncation
-                    ),
-                )
-            )
+            window, measure = lifted(spec)
+            samples.append(_Sample(leaf.path, spec, window, base_ms, measure))
 
     report: dict = {"stages": [], "columns": config.columns}
     records: dict[int, dict[tuple[int, ...], set[Rectangle]]] = {}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,34 @@ class TestKitFormat:
         back = read_kit(p)
         with pytest.raises(NoWitness):
             tabbed_rectangles(back, 7)  # any length not stored in the file
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("1\n", 1),
+            ("0 10\n", 1),
+            ("1 10\nlevel 1 3\n", 3),
+            ("1 10\nlevel 1\n1 2 1\n", 2),
+            ("1 10\nlevel 0 3\n", 2),
+            ("1 10\nlevel 1 3\n1 x 1\n", 3),
+            ("1 10\nlevel 1 3\n1 2 1\ntab 4\n1 2 1 2\n", 6),
+            ("1 10\nlevel 1 3\n1 2 1\ntab 1\n1\ntabbar 1\n2\n", 4),
+            ("1 10\nlevel 1 3\n1 2 1\ntab 4 5\n", 4),
+        ],
+        ids=[
+            "empty", "short_header", "no_levels", "cut_in_level",
+            "short_level_line", "zero_rows", "bad_symbol", "cut_in_tab",
+            "tab_below_l1", "long_tab_line",
+        ],
+    )
+    def test_malformed_rejected(self, tmp_path, text, line):
+        # a ValueError naming the line, not an IndexError
+        p = tmp_path / "bad.kit"
+        p.write_text(text)
+        prefix = re.escape(f"{p}: line {line}: ")
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            read_kit(p)
 
     @pytest.mark.parametrize(
         "old, new", [("tab 2", "tub 2"), ("tabbar 2", "tabbar 4")]

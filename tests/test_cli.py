@@ -38,6 +38,14 @@ MALFORMED_FIELDS = [
     ("tree", [{"target": 1, "samples": ["periodic:0"]}]),
     ("tree", [{"target": "periodic:0", "samples": 7}]),
     ("gammas", 5),
+    # a JSON value of the wrong type is not coerced
+    ("columns", 1.5),
+    ("columns", True),
+    ("columns", "2000"),
+    ("gaps", [3, "81"]),
+    ("truncation", [1.0, 2]),
+    ("epsilons", [0.25]),
+    ("epsilons", ["1/0"]),
 ]
 
 
@@ -313,6 +321,10 @@ class TestVerify:
         assert "header claims 2 rows, found 1" in capsys.readouterr().err
 
 
+def _report_with_family(fam):
+    return {"stages": [{"families": {"1": dict(fam, samples=[])}}]}
+
+
 class TestReport:
     def test_csv_from_purify_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -328,3 +340,20 @@ class TestReport:
     def test_missing_input_exits_2(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            _report_with_family({"displacement_max": "0/1"}),
+            _report_with_family({"diameter": "wide", "displacement_max": 0}),
+            _report_with_family({"diameter": "1/0", "displacement_max": 0}),
+        ],
+        ids=["list", "no_diameter", "word_diameter", "zero_denominator"],
+    )
+    def test_not_a_purify_report_exits_2(self, tmp_path, capsys, data):
+        rep = tmp_path / "report.json"
+        rep.write_text(json.dumps(data))
+        assert main(["report", "--input", str(rep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: not a purify report")

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -7,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 
 import strictform.purify as purify
 
-from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
+from strictform.arrays import (
+    Rectangle,
+    lift_binary,
+    replace_cells,
+    window_to_rectangle,
+)
 from strictform.markers import MarkerSystem, build_marker_system
 from strictform.measures import dstar, empirical_measure, point_mass
 from strictform.purify import (
@@ -17,6 +25,7 @@ from strictform.purify import (
     PurifyConfig,
     SeparationViolation,
     TargetFamily,
+    _census,
     _stage_gamma,
     check_nesting,
     classify,
@@ -37,6 +46,42 @@ def reference_classify(rect, family):
         if dstar(bare, member, family.truncation).value < family.gamma:
             return GOOD
     return BAD
+
+
+def reference_replace_bad(w, ms, k, family, tabbed):
+    """replace_bad as first written, extracting, locating and classifying the
+    window's k-rectangles itself and rescanning each finer row per bad gap:
+    the reference."""
+    rects = [rect for _, rect in extract_k_rectangles(w, ms, k)]
+    sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
+    placements = []
+    changed = 0
+    ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
+    for p, rect in zip(ps, rects):
+        if classify(rect, family) == GOOD:
+            continue
+        q = p + rect.width
+        block = tabbed[rect.width]
+        placements.append((p + 1, block))
+        for j in range(1, k):
+            inside = {x for x in sub_rows[j] if p < x < q}
+            fresh = {
+                p + 1 + c
+                for c, flag in enumerate(block.marks[j - 1])
+                if flag and p + 1 + c < q
+            }
+            sub_rows[j] = (sub_rows[j] - inside) | fresh
+        changed += q - p
+    new_ms = ms
+    for j in range(1, k):
+        new_ms = new_ms.with_row(j, sorted(sub_rows[j]))
+    return replace_cells(w, k, placements), new_ms, changed, len(placements)
+
+
+def census_bad(w, ms, k, family):
+    """The bad (p, rect) gaps that _census finds in one window."""
+    _, _, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
+    return bad
 
 
 def reference_purify_stage(samples, config, stage, targets):
@@ -60,7 +105,9 @@ def reference_purify_stage(samples, config, stage, targets):
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
         for sample in fam_samples:
-            for rect in extract_k_rectangles(sample.window, sample.markers, k):
+            for _, rect in extract_k_rectangles(
+                sample.window, sample.markers, k
+            ):
                 verdict = classify(rect, family)
                 census[verdict] += 1
                 if verdict == GOOD:
@@ -79,7 +126,7 @@ def reference_purify_stage(samples, config, stage, targets):
         out_measures = []
         for sample in fam_samples:
             before = sample.measure
-            window, ms, changed, replaced = replace_bad(
+            window, ms, changed, replaced = reference_replace_bad(
                 sample.window, sample.markers, k, family, tabbed
             )
             sample.window, sample.markers = window, ms
@@ -93,7 +140,7 @@ def reference_purify_stage(samples, config, stage, targets):
             displacement_max = max(displacement_max, moved)
             total_good = all(
                 classify(rect, family) == GOOD
-                for rect in extract_k_rectangles(window, ms, k)
+                for _, rect in extract_k_rectangles(window, ms, k)
             )
             fam_report["samples"].append(
                 {
@@ -156,7 +203,7 @@ class TestExtractKRectangles:
         w = lift_binary("01001010", 1)
         ms = MarkerSystem(((0, 3, 7),), (3,), 0, 7)
         rects = extract_k_rectangles(w, ms, 1)
-        assert [r.width for r in rects] == [3, 4]
+        assert [(p, r.width) for p, r in rects] == [(0, 3), (3, 4)]
 
     def test_no_complete_gap(self):
         w = lift_binary("0101", 1)
@@ -174,7 +221,9 @@ class TestExtractKRectangles:
         ms = MarkerSystem(((0, 3, 7), (0, 7)), (3, 7), 0, 7)
         rects = extract_k_rectangles(w, ms, 2)
         assert len(rects) == 1
-        assert rects[0].marks[0] == (False, False, True, False, False, False, True)
+        p, rect = rects[0]
+        assert p == 0
+        assert rect.marks[0] == (False, False, True, False, False, False, True)
 
 
 class TestClassify:
@@ -276,9 +325,10 @@ class TestClassifyMemo:
             4: Rectangle.from_word("1111"),
         }
         fam = point_family(1, F(3, 10))
-        out, ms2, _, _ = replace_bad(w, ms, 1, fam, tabbed)
+        bad = census_bad(w, ms, 1, fam)
+        out, ms2, _, _ = replace_bad(w, ms, 1, bad, tabbed)
         fresh = point_family(1, F(3, 10))
-        for rect in extract_k_rectangles(out, ms2, 1):
+        for _, rect in extract_k_rectangles(out, ms2, 1):
             assert reference_classify(rect, fresh) == GOOD
 
 
@@ -390,19 +440,24 @@ class TestReplaceBad:
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
         tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
-        out, _, changed, replaced = replace_bad(w, ms, 1, fam, tabbed)
+        bad = census_bad(w, ms, 1, fam)
+        out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
+        assert bad == []
         assert out.cells == w.cells and changed == 0 and replaced == 0
 
     def test_direct_rule(self):
         # window 111|121|111: the middle 3-gap is bad and becomes 111
         w, ms, fam, tabbed = self._fixture()
-        out, _, changed, replaced = replace_bad(w, ms, 1, fam, tabbed)
+        bad = census_bad(w, ms, 1, fam)
+        out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
+        assert [p for p, _ in bad] == [3]
         assert out.cells[0] == (1,) * 10
         assert changed == 3 and replaced == 1
 
     def test_changed_fraction_accounting(self):
         w, ms, fam, tabbed = self._fixture()
-        out, _, changed, _ = replace_bad(w, ms, 1, fam, tabbed)
+        bad = census_bad(w, ms, 1, fam)
+        out, _, changed, _ = replace_bad(w, ms, 1, bad, tabbed)
         diff = sum(
             1 for a, b in zip(w.cells[0], out.cells[0]) if a != b
         )
@@ -413,20 +468,23 @@ class TestReplaceBad:
         ms = MarkerSystem(((0, 3, 6, 9), (0, 9)), (3, 9), 0, 9)
         fam = point_family(1, F(1, 10))
         tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
-        out, _, _, _ = replace_bad(w, ms, 1, fam, tabbed)
-        assert out.cells[1] == w.cells[1]
+        bad = census_bad(w, ms, 1, fam)
+        out, _, _, _ = replace_bad(w, ms, 1, bad, tabbed)
+        assert bad and out.cells[1] == w.cells[1]
 
     def test_all_good_after(self):
         w, ms, fam, tabbed = self._fixture()
-        out, ms2, _, _ = replace_bad(w, ms, 1, fam, tabbed)
+        out, ms2, _, _ = replace_bad(
+            w, ms, 1, census_bad(w, ms, 1, fam), tabbed
+        )
         fresh = point_family(1, F(3, 10))
-        for rect in extract_k_rectangles(out, ms2, 1):
+        for _, rect in extract_k_rectangles(out, ms2, 1):
             assert classify(rect, fam) == GOOD
             assert reference_classify(rect, fresh) == GOOD
 
-    def test_submarkers_rewritten(self):
-        # replacing a 2-rectangle moves the interior row-1 markers to the
-        # tabbed rectangle's flags
+    def _two_row_fixture(self):
+        # one bad 2-gap (0, 9] with a row-1 marker at 4 inside, and a
+        # tabbed block whose interior row-1 flag lands on 5
         w = lift_binary("01101011101", 2)
         ms = MarkerSystem(((0, 4, 9), (0, 9)), (4, 9), 0, 9)
         fam = TargetFamily(
@@ -439,11 +497,73 @@ class TestReplaceBad:
             lift_binary("0" * 11, 2),
             MarkerSystem(((0, 5, 9), (0, 9)), (5, 9), 0, 9),
         ).sub(2, 1, 9)
-        tabbed = {9: block}
-        out, ms2, _, replaced = replace_bad(w, ms, 2, fam, tabbed)
+        return w, ms, fam, {9: block}
+
+    def test_submarkers_rewritten(self):
+        # replacing a 2-rectangle moves the interior row-1 markers to the
+        # tabbed rectangle's flags
+        w, ms, fam, tabbed = self._two_row_fixture()
+        bad = census_bad(w, ms, 2, fam)
+        out, ms2, _, replaced = replace_bad(w, ms, 2, bad, tabbed)
         assert replaced == 1
         assert ms2.row(1) == (0, 5, 9)
         assert ms2.row(2) == ms.row(2)
+        assert (out, ms2) == reference_replace_bad(w, ms, 2, fam, tabbed)[:2]
+
+    def test_reads_no_window(self, monkeypatch):
+        # the census has extracted and classified the gaps already
+        w, ms, fam, tabbed = self._two_row_fixture()
+        bad = census_bad(w, ms, 2, fam)
+
+        def forbidden(*args):
+            raise AssertionError("replace_bad read the window again")
+
+        monkeypatch.setattr(purify, "extract_k_rectangles", forbidden)
+        monkeypatch.setattr(purify, "classify", forbidden)
+        monkeypatch.setattr(MarkerSystem, "positions_between", forbidden)
+        _, ms2, changed, replaced = replace_bad(w, ms, 2, bad, tabbed)
+        assert (ms2.row(1), changed, replaced) == ((0, 5, 9), 9, 1)
+
+
+@st.composite
+def replacement_cases(draw):
+    """A two-row window whose row k has gaps of l and l + 1, at k = 2 with
+    row-1 markers drawn anywhere in it; a point-mass family under which some
+    gaps are bad, and tabbed blocks of both widths with random cells and
+    flags, the last-cell flags included."""
+    k, l = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    cuts = [draw(st.integers(0, 2))]
+    widths = st.lists(st.sampled_from([l, l + 1]), min_size=1, max_size=6)
+    for width in draw(widths):
+        cuts.append(cuts[-1] + width)
+    columns = cuts[-1] + 1 + draw(st.integers(0, 2))
+    word = draw(st.text("01", min_size=columns + 1, max_size=columns + 1))
+    w = lift_binary(word, 2)
+    if k == 1:
+        ms = MarkerSystem((tuple(cuts),), (l,), 0, columns - 1)
+    else:
+        fine = tuple(sorted(draw(st.sets(st.integers(0, columns - 1)))))
+        ms = MarkerSystem((fine, tuple(cuts)), (1, l), 0, columns - 1)
+    family = point_family(
+        draw(st.integers(1, 2)), draw(st.sampled_from([F(1, 10), F(3, 10)]))
+    )
+    tabbed = {}
+    for width in (l, l + 1):
+        row = st.lists(st.booleans(), min_size=width, max_size=width)
+        marks = draw(st.lists(row, min_size=k, max_size=k))
+        cells = draw(_grids(k, width, width))
+        tabbed[width] = Rectangle.from_rows(cells, marks)
+    return w, ms, k, family, tabbed
+
+
+class TestReplaceBadDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(replacement_cases())
+    def test_matches_reference(self, case):
+        w, ms, k, family, tabbed = case
+        bad = census_bad(w, ms, k, family)
+        expected = reference_replace_bad(w, ms, k, family, tabbed)
+        assert replace_bad(w, ms, k, bad, tabbed) == expected
 
 
 class TestConfigValidation:
@@ -637,6 +757,29 @@ class TestStageSplit:
         repaired = sum(1 for s in rows if s["replaced"] > 0)
         assert 0 < repaired < len(rows)
         assert calls == {
-            "extract": len(rows) + 2 * repaired,
+            "extract": len(rows) + repaired,
             "replace": repaired,
         }
+
+
+TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+
+
+def test_tracer_counts_purify():
+    # the benchmark's per-layer counters read replace_bad's result and count
+    # classify's calls; a change to either must not silently zero them
+    spec = importlib.util.spec_from_file_location("_strictform_tracer", TRACER)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    config = mixed_tree_config()
+    with tracer_module.Tracer() as tracer:
+        rep = purify.purify_pipeline(config)
+    changed = sum(
+        s["changed_columns"]
+        for st in rep["stages"]
+        for fam in st["families"].values()
+        for s in fam["samples"]
+    )
+    assert changed > 0
+    assert tracer.counts["purify.replace_bad.replaced_columns"] == changed
+    assert tracer.calls["purify.classify"] > 0
