@@ -420,8 +420,9 @@ def write_kit(path: str | Path, kit: StitchKit) -> None:
 
 
 def read_kit(path: str | Path) -> StitchKit:
-    """Parse a .kit file.  A malformed line, a level count below 1 or a file
-    that ends early raises ValueError naming the line."""
+    """Parse a .kit file.  A malformed line, a level count below 1, a level
+    line that is not ``level k`` with k = 1..K in order or a file that ends
+    early raises ValueError naming the line."""
     text = Path(path).read_text().splitlines()
     lines = ((n, l.split()) for n, l in enumerate(text, 1) if l.strip())
     n = 1
@@ -441,9 +442,11 @@ def read_kit(path: str | Path) -> StitchKit:
         if levels < 1:
             raise ValueError("a kit needs at least one level")
         bases: list[tuple[Rectangle, int]] = []
-        for _ in range(levels):
-            _, k_s, lb_s = line()
-            bases.append((grid(int(k_s)), int(lb_s)))
+        for k in range(1, levels + 1):
+            tag, k_s, lb_s = line()
+            if tag != "level" or int(k_s) != k:
+                raise ValueError(f"expected 'level {k} <l>', got '{tag} {k_s}'")
+            bases.append((grid(k), int(lb_s)))
         kit = StitchKit(None, horizon, bases)
         for n, toks in lines:
             tag, l_s = toks

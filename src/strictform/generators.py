@@ -156,10 +156,14 @@ def _splitmix64(state: int) -> Iterator[int]:
 
 def bernoulli_window(p: Fraction, seed: int, n: int) -> str:
     """Reproducible pseudo-random 0/1 word: bit i is 1 iff the i-th splitmix64
-    draw, scaled to [0,1), falls below p."""
+    draw, scaled to [0,1), falls below p.
+
+    An integer draw x is below p * 2^64 exactly when it is below
+    ceil(p * 2^64), so the draws are compared with that integer: the bits
+    are identical to comparing with the fraction."""
     if not 0 < p < 1:
         raise ValueError("success probability must lie strictly in (0, 1)")
-    threshold = p * (1 << 64)
+    threshold = -(-(p.numerator << 64) // p.denominator)
     gen = _splitmix64(seed)
     return "".join(
         "1" if next(gen) < threshold else "0" for _ in range(n)

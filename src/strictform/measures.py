@@ -136,15 +136,22 @@ def dstar(
     the two weight vectors of that dimension, cut at the truncation."""
     ma = _as_measure(a, truncation)
     mb = _as_measure(b, truncation)
-    total = Fraction(0)
+    # the sum is kept as num / den, unreduced, so one Fraction is built per
+    # call; num and den are ints unless a measure holds fractional counts
+    num, den = 0, 1
     for (rows, width), (na, ca) in ma.dims.items():
         nb, cb = mb.dims[rows, width]
         # na * nb times the L1 distance of this dimension, in integers
         diff = sum(abs(ca.get(k, 0) * nb - cb.get(k, 0) * na) for k in {*ca, *cb})
-        total += Fraction(diff, na * nb * 2 ** (rows + width))
+        d = na * nb << (rows + width)
+        num, den = num * d + diff * den, den * d
+    # the omitted tail: 2 (1 - (1 - 2^-R) (1 - 2^-W)) as one fraction
     max_rows, max_width = truncation
-    covered = (1 - Fraction(1, 2**max_rows)) * (1 - Fraction(1, 2**max_width))
-    return TruncatedDistance(total, 2 * (1 - covered))
+    whole = 1 << (max_rows + max_width)
+    covered = ((1 << max_rows) - 1) * ((1 << max_width) - 1)
+    return TruncatedDistance(
+        Fraction(num, den), Fraction(2 * (whole - covered), whole)
+    )
 
 
 def mixture(

@@ -225,24 +225,41 @@ def _exacts(field: str, value, kind: type) -> tuple:
     return tuple(_exact(f"{field}[{i}]", v, kind) for i, v in enumerate(value))
 
 
+def _spec(field: str, value) -> GeneratorSpec:
+    if not isinstance(value, str):
+        raise ValueError(f"{field}: expected a spec string, got {value!r}")
+    try:
+        return parse_spec(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
+def _specs(field: str, value) -> tuple[GeneratorSpec, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{field}: expected a list of spec strings, got {value!r}")
+    return tuple(_spec(f"{field}[{i}]", v) for i, v in enumerate(value))
+
+
 def config_from_dict(raw: dict) -> PurifyConfig:
+    """Parse the JSON config.  A value of the wrong JSON type, in the tree as
+    elsewhere, raises ValueError naming its JSON path."""
     leaves: list[LeafSpec] = []
 
-    def walk(nodes: list, prefix: tuple[int, ...]) -> None:
-        for i, node in enumerate(nodes, start=1):
-            path = prefix + (i,)
+    def walk(field: str, nodes, prefix: tuple[int, ...]) -> None:
+        if not isinstance(nodes, list):
+            raise ValueError(f"{field}: expected a list of nodes, got {nodes!r}")
+        for i, node in enumerate(nodes):
+            at, path = f"{field}[{i}]", prefix + (i + 1,)
+            if not isinstance(node, dict):
+                raise ValueError(f"{at}: expected an object, got {node!r}")
             if "families" in node:
-                walk(node["families"], path)
-            else:
-                leaves.append(
-                    LeafSpec(
-                        path,
-                        parse_spec(node["target"]),
-                        tuple(parse_spec(s) for s in node["samples"]),
-                    )
-                )
+                walk(f"{at}.families", node["families"], path)
+                continue
+            target = _spec(f"{at}.target", node.get("target"))
+            samples = _specs(f"{at}.samples", node.get("samples"))
+            leaves.append(LeafSpec(path, target, samples))
 
-    walk(raw["tree"], ())
+    walk("tree", raw["tree"], ())
     return PurifyConfig(
         truncation=_exacts("truncation", raw["truncation"], int),
         gaps=_exacts("gaps", raw["gaps"], int),
@@ -451,26 +468,42 @@ def check_nesting(
     return True
 
 
-def purify_pipeline(config: PurifyConfig) -> dict:
-    """Run all stages over refining families and verify the stage invariants:
-    good-family nesting, per-family diameters, and cumulative column-change
-    accounting."""
+def _lift_leaves(
+    config: PurifyConfig,
+) -> tuple[dict[tuple[int, ...], EmpiricalMeasure], list[_Sample]]:
+    """Each leaf's target measure and its samples, lifted and measured once
+    per distinct generator.  A target that is also a sample shares its window
+    and measure, which is safe because repair rebinds a sample's window and
+    measure and never mutates them."""
     word_len = config.columns + len(config.gaps) - 1
     base_ms = build_marker_system(config.columns, 0, config.gaps)
     rows, trunc = len(config.gaps), config.truncation
+    # local to the set-up: held for the whole run, it would keep every
+    # replaced sample window alive
+    lifted: dict[GeneratorSpec, tuple[ArrayWindow, EmpiricalMeasure]] = {}
 
-    def lifted(spec: GeneratorSpec) -> tuple[ArrayWindow, EmpiricalMeasure]:
-        window = lift_binary(spec.word(word_len), rows)
-        return window, empirical_measure(window_to_rectangle(window), trunc)
+    def lift(spec: GeneratorSpec) -> tuple[ArrayWindow, EmpiricalMeasure]:
+        if spec not in lifted:
+            window = lift_binary(spec.word(word_len), rows)
+            measure = empirical_measure(window_to_rectangle(window), trunc)
+            lifted[spec] = window, measure
+        return lifted[spec]
 
     targets: dict[tuple[int, ...], EmpiricalMeasure] = {}
     samples: list[_Sample] = []
     for leaf in config.leaves:
-        targets[leaf.path] = lifted(leaf.target)[1]
+        targets[leaf.path] = lift(leaf.target)[1]
         for spec in leaf.samples:
-            window, measure = lifted(spec)
+            window, measure = lift(spec)
             samples.append(_Sample(leaf.path, spec, window, base_ms, measure))
+    return targets, samples
 
+
+def purify_pipeline(config: PurifyConfig) -> dict:
+    """Run all stages over refining families and verify the stage invariants:
+    good-family nesting, per-family diameters, and cumulative column-change
+    accounting."""
+    targets, samples = _lift_leaves(config)
     report: dict = {"stages": [], "columns": config.columns}
     records: dict[int, dict[tuple[int, ...], set[Rectangle]]] = {}
     for stage in range(1, config.stage_count + 1):

@@ -484,11 +484,15 @@ class TestKitFormat:
             ("1 10\nlevel 1 3\n1 2 1\ntab 4\n1 2 1 2\n", 6),
             ("1 10\nlevel 1 3\n1 2 1\ntab 1\n1\ntabbar 1\n2\n", 4),
             ("1 10\nlevel 1 3\n1 2 1\ntab 4 5\n", 4),
+            ("1 10\nfoo 1 3\n1 2 1\n", 2),
+            ("1 10\nlevel 2 3\n1 2 1\n1 2 1\n", 2),
+            ("2 10\nlevel 1 3\n1 2 1\nlevel 1 3\n1 2 1\n", 4),
         ],
         ids=[
             "empty", "short_header", "no_levels", "cut_in_level",
             "short_level_line", "zero_rows", "bad_symbol", "cut_in_tab",
-            "tab_below_l1", "long_tab_line",
+            "tab_below_l1", "long_tab_line", "bad_level_tag",
+            "level_index_skips", "level_index_repeats",
         ],
     )
     def test_malformed_rejected(self, tmp_path, text, line):

@@ -46,6 +46,31 @@ MALFORMED_FIELDS = [
     ("truncation", [1.0, 2]),
     ("epsilons", [0.25]),
     ("epsilons", ["1/0"]),
+    # tree nodes of the wrong JSON type
+    ("tree", [{"target": "periodic:0", "samples": {"periodic:0": 1}}]),
+    ("tree", [{"target": "periodic:0", "samples": ["periodic:0", 5]}]),
+    ("tree", [{"families": {}}, *PURIFY_CONFIG["tree"]]),
+]
+
+_LEAVES = PURIFY_CONFIG["tree"]
+
+# a malformed tree node -> the start of the message, which names its path
+TREE_PATH_ERRORS = [
+    ([{"target": "periodic:0", "samples": {"periodic:0": 1}}],
+     "tree[0].samples: expected a list of spec strings, got {'periodic:0': 1}"),
+    ([_LEAVES[0], {"target": "periodic:1", "samples": ["periodic:1", 5]}],
+     "tree[1].samples[1]: expected a spec string, got 5"),
+    ([{"families": {}}, *_LEAVES],
+     "tree[0].families: expected a list of nodes, got {}"),
+    ([{"families": [_LEAVES[0], dict(_LEAVES[1], samples={"periodic:0": 1})]}],
+     "tree[0].families[1].samples: expected a list of spec strings, "
+     "got {'periodic:0': 1}"),
+    ([_LEAVES[0], dict(_LEAVES[1], target="periodic:2x")],
+     "tree[1].target: bad generator spec 'periodic:2x'"),
+    ([_LEAVES[0], dict(_LEAVES[1], target=None)],
+     "tree[1].target: expected a spec string, got None"),
+    ([3], "tree[0]: expected an object, got 3"),
+    ({"target": "periodic:0"}, "tree: expected a list of nodes"),
 ]
 
 
@@ -196,6 +221,19 @@ class TestPurify:
         cfg = write_config(tmp_path, dict(PURIFY_CONFIG, **{key: value}))
         assert main(["purify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tree, message", TREE_PATH_ERRORS,
+        ids=[
+            "samples_object", "sample_not_string", "families_object",
+            "nested_samples_object", "bad_target_spec", "no_target",
+            "node_not_object", "tree_object",
+        ],
+    )
+    def test_tree_error_names_json_path(self, tmp_path, capsys, tree, message):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, tree=tree))
+        assert main(["purify", "--config", str(cfg)]) == 2
+        assert f"bad purify config: {message}" in capsys.readouterr().err
 
     def test_stdout_report_is_sorted_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from strictform.generators import (
     CHACON_RULES,
     GeneratorSpec,
     HorizonExhausted,
+    _splitmix64,
     bernoulli_window,
     chacon_oracle,
     full_shift_oracle,
@@ -175,7 +177,47 @@ class TestChaconOracle:
         assert o.horizon == 64
 
 
+def reference_bernoulli_window(p, seed, n):
+    """bernoulli_window as first written, comparing each draw with the
+    fraction p * 2^64: the reference."""
+    if not 0 < p < 1:
+        raise ValueError("success probability must lie strictly in (0, 1)")
+    threshold = p * (1 << 64)
+    gen = _splitmix64(seed)
+    return "".join(
+        "1" if next(gen) < threshold else "0" for _ in range(n)
+    )
+
+
+@st.composite
+def probabilities(draw):
+    # p * 2^64 is an integer for the dyadic ones
+    dyadic = st.sampled_from([F(1, 2), F(3, 4), F(5, 8), F(1, 2**64)])
+    b = draw(st.integers(2, 10**6))
+    small = st.integers(1, b - 1).map(lambda a: F(a, b))
+    return draw(st.one_of(dyadic, small))
+
+
+seeds = st.integers(0, 2**64 - 1)
+
+
 class TestBernoulli:
+    @settings(max_examples=200, deadline=None)
+    @given(probabilities(), seeds, st.integers(0, 2000))
+    def test_matches_reference(self, p, seed, n):
+        assert bernoulli_window(p, seed, n) == reference_bernoulli_window(p, seed, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.integers(0, 50), st.sampled_from([0, 1]))
+    def test_threshold_at_a_draw(self, seed, i, half):
+        # p * 2^64 is the i-th draw itself or half a unit above it, where
+        # rounding the threshold the wrong way would flip bit i
+        x = next(islice(_splitmix64(seed), i, None))
+        p = F(2 * x + half, 2**65)
+        want = reference_bernoulli_window(p, seed, i + 1)
+        assert want[i] == "01"[half]
+        assert bernoulli_window(p, seed, i + 1) == want
+
     def test_deterministic(self):
         a = bernoulli_window(F(1, 2), 42, 64)
         b = bernoulli_window(F(1, 2), 42, 64)

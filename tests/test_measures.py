@@ -158,6 +158,15 @@ class TestDstar:
         assert d.tail_bound == 2 * (1 - covered)
         assert d.value + d.tail_bound <= 2
 
+    def test_tail_bound_every_truncation(self):
+        grid = Rectangle.from_rows([[1, 2, 2, 1, 2, 1, 1, 2]] * 8)
+        for rows in range(1, 9):
+            for width in range(1, 9):
+                m = empirical_measure(grid, (rows, width))
+                covered = (1 - F(1, 2**rows)) * (1 - F(1, 2**width))
+                tail = dstar(m, m, (rows, width)).tail_bound
+                assert tail == 2 * (1 - covered), (rows, width)
+
     def test_truncation_mismatch(self):
         m = empirical_measure(rect("1212"), (1, 2))
         with pytest.raises(TruncationMismatch):

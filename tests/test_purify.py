@@ -36,6 +36,8 @@ from strictform.purify import (
     select_tabbed,
 )
 
+from test_golden import NOISY_CONFIG
+
 F = Fraction
 
 
@@ -760,6 +762,73 @@ class TestStageSplit:
             "extract": len(rows) + repaired,
             "replace": repaired,
         }
+
+
+# leaf 1's Bernoulli sample is leaf 2's target and one of its samples, so one
+# lifted window and measure start out shared three ways; both samples are
+# repaired
+SHARED_SPEC_CONFIG = {
+    "truncation": [1, 2],
+    "gaps": [12],
+    "depths": [1],
+    "epsilons": ["1/2"],
+    "columns": 2500,
+    "tree": [
+        {"target": "periodic:0",
+         "samples": ["periodic:0", "bernoulli:1/4:seed=5"]},
+        {"target": "bernoulli:1/4:seed=5",
+         "samples": ["bernoulli:1/4:seed=5", "periodic:0001"]},
+    ],
+}
+
+
+class TestSharedLifts:
+    def run_counted(self, monkeypatch, raw):
+        """Run the pipeline, counting lift_binary calls and keeping the
+        targets and samples the stages ran on."""
+        lifts, seen = [], {}
+
+        def counted_lift(word, rows):
+            lifts.append(word)
+            return lift_binary(word, rows)
+
+        def spy(samples, config, stage, targets):
+            seen.update(samples=samples, targets=targets)
+            return stage_fn(samples, config, stage, targets)
+
+        stage_fn = purify.purify_stage
+        monkeypatch.setattr(purify, "lift_binary", counted_lift)
+        monkeypatch.setattr(purify, "purify_stage", spy)
+        config = config_from_dict(raw)
+        return config, purify_pipeline(config), lifts, seen
+
+    def test_one_lift_per_distinct_generator(self, monkeypatch):
+        # 11 spec uses (4 targets, 7 samples) hold 7 distinct specs
+        _, rep, lifts, _ = self.run_counted(monkeypatch, NOISY_CONFIG)
+        assert rep["ok"]
+        assert len(lifts) == 7
+
+    def test_shared_measures_not_aliased_after_repair(self, monkeypatch):
+        config, rep, lifts, seen = self.run_counted(
+            monkeypatch, SHARED_SPEC_CONFIG
+        )
+        assert len(lifts) == 3
+        word_len = config.columns + len(config.gaps) - 1
+
+        def fresh(spec):
+            window = lift_binary(spec.word(word_len), len(config.gaps))
+            rect = window_to_rectangle(window)
+            return window, empirical_measure(rect, config.truncation)
+
+        for leaf in config.leaves:
+            assert seen["targets"][leaf.path] == fresh(leaf.target)[1]
+        repaired = [s for s in seen["samples"] if sum(s.changed) > 0]
+        assert {s.spec.spec for s in repaired} == {"bernoulli:1/4:seed=5"}
+        assert len(repaired) == 2
+        for sample in repaired:
+            window, measure = fresh(sample.spec)
+            assert sample.window.cells != window.cells
+            assert sample.measure != measure
 
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
