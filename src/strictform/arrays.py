@@ -314,7 +314,7 @@ def read_arr(path: str | Path):
         raise ValueError(
             f"{path}: header claims {rows} rows, found {len(raw) - 2}"
         )
-    chain = _chain_for(sizes)
+    chain = _chain_for(sizes, mode)
     cells, positions = [], []
     for k_idx in range(rows):
         toks = raw[2 + k_idx].split()
@@ -341,12 +341,22 @@ def read_arr(path: str | Path):
     return window, None
 
 
-def _chain_for(sizes: tuple[int, ...]) -> AmalgamationChain:
-    """Reconstruct a chain from sizes; only the canonical chain round-trips."""
+def _chain_for(sizes: tuple[int, ...], mode: str) -> AmalgamationChain:
+    """The chain for the alphabet sizes of an .arr file, which stores no maps.
+
+    An inverse-limit window is judged by its maps, and only the canonical
+    chain's maps are known from its sizes, so other sizes are rejected.  An
+    independent window never reads its maps; they fall back to the
+    order-preserving block surjections.
+    """
     canonical = tuple(2**k for k in range(1, len(sizes) + 1))
     if sizes == canonical:
         return AmalgamationChain.canonical(len(sizes))
-    # Fall back to the order-preserving block surjection for ad-hoc sizes.
+    if mode == INVERSE_LIMIT:
+        raise ValueError(
+            f"inverse_limit mode needs the canonical alphabet sizes "
+            f"{' '.join(map(str, canonical))}, got {' '.join(map(str, sizes))}"
+        )
     maps = []
     for lo, hi in zip(sizes, sizes[1:]):
         if hi < lo:

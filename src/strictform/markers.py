@@ -10,17 +10,14 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, lt, sub
 from pathlib import Path
 from typing import Sequence
 
 
 class NoDecomposition(ValueError):
     """The gap cannot be split into pieces of length l and l+1."""
-
-
-class InsufficientRoom(ValueError):
-    """No flanking markers leave room to re-decompose around the target."""
 
 
 @dataclass(frozen=True)
@@ -55,7 +52,7 @@ class MarkerSystem:
         if len(self.positions) != len(self.gaps):
             raise ValueError("one base gap per row required")
         for row in self.positions:
-            if not all(map(lt, row, row[1:])):
+            if not all(map(lt, row, islice(row, 1, None))):
                 raise ValueError("positions must be sorted and distinct")
 
     @property
@@ -131,24 +128,24 @@ def _decompose_balanced(p: int, l: int) -> GapDecomposition:
     )
 
 
+def _split_steps(p: int, l: int) -> tuple[int, ...]:
+    """The gap lengths of the balanced split of a gap of length p: a steps
+    of l, then b steps of l+1."""
+    d = _decompose_balanced(p, l)
+    return (l,) * d.a + (l + 1,) * d.b
+
+
 def subdivide_gap(start: int, end: int, l: int) -> list[int]:
     """Interior cut positions giving a gaps of length l followed by b gaps of
     length l+1 between the existing markers at ``start`` and ``end``, with
     the column mass split near-evenly between the two lengths."""
-    d = _decompose_balanced(end - start, l)
-    cuts, cur = [], start
-    for _ in range(d.a):
-        cur += l
-        cuts.append(cur)
-    for _ in range(d.b - 1):
-        cur += l + 1
-        cuts.append(cur)
-    return cuts
+    steps = _split_steps(end - start, l)
+    return list(islice(accumulate(steps, initial=start), 1, len(steps)))
 
 
 def check_two_gaps(ms: MarkerSystem, k: int) -> bool:
     ps, l = ms.row(k), ms.gaps[k - 1]
-    return all(b - a in (l, l + 1) for a, b in zip(ps, ps[1:]))
+    return set(map(sub, islice(ps, 1, None), ps)) <= {l, l + 1}
 
 
 def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
@@ -162,99 +159,48 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     Between two such starts the first marker stays put while the last can
     only move right, so both counts only rise; each is smallest at a checked
     start.
+
+    Each length g is then checked on its own, as the m-th gap of that
+    length: with m = ceil(window / (3 g)) and ``left`` the sorted left ends
+    of the length-g gaps, the ones inside [t, t + window] are those with
+    left end in [t, t + window - g], a run of consecutive entries of
+    ``left``.  The interval holds m of them iff the m-th entry from the
+    first one at or after t is at most t + window - g.  Among checked
+    starts with the same first entry r, the earliest is the tightest; it is
+    lo, or left[r-1] + 1 when left[r-1] is a checked marker.
     """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
-    ps = ms.row(k)
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
-    last = ms.hi - window  # the last interval start
-    n = len(ps)
-    # the counts cover the gaps between markers i and j
-    i = j = bisect_left(ps, ms.lo)
-    n_short = n_long = 0
-    t = ms.lo
-    while True:
-        end = t + window
-        while j + 1 < n and ps[j + 1] <= end:
-            g = ps[j + 1] - ps[j]
-            if g == l:
-                n_short += 1
-            elif g == l + 1:
-                n_long += 1
-            j += 1
-        # exact comparison against window/(3l) and window/(3(l+1))
-        if 3 * l * n_short < window or 3 * (l + 1) * n_long < window:
-            return False
-        # the next start lies just past marker i, so the gap after it leaves
-        # (it was counted: the counts passed, so j > i)
-        t = ps[i] + 1
-        if t > last:
-            return True
-        g = ps[i + 1] - ps[i]
-        if g == l:
-            n_short -= 1
-        elif g == l + 1:
-            n_long -= 1
-        i += 1
+    return all(
+        _holds_mth_gap(ms.row(k), g, ms.lo, ms.hi - window, window)
+        for g in (l, l + 1)
+    )
+
+
+def _holds_mth_gap(
+    ps: tuple[int, ...], g: int, lo: int, last: int, window: int
+) -> bool:
+    """Every checked interval of check_balanced, from lo to ``last``, holds
+    ceil(window / (3 g)) gaps of length g."""
+    m = -(-window // (3 * g))
+    steps = map(sub, islice(ps, 1, None), ps)
+    left = list(compress(ps, map(eq, steps, repeat(g))))
+    # the checked starts are lo, whose run begins at entry first, and
+    # left[q] + 1 for each q in [first, stop), whose run begins at q + 1;
+    # each run needs m entries, the last ending by the interval's end
+    first, stop = bisect_left(left, lo), bisect_left(left, last)
+    if stop + m > len(left) or left[first + m - 1] + g > lo + window:
+        return False
+    spans = map(sub, islice(left, first + m, stop + m), islice(left, first, stop))
+    return max(spans, default=0) <= window + 1 - g
 
 
 def check_congruency(ms: MarkerSystem) -> bool:
-    for k in range(1, ms.row_count):
-        upper = set(ms.row(k))
-        if any(p not in upper for p in ms.row(k + 1)):
-            return False
-    return True
-
-
-def repair_congruency(
-    positions: Sequence[int], target: int, l: int
-) -> tuple[int, ...]:
-    """Rearrange markers of one row so that ``target`` becomes a marker.
-
-    Markers farther than 9 l^2 + l from the target are untouched; the
-    flanking markers are re-decomposed on both sides so all gaps stay in
-    {l, l+1}.  Idempotent when the target is already a marker.
-    """
-    ps = tuple(sorted(positions))
-    if target in ps:
-        return ps
-    radius = 9 * l * l + l
-    left = _flank(ps, target, l, radius, side=-1)
-    right = _flank(ps, target, l, radius, side=+1)
-    keep = [p for p in ps if p <= left or p >= right]
-    keep += subdivide_gap(left, target, l)
-    keep.append(target)
-    keep += subdivide_gap(target, right, l)
-    return tuple(sorted(keep))
-
-
-def _flank(ps: tuple[int, ...], target: int, l: int, radius: int, side: int) -> int:
-    """Nearest marker on the given side whose stretch to the target
-    decomposes; widens outward but never beyond the repair radius."""
-    if side < 0:
-        idx = bisect_left(ps, target) - 1
-        candidates = ps[idx::-1] if idx >= 0 else ()
-    else:
-        idx = bisect_right(ps, target)
-        candidates = ps[idx:]
-    tried = 0
-    for p in candidates:
-        if abs(target - p) > radius:
-            break
-        tried += 1
-        try:
-            decompose_gap(abs(target - p), l)
-        except NoDecomposition:
-            continue
-        return p
-    if not tried:
-        raise InsufficientRoom(
-            f"no marker within {radius} on side {side:+d} of {target}"
-        )
-    raise NoDecomposition(
-        f"no flanking marker within {radius} of {target} re-decomposes"
+    return not any(
+        set(ms.row(k + 1)).difference(ms.row(k)) for k in range(1, ms.row_count)
     )
 
 
@@ -281,29 +227,22 @@ def build_marker_system(
 
     top = gaps[-1]
     d = decompose_gap(columns, top)
-    positions: list[int] = [lo]
-    placed_long = 0
-    for i in range(d.a + d.b):
-        # spread the b long gaps evenly among the a short ones
-        want_long = (i + 1) * d.b // (d.a + d.b)
-        step = top + 1 if want_long > placed_long else top
-        placed_long = want_long
-        positions.append(positions[-1] + step)
-    per_row: list[tuple[int, ...]] = [tuple(positions)]
+    n = d.a + d.b
+    # spread the b long gaps evenly among the a short ones: gap i is long
+    # iff (i + 1) * b / n passes an integer that i * b / n does not reach
+    steps = (top + ((i + 1) * d.b // n > i * d.b // n) for i in range(n))
+    per_row: list[tuple[int, ...]] = [tuple(accumulate(steps, initial=lo))]
 
-    for k in range(rows - 2, -1, -1):
+    for l in reversed(gaps[:-1]):
         above = per_row[0]
-        l = gaps[k]
-        # every gap above is l_{k+1} or l_{k+1} + 1 long: split each length once
-        offsets: dict[int, list[int]] = {}
-        refined: list[int] = []
-        for a, b in zip(above, above[1:]):
-            cuts = offsets.get(b - a)
-            if cuts is None:
-                cuts = offsets[b - a] = [0, *subdivide_gap(0, b - a, l)]
-            refined.extend(map(a.__add__, cuts))
-        refined.append(above[-1])
-        per_row.insert(0, tuple(refined))
+        # every gap above is l_{k+1} or l_{k+1} + 1 long.  Split each length
+        # once into its step pattern (a steps of l, then b of l + 1); the row
+        # is the running sum of the patterns of the gaps above, from above[0],
+        # so it passes through every marker above.
+        lengths = list(map(sub, islice(above, 1, None), above))
+        pattern = {p: _split_steps(p, l) for p in dict.fromkeys(lengths)}
+        steps = chain.from_iterable(map(pattern.__getitem__, lengths))
+        per_row.insert(0, tuple(accumulate(steps, initial=above[0])))
 
     # certified balance windows: 16*(coarse gap + 2) below the top row (each
     # window holds >= 14 full coarse gaps whose short/long shares are each

@@ -237,17 +237,23 @@ def _spec(field: str, value) -> GeneratorSpec:
 def _specs(field: str, value) -> tuple[GeneratorSpec, ...]:
     if not isinstance(value, list):
         raise ValueError(f"{field}: expected a list of spec strings, got {value!r}")
+    if not value:
+        raise ValueError(f"{field}: expected a non-empty list")
     return tuple(_spec(f"{field}[{i}]", v) for i, v in enumerate(value))
 
 
 def config_from_dict(raw: dict) -> PurifyConfig:
     """Parse the JSON config.  A value of the wrong JSON type, in the tree as
-    elsewhere, raises ValueError naming its JSON path."""
+    elsewhere, raises ValueError naming its JSON path, and so does an empty
+    list of nodes or samples: it would drop its targets from the separation
+    without a word."""
     leaves: list[LeafSpec] = []
 
     def walk(field: str, nodes, prefix: tuple[int, ...]) -> None:
         if not isinstance(nodes, list):
             raise ValueError(f"{field}: expected a list of nodes, got {nodes!r}")
+        if not nodes:
+            raise ValueError(f"{field}: expected a non-empty list")
         for i, node in enumerate(nodes):
             at, path = f"{field}[{i}]", prefix + (i + 1,)
             if not isinstance(node, dict):

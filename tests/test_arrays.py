@@ -262,6 +262,19 @@ class TestArrFormat:
             back, _ = read_arr(p)
         assert back == w
 
+    def test_noncanonical_sizes_rejected_in_inverse_limit_mode(self, tmp_path):
+        p = tmp_path / "a.arr"
+        p.write_text("2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n")
+        with pytest.raises(ValueError, match="canonical alphabet sizes 2 4, got 2 3"):
+            read_arr(p)
+
+    def test_noncanonical_sizes_read_in_independent_mode(self, tmp_path):
+        p = tmp_path / "a.arr"
+        p.write_text("2 3 0 independent\n2 3\n1 2 2\n1 3 2\n")
+        back, _ = read_arr(p)
+        assert back.chain.alphabet_sizes == (2, 3)
+        assert validate_window(back)
+
     def test_missing_row_lines_rejected(self, tmp_path):
         p = tmp_path / "a.arr"
         write_arr(p, lift_binary("0110100", 3))

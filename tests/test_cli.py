@@ -71,6 +71,11 @@ TREE_PATH_ERRORS = [
      "tree[1].target: expected a spec string, got None"),
     ([3], "tree[0]: expected an object, got 3"),
     ({"target": "periodic:0"}, "tree: expected a list of nodes"),
+    # an empty list would drop its targets from the separation silently
+    ([dict(_LEAVES[0], samples=[]), _LEAVES[1]],
+     "tree[0].samples: expected a non-empty list"),
+    ([_LEAVES[0], {"families": []}],
+     "tree[1].families: expected a non-empty list"),
 ]
 
 
@@ -227,7 +232,7 @@ class TestPurify:
         ids=[
             "samples_object", "sample_not_string", "families_object",
             "nested_samples_object", "bad_target_spec", "no_target",
-            "node_not_object", "tree_object",
+            "node_not_object", "tree_object", "empty_samples", "empty_families",
         ],
     )
     def test_tree_error_names_json_path(self, tmp_path, capsys, tree, message):
@@ -315,6 +320,8 @@ MALFORMED_ARR = {
     "short_header": "2 3 0\n2 4\n1 2 1\n1 2 3\n",
     "missing_rows": "2 3 0 independent\n2 4\n1 2 1\n",
     "bad_token": "1 3 0 independent\n2\n1 x 1\n",
+    # the format stores no maps, so only the canonical sizes have known maps
+    "noncanonical_sizes": "2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n",
 }
 
 

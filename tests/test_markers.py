@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from strictform.markers import (
     GapDecomposition,
-    InsufficientRoom,
     MarkerSystem,
     NoDecomposition,
     _decompose_balanced,
@@ -16,7 +15,6 @@ from strictform.markers import (
     check_two_gaps,
     decompose_gap,
     read_mrk,
-    repair_congruency,
     subdivide_gap,
     write_mrk,
 )
@@ -121,6 +119,57 @@ def reference_check_balanced(ms, k, window):
         n_short = short[j] - short[i]
         n_long = long[j] - long[i]
         if 3 * l * n_short < window or 3 * (l + 1) * n_long < window:
+            return False
+    return True
+
+
+def reference_check_balanced_sweep(ms, k, window):
+    """check_balanced as a two-pointer sweep over the marker events, kept as
+    the reference for the per-length run check."""
+    l = ms.gaps[k - 1]
+    if window < 3 * (l + 1):
+        raise ValueError("interval too short to constrain both gap lengths")
+    ps = ms.row(k)
+    if ms.hi - ms.lo < window:
+        return True
+    last = ms.hi - window
+    n = len(ps)
+    i = j = bisect_left(ps, ms.lo)
+    n_short = n_long = 0
+    t = ms.lo
+    while True:
+        end = t + window
+        while j + 1 < n and ps[j + 1] <= end:
+            g = ps[j + 1] - ps[j]
+            if g == l:
+                n_short += 1
+            elif g == l + 1:
+                n_long += 1
+            j += 1
+        if 3 * l * n_short < window or 3 * (l + 1) * n_long < window:
+            return False
+        t = ps[i] + 1
+        if t > last:
+            return True
+        g = ps[i + 1] - ps[i]
+        if g == l:
+            n_short -= 1
+        elif g == l + 1:
+            n_long -= 1
+        i += 1
+
+
+def reference_check_two_gaps(ms, k):
+    """check_two_gaps as a per-gap loop."""
+    ps, l = ms.row(k), ms.gaps[k - 1]
+    return all(b - a in (l, l + 1) for a, b in zip(ps, ps[1:]))
+
+
+def reference_check_congruency(ms):
+    """check_congruency with a set of each lower row."""
+    for k in range(1, ms.row_count):
+        lower = set(ms.row(k))
+        if any(p not in lower for p in ms.row(k + 1)):
             return False
     return True
 
@@ -298,6 +347,106 @@ class TestCheckBalancedDifferential:
         )
 
 
+    @settings(deadline=None, max_examples=400)
+    @given(balance_cases())
+    def test_matches_sweep(self, case):
+        ms, window = case
+        assert _outcome(check_balanced, ms, 1, window) == _outcome(
+            reference_check_balanced_sweep, ms, 1, window
+        )
+
+
+def _pattern_row(draw, l, start):
+    """Gaps repeating a pattern of l and l+1, up to three of them stray; the
+    row may be empty or hold a single marker."""
+    size = draw(st.sampled_from([0, 1, None]))
+    if size is not None:
+        return [start + i for i in range(size)]
+    pattern = draw(st.sampled_from([(l, l + 1), (l, l, l + 1), (l, l + 1, l + 1)]))
+    gaps = [pattern[i % len(pattern)] for i in range(draw(st.integers(1, 60)))]
+    for _ in range(draw(st.integers(0, 3))):
+        gaps[draw(st.integers(0, len(gaps) - 1))] = draw(
+            st.sampled_from([1, l - 1, l + 2, 2 * l + 1])
+        )
+    ps = [start]
+    for g in gaps:
+        ps.append(ps[-1] + g)
+    return ps
+
+
+@st.composite
+def hand_built_systems(draw):
+    """One to three rows over a row-1 pattern with stray gaps.  Each upper
+    row keeps every s-th marker of the row below and may gain markers that
+    the row below lacks; any row may be empty or hold one marker.  Each row's
+    base gap is one of its own gap lengths when it has any."""
+    l = draw(st.integers(2, 4))
+    rows = [_pattern_row(draw, l, draw(st.integers(-10, 10)))]
+    gaps = [l]
+    for _ in range(draw(st.integers(0, 2))):
+        below = rows[-1]
+        row = below[draw(st.integers(0, 2)) :: draw(st.integers(1, 4))]
+        if draw(st.integers(0, 4)) == 0:
+            row = row[: draw(st.integers(0, 1))]
+        for _ in range(draw(st.integers(0, 2))):
+            row.append(draw(st.integers(-12, (below[-1] if below else 0) + 12)))
+        row = sorted(set(row))
+        lengths = sorted({b - a for a, b in zip(row, row[1:])}) or [2]
+        rows.append(row)
+        gaps.append(draw(st.sampled_from(lengths)))
+    lo = (rows[0][0] if rows[0] else 0) + draw(st.integers(-3, 12))
+    hi = (rows[0][-1] if rows[0] else 0) - draw(st.integers(-3, 12))
+    return MarkerSystem(tuple(map(tuple, rows)), tuple(gaps), lo, max(lo, hi))
+
+
+def assert_checks_match(ms, windows):
+    """All three checks on every row against their references; the window
+    list is per row."""
+    assert check_congruency(ms) == reference_check_congruency(ms)
+    for k in range(1, ms.row_count + 1):
+        assert check_two_gaps(ms, k) == reference_check_two_gaps(ms, k), k
+        for window in windows[k - 1]:
+            assert _outcome(check_balanced, ms, k, window) == _outcome(
+                reference_check_balanced_sweep, ms, k, window
+            ), (k, window)
+
+
+class TestRowChecksDifferential:
+    @settings(deadline=None, max_examples=400)
+    @given(hand_built_systems(), st.data())
+    def test_hand_built_rows(self, ms, data):
+        windows = [
+            [3 * (l + 1) + data.draw(st.integers(-1, 60)) for _ in range(2)]
+            for l in ms.gaps
+        ]
+        assert_checks_match(ms, windows)
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(2, 3), st.integers(-60, 60), st.data())
+    def test_built_hierarchies(self, rows, origin, data):
+        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
+        for _ in range(rows - 1):
+            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
+        top = gaps[-1]
+        most = {2: 8, 3: 2}[rows]
+        a = data.draw(st.integers(1, most))
+        b = data.draw(st.integers(1, most))
+        ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
+        if data.draw(st.booleans()):
+            # drop one marker: a row loses its two-gap shape, and the row
+            # above may lose congruency
+            k = data.draw(st.integers(1, rows))
+            row = list(ms.row(k))
+            del row[data.draw(st.integers(0, len(row) - 1))]
+            ms = ms.with_row(k, row)
+        # the certified window, plus one at or near the shortest allowed
+        windows = [
+            [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
+            for w, l in zip(ms.balance_windows, ms.gaps)
+        ]
+        assert_checks_match(ms, windows)
+
+
 class TestBuildMarkerSystemDifferential:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 3), st.integers(-50, 20), st.data())
@@ -323,42 +472,6 @@ class TestMarkerSystemOrder:
     def test_rejected(self, row):
         with pytest.raises(ValueError, match="positions must be sorted and distinct"):
             MarkerSystem((row,), (3,), 0, 6)
-
-
-class TestRepairCongruency:
-    def test_identity_when_present(self):
-        ps = (0, 3, 6, 9)
-        assert repair_congruency(ps, 6, 3) == ps
-
-    def test_inserts_target(self):
-        # the worked example: all gaps 3 over [0,30], target 7
-        ps = tuple(range(0, 33, 3))
-        out = repair_congruency(ps, 7, 3)
-        assert 7 in out
-        assert all(b - a in (3, 4) for a, b in zip(out, out[1:]))
-        assert out[:3] == (0, 3, 7)
-
-    def test_locality_bound(self):
-        l = 3
-        ps = tuple(range(0, 300, 3))
-        out = repair_congruency(ps, 100, l)
-        moved = set(ps) ^ set(out)
-        assert all(abs(p - 100) <= 9 * l * l + l for p in moved)
-
-    def test_idempotent(self):
-        ps = tuple(range(0, 60, 3))
-        once = repair_congruency(ps, 7, 3)
-        assert repair_congruency(once, 7, 3) == once
-
-    def test_insufficient_room(self):
-        with pytest.raises(InsufficientRoom):
-            repair_congruency((0, 3), 100, 3)
-
-    def test_untouched_outside(self):
-        ps = tuple(range(0, 300, 3))
-        out = repair_congruency(ps, 100, 3)
-        far = [p for p in ps if abs(p - 100) > 9 * 9 + 3]
-        assert all(p in out for p in far)
 
 
 class TestBuildMarkerSystem:
