@@ -7,9 +7,10 @@ horizontal shift is pure coordinate bookkeeping and never mutates cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from ._value import Value, _set
 
 INVERSE_LIMIT = "inverse_limit"
 INDEPENDENT = "independent"
@@ -21,24 +22,24 @@ class SymbolError(ValueError):
     """A cell value is outside its row alphabet."""
 
 
-@dataclass(frozen=True)
-class AmalgamationChain:
+class AmalgamationChain(Value):
     """Per-row alphabet sizes with surjections collapsing row k+1 onto row k.
 
     ``maps[k-1][m-1]`` is the row-k image of symbol m of row k+1 (symbols are
     1-based).  Every map must be onto the lower alphabet.
     """
 
-    alphabet_sizes: tuple[int, ...]
-    maps: tuple[tuple[int, ...], ...]
+    __slots__ = ("alphabet_sizes", "maps")
 
-    def __post_init__(self) -> None:
-        if not self.alphabet_sizes or any(s < 1 for s in self.alphabet_sizes):
+    def __init__(self, alphabet_sizes, maps):
+        _set(self, "alphabet_sizes", alphabet_sizes)
+        _set(self, "maps", maps)
+        if not alphabet_sizes or any(s < 1 for s in alphabet_sizes):
             raise ValueError("alphabet sizes must be positive")
-        if len(self.maps) != len(self.alphabet_sizes) - 1:
+        if len(maps) != len(alphabet_sizes) - 1:
             raise ValueError("need exactly K-1 amalgamation maps")
-        for k, table in enumerate(self.maps, start=1):
-            upper, lower = self.alphabet_sizes[k], self.alphabet_sizes[k - 1]
+        for k, table in enumerate(maps, start=1):
+            upper, lower = alphabet_sizes[k], alphabet_sizes[k - 1]
             if len(table) != upper:
                 raise ValueError(f"map {k} must cover the row-{k + 1} alphabet")
             if any(not 1 <= v <= lower for v in table):
@@ -73,21 +74,21 @@ def amalgamate(chain: AmalgamationChain, k: int, m: int) -> int:
     return table[m - 1]
 
 
-@dataclass(frozen=True)
-class ArrayWindow:
+class ArrayWindow(Value):
     """K x N slab of an array; cells[k-1][j] is the symbol at (k, origin+j)."""
 
-    chain: AmalgamationChain
-    origin: int
-    cells: tuple[tuple[int, ...], ...]
-    mode: str = INVERSE_LIMIT
+    __slots__ = ("chain", "origin", "cells", "mode")
 
-    def __post_init__(self) -> None:
-        if self.mode not in (INVERSE_LIMIT, INDEPENDENT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.cells) != self.chain.row_count:
+    def __init__(self, chain, origin, cells, mode=INVERSE_LIMIT):
+        _set(self, "chain", chain)
+        _set(self, "origin", origin)
+        _set(self, "cells", cells)
+        _set(self, "mode", mode)
+        if mode not in (INVERSE_LIMIT, INDEPENDENT):
+            raise ValueError(f"unknown mode {mode!r}")
+        if len(cells) != chain.row_count:
             raise ValueError("cell grid does not match the chain's row count")
-        widths = {len(row) for row in self.cells}
+        widths = {len(row) for row in cells}
         if len(widths) != 1 or widths == {0}:
             raise ValueError("rows must share a positive width")
 
@@ -131,8 +132,7 @@ def shift(w: ArrayWindow, t: int) -> ArrayWindow:
     return ArrayWindow(w.chain, w.origin - t, w.cells, w.mode)
 
 
-@dataclass(frozen=True)
-class Rectangle:
+class Rectangle(Value):
     """A k x w block of symbols with per-cell marker flags.
 
     ``marks[i][j]`` set means "a marker sits right after cell (i+1, j)".
@@ -140,18 +140,17 @@ class Rectangle:
     part of a rectangle.
     """
 
-    cells: tuple[tuple[int, ...], ...]
-    marks: tuple[tuple[bool, ...], ...]
+    __slots__ = ("cells", "marks")
 
-    def __post_init__(self) -> None:
-        if not self.cells or not self.cells[0]:
+    def __init__(self, cells, marks):
+        _set(self, "cells", cells)
+        _set(self, "marks", marks)
+        if not cells or not cells[0]:
             raise ValueError("rectangle must be nonempty")
-        w = len(self.cells[0])
-        if any(len(r) != w for r in self.cells):
+        w = len(cells[0])
+        if any(len(r) != w for r in cells):
             raise ValueError("ragged rectangle")
-        if len(self.marks) != len(self.cells) or any(
-            len(r) != w for r in self.marks
-        ):
+        if len(marks) != len(cells) or any(len(r) != w for r in marks):
             raise ValueError("marks must mirror the cell grid")
 
     @property
@@ -300,8 +299,6 @@ def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
 
 def read_arr(path: str | Path):
     """Returns (window, marker positions per row or None)."""
-    from .markers import MarkerSystem
-
     raw = Path(path).read_text().splitlines()
     if len(raw) < 3:
         raise ValueError(f"{path}: truncated .arr file")
@@ -330,6 +327,9 @@ def read_arr(path: str | Path):
         positions.append(tuple(cuts))
     window = ArrayWindow(chain, origin, tuple(cells), mode)
     if any(positions):
+        # imported here: a file without marker flags needs no markers module
+        from .markers import MarkerSystem
+
         gaps = tuple(
             (min(b - a for a, b in zip(ps, ps[1:])) if len(ps) > 1 else 1)
             for ps in positions

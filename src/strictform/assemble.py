@@ -9,10 +9,10 @@ iff it is the lift of a language word of length w + k - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from ._value import Value, _set
 from .arrays import (
     INVERSE_LIMIT,
     ArrayWindow,
@@ -41,26 +41,23 @@ class NoWitness(ValueError):
 # --- exceptional periodic spectra -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodSpec:
+class PeriodSpec(Value):
     """The set of minimal periods of the periodic part of a system, given as
     an explicit finite set plus an optional symbolic infinite family."""
 
-    explicit_periods: frozenset[int]
-    infinite_family: str = "none"  # none | all_primes | geometric(b)
-    all_periodic: bool = False
+    __slots__ = ("explicit_periods", "infinite_family", "all_periodic")
 
-    def __post_init__(self) -> None:
-        if any(p < 1 for p in self.explicit_periods):
+    # infinite_family is "none", "all_primes" or "geometric(b)"
+    def __init__(self, explicit_periods, infinite_family="none", all_periodic=False):
+        _set(self, "explicit_periods", explicit_periods)
+        _set(self, "infinite_family", infinite_family)
+        _set(self, "all_periodic", all_periodic)
+        if any(p < 1 for p in explicit_periods):
             raise ValueError("periods must be positive")
-        fam = self.infinite_family
+        fam = infinite_family
         if fam not in ("none", "all_primes") and not _geometric_base(fam):
             raise ValueError(f"unsupported symbolic family {fam!r}")
-        if (
-            self.all_periodic
-            and fam == "none"
-            and not self.explicit_periods
-        ):
+        if all_periodic and fam == "none" and not explicit_periods:
             raise ValueError("an all-periodic system needs some period")
 
 
@@ -179,15 +176,20 @@ def transition_length(
     return l0
 
 
-@dataclass
 class StitchKit:
     """Base rectangles per level, their transition lengths, and the derived
     per-length tabbed pairs, all certified up to one horizon."""
 
-    x0: LanguageOracle | None
-    horizon: int
-    bases: list[tuple[Rectangle, int]]  # (B^(k), l(B^(k))) for k = 1..K
-    tabbed: dict[int, tuple[Rectangle, Rectangle]] = field(default_factory=dict)
+    __slots__ = ("x0", "horizon", "bases", "tabbed")
+
+    def __init__(self, x0, horizon, bases, tabbed=None):
+        self.x0: LanguageOracle | None = x0
+        self.horizon: int = horizon
+        # (B^(k), l(B^(k))) for k = 1..K
+        self.bases: list[tuple[Rectangle, int]] = bases
+        self.tabbed: dict[int, tuple[Rectangle, Rectangle]] = (
+            {} if tabbed is None else tabbed
+        )
 
     @property
     def level_count(self) -> int:

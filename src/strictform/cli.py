@@ -10,9 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -21,23 +19,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arrays import read_arr, validate_window, window_to_rectangle
-from .assemble import (
-    NotFoundWithinHorizon,
-    NoWitness,
-    build_stitch_kit,
-    check_stitchable,
-    write_kit,
-)
-from .generators import parse_spec
-from .markers import (
-    build_marker_system,
-    check_balanced,
-    check_congruency,
-    check_two_gaps,
-    write_mrk,
-)
-from .measures import dstar, empirical_measure
+
+# Each _cmd_* imports the strictform modules (and csv) that it runs, and no
+# others.  Without a bytecode cache every module a job loads is compiled from
+# source, so a module imported here would slow every command, --version too.
 
 
 class ConfigError(ValueError):
@@ -107,6 +92,14 @@ def _int_list(s: str) -> tuple[int, ...]:
 
 
 def _cmd_markers(args) -> int:
+    from .markers import (
+        build_marker_system,
+        check_balanced,
+        check_congruency,
+        check_two_gaps,
+        write_mrk,
+    )
+
     _require_positive("--columns", args.columns)
     gaps = _parse("gap list", _int_list, args.gaps)
     ms = build_marker_system(args.columns, args.origin, gaps)
@@ -136,6 +129,9 @@ def _cmd_markers(args) -> int:
 
 
 def _cmd_dstar(args) -> int:
+    from .arrays import read_arr, window_to_rectangle
+    from .measures import dstar, empirical_measure
+
     trunc = _parse_trunc(args.trunc)
     wa, _ = _parse(".arr file", read_arr, args.a)
     wb, _ = _parse(".arr file", read_arr, args.b)
@@ -152,8 +148,6 @@ def _cmd_dstar(args) -> int:
 
 
 def _cmd_purify(args) -> int:
-    # imported here, so that other commands do not load the purify module:
-    # compiling it at start-up set the peak memory of an assemble run
     from .purify import config_from_dict, purify_pipeline
 
     raw_bytes = Path(args.config).read_bytes()
@@ -168,6 +162,15 @@ def _cmd_purify(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    from .assemble import (
+        NotFoundWithinHorizon,
+        NoWitness,
+        build_stitch_kit,
+        check_stitchable,
+        write_kit,
+    )
+    from .generators import parse_spec
+
     _require_positive("--levels", args.levels)
     _require_positive("--horizon", args.horizon)
     spec = _parse("oracle", parse_spec, args.oracle)
@@ -218,6 +221,9 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .arrays import read_arr, validate_window
+    from .markers import check_congruency, check_two_gaps
+
     w, ms = _parse(".arr file", read_arr, args.arr)
     checks = {"window_valid": validate_window(w)}
     if ms is not None:
@@ -231,6 +237,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    import csv
+    import io
+
     try:
         data = json.loads(Path(args.input).read_text())
     except (OSError, ValueError) as exc:

@@ -7,10 +7,11 @@ are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
+
+from ._value import Value, _set
 
 CHACON_RULES = {"0": "0010", "1": "1"}
 
@@ -21,17 +22,19 @@ class HorizonExhausted(ValueError):
     """The oracle cannot answer queries at this word length."""
 
 
-@dataclass(frozen=True)
-class LanguageOracle:
+class LanguageOracle(Value):
     """A queryable finite-horizon language of a subshift.
 
     The factor set of ``text``, or with no text the full shift over
     ``alphabet``.  Factor-closure is automatic in both cases.
     """
 
-    alphabet: tuple[str, ...]
-    horizon: int
-    text: str | None = None
+    __slots__ = ("alphabet", "horizon", "text")
+
+    def __init__(self, alphabet, horizon, text=None):
+        _set(self, "alphabet", alphabet)
+        _set(self, "horizon", horizon)
+        _set(self, "text", text)
 
     def contains(self, word: str) -> bool:
         if len(word) > self.horizon:
@@ -180,18 +183,23 @@ def bernoulli_oracle(
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """Parsed CLI spec string, e.g. ``sturmian:309017/500000:rho=1/3``."""
 
-    kind: str
-    spec: str
-    alpha: Fraction | None = None
-    rho: Fraction = Fraction(0)
-    p: Fraction | None = None
-    seed: int = 0
-    word_arg: str = ""
-    size: int = 0
+    __slots__ = ("kind", "spec", "alpha", "rho", "p", "seed", "word_arg", "size")
+
+    def __init__(
+        self, kind, spec, alpha=None, rho=Fraction(0), p=None, seed=0,
+        word_arg="", size=0,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "spec", spec)
+        _set(self, "alpha", alpha)
+        _set(self, "rho", rho)
+        _set(self, "p", p)
+        _set(self, "seed", seed)
+        _set(self, "word_arg", word_arg)
+        _set(self, "size", size)
 
     def word(self, n: int) -> str:
         if self.kind == "periodic":

@@ -8,33 +8,35 @@ every marker of row k+1 must also be a marker of row k (congruency).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, lt, sub
 from pathlib import Path
 from typing import Sequence
 
+from ._value import Value, _set
+
 
 class NoDecomposition(ValueError):
     """The gap cannot be split into pieces of length l and l+1."""
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(Value):
     """p = a*l + b*(l+1) with both counts positive."""
 
-    a: int
-    b: int
-    l: int
+    __slots__ = ("a", "b", "l")
+
+    def __init__(self, a, b, l):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "l", l)
 
     @property
     def total(self) -> int:
         return self.a * self.l + self.b * (self.l + 1)
 
 
-@dataclass(frozen=True)
-class MarkerSystem:
+class MarkerSystem(Value):
     """Sorted marker positions per row over the column range [lo, hi].
 
     ``gaps[k-1]`` is the base gap l_k of row k.  ``balance_windows`` records,
@@ -42,16 +44,17 @@ class MarkerSystem:
     balanced-frequency condition (None for hand-built systems).
     """
 
-    positions: tuple[tuple[int, ...], ...]
-    gaps: tuple[int, ...]
-    lo: int
-    hi: int
-    balance_windows: tuple[int, ...] | None = None
+    __slots__ = ("positions", "gaps", "lo", "hi", "balance_windows")
 
-    def __post_init__(self) -> None:
-        if len(self.positions) != len(self.gaps):
+    def __init__(self, positions, gaps, lo, hi, balance_windows=None):
+        _set(self, "positions", positions)
+        _set(self, "gaps", gaps)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "balance_windows", balance_windows)
+        if len(positions) != len(gaps):
             raise ValueError("one base gap per row required")
-        for row in self.positions:
+        for row in positions:
             if not all(map(lt, row, islice(row, 1, None))):
                 raise ValueError("positions must be sorted and distinct")
 
@@ -133,14 +136,6 @@ def _split_steps(p: int, l: int) -> tuple[int, ...]:
     of l, then b steps of l+1."""
     d = _decompose_balanced(p, l)
     return (l,) * d.a + (l + 1,) * d.b
-
-
-def subdivide_gap(start: int, end: int, l: int) -> list[int]:
-    """Interior cut positions giving a gaps of length l followed by b gaps of
-    length l+1 between the existing markers at ``start`` and ``end``, with
-    the column mass split near-evenly between the two lengths."""
-    steps = _split_steps(end - start, l)
-    return list(islice(accumulate(steps, initial=start), 1, len(steps)))
 
 
 def check_two_gaps(ms: MarkerSystem, k: int) -> bool:

@@ -1,5 +1,5 @@
 """Empirical measures on rectangles, the weighted-L1 rectangle metric,
-mixtures, concatenation and the Cesaro uniformity diagnostic.
+mixtures and concatenation.
 
 All weights and distances are exact fractions; floats appear only when a
 caller formats a report.
@@ -8,12 +8,12 @@ caller formats a report.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
+from ._value import Value, _set
 from .arrays import Rectangle
 
 Truncation = tuple[int, int]  # (max rows, max width)
@@ -36,14 +36,16 @@ def frequency(r: Rectangle, q: Rectangle) -> Fraction:
     return Fraction(hits, r.width - q.width + 1)
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
+class EmpiricalMeasure(Value):
     """Cylinder weights up to a truncation: for each dimension (rows, width)
     within it, ``dims`` holds ``(n, counts)`` with counts summing to n, and q
     weighs ``counts[q.cells + q.marks] / n`` (n = 1 for fractional weights)."""
 
-    truncation: Truncation
-    dims: Mapping[tuple[int, int], tuple[int, Mapping[tuple, int | Fraction]]]
+    __slots__ = ("truncation", "dims")
+
+    def __init__(self, truncation, dims):
+        _set(self, "truncation", truncation)
+        _set(self, "dims", dims)
 
     def weight(self, q: Rectangle) -> Fraction:
         n, counts = self.dims.get((q.rows, q.width), (1, {}))
@@ -103,15 +105,15 @@ def point_mass(q: Rectangle, truncation: Truncation) -> EmpiricalMeasure:
     return empirical_measure(wide, truncation)
 
 
-@dataclass(frozen=True)
-class TruncatedDistance:
+class TruncatedDistance(Value):
     """A truncated metric value plus a certified bound on the omitted tail."""
 
-    value: Fraction
-    tail_bound: Fraction
+    __slots__ = ("value", "tail_bound")
 
-    def __post_init__(self) -> None:
-        if self.value < 0 or self.value + self.tail_bound > 2:
+    def __init__(self, value, tail_bound):
+        _set(self, "value", value)
+        _set(self, "tail_bound", tail_bound)
+        if value < 0 or value + tail_bound > 2:
             raise ValueError("distance outside [0, 2]")
 
 
@@ -198,27 +200,6 @@ def concat(rectangles: Sequence[Rectangle]) -> Rectangle:
             row.extend(flags)
         marks.append(tuple(row))
     return Rectangle(cells, tuple(marks))
-
-
-def cesaro_spread(
-    word: Sequence[int] | str, pattern: Sequence[int] | str, n: int
-) -> Fraction:
-    """Max minus min, over start positions, of the n-block average of the
-    indicator of the pattern; zero means exact uniformity at this scale."""
-    w = [int(c) for c in word]
-    q = [int(c) for c in pattern]
-    if len(w) < 2 * n:
-        raise ValueError("window shorter than two blocks")
-    hits = [1 if w[i : i + len(q)] == q else 0 for i in range(len(w) - len(q) + 1)]
-    if len(hits) < n:
-        raise ValueError("pattern leaves fewer positions than a block")
-    running = sum(hits[:n])
-    lo = hi = running
-    for t in range(1, len(hits) - n + 1):
-        running += hits[t + n - 1] - hits[t - 1]
-        lo = min(lo, running)
-        hi = max(hi, running)
-    return Fraction(hi - lo, n)
 
 
 # --- .emp text format -------------------------------------------------------

@@ -7,11 +7,11 @@ flags stripped, so the pipeline is deterministic and platform independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+from ._value import Value, _set
 from .arrays import (
     ArrayWindow,
     Rectangle,
@@ -49,24 +49,22 @@ class InvalidMarkers(ValueError):
     """The marker system violates the two-gap or congruency conditions."""
 
 
-@dataclass(frozen=True)
-class TargetFamily:
+class TargetFamily(Value):
     """A node of the partition tree: its member measures and the closeness
     radius used to call a rectangle good at this stage."""
 
-    path: tuple[int, ...]
-    members: tuple[EmpiricalMeasure, ...]
-    gamma: Fraction
-    # classify's memo, keyed by the rectangle as extracted
-    _verdicts: dict[Rectangle, str] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # _verdicts is classify's memo, keyed by the rectangle as extracted
+    __slots__ = ("path", "members", "gamma", "_verdicts")
 
-    def __post_init__(self) -> None:
-        if not self.members:
+    def __init__(self, path, members, gamma):
+        _set(self, "path", path)
+        _set(self, "members", members)
+        _set(self, "gamma", gamma)
+        _set(self, "_verdicts", {})
+        if not members:
             raise ValueError("family needs at least one member")
-        trunc = self.members[0].truncation
-        if any(m.truncation != trunc for m in self.members):
+        trunc = members[0].truncation
+        if any(m.truncation != trunc for m in members):
             raise ValueError("family members must share a truncation")
 
     @property
@@ -160,45 +158,51 @@ def replace_bad(
 # --- configuration ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeafSpec:
-    path: tuple[int, ...]
-    target: GeneratorSpec
-    samples: tuple[GeneratorSpec, ...]
+class LeafSpec(Value):
+    __slots__ = ("path", "target", "samples")
+
+    def __init__(self, path, target, samples):
+        _set(self, "path", path)
+        _set(self, "target", target)
+        _set(self, "samples", samples)
 
 
-@dataclass(frozen=True)
-class PurifyConfig:
+class PurifyConfig(Value):
     """Declarative experiment description (see README for the JSON schema)."""
 
-    truncation: Truncation
-    gaps: tuple[int, ...]
-    depths: tuple[int, ...]
-    epsilons: tuple[Fraction, ...]
-    columns: int
-    leaves: tuple[LeafSpec, ...]
-    gammas: tuple[Fraction, ...] | None = None
+    __slots__ = (
+        "truncation", "gaps", "depths", "epsilons", "columns", "leaves", "gammas"
+    )
 
-    def __post_init__(self) -> None:
-        if len(self.truncation) != 2 or min(self.truncation) < 1:
+    def __init__(
+        self, truncation, gaps, depths, epsilons, columns, leaves, gammas=None
+    ):
+        _set(self, "truncation", truncation)
+        _set(self, "gaps", gaps)
+        _set(self, "depths", depths)
+        _set(self, "epsilons", epsilons)
+        _set(self, "columns", columns)
+        _set(self, "leaves", leaves)
+        _set(self, "gammas", gammas)
+        if len(truncation) != 2 or min(truncation) < 1:
             raise ValueError("truncation must be [rows, width], each >= 1")
-        m = len(self.depths)
-        if len(self.epsilons) != m or (self.gammas and len(self.gammas) != m):
+        m = len(depths)
+        if len(epsilons) != m or (gammas and len(gammas) != m):
             raise ValueError("one epsilon (and gamma, if given) per stage")
-        if list(self.depths) != sorted(set(self.depths)):
+        if list(depths) != sorted(set(depths)):
             raise ValueError("stage depths must be strictly increasing")
-        if self.depths[-1] > len(self.gaps):
+        if depths[-1] > len(gaps):
             raise ValueError("stage depth exceeds the marker hierarchy")
-        for i, eps in enumerate(self.epsilons):
-            if eps <= 0 or eps > self.epsilons[0] * Fraction(1, 2**i):
+        for i, eps in enumerate(epsilons):
+            if eps <= 0 or eps > epsilons[0] * Fraction(1, 2**i):
                 raise ValueError(
                     "epsilons must be positive with eps_m <= eps_1 * 2^(1-m)"
                 )
-        if self.truncation[0] > self.depths[0]:
+        if truncation[0] > depths[0]:
             raise ValueError(
                 "truncation rows must not exceed the first stage depth"
             )
-        if not self.leaves or any(len(l.path) != m for l in self.leaves):
+        if not leaves or any(len(l.path) != m for l in leaves):
             raise ValueError("leaf paths must match the number of stages")
 
     @property
@@ -284,15 +288,17 @@ def config_from_dict(raw: dict) -> PurifyConfig:
 # --- the staged pipeline ----------------------------------------------------
 
 
-@dataclass
 class _Sample:
-    path: tuple[int, ...]
-    spec: GeneratorSpec
-    window: ArrayWindow
-    markers: MarkerSystem
-    # measure of the window; recounted only when replacement changes it
-    measure: EmpiricalMeasure
-    changed: list[int] = field(default_factory=list)
+    __slots__ = ("path", "spec", "window", "markers", "measure", "changed")
+
+    def __init__(self, path, spec, window, markers, measure):
+        self.path: tuple[int, ...] = path
+        self.spec: GeneratorSpec = spec
+        self.window: ArrayWindow = window
+        self.markers: MarkerSystem = markers
+        # measure of the window; recounted only when replacement changes it
+        self.measure: EmpiricalMeasure = measure
+        self.changed: list[int] = []
 
 
 def _stage_gamma(

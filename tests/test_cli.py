@@ -124,16 +124,96 @@ class TestArgparse:
         assert "config error" in capsys.readouterr().err
 
     def test_module_entry_point(self):
-        # the child imports the package from wherever this process found it
-        src = str(Path(strictform.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "strictform.cli", "--version"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=_child_env(),
         )
         assert proc.returncode == 0
+
+
+def _child_env():
+    # the child imports the package from wherever this process found it
+    src = str(Path(strictform.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _imported(args, cwd):
+    """Exit code and the names of the modules loaded by ``python -X
+    importtime ARGS``."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=_child_env(),
+    )
+    names = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    }
+    return proc.returncode, names
+
+
+_COMMON = {"strictform", "strictform._value"}
+
+# each command's argv, run in a directory holding the inputs written by
+# _write_inputs, and the strictform modules it must load: only its own
+STARTUP = {
+    "version": (["--version"], {"strictform"}),
+    "markers": (
+        ["markers", "--columns", "703", "--gaps", "3,100"],
+        _COMMON | {"strictform.markers"},
+    ),
+    "assemble": (
+        ["assemble", "--oracle", "full:2", "--levels", "1", "--horizon", "8"],
+        _COMMON | {f"strictform.{m}" for m in
+                   ("arrays", "assemble", "generators", "markers")},
+    ),
+    "purify": (
+        ["purify", "--config", "config.json"],
+        _COMMON | {f"strictform.{m}" for m in
+                   ("arrays", "generators", "markers", "measures", "purify")},
+    ),
+    "dstar": (
+        ["dstar", "--a", "a.arr", "--b", "b.arr", "--trunc", "1x2"],
+        _COMMON | {"strictform.arrays", "strictform.measures"},
+    ),
+    "verify": (
+        ["verify", "--arr", "marked.arr"],
+        _COMMON | {"strictform.arrays", "strictform.markers"},
+    ),
+    "report": (["report", "--input", "report.json"], {"strictform"}),
+}
+
+
+def _write_inputs(path):
+    write_config(path)
+    write_arr(path / "a.arr", lift_binary("0110", 2))
+    write_arr(path / "b.arr", lift_binary("0010", 2))
+    ms = build_marker_system(20, 0, (3,))
+    write_arr(path / "marked.arr", lift_binary("0" * 20, 1), ms)
+    (path / "report.json").write_text(json.dumps(_report_with_family(
+        {"diameter": "1/2", "displacement_max": 0}
+    )))
+
+
+class TestStartup:
+    """Each command loads only the strictform modules it runs, and no
+    command pays for dataclasses or inspect at import."""
+
+    @pytest.mark.parametrize("command", list(STARTUP))
+    def test_loads_only_its_modules(self, command, tmp_path):
+        argv, expected = STARTUP[command]
+        _write_inputs(tmp_path)
+        code, names = _imported(["-m", "strictform.cli", *argv], tmp_path)
+        assert code == 0
+        assert {n for n in names if n.split(".")[0] == "strictform"} == expected
+        _, bare = _imported(["-c", "pass"], tmp_path)
+        assert not {"dataclasses", "inspect"} & (names - bare)
 
 
 class TestMarkers:

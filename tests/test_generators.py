@@ -19,7 +19,7 @@ from strictform.generators import (
     sturmian_oracle,
     sturmian_word,
 )
-from strictform.measures import cesaro_spread
+from test_measures import cesaro_spread
 
 F = Fraction
 GOLDEN = F(309017, 500000)  # rational stand-in for 1/phi

@@ -15,9 +15,20 @@ from strictform.markers import (
     check_two_gaps,
     decompose_gap,
     read_mrk,
-    subdivide_gap,
     write_mrk,
 )
+
+
+def subdivide_gap(start, end, l):
+    """Interior cut positions giving a gaps of length l followed by b gaps of
+    length l+1 between the existing markers at ``start`` and ``end``, with
+    the column mass split near-evenly between the two lengths.  A test
+    helper: build_marker_system splits each gap length once instead."""
+    d = _decompose_balanced(end - start, l)
+    cuts = [start]
+    for step in [l] * d.a + [l + 1] * d.b:
+        cuts.append(cuts[-1] + step)
+    return cuts[1:-1]
 
 
 def reference_decompose_gap(p, l):

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.measures import (
     TruncationMismatch,
-    cesaro_spread,
     concat,
     dstar,
     empirical_measure,
@@ -19,6 +18,26 @@ from strictform.measures import (
 
 F = Fraction
 words = st.text(alphabet="12", min_size=4, max_size=10)
+
+
+def cesaro_spread(word, pattern, n):
+    """Max minus min, over start positions, of the n-block average of the
+    indicator of the pattern; zero means exact uniformity at this scale.  A
+    uniformity diagnostic for tests; no command reports it."""
+    w = [int(c) for c in word]
+    q = [int(c) for c in pattern]
+    if len(w) < 2 * n:
+        raise ValueError("window shorter than two blocks")
+    hits = [1 if w[i : i + len(q)] == q else 0 for i in range(len(w) - len(q) + 1)]
+    if len(hits) < n:
+        raise ValueError("pattern leaves fewer positions than a block")
+    running = sum(hits[:n])
+    lo = hi = running
+    for t in range(1, len(hits) - n + 1):
+        running += hits[t + n - 1] - hits[t - 1]
+        lo = min(lo, running)
+        hi = max(hi, running)
+    return Fraction(hi - lo, n)
 
 
 def rect(word):

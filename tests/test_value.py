@@ -1,0 +1,285 @@
+"""The value classes against dataclass twins.
+
+Every frozen class of the package was a frozen dataclass.  Each test here
+rebuilds it with ``dataclasses.make_dataclass`` from the old field list and
+defaults, and checks that ``repr``, ``==`` and ``hash`` agree with the twin
+on the same field values.
+"""
+
+import dataclasses
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from strictform._value import Value, _set
+from strictform.arrays import (
+    INDEPENDENT,
+    INVERSE_LIMIT,
+    AmalgamationChain,
+    ArrayWindow,
+    Rectangle,
+    lift_binary,
+    shift,
+)
+from strictform.assemble import PeriodSpec, StitchKit
+from strictform.generators import (
+    GeneratorSpec,
+    LanguageOracle,
+    full_shift_oracle,
+    parse_spec,
+    periodic_oracle,
+)
+from strictform.markers import (
+    GapDecomposition,
+    MarkerSystem,
+    build_marker_system,
+    decompose_gap,
+)
+from strictform.measures import (
+    EmpiricalMeasure,
+    TruncatedDistance,
+    dstar,
+    empirical_measure,
+)
+from strictform.purify import (
+    LeafSpec,
+    PurifyConfig,
+    TargetFamily,
+    classify,
+    config_from_dict,
+)
+
+F = Fraction
+REQUIRED = dataclasses.MISSING
+
+# the fields of each class as its dataclass declared them: (name, default)
+OLD_FIELDS = {
+    AmalgamationChain: [("alphabet_sizes", REQUIRED), ("maps", REQUIRED)],
+    ArrayWindow: [
+        ("chain", REQUIRED), ("origin", REQUIRED), ("cells", REQUIRED),
+        ("mode", INVERSE_LIMIT),
+    ],
+    Rectangle: [("cells", REQUIRED), ("marks", REQUIRED)],
+    GapDecomposition: [("a", REQUIRED), ("b", REQUIRED), ("l", REQUIRED)],
+    MarkerSystem: [
+        ("positions", REQUIRED), ("gaps", REQUIRED), ("lo", REQUIRED),
+        ("hi", REQUIRED), ("balance_windows", None),
+    ],
+    EmpiricalMeasure: [("truncation", REQUIRED), ("dims", REQUIRED)],
+    TruncatedDistance: [("value", REQUIRED), ("tail_bound", REQUIRED)],
+    LanguageOracle: [
+        ("alphabet", REQUIRED), ("horizon", REQUIRED), ("text", None),
+    ],
+    GeneratorSpec: [
+        ("kind", REQUIRED), ("spec", REQUIRED), ("alpha", None), ("rho", F(0)),
+        ("p", None), ("seed", 0), ("word_arg", ""), ("size", 0),
+    ],
+    PeriodSpec: [
+        ("explicit_periods", REQUIRED), ("infinite_family", "none"),
+        ("all_periodic", False),
+    ],
+    TargetFamily: [
+        ("path", REQUIRED), ("members", REQUIRED), ("gamma", REQUIRED),
+    ],
+    LeafSpec: [("path", REQUIRED), ("target", REQUIRED), ("samples", REQUIRED)],
+    PurifyConfig: [
+        ("truncation", REQUIRED), ("gaps", REQUIRED), ("depths", REQUIRED),
+        ("epsilons", REQUIRED), ("columns", REQUIRED), ("leaves", REQUIRED),
+        ("gammas", None),
+    ],
+}
+
+
+def twin(cls):
+    fields = [
+        (name, object, dataclasses.field(default=default))
+        for name, default in OLD_FIELDS[cls]
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+
+
+TWINS = {cls: twin(cls) for cls in OLD_FIELDS}
+
+CONFIG = {
+    "truncation": [1, 2],
+    "gaps": [3],
+    "depths": [1],
+    "epsilons": ["1/4"],
+    "columns": 200,
+    "tree": [
+        {"target": "periodic:0", "samples": ["periodic:0"]},
+        {"target": "periodic:1", "samples": ["bernoulli:1/2:seed=7"]},
+    ],
+}
+
+
+def samples():
+    """A few instances of every class, some with equal fields."""
+    w = lift_binary("0110100", 3)
+    r = Rectangle.from_rows([[1, 2], [1, 3]], [[0, 1], [0, 0]])
+    m = empirical_measure(Rectangle.from_word("1211"), (1, 2))
+    spec = parse_spec("periodic:01")
+    config = config_from_dict(CONFIG)
+    return {
+        AmalgamationChain: [
+            AmalgamationChain.canonical(2), AmalgamationChain.canonical(3),
+            AmalgamationChain((2, 3), ((1, 1, 2),)),
+        ],
+        ArrayWindow: [
+            w, shift(w, 2), ArrayWindow(w.chain, w.origin, w.cells, INDEPENDENT),
+        ],
+        Rectangle: [
+            r, r.without_marks(), Rectangle.from_word("12"), r.sub(1, 0, 1),
+        ],
+        GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
+        MarkerSystem: [
+            build_marker_system(703, 0, (3, 100)),
+            MarkerSystem(((0, 3, 7),), (3,), 0, 7),
+            MarkerSystem(((0, 3, 7),), (3,), 0, 7, (12,)),
+        ],
+        EmpiricalMeasure: [
+            m, empirical_measure(Rectangle.from_word("1212"), (1, 2)),
+        ],
+        TruncatedDistance: [
+            dstar(m, m, (1, 2)), TruncatedDistance(F(1, 3), F(1, 2)),
+        ],
+        LanguageOracle: [
+            periodic_oracle("01", 8), full_shift_oracle(2, 5),
+            LanguageOracle(("0", "1"), 8),
+        ],
+        GeneratorSpec: [
+            spec, parse_spec("sturmian:309017/500000:rho=1/3"),
+            parse_spec("bernoulli:1/8:seed=3"), parse_spec("chacon"),
+            parse_spec("full:3"),
+        ],
+        PeriodSpec: [
+            PeriodSpec(frozenset({2, 4}), all_periodic=True),
+            PeriodSpec(frozenset(), "geometric(2)"),
+            PeriodSpec(frozenset(), "all_primes", True),
+        ],
+        TargetFamily: [
+            TargetFamily((1,), (m,), F(1, 8)),
+            TargetFamily((1, 2), (m,), F(1, 8)),
+        ],
+        LeafSpec: [LeafSpec((1,), spec, (spec,)), config.leaves[1]],
+        PurifyConfig: [config, config_from_dict(dict(CONFIG, gammas=["1/8"]))],
+    }
+
+
+SAMPLES = samples()
+CASES = [(cls, i) for cls, items in SAMPLES.items() for i in range(len(items))]
+
+
+def values(x, cls=None):
+    fields = OLD_FIELDS[cls or type(x)]
+    return {name: getattr(x, name) for name, _ in fields}
+
+
+def rebuilt(x):
+    """A fresh instance with the same fields, through the keyword init."""
+    return type(x)(**values(x))
+
+
+def hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError:
+        return TypeError
+
+
+def assert_matches_twin(items):
+    twins = [TWINS[type(x)](**values(x)) for x in items]
+    for x, t in zip(items, twins):
+        assert repr(x) == repr(t)
+        assert hash_or_error(x) == hash_or_error(t)
+    for (a, ta), (b, tb) in product(zip(items, twins), repeat=2):
+        assert (a == b) is (ta == tb)
+        assert (a != b) is (ta != tb)
+
+
+def test_field_lists_match_slots():
+    for cls, fields in OLD_FIELDS.items():
+        assert cls._fields == tuple(name for name, _ in fields), cls
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_repr_eq_hash_match_twin(cls):
+    items = SAMPLES[cls]
+    assert_matches_twin(items + [rebuilt(x) for x in items])
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_defaults_match_twin(cls):
+    sample = values(SAMPLES[cls][0])
+    required = {n: sample[n] for n, d in OLD_FIELDS[cls] if d is REQUIRED}
+    assert values(cls(**required)) == values(TWINS[cls](**required), cls)
+
+
+@pytest.mark.parametrize(
+    "cls, i", CASES, ids=[f"{c.__name__}-{i}" for c, i in CASES]
+)
+def test_fields_are_read_only(cls, i):
+    x = SAMPLES[cls][i]
+    before = values(x)
+    for name in [*before, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert values(x) == before
+
+
+def test_memo_stays_out_of_eq_and_repr():
+    m = SAMPLES[EmpiricalMeasure][0]
+    used, fresh = (TargetFamily((1,), (m,), F(1, 8)) for _ in range(2))
+    classify(Rectangle.from_word("12"), used)
+    assert used._verdicts and not fresh._verdicts
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert "_verdicts" not in repr(used)
+
+
+class Cells(Value):
+    __slots__ = ("cells", "marks")
+
+    def __init__(self, cells, marks):
+        _set(self, "cells", cells)
+        _set(self, "marks", marks)
+
+
+def test_other_class_with_equal_fields_is_unequal():
+    r = Rectangle.from_word("12")
+    other = Cells(r.cells, r.marks)
+    assert other != r and r != other
+    assert not other == r and not r == other
+    assert r != (r.cells, r.marks)
+    assert r != TWINS[Rectangle](r.cells, r.marks)
+
+
+def test_mutable_classes_get_fresh_defaults():
+    a, b = StitchKit(None, 8, []), StitchKit(None, 8, [])
+    a.tabbed[3] = None
+    assert b.tabbed == {}
+    a.horizon = 9
+    assert a.horizon == 9
+
+
+rows = st.integers(1, 3).flatmap(
+    lambda k: st.integers(1, 4).flatmap(
+        lambda w: st.tuples(
+            st.lists(st.lists(st.integers(1, 3), min_size=w, max_size=w),
+                     min_size=k, max_size=k),
+            st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
+                     min_size=k, max_size=k),
+        )
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rows, min_size=1, max_size=4))
+def test_random_rectangles_match_twin(grids):
+    items = [Rectangle.from_rows(cells, marks) for cells, marks in grids]
+    assert_matches_twin(items)
