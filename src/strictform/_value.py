@@ -4,9 +4,9 @@ A subclass lists its fields in ``__slots__`` and writes its own
 ``__init__``, storing each field with ``_set(self, name, value)``.  Its
 instances compare and hash by class and field values, print as
 ``Name(field=value, ...)`` and refuse assignment and deletion, like a frozen
-dataclass.  Slot names starting with ``_`` hold private state (a memo, say)
-and take no part in equality, hashing or the repr.  Nothing is generated at
-import: a class costs one ``attrgetter``.
+dataclass.  The fields are exactly the ``__slots__``: a value holds no
+hidden state, so a cache belongs to the code that fills it.  Nothing is
+generated at import: a class costs one ``attrgetter``.
 """
 
 from operator import attrgetter
@@ -19,7 +19,7 @@ class Value:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._fields = cls.__slots__
         # with two or more fields the getter returns the tuple that a
         # dataclass compares and hashes
         cls._key = attrgetter(*cls._fields)

@@ -284,11 +284,7 @@ def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
     for k, row in enumerate(w.cells, start=1):
         cuts = set()
         if markers is not None and k <= markers.row_count:
-            cuts = set(
-                markers.positions_between(
-                    k, w.origin, w.origin + w.columns - 1
-                )
-            )
+            cuts = set(markers.cuts(k, w.origin, w.columns))
         toks = [
             f"{v}|" if w.origin + j in cuts else str(v)
             for j, v in enumerate(row)

@@ -344,7 +344,7 @@ def embed_aperiodic(
 ) -> ArrayWindow:
     """As embed_periodic over a two-gap marker row: each gap is replaced by
     the tabbed rectangle of matching width (R for l, R-bar for l+1)."""
-    cuts = ms.positions_between(row, w.origin, w.origin + w.columns - 1)
+    cuts = ms.cuts(row, w.origin, w.columns)
     return _replace_gaps(w, cuts, ms.gaps[row - 1], kit)
 
 

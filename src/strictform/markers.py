@@ -31,10 +31,6 @@ class GapDecomposition(Value):
         _set(self, "b", b)
         _set(self, "l", l)
 
-    @property
-    def total(self) -> int:
-        return self.a * self.l + self.b * (self.l + 1)
-
 
 class MarkerSystem(Value):
     """Sorted marker positions per row over the column range [lo, hi].
@@ -68,6 +64,12 @@ class MarkerSystem(Value):
     def positions_between(self, k: int, first: int, last: int) -> list[int]:
         ps = self.positions[k - 1]
         return list(ps[bisect_left(ps, first) : bisect_right(ps, last)])
+
+    # the one place that decides which markers a window spans
+    def cuts(self, k: int, origin: int, columns: int) -> list[int]:
+        """The row-k markers that cut a window of ``columns`` columns at
+        ``origin``."""
+        return self.positions_between(k, origin, origin + columns - 1)
 
     def with_row(self, k: int, new_positions: Sequence[int]) -> "MarkerSystem":
         rows = list(self.positions)

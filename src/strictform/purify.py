@@ -53,14 +53,12 @@ class TargetFamily(Value):
     """A node of the partition tree: its member measures and the closeness
     radius used to call a rectangle good at this stage."""
 
-    # _verdicts is classify's memo, keyed by the rectangle as extracted
-    __slots__ = ("path", "members", "gamma", "_verdicts")
+    __slots__ = ("path", "members", "gamma")
 
     def __init__(self, path, members, gamma):
         _set(self, "path", path)
         _set(self, "members", members)
         _set(self, "gamma", gamma)
-        _set(self, "_verdicts", {})
         if not members:
             raise ValueError("family needs at least one member")
         trunc = members[0].truncation
@@ -73,21 +71,14 @@ class TargetFamily(Value):
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
-    """Good iff the truncated distance to some member is below gamma.
-
-    The verdict is a pure function of the rectangle and the immutable family,
-    so it is memoised on the family.
-    """
-    verdict = family._verdicts.get(rect)
-    if verdict is None:
-        trunc = family.truncation
-        bare = empirical_measure(rect.without_marks(), trunc)
-        near = any(
-            dstar(bare, member, trunc).value < family.gamma
-            for member in family.members
-        )
-        verdict = family._verdicts[rect] = GOOD if near else BAD
-    return verdict
+    """Good iff the truncated distance to some member is below gamma."""
+    trunc = family.truncation
+    bare = empirical_measure(rect.without_marks(), trunc)
+    near = any(
+        dstar(bare, member, trunc).value < family.gamma
+        for member in family.members
+    )
+    return GOOD if near else BAD
 
 
 # a k-rectangle with its left row-k marker p: it covers columns p+1..p+width
@@ -105,7 +96,7 @@ def extract_k_rectangles(
     # every gap of row k, so every gap cut out below, has length l or l+1
     if not check_two_gaps(ms, k):
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
+    ps = ms.cuts(k, w.origin, w.columns)
     return [
         (p, extract_rectangle(w, k, p + 1, q, ms))
         for p, q in zip(ps, ps[1:])
@@ -198,9 +189,11 @@ class PurifyConfig(Value):
                 raise ValueError(
                     "epsilons must be positive with eps_m <= eps_1 * 2^(1-m)"
                 )
-        if truncation[0] > depths[0]:
+        # a first-stage rectangle has depths[0] rows and width l or l + 1
+        if truncation[0] > depths[0] or truncation[1] > gaps[depths[0] - 1]:
             raise ValueError(
-                "truncation rows must not exceed the first stage depth"
+                "truncation must fit the first stage: rows at most its "
+                "depth, width at most its gap"
             )
         if not leaves or any(len(l.path) != m for l in leaves):
             raise ValueError("leaf paths must match the number of stages")
@@ -334,23 +327,24 @@ def _stage_gamma(
 
 def _census(
     samples: list[_Sample], family: TargetFamily, k: int
-) -> tuple[dict[str, int], set[Rectangle], list[list[Gap]]]:
-    """Extract and classify every k-rectangle of the samples once: the
-    good/bad counts, the good rectangles and each sample's bad gaps."""
+) -> tuple[dict[str, int], dict[Rectangle, str], list[list[Gap]]]:
+    """Extract every k-rectangle of the samples once and classify each
+    distinct one once: the good/bad counts, the verdict of each distinct
+    rectangle and each sample's bad gaps."""
     census = {GOOD: 0, BAD: 0}
-    good: set[Rectangle] = set()
+    verdicts: dict[Rectangle, str] = {}
     bad_gaps = []
     for sample in samples:
         bad = []
         for p, rect in extract_k_rectangles(sample.window, sample.markers, k):
-            verdict = classify(rect, family)
+            verdict = verdicts.get(rect)
+            if verdict is None:
+                verdict = verdicts[rect] = classify(rect, family)
             census[verdict] += 1
-            if verdict == GOOD:
-                good.add(rect)
-            else:
+            if verdict == BAD:
                 bad.append((p, rect))
         bad_gaps.append(bad)
-    return census, good, bad_gaps
+    return census, verdicts, bad_gaps
 
 
 # _repair's result for a sample whose k-rectangles are all good, which
@@ -364,8 +358,10 @@ def _repair(
     k: int,
     bad: list[Gap],
     tabbed: dict[int, Rectangle],
+    verdicts: dict[Rectangle, str],
 ) -> tuple[int, int, Fraction, bool]:
-    """Overwrite the sample's bad k-rectangles in place and re-check it:
+    """Overwrite the sample's bad k-rectangles in place and re-check it
+    against the census verdicts, classifying only a rectangle they lack:
     (replaced, changed columns, displacement, all good after)."""
     trunc = family.truncation
     before = sample.measure
@@ -375,7 +371,7 @@ def _repair(
     sample.window, sample.markers = window, ms
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
     all_good = all(
-        classify(rect, family) == GOOD
+        (verdicts.get(rect) or classify(rect, family)) == GOOD
         for _, rect in extract_k_rectangles(window, ms, k)
     )
     moved = dstar(before, sample.measure, trunc).value
@@ -426,12 +422,15 @@ def purify_stage(
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        census, good, bad_gaps = _census(fam_samples, family, k)
+        census, verdicts, bad_gaps = _census(fam_samples, family, k)
+        good = {rect for rect, v in verdicts.items() if v == GOOD}
         tabbed = {r.width: r for r in select_tabbed(good, l)}
         rows = []
         for sample, bad in zip(fam_samples, bad_gaps):
             replaced, changed, moved, all_good = (
-                _repair(sample, family, k, bad, tabbed) if bad else _CLEAN
+                _repair(sample, family, k, bad, tabbed, verdicts)
+                if bad
+                else _CLEAN
             )
             sample.changed.append(changed)
             rows.append(

@@ -10,6 +10,7 @@ from strictform.arrays import (
     Rectangle,
     lift_binary,
     window_to_rectangle,
+    write_arr,
 )
 from strictform.assemble import (
     NotFoundWithinHorizon,
@@ -43,6 +44,7 @@ from strictform.generators import (
     sturmian_oracle,
 )
 from strictform.markers import MarkerSystem
+from strictform.purify import extract_k_rectangles
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +378,23 @@ class TestEmbedAperiodic:
         out = embed_aperiodic(w, ms, 1, fs_kit)
         assert out.cells[0][1:10] == (1,) * 9
         assert out.cells[1] == w.cells[1]
+
+    def test_window_cuts_have_one_owner(self, fs_kit, tmp_path, monkeypatch):
+        # every reader of a window's markers asks MarkerSystem.cuts, so the
+        # window convention is decided in one place
+        w = lift_binary("01101001101", 2)
+        ms = MarkerSystem(((0, 2, 5, 7, 9),), (2,), 0, 9)
+        asked, cuts = [], MarkerSystem.cuts
+
+        def spy(self, k, origin, columns):
+            asked.append((k, origin, columns))
+            return cuts(self, k, origin, columns)
+
+        monkeypatch.setattr(MarkerSystem, "cuts", spy)
+        extract_k_rectangles(w, ms, 1)
+        embed_aperiodic(w, ms, 1, fs_kit)
+        write_arr(tmp_path / "w.arr", w, ms)
+        assert asked == [(1, 0, 10)] * 3
 
     def test_reconstruct_roundtrip(self, fs_kit):
         w = lift_binary("0110100110", 2)

@@ -1,15 +1,22 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import strictform
 from strictform.arrays import lift_binary, write_arr
 from strictform.cli import main
 from strictform.markers import build_marker_system
+
+from test_golden import NOISY_CONFIG
 
 PURIFY_CONFIG = {
     "truncation": [1, 2],
@@ -28,6 +35,8 @@ MALFORMED_FIELDS = [
     ("truncation", [1]),
     ("truncation", None),
     ("truncation", [0, 2]),
+    # wider than the first-stage gap 3, so no rectangle of width 3 fits it
+    ("truncation", [1, 4]),
     ("gaps", 4),
     ("depths", None),
     ("columns", None),
@@ -325,6 +334,72 @@ class TestPurify:
         assert main(["purify", "--config", str(cfg)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert list(data) == sorted(data)
+
+
+def _nodes(value, path=()):
+    """Every (path, value) pair of a JSON value, the value itself first."""
+    yield path, value
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+_NOISY_NODES = list(_nodes(NOISY_CONFIG))
+_DELETE = object()
+
+# small integers and the config's own values keep every job within the
+# golden config's size; the rest change a value's JSON type
+_REPLACEMENTS = st.one_of(
+    st.integers(-1, 7),
+    st.sampled_from(sorted({v for _, v in _NOISY_NODES if type(v) is int})),
+    st.sampled_from(sorted({v for _, v in _NOISY_NODES if type(v) is str})),
+    st.sampled_from([None, True, 0.5, "", "x", "1/0", "-1/2", [], {}, _DELETE]),
+    st.lists(st.integers(-1, 7), max_size=3),
+)
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from([p for p, _ in _NOISY_NODES[1:]]), _REPLACEMENTS),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutated(config, mutations):
+    """The config with each value at a path replaced or deleted; a path that
+    an earlier mutation removed is skipped."""
+    config = copy.deepcopy(config)
+    for (*parents, last), value in mutations:
+        node = config
+        try:
+            for key in parents:
+                node = node[key]
+            if value is _DELETE:
+                del node[last]
+            else:
+                node[last] = copy.deepcopy(value)
+        except (LookupError, TypeError):
+            pass
+    return config
+
+
+class TestPurifyFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_MUTATIONS)
+    def test_mutated_config_exits_cleanly(self, mutations):
+        # whatever one to three values of a working config become, purify
+        # exits 0, 1 or 2 with at most one line on stderr
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+            cfg.write_text(json.dumps(_mutated(NOISY_CONFIG, mutations)))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["purify", "--config", str(cfg), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1
 
 
 class TestAssemble:

@@ -272,6 +272,15 @@ class TestSubdivideGap:
         assert all(b - a in (3, 4) for a, b in zip(ps, ps[1:]))
 
 
+class TestCuts:
+    def test_markers_inside_the_window(self):
+        # a window of 10 columns at origin o covers columns o..o+9
+        ms = MarkerSystem(((0, 3, 7, 10),), (3,), 0, 10)
+        assert ms.cuts(1, 0, 10) == [0, 3, 7]
+        assert ms.cuts(1, 1, 10) == [3, 7, 10]
+        assert ms.cuts(1, 4, 3) == []
+
+
 class TestPredicates:
     def test_two_gaps_true(self):
         ms = row_system([0, 3, 7, 10, 13, 17], 3)

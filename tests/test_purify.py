@@ -596,6 +596,48 @@ class TestConfigValidation:
                 }
             )
 
+    def test_truncation_width_within_first_gap(self):
+        # a truncation wider than the first-stage gap l fits no rectangle of
+        # width l, so the config is refused before any window is measured
+        l = NOISY_CONFIG["gaps"][NOISY_CONFIG["depths"][0] - 1]
+        config_from_dict(dict(NOISY_CONFIG, truncation=[1, l]))
+        with pytest.raises(ValueError, match="width at most its gap"):
+            config_from_dict(dict(NOISY_CONFIG, truncation=[1, l + 1]))
+
+
+class TestCensusCost:
+    def test_one_classify_per_distinct_rectangle(self, monkeypatch):
+        # each family's stage-1 census, its repair re-checks included,
+        # classifies every distinct k-rectangle of its samples exactly once
+        config = config_from_dict(NOISY_CONFIG)
+        targets, samples = purify._lift_leaves(config)
+        k = config.depths[0]
+        distinct = {}
+        for s in samples:
+            distinct.setdefault(s.path[:1], set()).update(
+                rect for _, rect in extract_k_rectangles(s.window, s.markers, k)
+            )
+        calls = []
+
+        def counted(rect, family):
+            calls.append((family.path, rect))
+            return classify(rect, family)
+
+        monkeypatch.setattr(purify, "classify", counted)
+        report, _ = purify.purify_stage(samples, config, 1, targets)
+        assert len(calls) == len(set(calls))
+        assert {
+            path: {rect for p, rect in calls if p == path} for path in distinct
+        } == distinct
+        for path, fam in report["families"].items():
+            # rectangles repeat, and repair ran, so the table was used
+            assert sum(fam["census"].values()) > len(distinct[(int(path),)])
+        assert any(
+            row["replaced"]
+            for fam in report["families"].values()
+            for row in fam["samples"]
+        )
+
 
 class TestPipeline:
     def test_depth_one_pure_families(self):

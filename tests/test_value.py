@@ -47,7 +47,6 @@ from strictform.purify import (
     LeafSpec,
     PurifyConfig,
     TargetFamily,
-    classify,
     config_from_dict,
 )
 
@@ -202,6 +201,7 @@ def assert_matches_twin(items):
 def test_field_lists_match_slots():
     for cls, fields in OLD_FIELDS.items():
         assert cls._fields == tuple(name for name, _ in fields), cls
+        assert cls._fields == cls.__slots__, cls
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
@@ -229,16 +229,6 @@ def test_fields_are_read_only(cls, i):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert values(x) == before
-
-
-def test_memo_stays_out_of_eq_and_repr():
-    m = SAMPLES[EmpiricalMeasure][0]
-    used, fresh = (TargetFamily((1,), (m,), F(1, 8)) for _ in range(2))
-    classify(Rectangle.from_word("12"), used)
-    assert used._verdicts and not fresh._verdicts
-    assert used == fresh
-    assert repr(used) == repr(fresh)
-    assert "_verdicts" not in repr(used)
 
 
 class Cells(Value):
