@@ -127,8 +127,6 @@ def validate_window(w: ArrayWindow) -> bool:
 
 def shift(w: ArrayWindow, t: int) -> ArrayWindow:
     """Horizontal left shift by t: the origin decreases, cells do not move."""
-    if t == 0:
-        return w
     return ArrayWindow(w.chain, w.origin - t, w.cells, w.mode)
 
 
@@ -180,8 +178,6 @@ class Rectangle(Value):
         return cls.from_rows([[int(c) for c in word]])
 
     def without_marks(self) -> "Rectangle":
-        if not any(any(r) for r in self.marks):
-            return self
         return Rectangle.from_rows(self.cells)
 
     def sub(self, rows: int, col: int, width: int) -> "Rectangle":
@@ -294,33 +290,42 @@ def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
 
 
 def read_arr(path: str | Path):
-    """Returns (window, marker positions per row or None)."""
-    raw = Path(path).read_text().splitlines()
-    if len(raw) < 3:
-        raise ValueError(f"{path}: truncated .arr file")
-    k, n, origin, mode = raw[0].split()
-    rows, cols, origin = int(k), int(n), int(origin)
-    sizes = tuple(int(s) for s in raw[1].split())
-    if len(sizes) != rows:
-        raise ValueError(f"{path}: alphabet line does not match row count")
-    if len(raw) < 2 + rows:
-        raise ValueError(
-            f"{path}: header claims {rows} rows, found {len(raw) - 2}"
-        )
-    chain = _chain_for(sizes, mode)
-    cells, positions = [], []
-    for k_idx in range(rows):
-        toks = raw[2 + k_idx].split()
-        if len(toks) != cols:
-            raise ValueError(f"{path}: row {k_idx + 1} has {len(toks)} tokens")
-        row, cuts = [], []
-        for j, tok in enumerate(toks):
-            if tok.endswith("|"):
-                cuts.append(origin + j)
-                tok = tok[:-1]
-            row.append(int(tok))
-        cells.append(tuple(row))
-        positions.append(tuple(cuts))
+    """Returns (window, marker positions per row or None).  Blank lines are
+    skipped.  A malformed line raises ValueError naming the file and line."""
+    lines = [
+        (n, line.split())
+        for n, line in enumerate(Path(path).read_text().splitlines(), 1)
+        if line.strip()
+    ]
+    n = lines[0][0] if lines else 1
+    try:
+        if len(lines) < 3:
+            raise ValueError("truncated .arr file")
+        k, cols, origin, mode = lines[0][1]
+        rows, cols, origin = int(k), int(cols), int(origin)
+        if mode not in (INVERSE_LIMIT, INDEPENDENT):
+            raise ValueError(f"unknown mode {mode!r}")
+        if len(lines) < 2 + rows:
+            raise ValueError(f"header claims {rows} rows, found {len(lines) - 2}")
+        n, toks = lines[1]
+        sizes = tuple(int(s) for s in toks)
+        if len(sizes) != rows:
+            raise ValueError("alphabet line does not match row count")
+        chain = _chain_for(sizes, mode)
+        cells, positions = [], []
+        for k_idx, (n, toks) in enumerate(lines[2 : 2 + rows], start=1):
+            if len(toks) != cols:
+                raise ValueError(f"row {k_idx} has {len(toks)} tokens")
+            row, cuts = [], []
+            for j, tok in enumerate(toks):
+                if tok.endswith("|"):
+                    cuts.append(origin + j)
+                    tok = tok[:-1]
+                row.append(int(tok))
+            cells.append(tuple(row))
+            positions.append(tuple(cuts))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {n}: {exc}") from None
     window = ArrayWindow(chain, origin, tuple(cells), mode)
     if any(positions):
         # imported here: a file without marker flags needs no markers module

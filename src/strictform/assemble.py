@@ -9,6 +9,7 @@ iff it is the lift of a language word of length w + k - 1.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence
 
@@ -75,18 +76,12 @@ def detect_exceptional(spec: PeriodSpec) -> bool:
     """True iff every point is periodic and the period set contains an
     infinite sequence with no common divisor inside the set (1 counts as a
     divisor, so sets containing 1 are never exceptional)."""
-    if not spec.all_periodic:
-        return False
-    fam = spec.infinite_family
-    if fam == "none":
-        return False  # finite period sets are never exceptional
-    if _geometric_base(fam):
-        # the base divides every member and belongs to the family
-        return False
-    if fam == "all_primes":
-        # distinct primes share only the divisor 1
-        return 1 not in spec.explicit_periods
-    raise ValueError(f"unsupported symbolic family {fam!r}")
+    # a finite set is never exceptional, the base of a geometric family
+    # divides every member and belongs to it, and distinct primes share only
+    # the divisor 1
+    return spec.all_periodic and (
+        spec.infinite_family == "all_primes" and 1 not in spec.explicit_periods
+    )
 
 
 # --- binary-word bridge ------------------------------------------------------
@@ -117,15 +112,11 @@ def _bit_alphabet(oracle: LanguageOracle) -> tuple[str, str]:
 
 def _to_oracle_word(oracle: LanguageOracle, bits: str) -> str:
     lo, hi = _bit_alphabet(oracle)
-    if (lo, hi) == ("0", "1"):
-        return bits
     return bits.translate(str.maketrans("01", lo + hi))
 
 
 def _to_bits(oracle: LanguageOracle, word: str) -> str:
     lo, hi = _bit_alphabet(oracle)
-    if (lo, hi) == ("0", "1"):
-        return word
     return word.translate(str.maketrans(lo + hi, "01"))
 
 
@@ -209,11 +200,9 @@ class StitchKit:
         ls = self.l_sequence
         if l < ls[0]:
             raise ValueError(f"gap {l} below the smallest level length {ls[0]}")
-        k = 1
-        for i, lk in enumerate(ls, start=1):
-            if lk <= l:
-                k = i
-        return k
+        # each level adds at least 1, so the l_k strictly increase and k is
+        # the number of them at most l
+        return bisect_right(ls, l)
 
 
 def _min_language_word(x0: LanguageOracle, n: int) -> str:
@@ -293,7 +282,8 @@ def check_stitchable(
         raise ValueError("kit carries no oracle to check against")
     R, Rbar = tabbed_rectangles(kit, l)
     k = R.rows
-    bad: list[Rectangle] = []
+    # the distinct offending sub-rectangles, in the order first found
+    bad: dict[Rectangle, None] = {}
     for left in (R, Rbar):
         for right in (R, Rbar):
             cells = tuple(
@@ -303,9 +293,8 @@ def check_stitchable(
             for i in range(glued.width - k + 1):
                 sub = glued.sub(k, i, k)
                 if not lifted_contains(kit.x0, sub):
-                    if sub not in bad:
-                        bad.append(sub)
-    return not bad, bad
+                    bad[sub] = None
+    return not bad, list(bad)
 
 
 # --- embeddings --------------------------------------------------------------

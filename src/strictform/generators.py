@@ -70,11 +70,16 @@ class LanguageOracle(Value):
 
 
 def periodic_oracle(word: str, horizon: int | None = None) -> LanguageOracle:
-    """Language of the bi-infinite repetition of ``word`` and its shifts."""
+    """Language of the bi-infinite repetition of ``word`` and its shifts.
+
+    The text keeps ``2 * horizon // len(word) + 2`` copies of the word, more
+    than ``2 * horizon + len(word)`` symbols: the lag search of ``assemble``
+    needs a base word of length at most the horizon at offsets i and i + l,
+    with l up to the horizon, for every start i within one period."""
     if not word:
         raise ValueError("period word must be nonempty")
     h = horizon if horizon is not None else max(64, 8 * len(word))
-    reps = h // len(word) + 2
+    reps = 2 * h // len(word) + 2
     return LanguageOracle(tuple(sorted(set(word))), h, word * reps)
 
 

@@ -185,8 +185,6 @@ def concat(rectangles: Sequence[Rectangle]) -> Rectangle:
     rows = rectangles[0].rows
     if any(r.rows != rows for r in rectangles):
         raise ValueError("row counts differ")
-    if len(rectangles) == 1:
-        return rectangles[0]
     cells = tuple(
         tuple(v for r in rectangles for v in r.cells[i]) for i in range(rows)
     )

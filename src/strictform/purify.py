@@ -189,6 +189,11 @@ class PurifyConfig(Value):
                 raise ValueError(
                     "epsilons must be positive with eps_m <= eps_1 * 2^(1-m)"
                 )
+        # good means a distance below gamma, and no distance is below 0
+        if gammas and min(gammas) <= 0:
+            raise ValueError("gammas must be positive")
+        if columns < 1:
+            raise ValueError("columns must be at least 1")
         # a first-stage rectangle has depths[0] rows and width l or l + 1
         if truncation[0] > depths[0] or truncation[1] > gaps[depths[0] - 1]:
             raise ValueError(
@@ -226,9 +231,12 @@ def _spec(field: str, value) -> GeneratorSpec:
     if not isinstance(value, str):
         raise ValueError(f"{field}: expected a spec string, got {value!r}")
     try:
-        return parse_spec(value)
+        spec = parse_spec(value)
     except ValueError as exc:
         raise ValueError(f"{field}: {exc}") from None
+    if spec.kind == "full":
+        raise ValueError(f"{field}: {value!r} is an oracle and generates no words")
+    return spec
 
 
 def _specs(field: str, value) -> tuple[GeneratorSpec, ...]:

@@ -265,20 +265,23 @@ class TestBuildKit:
         assert chacon_kit.l_sequence == [4, 199]
 
 
+def _kit_and_pairs(x0, levels, horizon):
+    """The kit's bases and l_sequence and the tabbed pairs around them, or
+    the error that stopped the kit."""
+    try:
+        kit = build_stitch_kit(x0, levels, horizon)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    ls = kit.l_sequence
+    lengths = {ls[0] - 1, *ls, *(l + 1 for l in ls), horizon - 1, horizon}
+    pairs = [_outcome(tabbed_rectangles, kit, l) for l in sorted(lengths)]
+    return kit.bases, ls, pairs
+
+
 class TestChaconOracleDifferential:
     # the depth-10 iterate (88,573 symbols) holds every factor of length
     # up to 29,524, far beyond twice each horizon below
     REFERENCE_TEXT = chacon_oracle(10).text
-
-    def _kit_and_pairs(self, x0, levels, horizon):
-        try:
-            kit = build_stitch_kit(x0, levels, horizon)
-        except ValueError as exc:
-            return type(exc), str(exc)
-        ls = kit.l_sequence
-        lengths = {ls[0] - 1, *ls, *(l + 1 for l in ls), horizon - 1, horizon}
-        pairs = [_outcome(tabbed_rectangles, kit, l) for l in sorted(lengths)]
-        return kit.bases, ls, pairs
 
     @pytest.mark.parametrize(
         "levels, horizon",
@@ -288,8 +291,23 @@ class TestChaconOracleDifferential:
     def test_matches_long_text(self, levels, horizon):
         short = parse_spec("chacon").oracle(horizon)
         long = LanguageOracle(("0", "1"), horizon, self.REFERENCE_TEXT)
-        assert self._kit_and_pairs(short, levels, horizon) == (
-            self._kit_and_pairs(long, levels, horizon)
+        assert _kit_and_pairs(short, levels, horizon) == (
+            _kit_and_pairs(long, levels, horizon)
+        )
+
+
+class TestPeriodicOracleDifferential:
+    # the lag search reads the base word at offsets i and i + l, with l up
+    # to the horizon, so a text of one horizon plus two periods missed lags
+    @pytest.mark.parametrize("word", ["01", "011", "0010", "12"])
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("horizon", [21, 29, 30, 31, 40])
+    def test_matches_long_text(self, word, levels, horizon):
+        short = parse_spec(f"periodic:{word}").oracle(horizon)
+        # 200 periods: far more than twice each horizon here
+        long = LanguageOracle(short.alphabet, horizon, word * 200)
+        assert _kit_and_pairs(short, levels, horizon) == (
+            _kit_and_pairs(long, levels, horizon)
         )
 
 

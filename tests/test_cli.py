@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strictform
+import strictform.purify as purify
 from strictform.arrays import lift_binary, write_arr
 from strictform.cli import main
 from strictform.markers import build_marker_system
@@ -59,6 +60,12 @@ MALFORMED_FIELDS = [
     ("tree", [{"target": "periodic:0", "samples": {"periodic:0": 1}}]),
     ("tree", [{"target": "periodic:0", "samples": ["periodic:0", 5]}]),
     ("tree", [{"families": {}}, *PURIFY_CONFIG["tree"]]),
+    # values no run can use: nothing is good with gamma <= 0, and no marker
+    # hierarchy fits fewer than one column
+    ("gammas", ["0"]),
+    ("gammas", ["-1/8"]),
+    ("columns", 0),
+    ("columns", -5),
 ]
 
 _LEAVES = PURIFY_CONFIG["tree"]
@@ -85,6 +92,19 @@ TREE_PATH_ERRORS = [
      "tree[0].samples: expected a non-empty list"),
     ([_LEAVES[0], {"families": []}],
      "tree[1].families: expected a non-empty list"),
+    # a full shift is an oracle only: it generates no word to lift
+    ([_LEAVES[0], dict(_LEAVES[1], target="full:2")],
+     "tree[1].target: 'full:2' is an oracle and generates no words"),
+    ([dict(_LEAVES[0], samples=["periodic:0", "full:2"]), _LEAVES[1]],
+     "tree[0].samples[1]: 'full:2' is an oracle and generates no words"),
+]
+
+# keys replaced together -> the message of the stage rule they break
+STAGE_ERRORS = [
+    ({"depths": [2]}, "stage depth exceeds the marker hierarchy"),
+    ({"gaps": [3, 81], "depths": [1, 2], "epsilons": ["1/4", "1/8"],
+      "columns": 4 * 81 + 4 * 82},
+     "leaf paths must match the number of stages"),
 ]
 
 
@@ -322,12 +342,37 @@ class TestPurify:
             "samples_object", "sample_not_string", "families_object",
             "nested_samples_object", "bad_target_spec", "no_target",
             "node_not_object", "tree_object", "empty_samples", "empty_families",
+            "full_target", "full_sample",
         ],
     )
     def test_tree_error_names_json_path(self, tmp_path, capsys, tree, message):
         cfg = write_config(tmp_path, dict(PURIFY_CONFIG, tree=tree))
         assert main(["purify", "--config", str(cfg)]) == 2
         assert f"bad purify config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message", STAGE_ERRORS, ids=["depth", "leaf_paths"]
+    )
+    def test_stage_rule_exits_2(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, **overrides))
+        assert main(["purify", "--config", str(cfg)]) == 2
+        assert f"bad purify config: {message}" in capsys.readouterr().err
+
+    def test_gamma_override_is_the_stage_gamma(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, gammas=["1/8"]))
+        out = tmp_path / "report.json"
+        assert main(["purify", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["stages"][0]["gamma"] == "1/8"
+        capsys.readouterr()
+
+    def test_failed_nesting_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(purify, "check_nesting", lambda *a: False)
+        cfg = write_config(tmp_path, NOISY_CONFIG)
+        out = tmp_path / "report.json"
+        assert main(["purify", "--config", str(cfg), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["nesting_ok"] is False and report["ok"] is False
+        capsys.readouterr()
 
     def test_stdout_report_is_sorted_json(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -470,32 +515,46 @@ class TestAssemble:
         capsys.readouterr()
 
 
+# case -> (file text, the line the error names)
 MALFORMED_ARR = {
-    "short_file": "2 3 0\n2 4\n",
-    "short_header": "2 3 0\n2 4\n1 2 1\n1 2 3\n",
-    "missing_rows": "2 3 0 independent\n2 4\n1 2 1\n",
-    "bad_token": "1 3 0 independent\n2\n1 x 1\n",
+    "short_file": ("2 3 0\n2 4\n", 1),
+    "short_header": ("2 3 0\n2 4\n1 2 1\n1 2 3\n", 1),
+    "unknown_mode": ("1 3 0 bogus\n2\n1 2 1\n", 1),
+    "missing_rows": ("2 3 0 independent\n2 4\n1 2 1\n", 1),
+    "bad_token": ("1 3 0 independent\n2\n1 x 1\n", 3),
+    "bare_bar": ("1 3 0 independent\n2\n1 | 1\n", 3),
+    "float_token": ("1 3 0 independent\n2\n1 2.0 1\n", 3),
+    # blank lines are skipped but still counted
+    "bad_token_after_blank": ("1 3 0 independent\n\n2\n\n1 x 1\n", 5),
     # the format stores no maps, so only the canonical sizes have known maps
-    "noncanonical_sizes": "2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n",
+    "noncanonical_sizes": ("2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n", 2),
+    # no map from a smaller alphabet onto a larger one exists
+    "decreasing_sizes": ("2 3 0 independent\n4 2\n1 2 1\n1 2 1\n", 2),
 }
 
 
 class TestMalformedArr:
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARR))
     def test_verify_exits_2(self, case, tmp_path, capsys):
+        text, line = MALFORMED_ARR[case]
         p = tmp_path / "w.arr"
-        p.write_text(MALFORMED_ARR[case])
+        p.write_text(text)
         assert main(["verify", "--arr", str(p)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: bad .arr file: {p}: line {line}: " in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_ARR))
     def test_dstar_exits_2(self, case, tmp_path, capsys):
+        text, line = MALFORMED_ARR[case]
         good, bad = tmp_path / "a.arr", tmp_path / "b.arr"
         write_arr(good, lift_binary("00", 1))
-        bad.write_text(MALFORMED_ARR[case])
+        bad.write_text(text)
         rc = main(["dstar", "--a", str(good), "--b", str(bad), "--trunc", "1x2"])
         assert rc == 2
-        assert "config error" in capsys.readouterr().err
+        assert f"config error: bad .arr file: {bad}: line {line}: " in (
+            capsys.readouterr().err
+        )
 
 
 class TestVerify:
@@ -513,6 +572,12 @@ class TestVerify:
         p.write_text("1 3 0 independent\n2\n1 3 1\n")
         assert main(["verify", "--arr", str(p)]) == 1
         assert "window_valid: fail" in capsys.readouterr().out
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        p = tmp_path / "w.arr"
+        p.write_text("1 3 0 independent\n\n2\n  \n1 2 1\n\n")
+        assert main(["verify", "--arr", str(p)]) == 0
+        assert "window_valid: pass" in capsys.readouterr().out
 
     def test_missing_rows_reported(self, tmp_path, capsys):
         p = tmp_path / "w.arr"

@@ -710,6 +710,22 @@ class TestPipeline:
         with pytest.raises(SeparationViolation):
             purify_pipeline(cfg)
 
+    def test_gamma_override_reaching_half_separation(self):
+        # point masses on 0 and 1 are 3/4 apart at truncation 1x2, so a
+        # gamma below epsilon can still reach half the separation
+        cfg = config_from_dict(
+            {
+                "truncation": [1, 2], "gaps": [3], "depths": [1],
+                "epsilons": ["1"], "gammas": ["3/8"], "columns": 2000,
+                "tree": [
+                    {"target": "periodic:0", "samples": ["periodic:0"]},
+                    {"target": "periodic:1", "samples": ["periodic:1"]},
+                ],
+            }
+        )
+        with pytest.raises(SeparationViolation, match="half separation 3/4/2"):
+            purify_pipeline(cfg)
+
     def test_separation_violation_identical_targets(self):
         cfg = config_from_dict(
             {
