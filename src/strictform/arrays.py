@@ -291,7 +291,8 @@ def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
 
 def read_arr(path: str | Path):
     """Returns (window, marker positions per row or None).  Blank lines are
-    skipped.  A malformed line raises ValueError naming the file and line."""
+    skipped.  A malformed line, or any line after the K rows, raises
+    ValueError naming the file and line."""
     lines = [
         (n, line.split())
         for n, line in enumerate(Path(path).read_text().splitlines(), 1)
@@ -307,6 +308,9 @@ def read_arr(path: str | Path):
             raise ValueError(f"unknown mode {mode!r}")
         if len(lines) < 2 + rows:
             raise ValueError(f"header claims {rows} rows, found {len(lines) - 2}")
+        if len(lines) > 2 + rows:
+            n, toks = lines[2 + rows]
+            raise ValueError(f"a line after row {rows}: {' '.join(toks)!r}")
         n, toks = lines[1]
         sizes = tuple(int(s) for s in toks)
         if len(sizes) != rows:

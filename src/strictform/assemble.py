@@ -174,7 +174,7 @@ class StitchKit:
     __slots__ = ("x0", "horizon", "bases", "tabbed")
 
     def __init__(self, x0, horizon, bases, tabbed=None):
-        self.x0: LanguageOracle | None = x0
+        self.x0: LanguageOracle = x0
         self.horizon: int = horizon
         # (B^(k), l(B^(k))) for k = 1..K
         self.bases: list[tuple[Rectangle, int]] = bases
@@ -256,8 +256,6 @@ def tabbed_rectangles(
     half."""
     if l in kit.tabbed:
         return kit.tabbed[l]
-    if kit.x0 is None:
-        raise NoWitness(l)
     k = kit.level_for(l)
     B, _ = kit.bases[k - 1]
     bits = rectangle_to_binary_word(B)
@@ -278,8 +276,6 @@ def check_stitchable(
     """Every k_l x k_l sub-rectangle of the four concatenations of the tabbed
     pair must lie in the lifted language.  Returns the verdict and the
     offending sub-rectangles."""
-    if kit.x0 is None:
-        raise ValueError("kit carries no oracle to check against")
     R, Rbar = tabbed_rectangles(kit, l)
     k = R.rows
     # the distinct offending sub-rectangles, in the order first found
@@ -389,7 +385,7 @@ def reconstruct(w: ArrayWindow, k: int) -> ArrayWindow:
     )
 
 
-# --- .kit text format --------------------------------------------------------
+# --- .kit output format -----------------------------------------------------
 #
 # header: "K horizon"; per level: "level k lB" then k rows of 2k symbols;
 # per tabbed length: "tab l" then k_l rows of l symbols, "tabbar l" then
@@ -408,48 +404,3 @@ def write_kit(path: str | Path, kit: StitchKit) -> None:
         lines.append(f"tabbar {l}")
         lines.extend(" ".join(str(v) for v in row) for row in Rbar.cells)
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_kit(path: str | Path) -> StitchKit:
-    """Parse a .kit file.  A malformed line, a level count below 1, a level
-    line that is not ``level k`` with k = 1..K in order or a file that ends
-    early raises ValueError naming the line."""
-    text = Path(path).read_text().splitlines()
-    lines = ((n, l.split()) for n, l in enumerate(text, 1) if l.strip())
-    n = 1
-
-    def line() -> list[str]:
-        nonlocal n
-        n, toks = next(lines, (len(text) + 1, None))
-        if toks is None:
-            raise ValueError("the file ends early")
-        return toks
-
-    def grid(k: int) -> Rectangle:
-        return Rectangle.from_rows([[int(t) for t in line()] for _ in range(k)])
-
-    try:
-        levels, horizon = (int(t) for t in line())
-        if levels < 1:
-            raise ValueError("a kit needs at least one level")
-        bases: list[tuple[Rectangle, int]] = []
-        for k in range(1, levels + 1):
-            tag, k_s, lb_s = line()
-            if tag != "level" or int(k_s) != k:
-                raise ValueError(f"expected 'level {k} <l>', got '{tag} {k_s}'")
-            bases.append((grid(k), int(lb_s)))
-        kit = StitchKit(None, horizon, bases)
-        for n, toks in lines:
-            tag, l_s = toks
-            if tag != "tab":
-                raise ValueError(f"expected a tab line, got {tag!r}")
-            l = int(l_s)
-            k = kit.level_for(l)
-            r = grid(k)
-            tag, l_s = line()
-            if tag != "tabbar" or int(l_s) != l:
-                raise ValueError(f"expected 'tabbar {l}', got '{tag} {l_s}'")
-            kit.tabbed[l] = (r, grid(k))
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {n}: {exc}") from None
-    return kit

@@ -251,20 +251,9 @@ def build_marker_system(
     return MarkerSystem(tuple(per_row), gaps, lo, hi, balance)
 
 
-# --- .mrk text format: one line per row, space-separated absolute positions.
+# --- .mrk output: one line per row, space-separated absolute positions.
 
 
 def write_mrk(path: str | Path, ms: MarkerSystem) -> None:
     lines = [" ".join(str(p) for p in row) for row in ms.positions]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_mrk(
-    path: str | Path, gaps: Sequence[int], lo: int, hi: int
-) -> MarkerSystem:
-    rows = [
-        tuple(int(t) for t in line.split())
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
-    return MarkerSystem(tuple(rows), tuple(gaps), lo, hi)

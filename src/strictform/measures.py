@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
-from pathlib import Path
 from typing import Sequence
 
 from ._value import Value, _set
@@ -53,7 +52,7 @@ class EmpiricalMeasure(Value):
 
     @property
     def weights(self) -> dict[Rectangle, Fraction]:
-        # sorted by dimension, then by cells and flags: the .emp line order
+        # every cylinder weight, sorted by dimension, then by cells and flags
         return {
             Rectangle(key[:rows], key[rows:]): Fraction(counts[key], n)
             for (rows, _), (n, counts) in sorted(self.dims.items())
@@ -198,66 +197,3 @@ def concat(rectangles: Sequence[Rectangle]) -> Rectangle:
             row.extend(flags)
         marks.append(tuple(row))
     return Rectangle(cells, tuple(marks))
-
-
-# --- .emp text format -------------------------------------------------------
-#
-# header: "L Rw"; one line per rectangle: rows width, row-major symbols,
-# marker bitmask (row-major bits, least significant first), weight p/q.
-
-
-def write_emp(path: str | Path, m: EmpiricalMeasure) -> None:
-    lines = [f"{m.truncation[0]} {m.truncation[1]}"]
-    for q, w in m.weights.items():
-        syms = " ".join(str(v) for row in q.cells for v in row)
-        mask = 0
-        for i, flag in enumerate(f for row in q.marks for f in row):
-            if flag:
-                mask |= 1 << i
-        lines.append(
-            f"{q.rows} {q.width} {syms} {mask} {w.numerator}/{w.denominator}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_emp(path: str | Path) -> EmpiricalMeasure:
-    """Parse a .emp file.  A malformed line, a truncation below 1, a negative
-    weight, a rectangle beyond the truncation or a dimension of it whose
-    weights do not sum to one raises ValueError naming the line."""
-    lines = [
-        (n, line.split())
-        for n, line in enumerate(Path(path).read_text().splitlines(), 1)
-        if line.strip()
-    ]
-    n, head = lines[0] if lines else (1, [])
-    try:
-        max_rows, max_width = (int(t) for t in head)
-        if max_rows < 1 or max_width < 1:
-            raise ValueError("truncation must be positive in both dimensions")
-        grid = product(range(1, max_rows + 1), range(1, max_width + 1))
-        dims = {dim: (1, {}) for dim in grid}
-        for n, toks in lines[1:]:
-            rows, width = (int(t) for t in toks[:2])
-            if (rows, width) not in dims:
-                raise ValueError(f"a {rows}x{width} rectangle is beyond the truncation")
-            if len(toks) != (need := 4 + rows * width):
-                raise ValueError(f"expected {need} tokens, got {len(toks)}")
-            mask = int(toks[-2])
-            num, den = (int(t) for t in toks[-1].split("/"))
-            if den == 0:
-                raise ValueError("weight has a zero denominator")
-            if num < 0 or den < 0:
-                raise ValueError(f"weight {num}/{den} has a negative term")
-            syms = [int(t) for t in toks[2:-2]]
-            flags = [bool(mask >> j & 1) for j in range(rows * width)]
-            spans = [slice(i * width, (i + 1) * width) for i in range(rows)]
-            q = Rectangle.from_rows([syms[s] for s in spans], [flags[s] for s in spans])
-            dims[rows, width][1][q.cells + q.marks] = Fraction(num, den)
-        n = lines[0][0]
-        for (rows, width), (_, counts) in dims.items():
-            total = sum(counts.values())
-            if total != 1:
-                raise ValueError(f"the {rows}x{width} weights sum to {total}, not 1")
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {n}: {exc}") from None
-    return EmpiricalMeasure((max_rows, max_width), dims)

@@ -21,7 +21,13 @@ from .arrays import (
     window_to_rectangle,
 )
 from .generators import GeneratorSpec, parse_spec
-from .markers import MarkerSystem, build_marker_system, check_two_gaps
+from .markers import (
+    MarkerSystem,
+    NoDecomposition,
+    build_marker_system,
+    check_two_gaps,
+    decompose_gap,
+)
 from .measures import (
     EmpiricalMeasure,
     Truncation,
@@ -192,8 +198,13 @@ class PurifyConfig(Value):
         # good means a distance below gamma, and no distance is below 0
         if gammas and min(gammas) <= 0:
             raise ValueError("gammas must be positive")
-        if columns < 1:
-            raise ValueError("columns must be at least 1")
+        if min(gaps) < 2:
+            raise ValueError("gaps must be at least 2")
+        # the top marker row splits the columns into gaps of l_K and l_K + 1
+        try:
+            decompose_gap(columns, gaps[-1])
+        except NoDecomposition as exc:
+            raise ValueError(f"columns: {exc}") from None
         # a first-stage rectangle has depths[0] rows and width l or l + 1
         if truncation[0] > depths[0] or truncation[1] > gaps[depths[0] - 1]:
             raise ValueError(

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 
 import pytest
@@ -24,12 +23,10 @@ from strictform.assemble import (
     embed_aperiodic,
     embed_periodic,
     lifted_contains,
-    read_kit,
     reconstruct,
     rectangle_to_binary_word,
     tabbed_rectangles,
     transition_length,
-    write_kit,
     _to_bits,
     _to_oracle_word,
     _witness,
@@ -483,71 +480,3 @@ class TestReconstruct:
     def test_needs_row_above(self):
         with pytest.raises(ValueError):
             reconstruct(lift_binary("0110", 1), 1)
-
-
-class TestKitFormat:
-    def test_roundtrip(self, tmp_path, fs_kit):
-        tabbed_rectangles(fs_kit, 2)
-        tabbed_rectangles(fs_kit, 4)
-        p = tmp_path / "fs.kit"
-        write_kit(p, fs_kit)
-        back = read_kit(p)
-        assert back.horizon == fs_kit.horizon
-        assert [(B.cells, lb) for B, lb in back.bases] == [
-            (B.cells, lb) for B, lb in fs_kit.bases
-        ]
-        assert back.l_sequence == fs_kit.l_sequence
-        for l in (2, 4):
-            assert back.tabbed[l][0].cells == fs_kit.tabbed[l][0].cells
-            assert back.tabbed[l][1].cells == fs_kit.tabbed[l][1].cells
-
-    def test_read_kit_carries_no_oracle(self, tmp_path, fs_kit):
-        p = tmp_path / "fs.kit"
-        write_kit(p, fs_kit)
-        back = read_kit(p)
-        with pytest.raises(NoWitness):
-            tabbed_rectangles(back, 7)  # any length not stored in the file
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("", 1),
-            ("1\n", 1),
-            ("0 10\n", 1),
-            ("1 10\nlevel 1 3\n", 3),
-            ("1 10\nlevel 1\n1 2 1\n", 2),
-            ("1 10\nlevel 0 3\n", 2),
-            ("1 10\nlevel 1 3\n1 x 1\n", 3),
-            ("1 10\nlevel 1 3\n1 2 1\ntab 4\n1 2 1 2\n", 6),
-            ("1 10\nlevel 1 3\n1 2 1\ntab 1\n1\ntabbar 1\n2\n", 4),
-            ("1 10\nlevel 1 3\n1 2 1\ntab 4 5\n", 4),
-            ("1 10\nfoo 1 3\n1 2 1\n", 2),
-            ("1 10\nlevel 2 3\n1 2 1\n1 2 1\n", 2),
-            ("2 10\nlevel 1 3\n1 2 1\nlevel 1 3\n1 2 1\n", 4),
-        ],
-        ids=[
-            "empty", "short_header", "no_levels", "cut_in_level",
-            "short_level_line", "zero_rows", "bad_symbol", "cut_in_tab",
-            "tab_below_l1", "long_tab_line", "bad_level_tag",
-            "level_index_skips", "level_index_repeats",
-        ],
-    )
-    def test_malformed_rejected(self, tmp_path, text, line):
-        # a ValueError naming the line, not an IndexError
-        p = tmp_path / "bad.kit"
-        p.write_text(text)
-        prefix = re.escape(f"{p}: line {line}: ")
-        with pytest.raises(ValueError, match=f"^{prefix}"):
-            read_kit(p)
-
-    @pytest.mark.parametrize(
-        "old, new", [("tab 2", "tub 2"), ("tabbar 2", "tabbar 4")]
-    )
-    def test_bad_tab_tag_rejected(self, tmp_path, fs_kit, old, new):
-        # a ValueError, not an assert that python -O strips
-        tabbed_rectangles(fs_kit, 2)
-        p = tmp_path / "fs.kit"
-        write_kit(p, fs_kit)
-        p.write_text(p.read_text().replace(old + "\n", new + "\n"))
-        with pytest.raises(ValueError, match="expected"):
-            read_kit(p)

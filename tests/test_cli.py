@@ -60,12 +60,16 @@ MALFORMED_FIELDS = [
     ("tree", [{"target": "periodic:0", "samples": {"periodic:0": 1}}]),
     ("tree", [{"target": "periodic:0", "samples": ["periodic:0", 5]}]),
     ("tree", [{"families": {}}, *PURIFY_CONFIG["tree"]]),
-    # values no run can use: nothing is good with gamma <= 0, and no marker
-    # hierarchy fits fewer than one column
+    # values no run can use: nothing is good with gamma <= 0, and no top
+    # marker row splits a column count that is not a*3 + b*4 with a, b >= 1
     ("gammas", ["0"]),
     ("gammas", ["-1/8"]),
     ("columns", 0),
     ("columns", -5),
+    ("columns", 1),
+    ("columns", 5),
+    # no marker row has gaps of length 1 and 2
+    ("gaps", [3, 1]),
 ]
 
 _LEAVES = PURIFY_CONFIG["tree"]
@@ -358,6 +362,12 @@ class TestPurify:
         assert main(["purify", "--config", str(cfg)]) == 2
         assert f"bad purify config: {message}" in capsys.readouterr().err
 
+    def test_smallest_splittable_columns_runs(self, tmp_path, capsys):
+        # 7 = 3 + 4 passes validation, so a failure comes from the run
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, columns=7))
+        assert main(["purify", "--config", str(cfg)]) == 1
+        assert "invariant failure: no good rectangle" in capsys.readouterr().err
+
     def test_gamma_override_is_the_stage_gamma(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(PURIFY_CONFIG, gammas=["1/8"]))
         out = tmp_path / "report.json"
@@ -530,6 +540,8 @@ MALFORMED_ARR = {
     "noncanonical_sizes": ("2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n", 2),
     # no map from a smaller alphabet onto a larger one exists
     "decreasing_sizes": ("2 3 0 independent\n4 2\n1 2 1\n1 2 1\n", 2),
+    # the error names the first line after the K rows
+    "extra_line": ("1 3 0 independent\n2\n1 2 1\njunk here\n", 4),
 }
 
 

@@ -2,7 +2,8 @@
 
 Each case runs one small CLI job in-process and compares its exit code and
 the SHA-256 of its report file (of stdout for `dstar`) with those recorded
-before the purify, markers, generator, lag-search and measure refactors.  A
+before the purify, markers, generator, lag-search and measure refactors.
+Two cases also hash the `.mrk` or `.kit` file that their `--out` writes.  A
 refactor that changes any report byte (a verdict, a census, a fraction, a
 key) fails here, so update a hash only for a deliberate change of behaviour.
 """
@@ -85,6 +86,15 @@ GOLDEN = {
     ),
 }
 
+# case -> SHA-256 of the file its --out flag writes (.mrk or .kit), which
+# no command reads back
+OUT_GOLDEN = {
+    "markers":
+        "58bd413465cb3aa928cd2875a60a061cae0ab6135216784be709517309129140",
+    "assemble-chacon-2-300":
+        "263518980c49ffe29d1596bf5965efc742b46e627640f6cdd1994de5cbfed905",
+}
+
 _CLI_ARGV = {
     "assemble-chacon": [
         "assemble", "--oracle", "chacon", "--levels", "1",
@@ -127,12 +137,20 @@ def _argv(case: str, tmp_path) -> list[str]:
     return _CLI_ARGV[case]
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_report_bytes_unchanged(case, tmp_path):
     out = tmp_path / "report.json"
-    code = main(_argv(case, tmp_path) + [str(out)])
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert (code, digest) == GOLDEN[case]
+    argv = _argv(case, tmp_path) + [str(out)]
+    if case in OUT_GOLDEN:
+        argv += ["--out", str(tmp_path / "out")]
+    code = main(argv)
+    assert (code, _sha256(out)) == GOLDEN[case]
+    if case in OUT_GOLDEN:
+        assert _sha256(tmp_path / "out") == OUT_GOLDEN[case]
 
 
 # two fixed 2-row windows for the dstar command, which prints to stdout

@@ -14,8 +14,6 @@ from strictform.markers import (
     check_congruency,
     check_two_gaps,
     decompose_gap,
-    read_mrk,
-    write_mrk,
 )
 
 
@@ -532,12 +530,3 @@ class TestBuildMarkerSystem:
         for k in range(1, ms.row_count + 1):
             assert check_two_gaps(ms, k)
             assert check_balanced(ms, k, ms.balance_windows[k - 1])
-
-
-class TestMrkFormat:
-    def test_roundtrip(self, tmp_path):
-        ms = build_marker_system(200, 0, (3,))
-        p = tmp_path / "m.mrk"
-        write_mrk(p, ms)
-        back = read_mrk(p, ms.gaps, ms.lo, ms.hi)
-        assert back.positions == ms.positions

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.measures import (
@@ -12,8 +12,6 @@ from strictform.measures import (
     frequency,
     mixture,
     point_mass,
-    read_emp,
-    write_emp,
 )
 
 F = Fraction
@@ -250,24 +248,6 @@ class TestDstarDifferential:
         for ma, mb in [(left, right), (left, ms[0]), (ms[-1], right)]:
             assert dstar(ma, mb, t).value == reference_dstar(ma, mb)
 
-    @settings(
-        max_examples=100,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(counted_measures(), st.data())
-    def test_emp_roundtrips(self, tmp_path, ms, data):
-        t = ms[0].truncation
-        mix = mixture(ms, data.draw(lambdas(len(ms))))
-        parsed = []
-        for i, m in enumerate([ms[0], ms[1], mix]):
-            write_emp(tmp_path / f"{i}.emp", m)
-            parsed.append(read_emp(tmp_path / f"{i}.emp"))
-        for ma in parsed:
-            for mb in parsed + ms:
-                assert dstar(ma, mb, t).value == reference_dstar(ma, mb)
-                assert dstar(mb, ma, t).value == reference_dstar(ma, mb)
-
 
 class TestMixture:
     def test_single(self):
@@ -347,49 +327,3 @@ class TestCesaroSpread:
     def test_too_short(self):
         with pytest.raises(ValueError):
             cesaro_spread("121", "1", 2)
-
-
-class TestEmpFormat:
-    def test_roundtrip(self, tmp_path):
-        w = lift_binary("0100110", 2)
-        m = empirical_measure(window_to_rectangle(w), (2, 2))
-        p = tmp_path / "m.emp"
-        write_emp(p, m)
-        back = read_emp(p)
-        assert back.truncation == m.truncation
-        assert dict(back.weights) == dict(m.weights)
-
-    def test_roundtrip_with_flags(self, tmp_path):
-        r = concat([rect("12"), rect("21")])
-        m = empirical_measure(r, (1, 2))
-        p = tmp_path / "m.emp"
-        write_emp(p, m)
-        assert dict(read_emp(p).weights) == dict(m.weights)
-
-    @pytest.mark.parametrize(
-        "text, line",
-        [
-            ("", 1),
-            ("1 2\n1 2 1 2 0\n", 2),
-            ("1 2\n1 1 1 0 1/2\n\n1 1 2 0 1/0\n", 4),
-            ("1 2\n1 1 1 0 1/2 7\n", 2),
-            ("1 1\n1 1 1 0 1/1\n2 1 1 1 0 1/8\n", 3),
-            ("1 2\n1 1 1 0 1/2\n1 1 2 0 1/2\n", 1),
-            ("1 1\n\n1 1 1 0 1/2\n1 1 2 0 1/3\n", 1),
-            ("1 1\n", 1),
-            ("1 1\n1 1 1 0 3/1\n1 1 2 0 -2/1\n", 3),
-            ("0 3\n", 1),
-            ("2 0\n", 1),
-        ],
-        ids=[
-            "empty", "too_few_tokens", "zero_denominator", "extra_tokens",
-            "beyond_truncation", "missing_dimension",
-            "sum_not_one", "no_rectangles", "negative_weight",
-            "no_rows", "no_width",
-        ],
-    )
-    def test_malformed_rejected(self, tmp_path, text, line):
-        p = tmp_path / "bad.emp"
-        p.write_text(text)
-        with pytest.raises(ValueError, match=rf"bad\.emp: line {line}: "):
-            read_emp(p)

@@ -249,7 +249,8 @@ def test_other_class_with_equal_fields_is_unequal():
 
 
 def test_mutable_classes_get_fresh_defaults():
-    a, b = StitchKit(None, 8, []), StitchKit(None, 8, [])
+    x0 = full_shift_oracle(2)
+    a, b = StitchKit(x0, 8, []), StitchKit(x0, 8, [])
     a.tabbed[3] = None
     assert b.tabbed == {}
     a.horizon = 9
