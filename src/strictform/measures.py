@@ -135,17 +135,7 @@ def dstar(
 ) -> TruncatedDistance:
     """Sum over dimensions (l, r) of 2^(-l-r) times the L1 distance between
     the two weight vectors of that dimension, cut at the truncation."""
-    ma = _as_measure(a, truncation)
-    mb = _as_measure(b, truncation)
-    # the sum is kept as num / den, unreduced, so one Fraction is built per
-    # call; num and den are ints unless a measure holds fractional counts
-    num, den = 0, 1
-    for (rows, width), (na, ca) in ma.dims.items():
-        nb, cb = mb.dims[rows, width]
-        # na * nb times the L1 distance of this dimension, in integers
-        diff = sum(abs(ca.get(k, 0) * nb - cb.get(k, 0) * na) for k in {*ca, *cb})
-        d = na * nb << (rows + width)
-        num, den = num * d + diff * den, den * d
+    num, den = _l1_sum(_as_measure(a, truncation), _as_measure(b, truncation))
     # the omitted tail: 2 (1 - (1 - 2^-R) (1 - 2^-W)) as one fraction
     max_rows, max_width = truncation
     whole = 1 << (max_rows + max_width)
@@ -153,6 +143,22 @@ def dstar(
     return TruncatedDistance(
         Fraction(num, den), Fraction(2 * (whole - covered), whole)
     )
+
+
+def _l1_sum(
+    ma: EmpiricalMeasure, mb: EmpiricalMeasure
+) -> tuple[int | Fraction, int | Fraction]:
+    """The truncated distance of two measures of one truncation as an
+    unreduced ``(num, den)`` with den > 0, so no Fraction is built; num and
+    den are ints unless a measure holds fractional counts."""
+    num, den = 0, 1
+    for (rows, width), (na, ca) in ma.dims.items():
+        nb, cb = mb.dims[rows, width]
+        # na * nb times the L1 distance of this dimension, in integers
+        diff = sum(abs(ca.get(k, 0) * nb - cb.get(k, 0) * na) for k in {*ca, *cb})
+        d = na * nb << (rows + width)
+        num, den = num * d + diff * den, den * d
+    return num, den
 
 
 def mixture(

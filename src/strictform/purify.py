@@ -15,7 +15,6 @@ from ._value import Value, _set
 from .arrays import (
     ArrayWindow,
     Rectangle,
-    extract_rectangle,
     lift_binary,
     replace_cells,
     window_to_rectangle,
@@ -31,6 +30,7 @@ from .markers import (
 from .measures import (
     EmpiricalMeasure,
     Truncation,
+    _l1_sum,
     dstar,
     empirical_measure,
 )
@@ -77,14 +77,20 @@ class TargetFamily(Value):
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
-    """Good iff the truncated distance to some member is below gamma."""
-    trunc = family.truncation
-    bare = empirical_measure(rect.without_marks(), trunc)
-    near = any(
-        dstar(bare, member, trunc).value < family.gamma
-        for member in family.members
-    )
-    return GOOD if near else BAD
+    """Good iff the truncated distance to some member is below gamma.
+
+    With the distance d to a member as the unreduced ``num / den`` of
+    ``measures._l1_sum`` (den > 0) and gamma = g / h in lowest terms
+    (h > 0), d < gamma iff ``num * h < g * den``: the test is exact, and no
+    Fraction or TruncatedDistance is built per member.
+    """
+    g, h = family.gamma.numerator, family.gamma.denominator
+    bare = empirical_measure(rect.without_marks(), family.truncation)
+    for member in family.members:
+        num, den = _l1_sum(bare, member)
+        if num * h < g * den:
+            return GOOD
+    return BAD
 
 
 # a k-rectangle with its left row-k marker p: it covers columns p+1..p+width
@@ -96,17 +102,45 @@ def extract_k_rectangles(
 ) -> list[Gap]:
     """All blocks of rows 1..k between consecutive row-k markers, each as
     ``(p, rect)`` with p its left marker, with the finer-row markers embedded
-    as flags."""
+    as flags.
+
+    Each row's cuts are read once into a window-long ``bytes`` row of flags,
+    and every gap is sliced out of the cell and flag rows.  Equal gaps share
+    one Rectangle, built the first time its cells and flags are seen.
+    """
     if not 1 <= k <= ms.row_count:
         raise InvalidMarkers(f"marker system has no row {k}")
     # every gap of row k, so every gap cut out below, has length l or l+1
     if not check_two_gaps(ms, k):
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    ps = ms.cuts(k, w.origin, w.columns)
-    return [
-        (p, extract_rectangle(w, k, p + 1, q, ms))
-        for p, q in zip(ps, ps[1:])
-    ]
+    origin, columns = w.origin, w.columns
+    flag_rows = []
+    for j in range(1, k + 1):
+        # row k's cuts, read last, are also the gap bounds
+        ps = ms.cuts(j, origin, columns)
+        flags = bytearray(columns)
+        for p in ps:
+            flags[p - origin] = 1
+        flag_rows.append(bytes(flags))
+    cell_rows = w.cells[:k]
+    rects: dict[tuple, Rectangle] = {}
+    gaps = []
+    for p, q in zip(ps, ps[1:]):
+        a, b = p + 1 - origin, q + 1 - origin
+        key = (
+            tuple(row[a:b] for row in cell_rows),
+            tuple(row[a:b] for row in flag_rows),
+        )
+        rect = rects.get(key)
+        if rect is None:
+            cells, flags = key
+            # each flag row is built from a list: from the bare map, tuple()
+            # grows and shrinks its result, and the traced heap peak of a
+            # purify-noisy pipeline was 66 KB higher
+            marks = tuple(tuple([*map(bool, row)]) for row in flags)
+            rect = rects[key] = Rectangle(cells, marks)
+        gaps.append((p, rect))
+    return gaps
 
 
 def select_tabbed(

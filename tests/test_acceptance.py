@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
+from strictform.arrays import Rectangle, lift_binary
 from strictform.assemble import (
     PeriodSpec,
     build_stitch_kit,

@@ -15,7 +15,6 @@ from strictform.assemble import (
     NotFoundWithinHorizon,
     NoWitness,
     PeriodSpec,
-    StitchKit,
     build_stitch_kit,
     check_stitchable,
     convergence_check,

@@ -6,8 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictform.generators import (
-    CHACON_RULES,
-    GeneratorSpec,
     HorizonExhausted,
     _splitmix64,
     bernoulli_window,

@@ -11,16 +11,21 @@ from hypothesis import given, settings, strategies as st
 import strictform.purify as purify
 
 from strictform.arrays import (
+    INDEPENDENT,
+    AmalgamationChain,
+    ArrayWindow,
     Rectangle,
+    extract_rectangle,
     lift_binary,
     replace_cells,
     window_to_rectangle,
 )
-from strictform.markers import MarkerSystem, build_marker_system
-from strictform.measures import dstar, empirical_measure, point_mass
+from strictform.markers import MarkerSystem, check_two_gaps
+from strictform.measures import dstar, empirical_measure, mixture, point_mass
 from strictform.purify import (
     GOOD,
     BAD,
+    InvalidMarkers,
     MissingLength,
     PurifyConfig,
     SeparationViolation,
@@ -48,6 +53,20 @@ def reference_classify(rect, family):
         if dstar(bare, member, family.truncation).value < family.gamma:
             return GOOD
     return BAD
+
+
+def reference_extract_k_rectangles(w, ms, k):
+    """extract_k_rectangles as first written, one extract_rectangle (and one
+    marker search per finer row) per gap: the reference."""
+    if not 1 <= k <= ms.row_count:
+        raise InvalidMarkers(f"marker system has no row {k}")
+    if not check_two_gaps(ms, k):
+        raise InvalidMarkers(f"row {k} gaps are not two-sized")
+    ps = ms.cuts(k, w.origin, w.columns)
+    return [
+        (p, extract_rectangle(w, k, p + 1, q, ms))
+        for p, q in zip(ps, ps[1:])
+    ]
 
 
 def reference_replace_bad(w, ms, k, family, tabbed):
@@ -228,6 +247,82 @@ class TestExtractKRectangles:
         assert rect.marks[0] == (False, False, True, False, False, False, True)
 
 
+@st.composite
+def extraction_cases(draw):
+    """A window of 1-3 rows over {1, 2} at a non-zero origin, with a
+    hand-built marker system: row k runs in steps of l or l + 1 from near
+    the window's left end, and every other row holds any markers around the
+    window, so flags fall inside, on and outside the gaps."""
+    rows = draw(st.integers(1, 3))
+    k = draw(st.integers(1, rows))
+    origin = draw(st.integers(-20, 20).filter(bool))
+    columns = draw(st.integers(1, 30))
+    cells = tuple(
+        tuple(draw(st.lists(st.integers(1, 2), min_size=columns,
+                            max_size=columns)))
+        for _ in range(rows)
+    )
+    w = ArrayWindow(
+        AmalgamationChain.canonical(rows), origin, cells, INDEPENDENT
+    )
+    l = draw(st.integers(2, 4))
+    steps = draw(st.lists(st.sampled_from([l, l + 1]), max_size=12))
+    start = origin + draw(st.integers(-3, 3))
+    row_k = [start]
+    for step in steps:
+        row_k.append(row_k[-1] + step)
+    positions, gaps = [], []
+    for j in range(1, rows + 1):
+        if j == k:
+            positions.append(tuple(row_k))
+            gaps.append(l)
+        else:
+            around = st.integers(origin - 3, origin + columns + 3)
+            positions.append(tuple(sorted(draw(st.sets(around, max_size=12)))))
+            gaps.append(draw(st.integers(2, 4)))
+    ms = MarkerSystem(
+        tuple(positions), tuple(gaps), origin - 3, origin + columns + 3
+    )
+    return w, ms, k
+
+
+class TestExtractKRectanglesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(extraction_cases())
+    def test_matches_reference(self, case):
+        w, ms, k = case
+        got = extract_k_rectangles(w, ms, k)
+        assert got == reference_extract_k_rectangles(w, ms, k)
+        first = {}
+        for _, rect in got:
+            # equal values of the same types: flags are bools, not bytes
+            assert all(type(row) is tuple for row in rect.cells + rect.marks)
+            assert all(type(f) is bool for row in rect.marks for f in row)
+            # and equal gaps are one object
+            assert first.setdefault(rect, rect) is rect
+
+    def test_equal_gaps_are_one_object(self):
+        # from origin 4, rows 1 and 2 read 2 1211 1211 and 4 1311 1311; the
+        # two 4-gaps of row 2 hold the same cells and row-1 flags
+        w = ArrayWindow(
+            AmalgamationChain.canonical(2), 4,
+            ((2, 1, 2, 1, 1, 1, 2, 1, 1), (4, 1, 3, 1, 1, 1, 3, 1, 1)),
+            INDEPENDENT,
+        )
+        ms = MarkerSystem(((4, 6, 8, 10, 12), (4, 8, 12)), (2, 4), 4, 12)
+        (p, a), (q, b) = extract_k_rectangles(w, ms, 2)
+        assert (p, q) == (4, 8)
+        assert a is b
+        assert a.cells == ((1, 2, 1, 1), (1, 3, 1, 1))
+        assert a.marks == ((False, True, False, True), (False, False, False, True))
+
+    def test_window_with_fewer_rows_rejected(self):
+        w = lift_binary("0100101", 1)
+        ms = MarkerSystem(((0, 3, 6), (0, 6)), (3, 6), 0, 6)
+        with pytest.raises(ValueError):
+            extract_k_rectangles(w, ms, 2)
+
+
 class TestClassify:
     def test_exact_match_good(self):
         fam = point_family(1, F(3, 10))
@@ -298,6 +393,66 @@ def family_and_calls(draw):
     family = TargetFamily((1,), members, gamma)
     calls = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     return family, pool + calls
+
+
+@st.composite
+def integer_classify_cases(draw):
+    """A family of 1-3 members, each the measure of a grid or a mixture of
+    two with fractional counts, a pool of marked and unmarked rectangles,
+    and a gamma at, or just around, one rectangle's distance to one member,
+    so the strict-< boundary is hit."""
+    rows, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    trunc = (rows, width)
+
+    def measure():
+        grid = draw(_grids(rows, width, 8))
+        return empirical_measure(Rectangle.from_rows(grid), trunc)
+
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            lam = F(draw(st.integers(1, 6)), 7)
+            members.append(mixture([measure(), measure()], [lam, 1 - lam]))
+        else:
+            members.append(measure())
+    pool = []
+    for grid in draw(st.lists(_grids(rows, width, 5), min_size=1, max_size=4)):
+        flags = [[c == len(row) - 1 for c in range(len(row))] for row in grid]
+        pool += [Rectangle.from_rows(grid), Rectangle.from_rows(grid, flags)]
+    at = draw(
+        st.sampled_from([dstar(r, m, trunc).value for r in pool for m in members])
+    )
+    gamma = at + draw(st.sampled_from([F(0), F(0), F(1, 997), F(-1, 997)]))
+    return TargetFamily((1,), tuple(members), gamma), pool
+
+
+class TestClassifyIntegers:
+    @settings(max_examples=200, deadline=None)
+    @given(integer_classify_cases())
+    def test_matches_fraction_comparison(self, case):
+        family, pool = case
+        trunc = family.truncation
+        for rect in pool:
+            bare = rect.without_marks()
+            near = any(
+                dstar(bare, m, trunc).value < family.gamma
+                for m in family.members
+            )
+            assert classify(rect, family) == (GOOD if near else BAD)
+
+    def test_mixture_boundary(self):
+        # d*("1112", (delta_1 + delta_2) / 2) is exactly gamma: not below it
+        t = (1, 2)
+        mix = mixture(
+            [point_mass(Rectangle.from_word("1"), t),
+             point_mass(Rectangle.from_word("2"), t)],
+            [F(1, 2), F(1, 2)],
+        )
+        rect = Rectangle.from_word("1112")
+        d = dstar(rect, mix, t).value
+        assert classify(rect, TargetFamily((1,), (mix,), d)) == BAD
+        nudged = TargetFamily((1,), (mix,), d + F(1, 10**9))
+        assert classify(rect, nudged) == GOOD
 
 
 class TestClassifyMemo:

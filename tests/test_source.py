@@ -51,10 +51,14 @@ def _unused_imports(tree):
     return {name: line for name, line in imported.items() if name not in used}
 
 
+TESTS = Path(__file__).parent
+
+
 def test_no_unused_imports():
+    # the tests too: a name a test imports and never uses is dead weight
     found = [
-        f"{path.name}:{line} {name}"
-        for path in sorted(SRC.glob("*.py"))
+        f"{path.parent.name}/{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
         for name, line in _unused_imports(ast.parse(path.read_text())).items()
     ]
     assert found == []
