@@ -167,7 +167,7 @@ class Rectangle(Value):
     ) -> "Rectangle":
         cells = tuple(tuple(r) for r in rows)
         if marks is None:
-            flat = tuple(tuple(False for _ in r) for r in cells)
+            flat = tuple((False,) * len(r) for r in cells)
         else:
             flat = tuple(tuple(bool(v) for v in r) for r in marks)
         return cls(cells, flat)

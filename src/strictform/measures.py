@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, product, repeat
 from typing import Sequence
 
 from ._value import Value, _set
@@ -64,14 +64,21 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
     # one slab per horizontal offset: each row's width-wide windows, zipped
     # across the cell and flag rows, counted as raw ``cells + marks`` tuples
     # in one lazy pass (building the column tuples first measured slower and
-    # larger); these tuples are the keys an EmpiricalMeasure stores.
+    # larger); these tuples are the keys an EmpiricalMeasure stores.  A flag
+    # row with no flag set has the same all-False window at every offset, so
+    # that window is repeated, not sliced out of the row.
     # The iterators are unpacked from lists, not generators: unpacking a
     # generator builds a resized tuple, and freeing it grew CPython's tuple
     # free list by one per call until it held 2,000 tuples (about 90 KB)
     # for the rest of a purify run.
     windows = [
         zip(*[islice(row, i, None) for i in range(width)])
-        for row in r.cells[:rows] + r.marks[:rows]
+        for row in r.cells[:rows]
+    ] + [
+        zip(*[islice(row, i, None) for i in range(width)])
+        if any(row)
+        else repeat((False,) * width)
+        for row in r.marks[:rows]
     ]
     return Counter(zip(*windows))
 
@@ -79,16 +86,42 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
 def empirical_measure(
     r: Rectangle, truncation: Truncation
 ) -> EmpiricalMeasure:
-    """Weights(q) = frequency(r, q) for every q within the truncation."""
+    """Weights(q) = frequency(r, q) for every q within the truncation.
+
+    One slab pass counts the full truncation (R, W); every other dimension
+    (rows, width) is derived from it.  The slab of (rows, width) at offset i
+    is the top slab at offset i cut to its first ``rows`` cell and flag rows
+    and their first ``width`` columns, so each distinct top key is projected
+    and its count added; only the W - width offsets past the last full-width
+    slab are counted directly.  The projection loop runs over distinct top
+    keys, at most min(n - W + 1, |A|^(R*W)) of them, for n = r.width and A
+    the symbol-and-flag pairs of r.  A projected key first appears at the
+    offset of the first top key that projects to it, so keys, counts and
+    the insertion order of ``dims`` and of each Counter are those of a
+    separate pass per dimension.
+    """
     max_rows, max_width = truncation
     if max_rows < 1 or max_width < 1:
         raise ValueError("truncation must be positive in both dimensions")
     if r.rows < max_rows or r.width < max_width:
         raise ValueError("rectangle smaller than the requested truncation")
-    dims = {
-        (rows, width): (r.width - width + 1, _slab_counts(r, rows, width))
-        for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1))
-    }
+    n = r.width
+    top = _slab_counts(r, max_rows, max_width)
+    dims = {}
+    for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1)):
+        if rows == max_rows and width == max_width:
+            counts = top
+        else:
+            counts = Counter()
+            for key, c in top.items():
+                part = key[:rows] + key[max_rows : max_rows + rows]
+                counts[tuple([x[:width] for x in part])] += c
+            slab_rows = r.cells[:rows] + r.marks[:rows]
+            counts.update(
+                tuple([row[i : i + width] for row in slab_rows])
+                for i in range(n - max_width + 1, n - width + 1)
+            )
+        dims[rows, width] = (n - width + 1, counts)
     return EmpiricalMeasure(truncation, dims)
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
+from strictform.generators import bernoulli_window
 from strictform.measures import (
     TruncationMismatch,
     concat,
@@ -115,6 +119,84 @@ class TestSlabCounterDifferential:
         assert frequency(r, other) == reference_frequency(r, other)
         absent = Rectangle(tuple((9,) + row[1:] for row in q.cells), q.marks)
         assert frequency(r, absent) == reference_frequency(r, absent) == 0
+
+
+def reference_empirical_measure(r, truncation):
+    # the body empirical_measure had before it derived the smaller
+    # dimensions from the top one: a slab pass per dimension, in which every
+    # flag row is sliced
+    max_rows, max_width = truncation
+    dims = {}
+    for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1)):
+        windows = [
+            zip(*[islice(row, i, None) for i in range(width)])
+            for row in r.cells[:rows] + r.marks[:rows]
+        ]
+        dims[rows, width] = (r.width - width + 1, Counter(zip(*windows)))
+    return dims
+
+
+@st.composite
+def wide_rectangles(draw):
+    # 1-3 rows, widths 1-40, symbols 1-3; about half the draws carry no
+    # marker flag, as every measure purify takes, and the rest random flags
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+
+    def grid(values):
+        row = st.lists(values, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    cells = grid(st.integers(1, 3))
+    return Rectangle.from_rows(
+        cells, grid(st.booleans()) if draw(st.booleans()) else None
+    )
+
+
+class TestDerivedDimensionsDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_rectangles(), st.data())
+    def test_measure_matches_reference(self, r, data):
+        t = (
+            data.draw(st.integers(1, r.rows)),
+            data.draw(st.integers(1, min(r.width, 5))),
+        )
+        dims = empirical_measure(r, t).dims
+        ref = reference_empirical_measure(r, t)
+        assert dims == ref
+        # the same insertion order, of the dimensions and of every Counter
+        assert list(dims) == list(ref)
+        for dim, (n, counts) in dims.items():
+            assert n == ref[dim][0]
+            assert list(counts) == list(ref[dim][1])
+            assert all(type(c) is int for c in counts.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(marked_rectangles(), st.data())
+    def test_frequency_on_unflagged_rows(self, marked, data):
+        # an unflagged host repeats its all-False flag windows
+        r = marked.without_marks()
+        rows = data.draw(st.integers(1, r.rows))
+        width = data.draw(st.integers(1, r.width))
+        col = data.draw(st.integers(0, r.width - width))
+        q = r.sub(rows, col, width)
+        assert frequency(r, q) == reference_frequency(r, q) > 0
+        flagged = marked.sub(rows, col, width)
+        assert frequency(r, flagged) == reference_frequency(r, flagged)
+
+    def test_heap_peak_of_a_purify_window(self):
+        # one measure of a 5,187-column lifted window at 2x3 reads about
+        # 5 KB of traced heap; a column-first counter read 222 KB.  The
+        # untraced first call leaves no lazy set-up to the traced one.
+        r = window_to_rectangle(lift_binary(bernoulli_window(F(1, 2), 1, 5188), 2))
+        empirical_measure(r, (2, 3))
+        tracemalloc.start()
+        try:
+            empirical_measure(r, (2, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.width == 5187
+        assert peak < 16 * 1024
 
 
 class TestEmpiricalMeasure:
