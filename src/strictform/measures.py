@@ -88,17 +88,23 @@ def empirical_measure(
 ) -> EmpiricalMeasure:
     """Weights(q) = frequency(r, q) for every q within the truncation.
 
-    One slab pass counts the full truncation (R, W); every other dimension
-    (rows, width) is derived from it.  The slab of (rows, width) at offset i
-    is the top slab at offset i cut to its first ``rows`` cell and flag rows
-    and their first ``width`` columns, so each distinct top key is projected
-    and its count added; only the W - width offsets past the last full-width
-    slab are counted directly.  The projection loop runs over distinct top
-    keys, at most min(n - W + 1, |A|^(R*W)) of them, for n = r.width and A
-    the symbol-and-flag pairs of r.  A projected key first appears at the
-    offset of the first top key that projects to it, so keys, counts and
-    the insertion order of ``dims`` and of each Counter are those of a
-    separate pass per dimension.
+    One slab pass counts the full truncation (R, W).  When the window has
+    few distinct top keys, every other dimension (rows, width) is derived
+    from it: the slab of (rows, width) at offset i is the top slab at offset
+    i cut to its first ``rows`` cell and flag rows and their first ``width``
+    columns, so each distinct top key is projected and its count added, and
+    only the W - width offsets past the last full-width slab are counted
+    directly.  A projected key first appears at the offset of the first top
+    key that projects to it, so keys, counts and the insertion order of
+    ``dims`` and of each Counter are those of a separate pass per dimension.
+    The projection loop runs over the distinct top keys, at most
+    min(n - W + 1, |A|^(R*W)) of them for A the symbol-and-flag pairs of r,
+    a Python step each where a slab pass makes a C step per offset.  On 1-3
+    rows and 8 to 5,187 columns, from 1x2 to 3x5 and at 1x12, it measured
+    the faster only while the top keys number at most about a quarter of
+    the n - W + 1 offsets, so only then is it taken.  Any other window, such
+    as a Bernoulli(1/2) row at 1x12 (about 2,900 top keys among 5,176
+    offsets), gets a slab pass per dimension.
     """
     max_rows, max_width = truncation
     if max_rows < 1 or max_width < 1:
@@ -107,10 +113,13 @@ def empirical_measure(
         raise ValueError("rectangle smaller than the requested truncation")
     n = r.width
     top = _slab_counts(r, max_rows, max_width)
+    project = 4 * len(top) <= n - max_width + 1
     dims = {}
     for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1)):
         if rows == max_rows and width == max_width:
             counts = top
+        elif not project:
+            counts = _slab_counts(r, rows, width)
         else:
             counts = Counter()
             for key, c in top.items():

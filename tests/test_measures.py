@@ -6,6 +6,7 @@ from itertools import islice, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strictform import measures
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.generators import bernoulli_window
 from strictform.measures import (
@@ -152,7 +153,78 @@ def wide_rectangles(draw):
     )
 
 
+def assert_matches_reference(r, t):
+    dims = empirical_measure(r, t).dims
+    ref = reference_empirical_measure(r, t)
+    assert dims == ref
+    # the same insertion order, of the dimensions and of every Counter
+    assert list(dims) == list(ref)
+    for dim, (n, counts) in dims.items():
+        assert n == ref[dim][0]
+        assert list(counts) == list(ref[dim][1])
+        assert all(type(c) is int for c in counts.values())
+
+
+@pytest.fixture
+def slab_passes(monkeypatch):
+    # the (rows, width) of every slab pass empirical_measure makes
+    passes = []
+    real = measures._slab_counts
+
+    def counting(r, rows, width):
+        passes.append((rows, width))
+        return real(r, rows, width)
+
+    monkeypatch.setattr(measures, "_slab_counts", counting)
+    return passes
+
+
+def periodic_row(n):
+    return [(0, 1, 1, 0, 1, 0, 1)[i % 7] for i in range(n)]
+
+
+def random_row(seed, n):
+    return [int(c) for c in bernoulli_window(F(1, 2), seed, n)]
+
+
 class TestDerivedDimensionsDifferential:
+    # A window whose top keys number at most a quarter of its offsets has
+    # its smaller dimensions derived from the top pass; any other window
+    # gets a slab pass per dimension.  Both give the reference measure.
+    @pytest.mark.parametrize(
+        "r, t",
+        [
+            (Rectangle.from_rows([periodic_row(5187)]), (1, 12)),
+            (window_to_rectangle(lift_binary(periodic_row(5188), 2)), (2, 6)),
+            (
+                concat([Rectangle.from_rows([periodic_row(n)]) for n in (40, 60)]),
+                (1, 5),
+            ),
+        ],
+    )
+    def test_few_top_keys_are_projected(self, r, t, slab_passes):
+        assert_matches_reference(r, t)
+        assert slab_passes == [t]
+
+    @pytest.mark.parametrize(
+        "r, t",
+        [
+            (Rectangle.from_rows([random_row(1, 5187)]), (1, 12)),
+            (
+                Rectangle.from_rows([random_row(2, 5187), random_row(3, 5187)]),
+                (2, 6),
+            ),
+            (
+                concat([Rectangle.from_rows([random_row(4, n)]) for n in (40, 60)]),
+                (1, 5),
+            ),
+        ],
+    )
+    def test_many_top_keys_get_a_pass_each(self, r, t, slab_passes):
+        assert_matches_reference(r, t)
+        dims = list(product(range(1, t[0] + 1), range(1, t[1] + 1)))
+        assert slab_passes == [t] + dims[:-1]
+
     @settings(max_examples=300, deadline=None)
     @given(wide_rectangles(), st.data())
     def test_measure_matches_reference(self, r, data):
@@ -160,15 +232,7 @@ class TestDerivedDimensionsDifferential:
             data.draw(st.integers(1, r.rows)),
             data.draw(st.integers(1, min(r.width, 5))),
         )
-        dims = empirical_measure(r, t).dims
-        ref = reference_empirical_measure(r, t)
-        assert dims == ref
-        # the same insertion order, of the dimensions and of every Counter
-        assert list(dims) == list(ref)
-        for dim, (n, counts) in dims.items():
-            assert n == ref[dim][0]
-            assert list(counts) == list(ref[dim][1])
-            assert all(type(c) is int for c in counts.values())
+        assert_matches_reference(r, t)
 
     @settings(max_examples=200, deadline=None)
     @given(marked_rectangles(), st.data())

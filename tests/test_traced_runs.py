@@ -20,11 +20,11 @@ ROOT = Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def _load_workloads():
-    # registered before it runs, as its dataclass needs; no bytecode is
-    # written next to the benchmark's files
+def _load(name):
+    # a benchmark module, registered before it runs, as the dataclass of
+    # workloads.py needs; no bytecode is written next to the benchmark's files
     spec = importlib.util.spec_from_file_location(
-        "_strictform_workloads", PERFBENCH / "workloads.py"
+        f"_strictform_{name}", PERFBENCH / f"{name}.py"
     )
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -42,22 +42,9 @@ def _python(args, cwd):
     )
 
 
-def _self_times(spans):
-    child = {}
-    for span in spans:
-        if span["parent"] >= 0:
-            child[span["parent"]] = (
-                child.get(span["parent"], 0.0) + span["end"] - span["start"]
-            )
-    return {
-        span["id"]: span["end"] - span["start"] - child.get(span["id"], 0.0)
-        for span in spans
-    }
-
-
 @pytest.mark.parametrize("name", ["assemble-chacon", "purify-noisy"])
 def test_traced_job_is_correct(name, tmp_path):
-    workload = _load_workloads().WORKLOADS[name]
+    workload = _load("workloads").WORKLOADS[name]
     pinned = workload.pinned(0)
     out = tmp_path / "report.json"
     argv = workload.argv(pinned["inputs"], tmp_path, out)
@@ -70,13 +57,20 @@ def test_traced_job_is_correct(name, tmp_path):
     prefix = str(tmp_path / "trace")
     traced = _python([str(PERFBENCH / "tracer.py"), prefix, *argv], tmp_path)
     assert traced.returncode == 0, traced.stderr
-    assert json.loads(Path(prefix + ".json").read_text())["exit"] == 0
+    result = json.loads(Path(prefix + ".json").read_text())
+    assert result["exit"] == 0
     data = out.read_bytes()
     assert data == expected
     assert workload.check(json.loads(data), pinned["verdict"]) is None
 
     lines = Path(prefix + ".spans.jsonl").read_text().splitlines()
     spans = [json.loads(line) for line in lines]
-    assert spans
-    negative = {i: t for i, t in _self_times(spans).items() if t < 0}
-    assert negative == {}
+    assert len(spans) == result["spans"] > 0
+    # the tracer's own arithmetic on the spans read back: the sum of |self
+    # time| equals the summed root durations only if no self time is negative
+    tracer = _load("tracer").Tracer()
+    tracer.spans = [[s["name"], s["start"], s["end"], s["parent"]] for s in spans]
+    _, self_sum = tracer.self_times()
+    roots = sum(s["end"] - s["start"] for s in spans if s["parent"] < 0)
+    assert self_sum == pytest.approx(result["self_sum_s"], rel=1e-12)
+    assert self_sum == pytest.approx(roots, rel=1e-12, abs=1e-9)
