@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, product, repeat
+from itertools import islice, product
 from typing import Sequence
 
 from ._value import Value, _set
@@ -22,23 +22,11 @@ class TruncationMismatch(ValueError):
     """Operands carry different truncations."""
 
 
-def frequency(r: Rectangle, q: Rectangle) -> Fraction:
-    """Sliding-window frequency of q among the sub-rectangles of r.
-
-    Zero when q has more rows or is wider than r; otherwise the number of
-    horizontal offsets at which q occurs, divided by the number of offsets.
-    Marker flags take part in equality.
-    """
-    if q.rows > r.rows or q.width > r.width:
-        return Fraction(0)
-    hits = _slab_counts(r, q.rows, q.width)[q.cells + q.marks]
-    return Fraction(hits, r.width - q.width + 1)
-
-
 class EmpiricalMeasure(Value):
     """Cylinder weights up to a truncation: for each dimension (rows, width)
     within it, ``dims`` holds ``(n, counts)`` with counts summing to n, and q
-    weighs ``counts[q.cells + q.marks] / n`` (n = 1 for fractional weights)."""
+    weighs ``counts[q.cells] / n`` (n = 1 for fractional weights).  Only
+    cell blocks are counted; marker flags are not part of a measure."""
 
     __slots__ = ("truncation", "dims")
 
@@ -48,25 +36,23 @@ class EmpiricalMeasure(Value):
 
     def weight(self, q: Rectangle) -> Fraction:
         n, counts = self.dims.get((q.rows, q.width), (1, {}))
-        return Fraction(counts.get(q.cells + q.marks, 0), n)
+        return Fraction(counts.get(q.cells, 0), n)
 
     @property
     def weights(self) -> dict[Rectangle, Fraction]:
-        # every cylinder weight, sorted by dimension, then by cells and flags
+        # every cylinder weight, sorted by dimension, then by cells
         return {
-            Rectangle(key[:rows], key[rows:]): Fraction(counts[key], n)
-            for (rows, _), (n, counts) in sorted(self.dims.items())
+            Rectangle.from_rows(key): Fraction(counts[key], n)
+            for _, (n, counts) in sorted(self.dims.items())
             for key in sorted(counts)
         }
 
 
 def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
-    # one slab per horizontal offset: each row's width-wide windows, zipped
-    # across the cell and flag rows, counted as raw ``cells + marks`` tuples
-    # in one lazy pass (building the column tuples first measured slower and
-    # larger); these tuples are the keys an EmpiricalMeasure stores.  A flag
-    # row with no flag set has the same all-False window at every offset, so
-    # that window is repeated, not sliced out of the row.
+    # one slab per horizontal offset: each cell row's width-wide windows,
+    # zipped across the rows, counted as raw ``cells`` tuples in one lazy
+    # pass (building the column tuples first measured slower and larger);
+    # these tuples are the keys an EmpiricalMeasure stores.
     # The iterators are unpacked from lists, not generators: unpacking a
     # generator builds a resized tuple, and freeing it grew CPython's tuple
     # free list by one per call until it held 2,000 tuples (about 90 KB)
@@ -74,11 +60,6 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
     windows = [
         zip(*[islice(row, i, None) for i in range(width)])
         for row in r.cells[:rows]
-    ] + [
-        zip(*[islice(row, i, None) for i in range(width)])
-        if any(row)
-        else repeat((False,) * width)
-        for row in r.marks[:rows]
     ]
     return Counter(zip(*windows))
 
@@ -86,25 +67,28 @@ def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
 def empirical_measure(
     r: Rectangle, truncation: Truncation
 ) -> EmpiricalMeasure:
-    """Weights(q) = frequency(r, q) for every q within the truncation.
+    """Weights(q) for every cell block q within the truncation: the number
+    of horizontal offsets at which q's cells occur in the first q.rows rows
+    of r, over the r.width - q.width + 1 offsets.  Only the cells of r are
+    read; its marker flags do not change the measure.
 
     One slab pass counts the full truncation (R, W).  When the window has
     few distinct top keys, every other dimension (rows, width) is derived
     from it: the slab of (rows, width) at offset i is the top slab at offset
-    i cut to its first ``rows`` cell and flag rows and their first ``width``
-    columns, so each distinct top key is projected and its count added, and
-    only the W - width offsets past the last full-width slab are counted
-    directly.  A projected key first appears at the offset of the first top
-    key that projects to it, so keys, counts and the insertion order of
-    ``dims`` and of each Counter are those of a separate pass per dimension.
-    The projection loop runs over the distinct top keys, at most
-    min(n - W + 1, |A|^(R*W)) of them for A the symbol-and-flag pairs of r,
-    a Python step each where a slab pass makes a C step per offset.  On 1-3
-    rows and 8 to 5,187 columns, from 1x2 to 3x5 and at 1x12, it measured
-    the faster only while the top keys number at most about a quarter of
-    the n - W + 1 offsets, so only then is it taken.  Any other window, such
-    as a Bernoulli(1/2) row at 1x12 (about 2,900 top keys among 5,176
-    offsets), gets a slab pass per dimension.
+    i cut to its first ``rows`` rows and their first ``width`` columns, so
+    each distinct top key is projected and its count added, and only the
+    W - width offsets past the last full-width slab are counted directly.
+    A projected key first appears at the offset of the first top key that
+    projects to it, so keys, counts and the insertion order of ``dims`` and
+    of each Counter are those of a separate pass per dimension.  The
+    projection loop runs over the distinct top keys, at most
+    min(n - W + 1, |A|^(R*W)) of them for A the symbols of r, a Python step
+    each where a slab pass makes a C step per offset.  On 1-3 rows and 8 to
+    5,187 columns, from 1x2 to 3x5 and at 1x12, it measured the faster only
+    while the top keys number at most about a quarter of the n - W + 1
+    offsets, so only then is it taken.  Any other window, such as a
+    Bernoulli(1/2) row at 1x12 (about 2,900 top keys among 5,176 offsets),
+    gets a slab pass per dimension.
     """
     max_rows, max_width = truncation
     if max_rows < 1 or max_width < 1:
@@ -123,11 +107,10 @@ def empirical_measure(
         else:
             counts = Counter()
             for key, c in top.items():
-                part = key[:rows] + key[max_rows : max_rows + rows]
-                counts[tuple([x[:width] for x in part])] += c
-            slab_rows = r.cells[:rows] + r.marks[:rows]
+                counts[tuple([x[:width] for x in key[:rows]])] += c
+            cell_rows = r.cells[:rows]
             counts.update(
-                tuple([row[i : i + width] for row in slab_rows])
+                tuple([row[i : i + width] for row in cell_rows])
                 for i in range(n - max_width + 1, n - width + 1)
             )
         dims[rows, width] = (n - width + 1, counts)

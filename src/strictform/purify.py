@@ -1,8 +1,9 @@
 """Good/bad classification of k-rectangles against target families, tabbed
 replacement, and the staged purification pipeline over a nested family tree.
 
-Classification is decided on the truncated metric value only, with marker
-flags stripped, so the pipeline is deterministic and platform independent.
+Classification is decided on the truncated metric value only, and measures
+ignore marker flags, so nothing is stripped; the pipeline is deterministic
+and platform independent.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ class TargetFamily(Value):
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
-    """Good iff the truncated distance to some member is below gamma.
+    """Good iff the truncated distance to some member is below gamma; the
+    marker flags of rect do not count, as measures ignore them.
 
     With the distance d to a member as the unreduced ``num / den`` of
     ``measures._l1_sum`` (den > 0) and gamma = g / h in lowest terms
@@ -85,9 +87,9 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
     Fraction or TruncatedDistance is built per member.
     """
     g, h = family.gamma.numerator, family.gamma.denominator
-    bare = empirical_measure(rect.without_marks(), family.truncation)
+    measure = empirical_measure(rect, family.truncation)
     for member in family.members:
-        num, den = _l1_sum(bare, member)
+        num, den = _l1_sum(measure, member)
         if num * h < g * den:
             return GOOD
     return BAD

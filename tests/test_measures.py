@@ -14,10 +14,10 @@ from strictform.measures import (
     concat,
     dstar,
     empirical_measure,
-    frequency,
     mixture,
     point_mass,
 )
+from strictform.purify import TargetFamily, classify
 
 F = Fraction
 words = st.text(alphabet="12", min_size=4, max_size=10)
@@ -47,36 +47,38 @@ def rect(word):
     return Rectangle.from_word(word)
 
 
+def measure_weight(r, q):
+    # q's weight in the measure of r at q's dimension, cut to r's size, so
+    # a query with more rows or columns than r weighs zero
+    t = (min(q.rows, r.rows), min(q.width, r.width))
+    return empirical_measure(r, t).weight(q)
+
+
 class TestFrequency:
     def test_half(self):
-        assert frequency(rect("12121"), rect("12")) == F(1, 2)
+        assert measure_weight(rect("12121"), rect("12")) == F(1, 2)
 
     def test_self(self):
         r = rect("1221")
-        assert frequency(r, r) == 1
+        assert measure_weight(r, r) == 1
 
     def test_two_thirds(self):
-        assert frequency(rect("121"), rect("1")) == F(2, 3)
+        assert measure_weight(rect("121"), rect("1")) == F(2, 3)
 
     def test_oversized_query(self):
-        assert frequency(rect("12"), rect("121")) == 0
-        assert frequency(rect("12"), Rectangle.from_rows([[1], [1]])) == 0
-
-    def test_flags_participate(self):
-        marked = Rectangle.from_rows([[1, 1]], [[True, False]])
-        host = concat([rect("1"), rect("1"), rect("1")])
-        # host is "111" with junction flags after cells 1 and 2, so only
-        # the offset-1 window matches (True, False)
-        assert frequency(host, marked) == F(1, 2)
-        assert frequency(host, rect("11")) == 0
+        assert measure_weight(rect("12"), rect("121")) == 0
+        assert measure_weight(rect("12"), Rectangle.from_rows([[1], [1]])) == 0
 
 
 def reference_frequency(r, q):
-    # the per-offset comparison that frequency used before the slab counter
+    # the per-offset comparison of cells that frequency used before the
+    # slab counter
     if q.rows > r.rows or q.width > r.width:
         return Fraction(0)
     offsets = r.width - q.width + 1
-    hits = sum(1 for i in range(offsets) if r.sub(q.rows, i, q.width) == q)
+    hits = sum(
+        1 for i in range(offsets) if r.sub(q.rows, i, q.width).cells == q.cells
+    )
     return Fraction(hits, offsets)
 
 
@@ -115,23 +117,23 @@ class TestSlabCounterDifferential:
         width = data.draw(st.integers(1, r.width))
         col = data.draw(st.integers(0, r.width - width))
         q = r.sub(rows, col, width)
-        assert frequency(r, q) == reference_frequency(r, q) > 0
+        assert measure_weight(r, q) == reference_frequency(r, q) > 0
         # an unrelated query: absent, oversized or present by chance
-        assert frequency(r, other) == reference_frequency(r, other)
+        assert measure_weight(r, other) == reference_frequency(r, other)
         absent = Rectangle(tuple((9,) + row[1:] for row in q.cells), q.marks)
-        assert frequency(r, absent) == reference_frequency(r, absent) == 0
+        assert measure_weight(r, absent) == reference_frequency(r, absent) == 0
 
 
 def reference_empirical_measure(r, truncation):
     # the body empirical_measure had before it derived the smaller
-    # dimensions from the top one: a slab pass per dimension, in which every
-    # flag row is sliced
+    # dimensions from the top one: a slab pass per dimension over the cell
+    # rows
     max_rows, max_width = truncation
     dims = {}
     for rows, width in product(range(1, max_rows + 1), range(1, max_width + 1)):
         windows = [
             zip(*[islice(row, i, None) for i in range(width)])
-            for row in r.cells[:rows] + r.marks[:rows]
+            for row in r.cells[:rows]
         ]
         dims[rows, width] = (r.width - width + 1, Counter(zip(*windows)))
     return dims
@@ -140,7 +142,7 @@ def reference_empirical_measure(r, truncation):
 @st.composite
 def wide_rectangles(draw):
     # 1-3 rows, widths 1-40, symbols 1-3; about half the draws carry no
-    # marker flag, as every measure purify takes, and the rest random flags
+    # marker flag and the rest random flags, which no measure reads
     rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 40))
 
     def grid(values):
@@ -234,19 +236,6 @@ class TestDerivedDimensionsDifferential:
         )
         assert_matches_reference(r, t)
 
-    @settings(max_examples=200, deadline=None)
-    @given(marked_rectangles(), st.data())
-    def test_frequency_on_unflagged_rows(self, marked, data):
-        # an unflagged host repeats its all-False flag windows
-        r = marked.without_marks()
-        rows = data.draw(st.integers(1, r.rows))
-        width = data.draw(st.integers(1, r.width))
-        col = data.draw(st.integers(0, r.width - width))
-        q = r.sub(rows, col, width)
-        assert frequency(r, q) == reference_frequency(r, q) > 0
-        flagged = marked.sub(rows, col, width)
-        assert frequency(r, flagged) == reference_frequency(r, flagged)
-
     def test_heap_peak_of_a_purify_window(self):
         # one measure of a 5,187-column lifted window at 2x3 reads about
         # 5 KB of traced heap; a column-first counter read 222 KB.  The
@@ -261,6 +250,46 @@ class TestDerivedDimensionsDifferential:
             tracemalloc.stop()
         assert r.width == 5187
         assert peak < 16 * 1024
+
+
+@st.composite
+def flagged_rectangles(draw):
+    # 1-3 rows, widths 1-40, symbols 1-3 and random marker flags
+    cells = draw(wide_rectangles()).cells
+    row = st.lists(st.booleans(), min_size=len(cells[0]), max_size=len(cells[0]))
+    flags = draw(st.lists(row, min_size=len(cells), max_size=len(cells)))
+    return Rectangle.from_rows(cells, flags)
+
+
+class TestFlagsIgnored:
+    # a measure counts cell blocks only, so marker flags change no measure,
+    # no key order and no classify verdict
+    @settings(max_examples=300, deadline=None)
+    @given(flagged_rectangles(), st.data())
+    def test_flags_change_no_measure_or_verdict(self, r, data):
+        t = (
+            data.draw(st.integers(1, r.rows)),
+            data.draw(st.integers(1, min(r.width, 5))),
+        )
+        bare = r.without_marks()
+        dims = empirical_measure(r, t).dims
+        bare_dims = empirical_measure(bare, t).dims
+        assert dims == bare_dims
+        assert list(dims) == list(bare_dims)
+        for dim, (_, counts) in dims.items():
+            assert list(counts) == list(bare_dims[dim][1])
+        # a member from random cell rows, repeated to cover the truncation
+        cells = data.draw(wide_rectangles()).cells
+        other = Rectangle.from_rows(
+            [cells[i % len(cells)] * t[1] for i in range(t[0])]
+        )
+        members = (
+            point_mass(Rectangle.from_rows([[1]] * t[0]), t),
+            empirical_measure(other, t),
+        )
+        gamma = data.draw(st.sampled_from([F(1, 16), F(1, 4), F(1, 2), F(1)]))
+        family = TargetFamily((1,), members, gamma)
+        assert classify(r, family) == classify(bare, family)
 
 
 class TestEmpiricalMeasure:

@@ -94,15 +94,17 @@ def _load_tracer():
     return module
 
 
+def _function_def(tree, name):
+    return next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name
+    )
+
+
 def _arg_reads(tree, counter):
     # (index, name) of every _arg(args, kwargs, index, name) in a counter
-    fn = next(
-        n for n in tree.body
-        if isinstance(n, ast.FunctionDef) and n.name == counter.__name__
-    )
     return [
         (call.args[2].value, call.args[3].value)
-        for call in ast.walk(fn)
+        for call in ast.walk(_function_def(tree, counter.__name__))
         if isinstance(call, ast.Call)
         and isinstance(call.func, ast.Name)
         and call.func.id == "_arg"
@@ -139,3 +141,20 @@ def test_tracer_targets_exist():
         params = list(inspect.signature(targets[name]).parameters)
         for index, arg in pairs:
             assert params[index] == arg, (name, index, arg)
+    # the methods _count_classify calls on its rect argument, looked up on
+    # the class that classify annotates rect with
+    classify = targets["purify.classify"]
+    rect_cls = classify.__globals__[
+        inspect.signature(classify).parameters["rect"].annotation
+    ]
+    called = {
+        call.func.attr
+        for call in ast.walk(_function_def(tree, "_count_classify"))
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and call.func.value.id == "rect"
+    }
+    assert called == {"without_marks"}
+    for meth in called:
+        assert inspect.isfunction(vars(rect_cls).get(meth)), meth
