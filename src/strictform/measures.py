@@ -1,5 +1,4 @@
-"""Empirical measures on rectangles, the weighted-L1 rectangle metric,
-mixtures and concatenation.
+"""Empirical measures on rectangles and the weighted-L1 rectangle metric.
 
 All weights and distances are exact fractions; floats appear only when a
 caller formats a report.
@@ -10,7 +9,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
-from typing import Sequence
 
 from ._value import Value, _set
 from .arrays import Rectangle
@@ -33,19 +31,6 @@ class EmpiricalMeasure(Value):
     def __init__(self, truncation, dims):
         _set(self, "truncation", truncation)
         _set(self, "dims", dims)
-
-    def weight(self, q: Rectangle) -> Fraction:
-        n, counts = self.dims.get((q.rows, q.width), (1, {}))
-        return Fraction(counts.get(q.cells, 0), n)
-
-    @property
-    def weights(self) -> dict[Rectangle, Fraction]:
-        # every cylinder weight, sorted by dimension, then by cells
-        return {
-            Rectangle.from_rows(key): Fraction(counts[key], n)
-            for _, (n, counts) in sorted(self.dims.items())
-            for key in sorted(counts)
-        }
 
 
 def _slab_counts(r: Rectangle, rows: int, width: int) -> Counter:
@@ -117,16 +102,26 @@ def empirical_measure(
     return EmpiricalMeasure(truncation, dims)
 
 
-def point_mass(q: Rectangle, truncation: Truncation) -> EmpiricalMeasure:
-    """The measure of the constant stream of q's single symbol per row; q must
-    be one column wide."""
-    if q.width != 1:
-        raise ValueError("point mass expects a single-column rectangle")
-    max_rows, max_width = truncation
-    wide = Rectangle.from_rows(
-        [[row[0]] * max(max_width, 1) for row in q.cells[:max_rows]]
-    )
-    return empirical_measure(wide, truncation)
+def _measure_key(r: Rectangle, truncation: Truncation) -> tuple:
+    """A key of ``empirical_measure(r, truncation)``: the sorted distinct
+    top (R, W) slabs of r, their counts, and the last W - 1 cells of rows
+    1..R.  Rectangles with equal keys have equal measures.
+
+    Proof: the counts sum to the n - W + 1 top offsets, which fixes n.  For
+    a dimension (rows, width) and an offset i <= n - W, the slab at i is the
+    top slab at i cut to its first rows rows and width columns, so the
+    multiset of top slabs fixes the count of every such slab.  The other
+    offsets, n - W < i <= n - width, put their slab inside the last W - 1
+    columns of rows 1..R, which the key holds.  So the counts of every
+    dimension, and each n - width + 1, are fixed by the key.
+    """
+    rows, width = truncation
+    top = _slab_counts(r, rows, width)
+    # no Counter.items(): sorting its 2-tuples filled CPython's tuple free
+    # list, and a purify run's peak RSS rose by one 128 KB step
+    keys = sorted(top)
+    tail = tuple([row[len(row) - width + 1 :] for row in r.cells[:rows]])
+    return tuple(keys), tuple([top[k] for k in keys]), tail
 
 
 class TruncatedDistance(Value):
@@ -184,47 +179,3 @@ def _l1_sum(
         d = na * nb << (rows + width)
         num, den = num * d + diff * den, den * d
     return num, den
-
-
-def mixture(
-    measures: Sequence[EmpiricalMeasure], lambdas: Sequence[Fraction]
-) -> EmpiricalMeasure:
-    """Pointwise convex combination; per-dimension sums remain one."""
-    if len(measures) != len(lambdas) or not measures:
-        raise ValueError("one weight per measure required")
-    if any(w < 0 for w in lambdas) or sum(lambdas) != 1:
-        raise ValueError("mixture weights must be nonnegative and sum to 1")
-    trunc = measures[0].truncation
-    if any(m.truncation != trunc for m in measures):
-        raise TruncationMismatch("mixture components must share a truncation")
-    dims = {dim: (1, Counter()) for dim in measures[0].dims}
-    for m, lam in zip(measures, lambdas):
-        if lam == 0:
-            continue
-        for dim, (n, counts) in m.dims.items():
-            for key, c in counts.items():
-                dims[dim][1][key] += lam * Fraction(c, n)
-    return EmpiricalMeasure(trunc, dims)
-
-
-def concat(rectangles: Sequence[Rectangle]) -> Rectangle:
-    """Glue rectangles of equal row counts left to right.  A marker flag is
-    set on the last cell of every internal junction, in every row."""
-    if not rectangles:
-        raise ValueError("nothing to concatenate")
-    rows = rectangles[0].rows
-    if any(r.rows != rows for r in rectangles):
-        raise ValueError("row counts differ")
-    cells = tuple(
-        tuple(v for r in rectangles for v in r.cells[i]) for i in range(rows)
-    )
-    marks = []
-    for i in range(rows):
-        row: list[bool] = []
-        for j, r in enumerate(rectangles):
-            flags = list(r.marks[i])
-            if j < len(rectangles) - 1:
-                flags[-1] = True
-            row.extend(flags)
-        marks.append(tuple(row))
-    return Rectangle(cells, tuple(marks))

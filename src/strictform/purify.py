@@ -8,8 +8,9 @@ and platform independent.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable
 
 from ._value import Value, _set
@@ -32,6 +33,7 @@ from .measures import (
     EmpiricalMeasure,
     Truncation,
     _l1_sum,
+    _measure_key,
     dstar,
     empirical_measure,
 )
@@ -99,6 +101,45 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
 Gap = tuple[int, Rectangle]
 
 
+def _window_rows(w: ArrayWindow, ms: MarkerSystem, k: int) -> tuple:
+    """Row k's cuts of w, the slices of the gaps between them, and the rows
+    a gap key cuts: rows 1..k of the cells, then the markers of rows 1..k-1
+    as window-long ``bytes`` rows of flags.  Row k flags only each gap's
+    last cell, so no key carries it."""
+    if not 1 <= k <= ms.row_count:
+        raise InvalidMarkers(f"marker system has no row {k}")
+    # every gap of row k, so every gap cut out below, has length l or l+1
+    if not check_two_gaps(ms, k):
+        raise InvalidMarkers(f"row {k} gaps are not two-sized")
+    origin, columns = w.origin, w.columns
+    rows = [*w.cells[:k]]
+    for j in range(1, k):
+        flags = bytearray(columns)
+        for p in ms.cuts(j, origin, columns):
+            flags[p - origin] = 1
+        rows.append(bytes(flags))
+    ps = ms.cuts(k, origin, columns)
+    # the gap between markers p and q covers columns p+1..q
+    bounds = [p + 1 - origin for p in ps]
+    return ps, [*map(slice, bounds, bounds[1:])], rows
+
+
+def _gap_keys(rows: list, slices: list[slice]):
+    """A lazy stream of one key per slice, the tuple of the slice of every
+    row: each row is cut by a ``map`` over the slices."""
+    return zip(*[map(row.__getitem__, slices) for row in rows])
+
+
+def _rectangle(key: tuple, k: int) -> Rectangle:
+    cells = key[:k]
+    # each flag row is built from a list: from the bare map, tuple() grows
+    # and shrinks its result, and the traced heap peak of a purify-noisy
+    # pipeline was 66 KB higher
+    marks = [tuple([*map(bool, row)]) for row in key[k:]]
+    marks.append((False,) * (len(cells[0]) - 1) + (True,))
+    return Rectangle(cells, tuple(marks))
+
+
 def extract_k_rectangles(
     w: ArrayWindow, ms: MarkerSystem, k: int
 ) -> list[Gap]:
@@ -106,41 +147,16 @@ def extract_k_rectangles(
     ``(p, rect)`` with p its left marker, with the finer-row markers embedded
     as flags.
 
-    Each row's cuts are read once into a window-long ``bytes`` row of flags,
-    and every gap is sliced out of the cell and flag rows.  Equal gaps share
-    one Rectangle, built the first time its cells and flags are seen.
+    Every gap is cut out of the cell and flag rows in one key pass.  Equal
+    gaps share one Rectangle, built the first time its key is seen.
     """
-    if not 1 <= k <= ms.row_count:
-        raise InvalidMarkers(f"marker system has no row {k}")
-    # every gap of row k, so every gap cut out below, has length l or l+1
-    if not check_two_gaps(ms, k):
-        raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    origin, columns = w.origin, w.columns
-    flag_rows = []
-    for j in range(1, k + 1):
-        # row k's cuts, read last, are also the gap bounds
-        ps = ms.cuts(j, origin, columns)
-        flags = bytearray(columns)
-        for p in ps:
-            flags[p - origin] = 1
-        flag_rows.append(bytes(flags))
-    cell_rows = w.cells[:k]
+    ps, slices, rows = _window_rows(w, ms, k)
     rects: dict[tuple, Rectangle] = {}
     gaps = []
-    for p, q in zip(ps, ps[1:]):
-        a, b = p + 1 - origin, q + 1 - origin
-        key = (
-            tuple(row[a:b] for row in cell_rows),
-            tuple(row[a:b] for row in flag_rows),
-        )
+    for p, key in zip(ps, _gap_keys(rows, slices)):
         rect = rects.get(key)
         if rect is None:
-            cells, flags = key
-            # each flag row is built from a list: from the bare map, tuple()
-            # grows and shrinks its result, and the traced heap peak of a
-            # purify-noisy pipeline was 66 KB higher
-            marks = tuple(tuple([*map(bool, row)]) for row in flags)
-            rect = rects[key] = Rectangle(cells, marks)
+            rect = rects[key] = _rectangle(key, k)
         gaps.append((p, rect))
     return gaps
 
@@ -383,21 +399,43 @@ def _stage_gamma(
 def _census(
     samples: list[_Sample], family: TargetFamily, k: int
 ) -> tuple[dict[str, int], dict[Rectangle, str], list[list[Gap]]]:
-    """Extract every k-rectangle of the samples once and classify each
-    distinct one once: the good/bad counts, the verdict of each distinct
-    rectangle and each sample's bad gaps."""
+    """The good/bad counts of the samples' k-rectangles, the verdict of each
+    distinct rectangle and each sample's bad gaps, in window order.
+
+    A window's gap keys are counted by one Counter over one key pass, and a
+    Rectangle is built only for a key the family has not seen.  A verdict
+    depends only on the rectangle's measure, so ``classify`` runs once per
+    distinct ``measures._measure_key``.  Only a window with bad gaps is
+    sliced again, lazily, to collect them.
+    """
     census = {GOOD: 0, BAD: 0}
     verdicts: dict[Rectangle, str] = {}
+    # the family's rectangle and verdict of each gap key, and the verdict
+    # of each measure key
+    known: dict[tuple, tuple[Rectangle, str]] = {}
+    by_measure: dict[tuple, str] = {}
     bad_gaps = []
     for sample in samples:
-        bad = []
-        for p, rect in extract_k_rectangles(sample.window, sample.markers, k):
-            verdict = verdicts.get(rect)
-            if verdict is None:
-                verdict = verdicts[rect] = classify(rect, family)
-            census[verdict] += 1
+        ps, slices, rows = _window_rows(sample.window, sample.markers, k)
+        bad_rects = {}
+        for key, n in Counter(_gap_keys(rows, slices)).items():
+            entry = known.get(key)
+            if entry is None:
+                rect = _rectangle(key, k)
+                measure_key = _measure_key(rect, family.truncation)
+                verdict = by_measure.get(measure_key)
+                if verdict is None:
+                    verdict = by_measure[measure_key] = classify(rect, family)
+                entry = known[key] = rect, verdict
+                verdicts[rect] = verdict
+            rect, verdict = entry
+            census[verdict] += n
             if verdict == BAD:
-                bad.append((p, rect))
+                bad_rects[key] = rect
+        bad = []
+        if bad_rects:
+            rects = map(bad_rects.get, _gap_keys(rows, slices))
+            bad = [(p, rect) for p, rect in zip(ps, rects) if rect is not None]
         bad_gaps.append(bad)
     return census, verdicts, bad_gaps
 
@@ -415,9 +453,15 @@ def _repair(
     tabbed: dict[int, Rectangle],
     verdicts: dict[Rectangle, str],
 ) -> tuple[int, int, Fraction, bool]:
-    """Overwrite the sample's bad k-rectangles in place and re-check it
-    against the census verdicts, classifying only a rectangle they lack:
-    (replaced, changed columns, displacement, all good after)."""
+    """Overwrite the sample's bad k-rectangles in place and re-check the
+    replaced ones against the census verdicts, classifying only a rectangle
+    they lack: (replaced, changed columns, displacement, all good after).
+
+    An unreplaced gap keeps its cells, its flags and its good verdict:
+    replacement writes cells and finer-row markers only inside bad gaps,
+    and row-k markers never move.  So only the replaced gaps are sliced
+    again, from the new window and markers.
+    """
     trunc = family.truncation
     before = sample.measure
     window, ms, changed, replaced = replace_bad(
@@ -425,9 +469,12 @@ def _repair(
     )
     sample.window, sample.markers = window, ms
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
+    _, _, rows = _window_rows(window, ms, k)
+    starts = [p + 1 - window.origin for p, _ in bad]
+    slices = [slice(a, a + r.width) for a, (_, r) in zip(starts, bad)]
+    rects = [_rectangle(key, k) for key in dict.fromkeys(_gap_keys(rows, slices))]
     all_good = all(
-        (verdicts.get(rect) or classify(rect, family)) == GOOD
-        for _, rect in extract_k_rectangles(window, ms, k)
+        (verdicts.get(rect) or classify(rect, family)) == GOOD for rect in rects
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -459,8 +506,12 @@ def purify_stage(
     config: PurifyConfig,
     stage: int,
     targets: dict[tuple[int, ...], EmpiricalMeasure],
-) -> tuple[dict, dict[tuple[int, ...], set[Rectangle]]]:
-    """Run one classification/replacement stage in place over the samples."""
+    coarse: dict[tuple[int, ...], set[Rectangle]] | None,
+) -> tuple[dict, bool, dict[tuple[int, ...], set[Rectangle]] | None]:
+    """Run one classification/replacement stage in place over the samples.
+    Each family's good set is checked against its parent's in ``coarse``
+    (None at stage 1) as soon as its census ends.  Returns the report, the
+    AND of those checks, and the good sets unless the stage is the last."""
     k = config.depths[stage - 1]
     l = config.gaps[k - 1]
     eps = config.epsilons[stage - 1]
@@ -472,13 +523,20 @@ def purify_stage(
     }
     gamma = _stage_gamma(config, stage, members)
     report: dict = {"stage": stage, "k": k, "gamma": gamma, "families": {}}
-    good_records: dict[tuple[int, ...], set[Rectangle]] = {}
+    nested = True
+    # the last stage's good sets are checked here and then dropped
+    good_records = {} if stage < config.stage_count else None
 
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
         census, verdicts, bad_gaps = _census(fam_samples, family, k)
         good = {rect for rect, v in verdicts.items() if v == GOOD}
+        if coarse is not None:
+            coarse_k = config.depths[stage - 2]
+            coarse_l = config.gaps[coarse_k - 1]
+            if not check_nesting(good, coarse[path[:-1]], coarse_k, coarse_l):
+                nested = False
         tabbed = {r.width: r for r in select_tabbed(good, l)}
         rows = []
         for sample, bad in zip(fam_samples, bad_gaps):
@@ -507,8 +565,9 @@ def purify_stage(
                 rows, [s.measure for s in fam_samples], eps, trunc
             ),
         }
-        good_records[path] = good
-    return report, good_records
+        if good_records is not None:
+            good_records[path] = good
+    return report, nested, good_records
 
 
 def check_nesting(
@@ -516,16 +575,14 @@ def check_nesting(
 ) -> bool:
     """Every good fine-stage rectangle, restricted to the coarse depth k,
     must split along its embedded row-k markers into coarse-stage good
-    rectangles of the parent family."""
+    rectangles of the parent family.  The cuts are read from the row-k
+    flags with ``compress``, in one C-level pass per rectangle."""
     # flags play no part in the match: compare cell grids, copy no flag rows
     coarse_good = {r.cells for r in coarse}
     for rect in fine:
-        cuts = [
-            j + 1
-            for j, flag in enumerate(rect.marks[k - 1])
-            if flag and j + 1 < rect.width
-        ]
-        bounds = [0] + cuts + [rect.width]
+        # a flag on the last cell is the rectangle's right end, not a cut
+        cuts = compress(range(1, rect.width), rect.marks[k - 1][:-1])
+        bounds = [0, *cuts, rect.width]
         for a, b in zip(bounds, bounds[1:]):
             if b - a not in (coarse_l, coarse_l + 1):
                 return False
@@ -571,19 +628,13 @@ def purify_pipeline(config: PurifyConfig) -> dict:
     accounting."""
     targets, samples = _lift_leaves(config)
     report: dict = {"stages": [], "columns": config.columns}
-    records: dict[int, dict[tuple[int, ...], set[Rectangle]]] = {}
+    good, nesting_ok = None, True
     for stage in range(1, config.stage_count + 1):
-        stage_report, good = purify_stage(samples, config, stage, targets)
-        records[stage] = good
+        stage_report, nested, good = purify_stage(
+            samples, config, stage, targets, good
+        )
+        nesting_ok = nesting_ok and nested
         report["stages"].append(stage_report)
-
-    nesting_ok = True
-    for stage in range(2, config.stage_count + 1):
-        k = config.depths[stage - 2]
-        for path, fine in records[stage].items():
-            coarse = records[stage - 1][path[: stage - 1]]
-            if not check_nesting(fine, coarse, k, config.gaps[k - 1]):
-                nesting_ok = False
     report["nesting_ok"] = nesting_ok
     report["cumulative_changes"] = [
         {

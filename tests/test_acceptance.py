@@ -31,8 +31,10 @@ from strictform.markers import (
     check_two_gaps,
     decompose_gap,
 )
-from strictform.measures import concat, dstar, empirical_measure, mixture, point_mass
+from strictform.measures import dstar, empirical_measure
 from strictform.purify import config_from_dict, purify_pipeline
+
+from measure_helpers import concat, mixture, point_mass
 
 F = Fraction
 

@@ -9,15 +9,10 @@ from hypothesis import given, settings, strategies as st
 from strictform import measures
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.generators import bernoulli_window
-from strictform.measures import (
-    TruncationMismatch,
-    concat,
-    dstar,
-    empirical_measure,
-    mixture,
-    point_mass,
-)
+from strictform.measures import TruncationMismatch, dstar, empirical_measure
 from strictform.purify import TargetFamily, classify
+
+from measure_helpers import concat, mixture, point_mass, weight, weights
 
 F = Fraction
 words = st.text(alphabet="12", min_size=4, max_size=10)
@@ -51,7 +46,7 @@ def measure_weight(r, q):
     # q's weight in the measure of r at q's dimension, cut to r's size, so
     # a query with more rows or columns than r weighs zero
     t = (min(q.rows, r.rows), min(q.width, r.width))
-    return empirical_measure(r, t).weight(q)
+    return weight(empirical_measure(r, t), q)
 
 
 class TestFrequency:
@@ -100,7 +95,7 @@ class TestSlabCounterDifferential:
     def test_measure_matches_reference(self, r, data):
         t = (data.draw(st.integers(1, r.rows)), data.draw(st.integers(1, r.width)))
         m = empirical_measure(r, t)
-        for q, w in m.weights.items():
+        for q, w in weights(m).items():
             assert w == reference_frequency(r, q)
         assert set(m.dims) == {
             (k, w) for k in range(1, t[0] + 1) for w in range(1, t[1] + 1)
@@ -253,6 +248,63 @@ class TestDerivedDimensionsDifferential:
 
 
 @st.composite
+def measure_key_cases(draw):
+    """A rectangle of 1-3 rows and 1-40 columns over {1, 2}, a truncation
+    (R, W) within it, and a second rectangle.  The second is drawn afresh,
+    or it is the first with two adjacent segments [i, j) and [j, m) swapped
+    where columns i, j and m open the same W - 1 columns of rows 1..R and
+    m <= width - W + 1.  Such a swap exchanges two closed walks of the
+    de Bruijn path of the top slabs, so it keeps their counts and the last
+    W - 1 columns: the keys agree.  Returns (a, b, truncation, swapped)."""
+    rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+
+    def grid():
+        row = st.lists(st.integers(1, 2), min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    cells = grid()
+    t = (draw(st.integers(1, rows)), draw(st.integers(1, min(width, 5))))
+    opens = {}
+    for i in range(width - t[1] + 2):
+        block = tuple(tuple(row[i : i + t[1] - 1]) for row in cells[: t[0]])
+        opens.setdefault(block, []).append(i)
+    triples = [ps for ps in opens.values() if len(ps) >= 3]
+    if triples and draw(st.booleans()):
+        ps = draw(st.sampled_from(triples))
+        i, j, m = sorted(draw(st.sets(st.sampled_from(ps), min_size=3, max_size=3)))
+        other = [row[:i] + row[j:m] + row[i:j] + row[m:] for row in cells]
+        swapped = True
+    else:
+        other, swapped = grid(), False
+    a, b = Rectangle.from_rows(cells), Rectangle.from_rows(other)
+    return a, b, t, swapped
+
+
+class TestMeasureKeySoundness:
+    @settings(max_examples=300, deadline=None)
+    @given(measure_key_cases())
+    def test_equal_keys_give_equal_measures(self, case):
+        a, b, t, swapped = case
+        key = measures._measure_key(a, t)
+        if swapped:
+            assert measures._measure_key(b, t) == key
+        if measures._measure_key(b, t) == key:
+            assert empirical_measure(a, t).dims == empirical_measure(b, t).dims
+
+    def test_different_rectangles_share_a_key(self):
+        # 1121 and 1211 hold the 2-blocks 11, 12 and 21 once each and end
+        # in 1: one key, one measure
+        a, b = rect("1121"), rect("1211")
+        assert measures._measure_key(a, (1, 2)) == measures._measure_key(b, (1, 2))
+        assert empirical_measure(a, (1, 2)) == empirical_measure(b, (1, 2))
+        # 2112 holds the same 2-blocks but ends in 2: its 1-blocks differ,
+        # and so does its key
+        c = rect("2112")
+        assert measures._measure_key(a, (1, 2)) != measures._measure_key(c, (1, 2))
+        assert empirical_measure(a, (1, 2)) != empirical_measure(c, (1, 2))
+
+
+@st.composite
 def flagged_rectangles(draw):
     # 1-3 rows, widths 1-40, symbols 1-3 and random marker flags
     cells = draw(wide_rectangles()).cells
@@ -295,14 +347,14 @@ class TestFlagsIgnored:
 class TestEmpiricalMeasure:
     def test_constant_word(self):
         m = empirical_measure(rect("1111"), (1, 2))
-        assert m.weight(rect("1")) == 1
-        assert m.weight(rect("11")) == 1
-        assert m.weight(rect("2")) == 0
+        assert weight(m, rect("1")) == 1
+        assert weight(m, rect("11")) == 1
+        assert weight(m, rect("2")) == 0
 
     def test_alternating(self):
         m = empirical_measure(rect("1212"), (1, 1))
-        assert m.weight(rect("1")) == F(1, 2)
-        assert m.weight(rect("2")) == F(1, 2)
+        assert weight(m, rect("1")) == F(1, 2)
+        assert weight(m, rect("2")) == F(1, 2)
 
     def test_lifted_window_brute_force(self):
         w = lift_binary("010010", 2)
@@ -318,7 +370,7 @@ class TestEmpiricalMeasure:
                     seen[key] = seen.get(key, 0) + 1
                 for key, count in seen.items():
                     q = Rectangle.from_rows(key)
-                    assert m.weight(q) == F(count, offsets)
+                    assert weight(m, q) == F(count, offsets)
 
     def test_truncation_too_large(self):
         with pytest.raises(ValueError):
@@ -381,8 +433,8 @@ class TestDstar:
 def reference_dstar(ma, mb):
     # the per-cylinder body dstar used before measures stored counts
     total = Fraction(0)
-    for q in set(ma.weights) | set(mb.weights):
-        diff = abs(ma.weight(q) - mb.weight(q))
+    for q in set(weights(ma)) | set(weights(mb)):
+        diff = abs(weight(ma, q) - weight(mb, q))
         if diff:
             total += Fraction(diff, 2 ** (q.rows + q.width))
     return total
@@ -427,7 +479,7 @@ class TestDstarDifferential:
 class TestMixture:
     def test_single(self):
         m = empirical_measure(rect("1212"), (1, 2))
-        assert mixture([m], [F(1)]).weights == dict(m.weights)
+        assert weights(mixture([m], [F(1)])) == weights(m)
 
     def test_equal_point_masses(self):
         t = (1, 1)
@@ -435,7 +487,7 @@ class TestMixture:
             [point_mass(rect("1"), t), point_mass(rect("2"), t)],
             [F(1, 2), F(1, 2)],
         )
-        assert mix.weight(rect("1")) == F(1, 2)
+        assert weight(mix, rect("1")) == F(1, 2)
 
     def test_weights_must_sum_to_one(self):
         m = empirical_measure(rect("1212"), (1, 2))

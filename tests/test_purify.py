@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import itertools
 from fractions import Fraction
@@ -21,7 +22,7 @@ from strictform.arrays import (
     window_to_rectangle,
 )
 from strictform.markers import MarkerSystem, check_two_gaps
-from strictform.measures import dstar, empirical_measure, mixture, point_mass
+from strictform.measures import _measure_key, dstar, empirical_measure
 from strictform.purify import (
     GOOD,
     BAD,
@@ -31,6 +32,7 @@ from strictform.purify import (
     SeparationViolation,
     TargetFamily,
     _census,
+    _repair,
     _stage_gamma,
     check_nesting,
     classify,
@@ -41,6 +43,7 @@ from strictform.purify import (
     select_tabbed,
 )
 
+from measure_helpers import mixture, point_mass
 from test_golden import NOISY_CONFIG
 
 F = Fraction
@@ -99,15 +102,54 @@ def reference_replace_bad(w, ms, k, family, tabbed):
     return replace_cells(w, k, placements), new_ms, changed, len(placements)
 
 
+def reference_census(samples, family, k):
+    """_census as first written, extracting each window into (p, rect) gaps
+    and classifying each distinct rectangle: the reference."""
+    census = {GOOD: 0, BAD: 0}
+    verdicts = {}
+    bad_gaps = []
+    for sample in samples:
+        bad = []
+        for p, rect in extract_k_rectangles(sample.window, sample.markers, k):
+            verdict = verdicts.get(rect)
+            if verdict is None:
+                verdict = verdicts[rect] = classify(rect, family)
+            census[verdict] += 1
+            if verdict == BAD:
+                bad.append((p, rect))
+        bad_gaps.append(bad)
+    return census, verdicts, bad_gaps
+
+
+def reference_repair(sample, family, k, bad, tabbed, verdicts):
+    """_repair as first written, re-checking every gap of the repaired
+    window: the reference."""
+    trunc = family.truncation
+    before = sample.measure
+    window, ms, changed, replaced = replace_bad(
+        sample.window, sample.markers, k, bad, tabbed
+    )
+    sample.window, sample.markers = window, ms
+    sample.measure = empirical_measure(window_to_rectangle(window), trunc)
+    all_good = all(
+        (verdicts.get(rect) or classify(rect, family)) == GOOD
+        for _, rect in extract_k_rectangles(window, ms, k)
+    )
+    moved = dstar(before, sample.measure, trunc).value
+    return replaced, changed, moved, all_good
+
+
 def census_bad(w, ms, k, family):
     """The bad (p, rect) gaps that _census finds in one window."""
     _, _, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
     return bad
 
 
-def reference_purify_stage(samples, config, stage, targets):
+def reference_purify_stage(samples, config, stage, targets, coarse):
     """purify_stage as first written, extracting every window three times
-    per stage: the reference for the census/repair split."""
+    per stage, with the nesting check of reference_check_nesting against
+    the coarse good sets: the reference for the census/repair split.  It
+    returns the good sets of every stage, the last one included."""
     k = config.depths[stage - 1]
     eps = config.epsilons[stage - 1]
     trunc = config.truncation
@@ -183,7 +225,15 @@ def reference_purify_stage(samples, config, stage, targets):
         fam_report["diameter_ok"] = diameter <= 3 * eps
         report["families"]["/".join(map(str, path))] = fam_report
         good_records[path] = record
-    return report, good_records
+    nested = True
+    if coarse is not None:
+        coarse_k = config.depths[stage - 2]
+        for path, fine in good_records.items():
+            if not reference_check_nesting(
+                fine, coarse[path[:-1]], coarse_k, config.gaps[coarse_k - 1]
+            ):
+                nested = False
+    return report, nested, good_records
 
 
 def point_family(symbol, gamma, truncation=(1, 2)):
@@ -248,13 +298,18 @@ class TestExtractKRectangles:
 
 
 @st.composite
-def extraction_cases(draw):
+def extraction_cases(draw, shape=None):
     """A window of 1-3 rows over {1, 2} at a non-zero origin, with a
     hand-built marker system: row k runs in steps of l or l + 1 from near
     the window's left end, and every other row holds any markers around the
-    window, so flags fall inside, on and outside the gaps."""
-    rows = draw(st.integers(1, 3))
-    k = draw(st.integers(1, rows))
+    window, so flags fall inside, on and outside the gaps.  ``shape`` fixes
+    (rows, k, l)."""
+    if shape is None:
+        rows = draw(st.integers(1, 3))
+        k = draw(st.integers(1, rows))
+        l = draw(st.integers(2, 4))
+    else:
+        rows, k, l = shape
     origin = draw(st.integers(-20, 20).filter(bool))
     columns = draw(st.integers(1, 30))
     cells = tuple(
@@ -265,7 +320,6 @@ def extraction_cases(draw):
     w = ArrayWindow(
         AmalgamationChain.canonical(rows), origin, cells, INDEPENDENT
     )
-    l = draw(st.integers(2, 4))
     steps = draw(st.lists(st.sampled_from([l, l + 1]), max_size=12))
     start = origin + draw(st.integers(-3, 3))
     row_k = [start]
@@ -321,6 +375,56 @@ class TestExtractKRectanglesDifferential:
         ms = MarkerSystem(((0, 3, 6), (0, 6)), (3, 6), 0, 6)
         with pytest.raises(ValueError):
             extract_k_rectangles(w, ms, 2)
+
+
+@st.composite
+def census_cases(draw):
+    """1-3 windows of extraction_cases that share rows, k and l, and a
+    family of 1-2 members at a truncation within every gap, whose gamma is
+    one gap's distance to the family or 1/2, so some gaps are bad.  Small
+    cells make rectangles and measures repeat across gaps and windows."""
+    rows = draw(st.integers(1, 3))
+    shape = rows, draw(st.integers(1, rows)), draw(st.integers(2, 4))
+    k, l = shape[1:]
+    windows = draw(st.lists(extraction_cases(shape), min_size=1, max_size=3))
+    trunc = (draw(st.integers(1, k)), draw(st.integers(1, l)))
+    grids = draw(st.lists(_grids(trunc[0], trunc[1], 8), min_size=1, max_size=2))
+    members = tuple(
+        empirical_measure(Rectangle.from_rows(g), trunc) for g in grids
+    )
+    gaps = [r for w, ms, _ in windows for _, r in extract_k_rectangles(w, ms, k)]
+    gamma = draw(
+        st.sampled_from(
+            [F(1, 2)]
+            + [min(dstar(r, m, trunc).value for m in members) for r in gaps]
+        )
+    )
+    samples = [SimpleNamespace(window=w, markers=ms) for w, ms, _ in windows]
+    return samples, TargetFamily((1,), members, gamma), k
+
+
+class TestCensusDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(census_cases())
+    def test_matches_reference(self, case):
+        samples, family, k = case
+        keys = []
+
+        def counted(rect, family):
+            keys.append(_measure_key(rect, family.truncation))
+            return classify(rect, family)
+
+        with mock.patch.object(purify, "classify", counted):
+            census, verdicts, bad_gaps = _census(samples, family, k)
+        expected = reference_census(samples, family, k)
+        assert census == expected[0]
+        # the same verdicts, first seen in the same order
+        assert list(verdicts.items()) == list(expected[1].items())
+        assert bad_gaps == expected[2]
+        # one classify per distinct measure key
+        trunc = family.truncation
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {_measure_key(r, trunc) for r in verdicts}
 
 
 class TestClassify:
@@ -723,6 +827,59 @@ class TestReplaceBadDifferential:
         assert replace_bad(w, ms, k, bad, tabbed) == expected
 
 
+def _wrong_blocks(w, k, placements):
+    # replace_cells writing every block as a constant-2 block of its size
+    return replace_cells(
+        w,
+        k,
+        [
+            (first, Rectangle.from_rows([[2] * block.width] * k))
+            for first, block in placements
+        ],
+    )
+
+
+def _both_repairs(w, ms, k, family, tabbed):
+    """_repair and reference_repair of the window's census bad gaps, each
+    on its own sample: their results and the samples' repaired states."""
+    _, verdicts, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
+    measure = empirical_measure(window_to_rectangle(w), family.truncation)
+    out = []
+    for repair in (_repair, reference_repair):
+        sample = SimpleNamespace(window=w, markers=ms, measure=measure)
+        result = repair(sample, family, k, bad, tabbed, verdicts)
+        out.append((result, sample.window, sample.markers, sample.measure))
+    return bad, out
+
+
+class TestRepairDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(replacement_cases(), st.booleans())
+    def test_matches_whole_window_recheck(self, case, wrong):
+        # random tabbed blocks, or wrong blocks written by replace_cells,
+        # make the re-check fail in some cases
+        w, ms, k, family, tabbed = case
+        patch = mock.patch.object(purify, "replace_cells", _wrong_blocks)
+        with patch if wrong else contextlib.nullcontext():
+            _, (got, expected) = _both_repairs(w, ms, k, family, tabbed)
+        assert got == expected
+
+    def test_wrong_block_fails_recheck(self, monkeypatch):
+        # window 111|121|111 under a point mass on 1: the tabbed 111 is good,
+        # and a replace_cells that writes 222 instead must be caught
+        w = lift_binary("0000010000", 1)
+        ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
+        fam = point_family(1, F(3, 10))
+        tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
+        bad, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
+        assert len(bad) == 1
+        assert got == expected and got[0][3] is True
+        monkeypatch.setattr(purify, "replace_cells", _wrong_blocks)
+        _, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
+        assert got == expected and got[0][3] is False
+        assert got[1].cells[0][4:7] == (2, 2, 2)
+
+
 class TestConfigValidation:
     def test_epsilon_summability_guard(self):
         # eps_2 must not exceed eps_1 / 2
@@ -761,12 +918,13 @@ class TestConfigValidation:
 
 
 class TestCensusCost:
-    def test_one_classify_per_distinct_rectangle(self, monkeypatch):
+    def test_one_classify_per_distinct_measure_key(self, monkeypatch):
         # each family's stage-1 census, its repair re-checks included,
-        # classifies every distinct k-rectangle of its samples exactly once
+        # classifies one rectangle of each distinct measure key of its
+        # samples, once; equal measures share the call
         config = config_from_dict(NOISY_CONFIG)
         targets, samples = purify._lift_leaves(config)
-        k = config.depths[0]
+        k, trunc = config.depths[0], config.truncation
         distinct = {}
         for s in samples:
             distinct.setdefault(s.path[:1], set()).update(
@@ -775,18 +933,25 @@ class TestCensusCost:
         calls = []
 
         def counted(rect, family):
-            calls.append((family.path, rect))
+            calls.append((family.path, _measure_key(rect, trunc)))
             return classify(rect, family)
 
         monkeypatch.setattr(purify, "classify", counted)
-        report, _ = purify.purify_stage(samples, config, 1, targets)
+        report, _, _ = purify.purify_stage(samples, config, 1, targets, None)
         assert len(calls) == len(set(calls))
+        keys = {
+            path: {_measure_key(rect, trunc) for rect in rects}
+            for path, rects in distinct.items()
+        }
         assert {
-            path: {rect for p, rect in calls if p == path} for path in distinct
-        } == distinct
+            path: {key for p, key in calls if p == path} for path in keys
+        } == keys
         for path, fam in report["families"].items():
-            # rectangles repeat, and repair ran, so the table was used
-            assert sum(fam["census"].values()) > len(distinct[(int(path),)])
+            # rectangles and measures repeat, and repair ran, so the tables
+            # were used
+            path = (int(path),)
+            assert len(keys[path]) < len(distinct[path])
+            assert sum(fam["census"].values()) > len(distinct[path])
         assert any(
             row["replaced"]
             for fam in report["families"].values()
@@ -950,7 +1115,7 @@ class TestStageSplit:
         assert _outcome(config) == expected
 
     def test_one_extraction_per_clean_sample(self, monkeypatch):
-        calls = {"extract": 0, "replace": 0}
+        calls = {"extract": 0, "keys": 0, "replace": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -960,6 +1125,8 @@ class TestStageSplit:
 
         monkeypatch.setattr(purify, "extract_k_rectangles",
                             counted("extract", extract_k_rectangles))
+        monkeypatch.setattr(purify, "_gap_keys",
+                            counted("keys", purify._gap_keys))
         monkeypatch.setattr(purify, "replace_bad",
                             counted("replace", replace_bad))
         rep = purify_pipeline(mixed_tree_config())
@@ -971,10 +1138,75 @@ class TestStageSplit:
         ]
         repaired = sum(1 for s in rows if s["replaced"] > 0)
         assert 0 < repaired < len(rows)
+        # a key pass per census window, a second one over a window with
+        # bad gaps, and one over the replaced gaps of a repaired window
         assert calls == {
-            "extract": len(rows) + repaired,
+            "extract": 0,
+            "keys": len(rows) + 2 * repaired,
             "replace": repaired,
         }
+
+
+def reference_nesting(config, check):
+    """purify_pipeline's nesting check as first written: the good sets of
+    every stage are kept to the end, then each fine family's is checked
+    against its parent's with ``check``."""
+    targets, samples = purify._lift_leaves(config)
+    records = {}
+    for stage in range(1, config.stage_count + 1):
+        _, _, records[stage] = reference_purify_stage(
+            samples, config, stage, targets, None
+        )
+    nesting_ok = True
+    for stage in range(2, config.stage_count + 1):
+        k = config.depths[stage - 2]
+        for path, fine in records[stage].items():
+            coarse = records[stage - 1][path[: stage - 1]]
+            if not check(fine, coarse, k, config.gaps[k - 1]):
+                nesting_ok = False
+    return nesting_ok
+
+
+def failing_check(fail):
+    """check_nesting that records its calls and fails the calls whose index
+    is in ``fail``."""
+    calls = []
+
+    def check(fine, coarse, k, coarse_l):
+        calls.append((fine, coarse, k, coarse_l))
+        return len(calls) - 1 not in fail and check_nesting(fine, coarse, k, coarse_l)
+
+    return check, calls
+
+
+class TestNestingPerStage:
+    def test_last_stage_returns_no_good_sets(self, monkeypatch):
+        returned = []
+        stage_fn = purify.purify_stage
+
+        def spy(*args):
+            returned.append(stage_fn(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(purify, "purify_stage", spy)
+        config = mixed_tree_config()
+        assert purify_pipeline(config)["nesting_ok"]
+        first, last = returned
+        assert set(first[2]) == {(1,), (2,)}
+        assert last[1] is True and last[2] is None
+
+    @pytest.mark.parametrize("fail", [(), (0,), (3,), (0, 1, 2, 3)])
+    def test_matches_all_records_reference(self, monkeypatch, fail):
+        # four stage-2 families, so four checks; any failed one fails the
+        # report, with the same arguments as the all-records pipeline's
+        config = mixed_tree_config()
+        check, calls = failing_check(set(fail))
+        monkeypatch.setattr(purify, "check_nesting", check)
+        nesting_ok = purify_pipeline(config)["nesting_ok"]
+        reference, ref_calls = failing_check(set(fail))
+        assert nesting_ok == reference_nesting(config, reference) == (not fail)
+        assert len(calls) == 4
+        assert calls == ref_calls
 
 
 # leaf 1's Bernoulli sample is leaf 2's target and one of its samples, so one
@@ -1005,9 +1237,9 @@ class TestSharedLifts:
             lifts.append(word)
             return lift_binary(word, rows)
 
-        def spy(samples, config, stage, targets):
+        def spy(samples, config, stage, targets, coarse):
             seen.update(samples=samples, targets=targets)
-            return stage_fn(samples, config, stage, targets)
+            return stage_fn(samples, config, stage, targets, coarse)
 
         stage_fn = purify.purify_stage
         monkeypatch.setattr(purify, "lift_binary", counted_lift)
