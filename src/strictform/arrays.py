@@ -7,6 +7,7 @@ horizontal shift is pure coordinate bookkeeping and never mutates cells.
 
 from __future__ import annotations
 
+from operator import add, sub
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -16,6 +17,10 @@ INVERSE_LIMIT = "inverse_limit"
 INDEPENDENT = "independent"
 
 _MAX_CANONICAL_ROWS = 20
+
+# a 0/1 word as ASCII to its row-1 cells (1 + bit), and to 1 - bit
+_ROW_ONE = bytes.maketrans(b"01", b"\1\2")
+_COMPLEMENT = bytes.maketrans(b"01", b"\1\0")
 
 
 class SymbolError(ValueError):
@@ -62,16 +67,6 @@ class AmalgamationChain(Value):
             for k in range(1, rows)
         )
         return cls(sizes, maps)
-
-
-def amalgamate(chain: AmalgamationChain, k: int, m: int) -> int:
-    """Image of row-(k+1) symbol m in row k."""
-    if not 1 <= k < chain.row_count:
-        raise ValueError(f"no amalgamation below row {k}")
-    table = chain.maps[k - 1]
-    if not 1 <= m <= len(table):
-        raise SymbolError(f"symbol {m} outside the row-{k + 1} alphabet")
-    return table[m - 1]
 
 
 class ArrayWindow(Value):
@@ -172,11 +167,6 @@ class Rectangle(Value):
             flat = tuple(tuple(bool(v) for v in r) for r in marks)
         return cls(cells, flat)
 
-    @classmethod
-    def from_word(cls, word: Iterable[int | str]) -> "Rectangle":
-        """One-row rectangle; accepts digit strings for convenience."""
-        return cls.from_rows([[int(c) for c in word]])
-
     # no caller in the package: perfbench/tracer.py keys classify calls by it
     def without_marks(self) -> "Rectangle":
         return Rectangle.from_rows(self.cells)
@@ -220,23 +210,25 @@ def extract_rectangle(
     return Rectangle(cells, tuple(tuple(r) for r in flags))
 
 
-def lift_binary(word: str | Sequence[int], rows: int) -> ArrayWindow:
+def lift_binary(word: str, rows: int) -> ArrayWindow:
     """Embed a 0/1 word into the canonical chain: cell (k, n) is one plus the
     value of the binary block word[n .. n+k-1].  The result is always valid in
     inverse-limit mode."""
-    bits = [int(c) for c in word]
-    if any(b not in (0, 1) for b in bits):
+    data = word.encode()
+    if data.translate(None, b"01"):
         raise ValueError("word must be over {0,1}")
-    if len(bits) < rows:
+    if len(data) < rows:
         raise ValueError("word shorter than the row count")
-    n = len(bits) - rows + 1
+    n = len(data) - rows + 1
     chain = AmalgamationChain.canonical(rows)
     # the block of cell (k, j) is that of cell (k-1, j) with bit j+k-1
-    # appended, so the cell is twice the one above it, minus 1, plus that bit
-    row = tuple(1 + b for b in bits[:n])
+    # appended, so the cell is twice the one above it, minus 1, plus that
+    # bit: 2v - 1 + b = 2v - (1 - b), with 1 - b read from the complement
+    row = tuple(data[:n].translate(_ROW_ONE))
     cells = [row]
+    flips = memoryview(data.translate(_COMPLEMENT))
     for k in range(2, rows + 1):
-        row = tuple(2 * v - 1 + b for v, b in zip(row, bits[k - 1 :]))
+        row = tuple(map(sub, map(add, row, row), flips[k - 1 :]))
         cells.append(row)
     return ArrayWindow(chain, 0, tuple(cells), INVERSE_LIMIT)
 

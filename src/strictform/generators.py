@@ -8,7 +8,8 @@ are pure.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
+from operator import ge, mod
 from typing import Iterator
 
 from ._value import Value, _set
@@ -16,6 +17,8 @@ from ._value import Value, _set
 CHACON_RULES = {"0": "0010", "1": "1"}
 
 _MASK64 = (1 << 64) - 1
+
+_BITS_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
 
 
 class HorizonExhausted(ValueError):
@@ -122,6 +125,15 @@ def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
 
     ``alpha`` stands in for an irrational rotation number; its denominator
     must exceed the word length so the generated prefix is exact.
+
+    With alpha = p/q and rho = u/v (v > 0), put M = q v and x_i = i p v + u q,
+    so that i a + r = x_i / M and c_i = floor((x_i + p v) / M) -
+    floor(x_i / M).  Write x_i = t M + s with 0 <= s = x_i mod M < M, which
+    holds for either sign of x_i.  The t M parts cancel, so c_i =
+    floor((s + p v) / M).  As 0 < p v < M, s + p v lies in [0, 2M), so c_i
+    is 0 or 1, and 1 exactly when s >= M - p v = (q - p) v.  Each symbol is
+    thus one modular comparison, run as C-level passes over the progression
+    of the x_i.
     """
     if not 0 < alpha < 1:
         raise ValueError("rotation number must lie in (0, 1)")
@@ -129,15 +141,12 @@ def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
         raise ValueError(
             f"denominator {alpha.denominator} too small for length {n}"
         )
-    # with alpha = p/q and rho = u/v, floor(i a + r) = (i p v + u q) // (q v)
     (p, q), (u, v) = alpha.as_integer_ratio(), rho.as_integer_ratio()
-    out = []
-    prev = u * q // (q * v)
-    for i in range(1, n + 1):
-        cur = (i * p * v + u * q) // (q * v)
-        out.append(str(cur - prev))
-        prev = cur
-    return "".join(out)
+    x = range(u * q, u * q + n * p * v, p * v)
+    bits = bytes(map(ge, map(mod, x, repeat(q * v)), repeat((q - p) * v)))
+    # rebinding frees the 0/1 bytes before the str is made from their copy
+    bits = bits.translate(_BITS_TO_ASCII)
+    return bits.decode()
 
 
 def sturmian_oracle(

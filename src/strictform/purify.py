@@ -270,6 +270,12 @@ class PurifyConfig(Value):
     def stage_count(self) -> int:
         return len(self.depths)
 
+    @property
+    def word_length(self) -> int:
+        """Length of each generated word: its lift to one row per gap has
+        ``columns`` columns."""
+        return self.columns + len(self.gaps) - 1
+
 
 def _exact(field: str, value, kind: type):
     """A JSON int as ``kind`` (int or Fraction), or for Fraction also a "p/q"
@@ -299,15 +305,19 @@ def _spec(field: str, value) -> GeneratorSpec:
         raise ValueError(f"{field}: {exc}") from None
     if spec.kind == "full":
         raise ValueError(f"{field}: {value!r} is an oracle and generates no words")
+    if spec.kind == "periodic" and not set(spec.word_arg) <= {"0", "1"}:
+        raise ValueError(f"{field}: {value!r} is not a 0/1 word, so it has no lift")
     return spec
 
 
-def _specs(field: str, value) -> tuple[GeneratorSpec, ...]:
+def _specs(field: str, value) -> list[tuple[str, GeneratorSpec]]:
+    """Each spec of the list with its JSON path."""
     if not isinstance(value, list):
         raise ValueError(f"{field}: expected a list of spec strings, got {value!r}")
     if not value:
         raise ValueError(f"{field}: expected a non-empty list")
-    return tuple(_spec(f"{field}[{i}]", v) for i, v in enumerate(value))
+    fields = [f"{field}[{i}]" for i in range(len(value))]
+    return [(at, _spec(at, v)) for at, v in zip(fields, value)]
 
 
 def config_from_dict(raw: dict) -> PurifyConfig:
@@ -316,6 +326,7 @@ def config_from_dict(raw: dict) -> PurifyConfig:
     list of nodes or samples: it would drop its targets from the separation
     without a word."""
     leaves: list[LeafSpec] = []
+    specs: list[tuple[str, GeneratorSpec]] = []
 
     def walk(field: str, nodes, prefix: tuple[int, ...]) -> None:
         if not isinstance(nodes, list):
@@ -331,10 +342,12 @@ def config_from_dict(raw: dict) -> PurifyConfig:
                 continue
             target = _spec(f"{at}.target", node.get("target"))
             samples = _specs(f"{at}.samples", node.get("samples"))
-            leaves.append(LeafSpec(path, target, samples))
+            specs.append((f"{at}.target", target))
+            specs.extend(samples)
+            leaves.append(LeafSpec(path, target, tuple(s for _, s in samples)))
 
     walk("tree", raw["tree"], ())
-    return PurifyConfig(
+    config = PurifyConfig(
         truncation=_exacts("truncation", raw["truncation"], int),
         gaps=_exacts("gaps", raw["gaps"], int),
         depths=_exacts("depths", raw["depths"], int),
@@ -347,6 +360,15 @@ def config_from_dict(raw: dict) -> PurifyConfig:
             else None
         ),
     )
+    # a Sturmian word is exact only below its rotation denominator
+    n = config.word_length
+    for at, spec in specs:
+        if spec.kind == "sturmian" and spec.alpha.denominator <= n:
+            raise ValueError(
+                f"{at}: {spec.spec!r} needs a denominator above the word "
+                f"length {n} (columns + len(gaps) - 1)"
+            )
+    return config
 
 
 # --- the staged pipeline ----------------------------------------------------
@@ -598,7 +620,7 @@ def _lift_leaves(
     per distinct generator.  A target that is also a sample shares its window
     and measure, which is safe because repair rebinds a sample's window and
     measure and never mutates them."""
-    word_len = config.columns + len(config.gaps) - 1
+    word_len = config.word_length
     base_ms = build_marker_system(config.columns, 0, config.gaps)
     rows, trunc = len(config.gaps), config.truncation
     # local to the set-up: held for the whole run, it would keep every

@@ -34,6 +34,7 @@ from strictform.markers import (
 from strictform.measures import dstar, empirical_measure
 from strictform.purify import config_from_dict, purify_pipeline
 
+from array_helpers import from_word
 from measure_helpers import concat, mixture, point_mass
 
 F = Fraction
@@ -122,10 +123,10 @@ def test_criterion_3_dstar_metric_axioms():
                 if fi[k] > dij + fj[k] + 1e-9:
                     if dist[i][k] > dist[i][j] + dist[j][k]:
                         ok = False
-    if dstar(Rectangle.from_word("11"), Rectangle.from_word("12"), (1, 2)).value != F(1, 2):
+    if dstar(from_word("11"), from_word("12"), (1, 2)).value != F(1, 2):
         ok = False
-    pm = point_mass(Rectangle.from_word("1"), (1, 2))
-    if dstar(Rectangle.from_word("121"), pm, (1, 2)).value != F(5, 12):
+    pm = point_mass(from_word("1"), (1, 2))
+    if dstar(from_word("121"), pm, (1, 2)).value != F(5, 12):
         ok = False
     elapsed = time.monotonic() - t0
     report(3, ok and elapsed < 60)

@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,6 @@ from strictform.arrays import (
     ArrayWindow,
     Rectangle,
     SymbolError,
-    amalgamate,
     extract_rectangle,
     lift_binary,
     read_arr,
@@ -18,7 +20,10 @@ from strictform.arrays import (
     window_to_rectangle,
     write_arr,
 )
+from strictform.generators import sturmian_word
 from strictform.markers import MarkerSystem
+
+from array_helpers import amalgamate, from_word
 
 binary_words = st.text(alphabet="01", min_size=4, max_size=12)
 
@@ -114,9 +119,11 @@ class TestLiftBinary:
         with pytest.raises(ValueError):
             lift_binary("01", 3)
 
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            lift_binary("012", 2)
+    # "\u0660\u0661" are Arabic-Indic 0 and 1, which int() reads as digits
+    @pytest.mark.parametrize("word", ["012", "2", " ", "01\n", "\u0660\u0661"])
+    def test_non_binary_rejected(self, word):
+        with pytest.raises(ValueError, match="word must be over"):
+            lift_binary(word, 1)
 
     def test_always_inverse_limit_valid_exhaustive(self):
         # all binary words up to length 10, all row counts up to 4
@@ -144,6 +151,19 @@ def reference_lift_cells(word, rows):
     return tuple(cells)
 
 
+def reference_lift_rows(word, rows):
+    # the row recurrence that lift_binary ran as a Python step per cell
+    # before its byte passes
+    bits = [int(c) for c in word]
+    n = len(bits) - rows + 1
+    row = tuple(1 + b for b in bits[:n])
+    cells = [row]
+    for k in range(2, rows + 1):
+        row = tuple(2 * v - 1 + b for v, b in zip(row, bits[k - 1 :]))
+        cells.append(row)
+    return tuple(cells)
+
+
 class TestLiftBinaryDifferential:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6), st.data())
@@ -153,6 +173,33 @@ class TestLiftBinaryDifferential:
         assert w.cells == reference_lift_cells(word, rows)
         assert w.chain == AmalgamationChain.canonical(rows)
         assert (w.origin, w.mode) == (0, INVERSE_LIMIT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.data())
+    def test_matches_row_recurrence(self, rows, data):
+        word = data.draw(st.text(alphabet="01", min_size=rows, max_size=300))
+        assert lift_binary(word, rows).cells == reference_lift_rows(word, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(min_size=1, max_size=20).filter(lambda w: set(w) - {"0", "1"}))
+    def test_rejects_any_word_with_another_symbol(self, word):
+        with pytest.raises(ValueError, match="word must be over"):
+            lift_binary(word, 1)
+
+    def test_heap_peak_of_a_purify_lift(self):
+        # a 2-row lift of a 5,187-symbol word peaks at about 104 KB of traced
+        # heap, of which the two 5,186-cell rows are 83 KB.  The per-cell
+        # loop over a list of ints read 176 KB.
+        word = sturmian_word(Fraction(309017, 500000), Fraction(1, 3), 5187)
+        lift_binary(word, 2)
+        tracemalloc.start()
+        try:
+            w = lift_binary(word, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.columns == 5186
+        assert peak < 112 * 1024
 
 
 class TestExtractRectangle:
@@ -193,7 +240,7 @@ class TestRectangle:
         assert s.cells == ((2, 1),)
 
     def test_from_word(self):
-        assert Rectangle.from_word("121").cells == ((1, 2, 1),)
+        assert from_word("121").cells == ((1, 2, 1),)
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +270,7 @@ class TestReplaceCells:
         [
             (9, Rectangle.from_rows([[2], [2]])),
             (15, Rectangle.from_rows([[2, 2], [2, 2]])),
-            (12, Rectangle.from_word("2")),
+            (12, from_word("2")),
         ],
     )
     def test_placement_out_of_range(self, first, block):

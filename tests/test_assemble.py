@@ -42,6 +42,8 @@ from strictform.generators import (
 from strictform.markers import MarkerSystem
 from strictform.purify import extract_k_rectangles
 
+from array_helpers import from_word
+
 
 @pytest.fixture(scope="module")
 def fs_kit():
@@ -87,41 +89,41 @@ class TestBinaryWordBridge:
         assert rectangle_to_binary_word(rect) == word
 
     def test_single_row(self):
-        assert rectangle_to_binary_word(Rectangle.from_word("121")) == "010"
+        assert rectangle_to_binary_word(from_word("121")) == "010"
 
     def test_inconsistent_returns_none(self):
         rect = Rectangle.from_rows([[1, 2], [1, 1]])
         assert rectangle_to_binary_word(rect) is None
 
     def test_nonbinary_row_returns_none(self):
-        assert rectangle_to_binary_word(Rectangle.from_word("13")) is None
+        assert rectangle_to_binary_word(from_word("13")) is None
 
     def test_lifted_contains(self):
         o = periodic_oracle("01", 64)
-        assert lifted_contains(o, Rectangle.from_word("1212"))
-        assert not lifted_contains(o, Rectangle.from_word("11"))
+        assert lifted_contains(o, from_word("1212"))
+        assert not lifted_contains(o, from_word("11"))
 
 
 class TestTransitionLength:
     def test_full_shift_12(self):
         fs = full_shift_oracle(2)
-        assert transition_length(fs, Rectangle.from_word("12"), 50) == 2
+        assert transition_length(fs, from_word("12"), 50) == 2
 
     def test_full_shift_11(self):
         fs = full_shift_oracle(2)
-        assert transition_length(fs, Rectangle.from_word("11"), 50) == 1
+        assert transition_length(fs, from_word("11"), 50) == 1
 
     def test_periodic_never_transitions(self):
         # period-2 occurrences differ by even amounts only; an odd horizon
         # leaves no certified tail
         o = periodic_oracle("12", 64)
         with pytest.raises(NotFoundWithinHorizon):
-            transition_length(o, Rectangle.from_word("1"), 31)
+            transition_length(o, from_word("1"), 31)
 
     def test_not_in_language_rejected(self):
         o = periodic_oracle("12", 64)
         with pytest.raises(ValueError):
-            transition_length(o, Rectangle.from_word("11"), 31)
+            transition_length(o, from_word("11"), 31)
 
 
 # --- reference lag search: the pair scans the occurrence mask replaced ------

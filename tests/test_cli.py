@@ -101,6 +101,17 @@ TREE_PATH_ERRORS = [
      "tree[1].target: 'full:2' is an oracle and generates no words"),
     ([dict(_LEAVES[0], samples=["periodic:0", "full:2"]), _LEAVES[1]],
      "tree[0].samples[1]: 'full:2' is an oracle and generates no words"),
+    # a sample or target must lift to a binary window of 2000 columns
+    ([dict(_LEAVES[0], samples=["periodic:0", "periodic:2"]), _LEAVES[1]],
+     "tree[0].samples[1]: 'periodic:2' is not a 0/1 word, so it has no lift"),
+    ([_LEAVES[0], dict(_LEAVES[1], target="periodic:0120")],
+     "tree[1].target: 'periodic:0120' is not a 0/1 word, so it has no lift"),
+    ([_LEAVES[0], dict(_LEAVES[1], samples=["sturmian:1/2"])],
+     "tree[1].samples[0]: 'sturmian:1/2' needs a denominator above the word "
+     "length 2000 (columns + len(gaps) - 1)"),
+    ([dict(_LEAVES[0], target="sturmian:1999/2000"), _LEAVES[1]],
+     "tree[0].target: 'sturmian:1999/2000' needs a denominator above the "
+     "word length 2000"),
 ]
 
 # keys replaced together -> the message of the stage rule they break
@@ -346,7 +357,9 @@ class TestPurify:
             "samples_object", "sample_not_string", "families_object",
             "nested_samples_object", "bad_target_spec", "no_target",
             "node_not_object", "tree_object", "empty_samples", "empty_families",
-            "full_target", "full_sample",
+            "full_target", "full_sample", "periodic_2_sample",
+            "periodic_2_target", "sturmian_1_2_sample",
+            "sturmian_denominator_at_length",
         ],
     )
     def test_tree_error_names_json_path(self, tmp_path, capsys, tree, message):

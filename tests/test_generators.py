@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -137,6 +138,64 @@ class TestSturmian:
         spreads = [cesaro_spread(w, "1", n) for n in (8, 16, 32, 64, 128)]
         assert all(b <= a for a, b in zip(spreads, spreads[1:]))
         assert spreads[-1] < spreads[0]
+
+
+def reference_sturmian_floors(alpha, rho, n):
+    # the integer-floor loop that sturmian_word ran as a Python step per
+    # symbol before its modular comparison
+    (p, q), (u, v) = alpha.as_integer_ratio(), rho.as_integer_ratio()
+    out = []
+    prev = u * q // (q * v)
+    for i in range(1, n + 1):
+        cur = (i * p * v + u * q) // (q * v)
+        out.append(str(cur - prev))
+        prev = cur
+    return "".join(out)
+
+
+@st.composite
+def wide_rotations(draw):
+    # alpha = P/Q with Q up to 10^9, a phase that is negative or at least 1,
+    # and a length up to min(Q - 1, 500), Q being alpha's reduced denominator
+    q = draw(st.integers(2, 10**9))
+    alpha = F(draw(st.integers(1, q - 1)), q)
+    v = draw(st.integers(1, 10**9))
+    u = draw(st.integers(-(10**12), -1) | st.integers(v, v + 10**12))
+    n = draw(st.integers(0, min(alpha.denominator - 1, 500)))
+    return alpha, F(u, v), n
+
+
+class TestSturmianDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(wide_rotations())
+    def test_matches_integer_floor_loop(self, args):
+        assert sturmian_word(*args) == reference_sturmian_floors(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_rotations())
+    def test_matches_fraction_definition(self, args):
+        assert sturmian_word(*args) == reference_sturmian_word(*args)
+
+    @pytest.mark.parametrize("rho", [F(-1), F(-1, 3), F(1), F(7, 3)])
+    def test_longest_word_below_the_denominator(self, rho):
+        alpha = F(2, 7)
+        assert sturmian_word(alpha, rho, 6) == reference_sturmian_word(
+            alpha, rho, 6
+        )
+
+    def test_heap_peak_of_a_purify_word(self):
+        # a 5,187-symbol word peaks at about 11 KB of traced heap: the
+        # comparison bytes, then their ASCII copy and the str.  The loop of
+        # one str per symbol read 306 KB.
+        sturmian_word(GOLDEN, F(1, 3), 5187)
+        tracemalloc.start()
+        try:
+            word = sturmian_word(GOLDEN, F(1, 3), 5187)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 5187
+        assert peak < 16 * 1024
 
 
 class TestSubstitution:

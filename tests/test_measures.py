@@ -12,6 +12,7 @@ from strictform.generators import bernoulli_window
 from strictform.measures import TruncationMismatch, dstar, empirical_measure
 from strictform.purify import TargetFamily, classify
 
+from array_helpers import from_word
 from measure_helpers import concat, mixture, point_mass, weight, weights
 
 F = Fraction
@@ -39,7 +40,7 @@ def cesaro_spread(word, pattern, n):
 
 
 def rect(word):
-    return Rectangle.from_word(word)
+    return from_word(word)
 
 
 def measure_weight(r, q):
@@ -192,7 +193,12 @@ class TestDerivedDimensionsDifferential:
         "r, t",
         [
             (Rectangle.from_rows([periodic_row(5187)]), (1, 12)),
-            (window_to_rectangle(lift_binary(periodic_row(5188), 2)), (2, 6)),
+            (
+                window_to_rectangle(
+                    lift_binary("".join(map(str, periodic_row(5188))), 2)
+                ),
+                (2, 6),
+            ),
             (
                 concat([Rectangle.from_rows([periodic_row(n)]) for n in (40, 60)]),
                 (1, 5),

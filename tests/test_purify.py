@@ -43,6 +43,7 @@ from strictform.purify import (
     select_tabbed,
 )
 
+from array_helpers import from_word
 from measure_helpers import mixture, point_mass
 from test_golden import NOISY_CONFIG
 
@@ -237,7 +238,7 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
 
 
 def point_family(symbol, gamma, truncation=(1, 2)):
-    pm = point_mass(Rectangle.from_word(str(symbol)), truncation)
+    pm = point_mass(from_word(str(symbol)), truncation)
     return TargetFamily((1,), (pm,), F(gamma))
 
 
@@ -430,16 +431,16 @@ class TestCensusDifferential:
 class TestClassify:
     def test_exact_match_good(self):
         fam = point_family(1, F(3, 10))
-        assert classify(Rectangle.from_word("111"), fam) == GOOD
+        assert classify(from_word("111"), fam) == GOOD
 
     def test_far_rectangle_bad(self):
         # d*("121", point-mass on 1) = 5/12 > 3/10
         fam = point_family(1, F(3, 10))
-        assert classify(Rectangle.from_word("121"), fam) == BAD
+        assert classify(from_word("121"), fam) == BAD
 
     def test_gamma_zero_strict(self):
         fam = point_family(1, F(0))
-        assert classify(Rectangle.from_word("111"), fam) == BAD
+        assert classify(from_word("111"), fam) == BAD
 
     def test_flags_ignored(self):
         fam = point_family(1, F(3, 10))
@@ -450,11 +451,11 @@ class TestClassify:
         t = (1, 2)
         fam = TargetFamily(
             (1,),
-            (point_mass(Rectangle.from_word("1"), t),
-             point_mass(Rectangle.from_word("2"), t)),
+            (point_mass(from_word("1"), t),
+             point_mass(from_word("2"), t)),
             F(1, 10),
         )
-        assert classify(Rectangle.from_word("222"), fam) == GOOD
+        assert classify(from_word("222"), fam) == GOOD
 
 
 def _grids(rows, min_width, max_width):
@@ -548,11 +549,11 @@ class TestClassifyIntegers:
         # d*("1112", (delta_1 + delta_2) / 2) is exactly gamma: not below it
         t = (1, 2)
         mix = mixture(
-            [point_mass(Rectangle.from_word("1"), t),
-             point_mass(Rectangle.from_word("2"), t)],
+            [point_mass(from_word("1"), t),
+             point_mass(from_word("2"), t)],
             [F(1, 2), F(1, 2)],
         )
-        rect = Rectangle.from_word("1112")
+        rect = from_word("1112")
         d = dstar(rect, mix, t).value
         assert classify(rect, TargetFamily((1,), (mix,), d)) == BAD
         nudged = TargetFamily((1,), (mix,), d + F(1, 10**9))
@@ -582,8 +583,8 @@ class TestClassifyMemo:
         w = lift_binary(word, 1)
         ms = MarkerSystem((tuple(cuts),), (3,), 0, cuts[-1])
         tabbed = {
-            3: Rectangle.from_word("111"),
-            4: Rectangle.from_word("1111"),
+            3: from_word("111"),
+            4: from_word("1111"),
         }
         fam = point_family(1, F(3, 10))
         bad = census_bad(w, ms, 1, fam)
@@ -660,27 +661,27 @@ class TestCheckNesting:
 
 class TestSelectTabbed:
     def test_basic_pair(self):
-        good = [Rectangle.from_word("111"), Rectangle.from_word("1111")]
+        good = [from_word("111"), from_word("1111")]
         short, long = select_tabbed(good, 3)
         assert short.width == 3 and long.width == 4
 
     def test_missing_length(self):
-        good = [Rectangle.from_word("111"), Rectangle.from_word("112")]
+        good = [from_word("111"), from_word("112")]
         with pytest.raises(MissingLength) as exc:
             select_tabbed(good, 3)
         assert exc.value.width == 4
 
     def test_lexicographic_and_order_free(self):
-        a = Rectangle.from_word("112")
-        b = Rectangle.from_word("111")
-        c = Rectangle.from_word("2111")
+        a = from_word("112")
+        b = from_word("111")
+        c = from_word("2111")
         assert select_tabbed([a, b, c], 3) == select_tabbed([c, a, b], 3)
         assert select_tabbed([a, b, c], 3)[0] == b
 
     def test_flag_breaks_tie(self):
-        plain = Rectangle.from_word("111")
+        plain = from_word("111")
         marked = Rectangle.from_rows([[1, 1, 1]], [[True, False, False]])
-        wide = Rectangle.from_word("1111")
+        wide = from_word("1111")
         assert select_tabbed([marked, plain, wide], 3)[0] == plain
 
 
@@ -691,8 +692,8 @@ class TestReplaceBad:
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
         tabbed = {
-            3: Rectangle.from_word("111"),
-            4: Rectangle.from_word("1111"),
+            3: from_word("111"),
+            4: from_word("1111"),
         }
         return w, ms, fam, tabbed
 
@@ -700,7 +701,7 @@ class TestReplaceBad:
         w = lift_binary("0000000000", 1)
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
-        tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
+        tabbed = {3: from_word("111"), 4: from_word("1111")}
         bad = census_bad(w, ms, 1, fam)
         out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
         assert bad == []
@@ -728,7 +729,7 @@ class TestReplaceBad:
         w = lift_binary("01101011101", 2)
         ms = MarkerSystem(((0, 3, 6, 9), (0, 9)), (3, 9), 0, 9)
         fam = point_family(1, F(1, 10))
-        tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
+        tabbed = {3: from_word("111"), 4: from_word("1111")}
         bad = census_bad(w, ms, 1, fam)
         out, _, _, _ = replace_bad(w, ms, 1, bad, tabbed)
         assert bad and out.cells[1] == w.cells[1]
@@ -870,7 +871,7 @@ class TestRepairDifferential:
         w = lift_binary("0000010000", 1)
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
-        tabbed = {3: Rectangle.from_word("111"), 4: Rectangle.from_word("1111")}
+        tabbed = {3: from_word("111"), 4: from_word("1111")}
         bad, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
         assert len(bad) == 1
         assert got == expected and got[0][3] is True

@@ -50,6 +50,8 @@ from strictform.purify import (
     config_from_dict,
 )
 
+from array_helpers import from_word
+
 F = Fraction
 REQUIRED = dataclasses.MISSING
 
@@ -118,7 +120,7 @@ def samples():
     """A few instances of every class, some with equal fields."""
     w = lift_binary("0110100", 3)
     r = Rectangle.from_rows([[1, 2], [1, 3]], [[0, 1], [0, 0]])
-    m = empirical_measure(Rectangle.from_word("1211"), (1, 2))
+    m = empirical_measure(from_word("1211"), (1, 2))
     spec = parse_spec("periodic:01")
     config = config_from_dict(CONFIG)
     return {
@@ -130,7 +132,7 @@ def samples():
             w, shift(w, 2), ArrayWindow(w.chain, w.origin, w.cells, INDEPENDENT),
         ],
         Rectangle: [
-            r, r.without_marks(), Rectangle.from_word("12"), r.sub(1, 0, 1),
+            r, r.without_marks(), from_word("12"), r.sub(1, 0, 1),
         ],
         GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
         MarkerSystem: [
@@ -139,7 +141,7 @@ def samples():
             MarkerSystem(((0, 3, 7),), (3,), 0, 7, (12,)),
         ],
         EmpiricalMeasure: [
-            m, empirical_measure(Rectangle.from_word("1212"), (1, 2)),
+            m, empirical_measure(from_word("1212"), (1, 2)),
         ],
         TruncatedDistance: [
             dstar(m, m, (1, 2)), TruncatedDistance(F(1, 3), F(1, 2)),
@@ -240,7 +242,7 @@ class Cells(Value):
 
 
 def test_other_class_with_equal_fields_is_unequal():
-    r = Rectangle.from_word("12")
+    r = from_word("12")
     other = Cells(r.cells, r.marks)
     assert other != r and r != other
     assert not other == r and not r == other
