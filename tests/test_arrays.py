@@ -119,9 +119,13 @@ class TestLiftBinary:
         with pytest.raises(ValueError):
             lift_binary("01", 3)
 
+    def test_non_binary_rejected(self):
+        with pytest.raises(ValueError):
+            lift_binary("012", 2)
+
     # "\u0660\u0661" are Arabic-Indic 0 and 1, which int() reads as digits
     @pytest.mark.parametrize("word", ["012", "2", " ", "01\n", "\u0660\u0661"])
-    def test_non_binary_rejected(self, word):
+    def test_non_binary_symbols_rejected(self, word):
         with pytest.raises(ValueError, match="word must be over"):
             lift_binary(word, 1)
 
