@@ -6,7 +6,8 @@ instances compare and hash by class and field values, print as
 ``Name(field=value, ...)`` and refuse assignment and deletion, like a frozen
 dataclass.  The fields are exactly the ``__slots__``: a value holds no
 hidden state, so a cache belongs to the code that fills it.  Nothing is
-generated at import: a class costs one ``attrgetter``.
+generated at import: a class costs one ``attrgetter``, wrapped in a lambda
+when it has one field.
 """
 
 from operator import attrgetter
@@ -20,9 +21,12 @@ class Value:
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._fields = cls.__slots__
-        # with two or more fields the getter returns the tuple that a
-        # dataclass compares and hashes
-        cls._key = attrgetter(*cls._fields)
+        # the getter returns the tuple that a dataclass compares and hashes;
+        # with one field it returns the bare value, so that is wrapped
+        getter = attrgetter(*cls._fields)
+        cls._key = (
+            getter if len(cls._fields) > 1 else staticmethod(lambda x: (getter(x),))
+        )
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

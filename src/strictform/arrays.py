@@ -126,25 +126,18 @@ def shift(w: ArrayWindow, t: int) -> ArrayWindow:
 
 
 class Rectangle(Value):
-    """A k x w block of symbols with per-cell marker flags.
+    """A k x w block of symbols.  Identity is cellwise; horizontal position
+    is not part of a rectangle."""
 
-    ``marks[i][j]`` set means "a marker sits right after cell (i+1, j)".
-    Identity is cellwise on symbols and flags; horizontal position is not
-    part of a rectangle.
-    """
+    __slots__ = ("cells",)
 
-    __slots__ = ("cells", "marks")
-
-    def __init__(self, cells, marks):
+    def __init__(self, cells):
         _set(self, "cells", cells)
-        _set(self, "marks", marks)
         if not cells or not cells[0]:
             raise ValueError("rectangle must be nonempty")
         w = len(cells[0])
         if any(len(r) != w for r in cells):
             raise ValueError("ragged rectangle")
-        if len(marks) != len(cells) or any(len(r) != w for r in marks):
-            raise ValueError("marks must mirror the cell grid")
 
     @property
     def rows(self) -> int:
@@ -155,59 +148,29 @@ class Rectangle(Value):
         return len(self.cells[0])
 
     @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[Sequence[int]],
-        marks: Sequence[Sequence[bool]] | None = None,
-    ) -> "Rectangle":
-        cells = tuple(tuple(r) for r in rows)
-        if marks is None:
-            flat = tuple((False,) * len(r) for r in cells)
-        else:
-            flat = tuple(tuple(bool(v) for v in r) for r in marks)
-        return cls(cells, flat)
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Rectangle":
+        return cls(tuple(tuple(r) for r in rows))
 
     # no caller in the package: perfbench/tracer.py keys classify calls by it
     def without_marks(self) -> "Rectangle":
-        return Rectangle.from_rows(self.cells)
+        return self
 
     def sub(self, rows: int, col: int, width: int) -> "Rectangle":
         """Sub-rectangle over rows 1..rows and relative columns [col, col+width)."""
         if not 1 <= rows <= self.rows or not 0 <= col <= self.width - width:
             raise ValueError("sub-rectangle out of range")
-        return Rectangle(
-            tuple(r[col : col + width] for r in self.cells[:rows]),
-            tuple(r[col : col + width] for r in self.marks[:rows]),
-        )
+        return Rectangle(tuple(r[col : col + width] for r in self.cells[:rows]))
 
 
-def extract_rectangle(
-    w: ArrayWindow,
-    k: int,
-    first: int,
-    last: int,
-    markers=None,
-) -> Rectangle:
-    """Rectangle over rows 1..k and absolute columns [first, last].
-
-    Marker flags are copied from ``markers`` (a MarkerSystem) restricted to
-    rows 1..k: a row-j marker at position n flags cell (j, n) when n is in
-    the column range.
-    """
+def extract_rectangle(w: ArrayWindow, k: int, first: int, last: int) -> Rectangle:
+    """Rectangle over rows 1..k and absolute columns [first, last]."""
     if not 1 <= k <= w.rows:
         raise ValueError(f"row range [1,{k}] outside the window")
     lo, hi = w.origin, w.origin + w.columns - 1
     if first > last or first < lo or last > hi:
         raise ValueError(f"columns [{first},{last}] outside [{lo},{hi}]")
     a, b = first - w.origin, last - w.origin + 1
-    cells = tuple(row[a:b] for row in w.cells[:k])
-    width = last - first + 1
-    flags = [[False] * width for _ in range(k)]
-    if markers is not None:
-        for j in range(min(k, markers.row_count)):
-            for p in markers.positions_between(j + 1, first, last):
-                flags[j][p - first] = True
-    return Rectangle(cells, tuple(tuple(r) for r in flags))
+    return Rectangle(tuple(row[a:b] for row in w.cells[:k]))
 
 
 def lift_binary(word: str, rows: int) -> ArrayWindow:
@@ -233,11 +196,9 @@ def lift_binary(word: str, rows: int) -> ArrayWindow:
     return ArrayWindow(chain, 0, tuple(cells), INVERSE_LIMIT)
 
 
-def window_to_rectangle(w: ArrayWindow, markers=None) -> Rectangle:
-    """Full-window extraction."""
-    return extract_rectangle(
-        w, w.rows, w.origin, w.origin + w.columns - 1, markers
-    )
+def window_to_rectangle(w: ArrayWindow) -> Rectangle:
+    """Full-window extraction: the rectangle shares the window's cells."""
+    return Rectangle(w.cells)
 
 
 def replace_cells(

@@ -89,7 +89,7 @@ def detect_exceptional(spec: PeriodSpec) -> bool:
 
 def rectangle_to_binary_word(rect: Rectangle) -> str | None:
     """The 0/1 word whose lift is this rectangle, or None when the cells are
-    not lift-consistent.  Marker flags are ignored."""
+    not lift-consistent."""
     w, rows = rect.width, rect.rows
     bits = [rect.cells[0][j] - 1 for j in range(w)]
     if any(b not in (0, 1) for b in bits):

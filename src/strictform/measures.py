@@ -23,8 +23,7 @@ class TruncationMismatch(ValueError):
 class EmpiricalMeasure(Value):
     """Cylinder weights up to a truncation: for each dimension (rows, width)
     within it, ``dims`` holds ``(n, counts)`` with counts summing to n, and q
-    weighs ``counts[q.cells] / n`` (n = 1 for fractional weights).  Only
-    cell blocks are counted; marker flags are not part of a measure."""
+    weighs ``counts[q.cells] / n`` (n = 1 for fractional weights)."""
 
     __slots__ = ("truncation", "dims")
 
@@ -54,8 +53,7 @@ def empirical_measure(
 ) -> EmpiricalMeasure:
     """Weights(q) for every cell block q within the truncation: the number
     of horizontal offsets at which q's cells occur in the first q.rows rows
-    of r, over the r.width - q.width + 1 offsets.  Only the cells of r are
-    read; its marker flags do not change the measure.
+    of r, over the r.width - q.width + 1 offsets.
 
     One slab pass counts the full truncation (R, W).  When the window has
     few distinct top keys, every other dimension (rows, width) is derived

@@ -1,9 +1,10 @@
 """Good/bad classification of k-rectangles against target families, tabbed
 replacement, and the staged purification pipeline over a nested family tree.
 
-Classification is decided on the truncated metric value only, and measures
-ignore marker flags, so nothing is stripped; the pipeline is deterministic
-and platform independent.
+A k-gap is handled as its key: its k cell rows, then the finer-row marker
+flags inside it.  Classification reads the cells only and is decided on the
+truncated metric value; the pipeline is deterministic and platform
+independent.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ class TargetFamily(Value):
 
 
 def classify(rect: Rectangle, family: TargetFamily) -> str:
-    """Good iff the truncated distance to some member is below gamma; the
-    marker flags of rect do not count, as measures ignore them.
+    """Good iff the truncated distance to some member is below gamma.
 
     With the distance d to a member as the unreduced ``num / den`` of
     ``measures._l1_sum`` (den > 0) and gamma = g / h in lowest terms
@@ -97,17 +97,21 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
     return BAD
 
 
-# a k-rectangle with its left row-k marker p: it covers columns p+1..p+width
-Gap = tuple[int, Rectangle]
+# a k-gap as (p, key): p is its left row-k marker, so it covers columns
+# p+1..p+width, and the key holds its k cell rows, then the flags of rows
+# 1..k-1 over its columns as ``bytes`` rows (1 where a marker sits right
+# after the cell); row k flags only the gap's last cell, so no key carries it
+Gap = tuple[int, tuple]
 
 
 def _window_rows(w: ArrayWindow, ms: MarkerSystem, k: int) -> tuple:
     """Row k's cuts of w, the slices of the gaps between them, and the rows
     a gap key cuts: rows 1..k of the cells, then the markers of rows 1..k-1
-    as window-long ``bytes`` rows of flags.  Row k flags only each gap's
-    last cell, so no key carries it."""
+    as window-long ``bytes`` rows of flags."""
     if not 1 <= k <= ms.row_count:
         raise InvalidMarkers(f"marker system has no row {k}")
+    if k > w.rows:
+        raise ValueError(f"window has no row {k}")
     # every gap of row k, so every gap cut out below, has length l or l+1
     if not check_two_gaps(ms, k):
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
@@ -130,46 +134,19 @@ def _gap_keys(rows: list, slices: list[slice]):
     return zip(*[map(row.__getitem__, slices) for row in rows])
 
 
-def _rectangle(key: tuple, k: int) -> Rectangle:
-    cells = key[:k]
-    # each flag row is built from a list: from the bare map, tuple() grows
-    # and shrinks its result, and the traced heap peak of a purify-noisy
-    # pipeline was 66 KB higher
-    marks = [tuple([*map(bool, row)]) for row in key[k:]]
-    marks.append((False,) * (len(cells[0]) - 1) + (True,))
-    return Rectangle(cells, tuple(marks))
+def select_tabbed(good: Iterable[tuple], l: int) -> tuple[tuple, tuple]:
+    """The smallest good gap key of each width l and l+1.
 
-
-def extract_k_rectangles(
-    w: ArrayWindow, ms: MarkerSystem, k: int
-) -> list[Gap]:
-    """All blocks of rows 1..k between consecutive row-k markers, each as
-    ``(p, rect)`` with p its left marker, with the finer-row markers embedded
-    as flags.
-
-    Every gap is cut out of the cell and flag rows in one key pass.  Equal
-    gaps share one Rectangle, built the first time its key is seen.
+    Keys compare as the flag grids of their gaps did: cells first, then the
+    flag rows, where the 0/1 bytes order as False/True, and the row-k flags
+    that no key carries are equal for every key of one width.
     """
-    ps, slices, rows = _window_rows(w, ms, k)
-    rects: dict[tuple, Rectangle] = {}
-    gaps = []
-    for p, key in zip(ps, _gap_keys(rows, slices)):
-        rect = rects.get(key)
-        if rect is None:
-            rect = rects[key] = _rectangle(key, k)
-        gaps.append((p, rect))
-    return gaps
-
-
-def select_tabbed(
-    good: Iterable[Rectangle], l: int
-) -> tuple[Rectangle, Rectangle]:
-    """Lexicographically smallest good rectangle of each width l and l+1."""
-    chosen: dict[int, Rectangle] = {}
-    for rect in good:
-        cur = chosen.get(rect.width)
-        if cur is None or (rect.cells, rect.marks) < (cur.cells, cur.marks):
-            chosen[rect.width] = rect
+    chosen: dict[int, tuple] = {}
+    for key in good:
+        width = len(key[0])
+        cur = chosen.get(width)
+        if cur is None or key < cur:
+            chosen[width] = key
     for width in (l, l + 1):
         if width not in chosen:
             raise MissingLength(width)
@@ -181,27 +158,29 @@ def replace_bad(
     ms: MarkerSystem,
     k: int,
     bad: list[Gap],
-    tabbed: dict[int, Rectangle],
+    tabbed: dict[int, tuple],
 ) -> tuple[ArrayWindow, MarkerSystem, int, int]:
-    """Overwrite each bad k-rectangle, given as ``(p, rect)`` with p its left
-    row-k marker, with the tabbed rectangle of its width.
+    """Overwrite each bad k-gap ``(p, key)`` with the tabbed key of its
+    width.
 
     Rows above k and row->=k markers never change; markers of rows below k
-    inside a replaced gap are rewritten from the tabbed rectangle's flags.
+    inside a replaced gap are rewritten from the tabbed key's flag rows.
     Returns (window, markers, changed columns, replaced count); the output
     window is in independent mode.
     """
     sub_rows = [set(ms.row(j)) for j in range(1, k)]
-    for p, rect in bad:
-        block = tabbed[rect.width]
+    for p, key in bad:
         # flags before the last cell are the markers strictly inside the gap
-        for row, old, new in zip(sub_rows, rect.marks, block.marks):
-            row -= {p + 1 + c for c, f in enumerate(old[:-1]) if f}
-            row |= {p + 1 + c for c, f in enumerate(new[:-1]) if f}
+        inner = range(p + 1, p + len(key[0]))
+        new = tabbed[len(key[0])]
+        for row, old_flags, new_flags in zip(sub_rows, key[k:], new[k:]):
+            row.difference_update(compress(inner, old_flags))
+            row.update(compress(inner, new_flags))
     for j, row in enumerate(sub_rows, start=1):
         ms = ms.with_row(j, row)
-    window = replace_cells(w, k, [(p + 1, tabbed[r.width]) for p, r in bad])
-    return window, ms, sum(r.width for _, r in bad), len(bad)
+    blocks = {width: Rectangle(key[:k]) for width, key in tabbed.items()}
+    window = replace_cells(w, k, [(p + 1, blocks[len(key[0])]) for p, key in bad])
+    return window, ms, sum(len(key[0]) for _, key in bad), len(bad)
 
 
 # --- configuration ----------------------------------------------------------
@@ -420,49 +399,45 @@ def _stage_gamma(
 
 def _census(
     samples: list[_Sample], family: TargetFamily, k: int
-) -> tuple[dict[str, int], dict[Rectangle, str], list[list[Gap]]]:
-    """The good/bad counts of the samples' k-rectangles, the verdict of each
-    distinct rectangle and each sample's bad gaps, in window order.
+) -> tuple[dict[str, int], dict[tuple, str], list[list[Gap]]]:
+    """The good/bad counts of the samples' k-gaps, the verdict of each
+    distinct gap key and each sample's bad gaps, in window order.
 
     A window's gap keys are counted by one Counter over one key pass, and a
-    Rectangle is built only for a key the family has not seen.  A verdict
-    depends only on the rectangle's measure, so ``classify`` runs once per
-    distinct ``measures._measure_key``.  Only a window with bad gaps is
-    sliced again, lazily, to collect them.
+    Rectangle of a key's cells is built only to classify a key the family
+    has not seen.  A verdict depends only on the rectangle's measure, so
+    ``classify`` runs once per distinct ``measures._measure_key``.  Only a
+    window with bad gaps is sliced again, lazily, to collect them; equal
+    bad gaps share one key.
     """
     census = {GOOD: 0, BAD: 0}
-    verdicts: dict[Rectangle, str] = {}
-    # the family's rectangle and verdict of each gap key, and the verdict
-    # of each measure key
-    known: dict[tuple, tuple[Rectangle, str]] = {}
+    verdicts: dict[tuple, str] = {}
     by_measure: dict[tuple, str] = {}
     bad_gaps = []
     for sample in samples:
         ps, slices, rows = _window_rows(sample.window, sample.markers, k)
-        bad_rects = {}
+        bad_keys = {}
         for key, n in Counter(_gap_keys(rows, slices)).items():
-            entry = known.get(key)
-            if entry is None:
-                rect = _rectangle(key, k)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                rect = Rectangle(key[:k])
                 measure_key = _measure_key(rect, family.truncation)
                 verdict = by_measure.get(measure_key)
                 if verdict is None:
                     verdict = by_measure[measure_key] = classify(rect, family)
-                entry = known[key] = rect, verdict
-                verdicts[rect] = verdict
-            rect, verdict = entry
+                verdicts[key] = verdict
             census[verdict] += n
             if verdict == BAD:
-                bad_rects[key] = rect
+                bad_keys[key] = key
         bad = []
-        if bad_rects:
-            rects = map(bad_rects.get, _gap_keys(rows, slices))
-            bad = [(p, rect) for p, rect in zip(ps, rects) if rect is not None]
+        if bad_keys:
+            keys = map(bad_keys.get, _gap_keys(rows, slices))
+            bad = [(p, key) for p, key in zip(ps, keys) if key is not None]
         bad_gaps.append(bad)
     return census, verdicts, bad_gaps
 
 
-# _repair's result for a sample whose k-rectangles are all good, which
+# _repair's result for a sample whose k-gaps are all good, which
 # replacement would leave as it is
 _CLEAN = (0, 0, Fraction(0), True)
 
@@ -472,17 +447,17 @@ def _repair(
     family: TargetFamily,
     k: int,
     bad: list[Gap],
-    tabbed: dict[int, Rectangle],
-    verdicts: dict[Rectangle, str],
+    tabbed: dict[int, tuple],
+    verdicts: dict[tuple, str],
 ) -> tuple[int, int, Fraction, bool]:
-    """Overwrite the sample's bad k-rectangles in place and re-check the
-    replaced ones against the census verdicts, classifying only a rectangle
-    they lack: (replaced, changed columns, displacement, all good after).
+    """Overwrite the sample's bad k-gaps in place and re-check the replaced
+    ones against the census verdicts, classifying only a key they lack:
+    (replaced, changed columns, displacement, all good after).
 
-    An unreplaced gap keeps its cells, its flags and its good verdict:
-    replacement writes cells and finer-row markers only inside bad gaps,
-    and row-k markers never move.  So only the replaced gaps are sliced
-    again, from the new window and markers.
+    An unreplaced gap keeps its key and its good verdict: replacement
+    writes cells and finer-row markers only inside bad gaps, and row-k
+    markers never move.  So only the replaced gaps are sliced again, from
+    the new window and markers.
     """
     trunc = family.truncation
     before = sample.measure
@@ -493,10 +468,10 @@ def _repair(
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
     _, _, rows = _window_rows(window, ms, k)
     starts = [p + 1 - window.origin for p, _ in bad]
-    slices = [slice(a, a + r.width) for a, (_, r) in zip(starts, bad)]
-    rects = [_rectangle(key, k) for key in dict.fromkeys(_gap_keys(rows, slices))]
+    slices = [slice(a, a + len(key[0])) for a, (_, key) in zip(starts, bad)]
     all_good = all(
-        (verdicts.get(rect) or classify(rect, family)) == GOOD for rect in rects
+        (verdicts.get(key) or classify(Rectangle(key[:k]), family)) == GOOD
+        for key in dict.fromkeys(_gap_keys(rows, slices))
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -528,12 +503,13 @@ def purify_stage(
     config: PurifyConfig,
     stage: int,
     targets: dict[tuple[int, ...], EmpiricalMeasure],
-    coarse: dict[tuple[int, ...], set[Rectangle]] | None,
-) -> tuple[dict, bool, dict[tuple[int, ...], set[Rectangle]] | None]:
+    coarse: dict[tuple[int, ...], set[tuple]] | None,
+) -> tuple[dict, bool, dict[tuple[int, ...], set[tuple]] | None]:
     """Run one classification/replacement stage in place over the samples.
-    Each family's good set is checked against its parent's in ``coarse``
-    (None at stage 1) as soon as its census ends.  Returns the report, the
-    AND of those checks, and the good sets unless the stage is the last."""
+    Each family's set of good gap keys is checked against its parent's in
+    ``coarse`` (None at stage 1) as soon as its census ends.  Returns the
+    report, the AND of those checks, and the good sets unless the stage is
+    the last."""
     k = config.depths[stage - 1]
     l = config.gaps[k - 1]
     eps = config.epsilons[stage - 1]
@@ -553,13 +529,15 @@ def purify_stage(
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
         census, verdicts, bad_gaps = _census(fam_samples, family, k)
-        good = {rect for rect, v in verdicts.items() if v == GOOD}
+        good = {key for key, v in verdicts.items() if v == GOOD}
         if coarse is not None:
             coarse_k = config.depths[stage - 2]
             coarse_l = config.gaps[coarse_k - 1]
-            if not check_nesting(good, coarse[path[:-1]], coarse_k, coarse_l):
+            if not check_nesting(
+                good, coarse[path[:-1]], k, coarse_k, coarse_l
+            ):
                 nested = False
-        tabbed = {r.width: r for r in select_tabbed(good, l)}
+        tabbed = {len(key[0]): key for key in select_tabbed(good, l)}
         rows = []
         for sample, bad in zip(fam_samples, bad_gaps):
             replaced, changed, moved, all_good = (
@@ -593,22 +571,23 @@ def purify_stage(
 
 
 def check_nesting(
-    fine: set[Rectangle], coarse: set[Rectangle], k: int, coarse_l: int
+    fine: set[tuple], coarse: set[tuple], k: int, coarse_k: int, coarse_l: int
 ) -> bool:
-    """Every good fine-stage rectangle, restricted to the coarse depth k,
-    must split along its embedded row-k markers into coarse-stage good
-    rectangles of the parent family.  The cuts are read from the row-k
-    flags with ``compress``, in one C-level pass per rectangle."""
-    # flags play no part in the match: compare cell grids, copy no flag rows
-    coarse_good = {r.cells for r in coarse}
-    for rect in fine:
-        # a flag on the last cell is the rectangle's right end, not a cut
-        cuts = compress(range(1, rect.width), rect.marks[k - 1][:-1])
-        bounds = [0, *cuts, rect.width]
+    """Every good fine-stage gap key of depth k, restricted to the coarse
+    depth, must split along its row-coarse_k markers into coarse-stage good
+    gaps of the parent family.  The cuts are read from that flag row of the
+    key with ``compress``, in one C-level pass per key."""
+    # flags play no part in the match: compare cell rows only
+    coarse_good = {key[:coarse_k] for key in coarse}
+    for key in fine:
+        width = len(key[0])
+        # a flag on the last cell is the gap's right end, not a cut
+        cuts = compress(range(1, width), key[k + coarse_k - 1])
+        bounds = [0, *cuts, width]
         for a, b in zip(bounds, bounds[1:]):
             if b - a not in (coarse_l, coarse_l + 1):
                 return False
-            if tuple(row[a:b] for row in rect.cells[:k]) not in coarse_good:
+            if tuple(row[a:b] for row in key[:coarse_k]) not in coarse_good:
                 return False
     return True
 

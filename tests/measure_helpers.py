@@ -60,23 +60,14 @@ def mixture(measures, lambdas):
 
 
 def concat(rectangles):
-    """Glue rectangles of equal row counts left to right.  A marker flag is
-    set on the last cell of every internal junction, in every row."""
+    """Glue rectangles of equal row counts left to right."""
     if not rectangles:
         raise ValueError("nothing to concatenate")
     rows = rectangles[0].rows
     if any(r.rows != rows for r in rectangles):
         raise ValueError("row counts differ")
-    cells = tuple(
-        tuple(v for r in rectangles for v in r.cells[i]) for i in range(rows)
+    return Rectangle(
+        tuple(
+            tuple(v for r in rectangles for v in r.cells[i]) for i in range(rows)
+        )
     )
-    marks = []
-    for i in range(rows):
-        row = []
-        for j, r in enumerate(rectangles):
-            flags = list(r.marks[i])
-            if j < len(rectangles) - 1:
-                flags[-1] = True
-            row.extend(flags)
-        marks.append(tuple(row))
-    return Rectangle(cells, tuple(marks))

@@ -149,7 +149,7 @@ def test_criterion_4_concatenation_bound():
         measures = [empirical_measure(p, trunc) for p in pieces]
         lams = [F(p.width, n) for p in pieces]
         d = dstar(
-            empirical_measure(glued.without_marks(), trunc),
+            empirical_measure(glued, trunc),
             mixture(measures, lams),
             trunc,
         ).value

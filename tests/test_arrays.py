@@ -212,18 +212,25 @@ class TestExtractRectangle:
         rect = window_to_rectangle(w)
         assert rect.cells == w.cells
 
+    def test_full_window_shares_cells(self):
+        # the full-window rectangle is the window's own cell grid: it copies
+        # no row and builds no per-cell flag row
+        w = lift_binary("01" * 2594, 2)
+        window_to_rectangle(w)
+        tracemalloc.start()
+        try:
+            rect = window_to_rectangle(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rect.cells is w.cells
+        assert peak < 1024
+
     def test_single_cell(self):
         w = lift_binary("0110", 2)
         rect = extract_rectangle(w, 1, 1, 1)
         assert rect.rows == 1 and rect.width == 1
         assert rect.cells == ((2,),)
-
-    def test_marker_flags_copied(self):
-        w = lift_binary("010010", 2)
-        ms = MarkerSystem(((0, 3), (3,)), (3, 3), 0, 4)
-        rect = extract_rectangle(w, 2, 0, 4, ms)
-        assert rect.marks[0] == (True, False, False, True, False)
-        assert rect.marks[1] == (False, False, False, True, False)
 
     def test_range_violation(self):
         w = lift_binary("0110", 2)
@@ -232,12 +239,6 @@ class TestExtractRectangle:
 
 
 class TestRectangle:
-    def test_equality_includes_flags(self):
-        a = Rectangle.from_rows([[1, 1]])
-        b = Rectangle.from_rows([[1, 1]], [[False, True]])
-        assert a != b
-        assert a == b.without_marks()
-
     def test_sub(self):
         r = Rectangle.from_rows([[1, 2, 1], [3, 4, 3]])
         s = r.sub(1, 1, 2)
@@ -248,7 +249,7 @@ class TestRectangle:
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            Rectangle(((1, 2), (1,)), ((False, False), (False,)))
+            Rectangle(((1, 2), (1,)))
 
 
 class TestReplaceCells:

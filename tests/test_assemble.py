@@ -40,7 +40,7 @@ from strictform.generators import (
     sturmian_oracle,
 )
 from strictform.markers import MarkerSystem
-from strictform.purify import extract_k_rectangles
+from strictform.purify import _window_rows
 
 from array_helpers import from_word
 
@@ -407,7 +407,7 @@ class TestEmbedAperiodic:
             return cuts(self, k, origin, columns)
 
         monkeypatch.setattr(MarkerSystem, "cuts", spy)
-        extract_k_rectangles(w, ms, 1)
+        _window_rows(w, ms, 1)
         embed_aperiodic(w, ms, 1, fs_kit)
         write_arr(tmp_path / "w.arr", w, ms)
         assert asked == [(1, 0, 10)] * 3

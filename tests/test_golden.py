@@ -55,6 +55,30 @@ NOISY_CONFIG = {
     ],
 }
 
+# three-row hierarchy purified at depths 2 and 3: each depth-3 gap carries
+# two finer flag rows, stage 2 rewrites markers of rows 1 and 2, and the
+# nesting check reads the row-2 cuts of each fine gap
+DEEP_CONFIG = {
+    "truncation": [1, 2],
+    "gaps": [2, 36, 11664],
+    "depths": [2, 3],
+    "epsilons": ["1/2", "1/4"],
+    "columns": 46658,
+    "tree": [
+        {"families": [
+            {"target": "periodic:0",
+             "samples": ["periodic:0", "bernoulli:1/8:seed=1"]},
+            {"target": "periodic:001",
+             "samples": ["periodic:001", "bernoulli:1/4:seed=4"]},
+        ]},
+        {"families": [
+            {"target": "periodic:1",
+             "samples": ["periodic:1", "bernoulli:7/8:seed=2"]},
+            {"target": "periodic:011", "samples": ["periodic:011"]},
+        ]},
+    ],
+}
+
 # case -> (exit code, report SHA-256)
 GOLDEN = {
     "purify-clean": (
@@ -62,6 +86,9 @@ GOLDEN = {
     ),
     "purify-noisy": (
         0, "a8e4dd35b14d4aa091cc311b9f4a0446e5d3a6ef1763e1bf67688b3e9bf4b331"
+    ),
+    "purify-deep": (
+        0, "467ea7ac8c1251539fdc3f4592c596ae1e167fa7eafd7c2b14df2191c1889b93"
     ),
     "assemble-chacon": (
         0, "2fdc74efa8a2a8a53014b864307a4e0d68fd3fe2c0a5151ba79688299b712fc8"
@@ -134,6 +161,8 @@ def _argv(case: str, tmp_path) -> list[str]:
         return _purify_argv(CLEAN_CONFIG, tmp_path)
     if case == "purify-noisy":
         return _purify_argv(NOISY_CONFIG, tmp_path)
+    if case == "purify-deep":
+        return _purify_argv(DEEP_CONFIG, tmp_path)
     return _CLI_ARGV[case]
 
 

@@ -10,7 +10,6 @@ from strictform import measures
 from strictform.arrays import Rectangle, lift_binary, window_to_rectangle
 from strictform.generators import bernoulli_window
 from strictform.measures import TruncationMismatch, dstar, empirical_measure
-from strictform.purify import TargetFamily, classify
 
 from array_helpers import from_word
 from measure_helpers import concat, mixture, point_mass, weight, weights
@@ -79,20 +78,16 @@ def reference_frequency(r, q):
 
 
 @st.composite
-def marked_rectangles(draw):
-    # 1-3 rows, widths 1-12, symbols 0-2 and random marker flags
+def small_rectangles(draw):
+    # 1-3 rows, widths 1-12, symbols 0-2
     rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 12))
-
-    def grid(values):
-        row = st.lists(values, min_size=width, max_size=width)
-        return draw(st.lists(row, min_size=rows, max_size=rows))
-
-    return Rectangle.from_rows(grid(st.integers(0, 2)), grid(st.booleans()))
+    row = st.lists(st.integers(0, 2), min_size=width, max_size=width)
+    return Rectangle.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)))
 
 
 class TestSlabCounterDifferential:
     @settings(max_examples=200, deadline=None)
-    @given(marked_rectangles(), st.data())
+    @given(small_rectangles(), st.data())
     def test_measure_matches_reference(self, r, data):
         t = (data.draw(st.integers(1, r.rows)), data.draw(st.integers(1, r.width)))
         m = empirical_measure(r, t)
@@ -107,7 +102,7 @@ class TestSlabCounterDifferential:
             assert sum(counts.values()) == n
 
     @settings(max_examples=200, deadline=None)
-    @given(marked_rectangles(), marked_rectangles(), st.data())
+    @given(small_rectangles(), small_rectangles(), st.data())
     def test_frequency_matches_reference(self, r, other, data):
         rows = data.draw(st.integers(1, r.rows))
         width = data.draw(st.integers(1, r.width))
@@ -116,7 +111,7 @@ class TestSlabCounterDifferential:
         assert measure_weight(r, q) == reference_frequency(r, q) > 0
         # an unrelated query: absent, oversized or present by chance
         assert measure_weight(r, other) == reference_frequency(r, other)
-        absent = Rectangle(tuple((9,) + row[1:] for row in q.cells), q.marks)
+        absent = Rectangle(tuple((9,) + row[1:] for row in q.cells))
         assert measure_weight(r, absent) == reference_frequency(r, absent) == 0
 
 
@@ -137,18 +132,10 @@ def reference_empirical_measure(r, truncation):
 
 @st.composite
 def wide_rectangles(draw):
-    # 1-3 rows, widths 1-40, symbols 1-3; about half the draws carry no
-    # marker flag and the rest random flags, which no measure reads
+    # 1-3 rows, widths 1-40, symbols 1-3
     rows, width = draw(st.integers(1, 3)), draw(st.integers(1, 40))
-
-    def grid(values):
-        row = st.lists(values, min_size=width, max_size=width)
-        return draw(st.lists(row, min_size=rows, max_size=rows))
-
-    cells = grid(st.integers(1, 3))
-    return Rectangle.from_rows(
-        cells, grid(st.booleans()) if draw(st.booleans()) else None
-    )
+    row = st.lists(st.integers(1, 3), min_size=width, max_size=width)
+    return Rectangle.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)))
 
 
 def assert_matches_reference(r, t):
@@ -310,46 +297,6 @@ class TestMeasureKeySoundness:
         assert empirical_measure(a, (1, 2)) != empirical_measure(c, (1, 2))
 
 
-@st.composite
-def flagged_rectangles(draw):
-    # 1-3 rows, widths 1-40, symbols 1-3 and random marker flags
-    cells = draw(wide_rectangles()).cells
-    row = st.lists(st.booleans(), min_size=len(cells[0]), max_size=len(cells[0]))
-    flags = draw(st.lists(row, min_size=len(cells), max_size=len(cells)))
-    return Rectangle.from_rows(cells, flags)
-
-
-class TestFlagsIgnored:
-    # a measure counts cell blocks only, so marker flags change no measure,
-    # no key order and no classify verdict
-    @settings(max_examples=300, deadline=None)
-    @given(flagged_rectangles(), st.data())
-    def test_flags_change_no_measure_or_verdict(self, r, data):
-        t = (
-            data.draw(st.integers(1, r.rows)),
-            data.draw(st.integers(1, min(r.width, 5))),
-        )
-        bare = r.without_marks()
-        dims = empirical_measure(r, t).dims
-        bare_dims = empirical_measure(bare, t).dims
-        assert dims == bare_dims
-        assert list(dims) == list(bare_dims)
-        for dim, (_, counts) in dims.items():
-            assert list(counts) == list(bare_dims[dim][1])
-        # a member from random cell rows, repeated to cover the truncation
-        cells = data.draw(wide_rectangles()).cells
-        other = Rectangle.from_rows(
-            [cells[i % len(cells)] * t[1] for i in range(t[0])]
-        )
-        members = (
-            point_mass(Rectangle.from_rows([[1]] * t[0]), t),
-            empirical_measure(other, t),
-        )
-        gamma = data.draw(st.sampled_from([F(1, 16), F(1, 4), F(1, 2), F(1)]))
-        family = TargetFamily((1,), members, gamma)
-        assert classify(r, family) == classify(bare, family)
-
-
 class TestEmpiricalMeasure:
     def test_constant_word(self):
         m = empirical_measure(rect("1111"), (1, 2))
@@ -449,7 +396,7 @@ def reference_dstar(ma, mb):
 @st.composite
 def counted_measures(draw):
     # 2-4 measures of marked rectangles at one truncation within all of them
-    rects = draw(st.lists(marked_rectangles(), min_size=2, max_size=4))
+    rects = draw(st.lists(small_rectangles(), min_size=2, max_size=4))
     rows = draw(st.integers(1, min(r.rows for r in rects)))
     width = draw(st.integers(1, min(r.width for r in rects)))
     return [empirical_measure(r, (rows, width)) for r in rects]
@@ -517,14 +464,10 @@ class TestConcat:
         r = rect("121")
         assert concat([r]) == r
 
-    def test_junction_flag(self):
-        out = concat([rect("11"), rect("2")])
-        assert out.cells == ((1, 1, 2),)
-        assert out.marks == ((False, True, False),)
-
     def test_width_adds(self):
         parts = [rect("12"), rect("121"), rect("2")]
         assert concat(parts).width == sum(p.width for p in parts)
+        assert concat([rect("11"), rect("2")]).cells == ((1, 1, 2),)
 
     def test_row_mismatch(self):
         with pytest.raises(ValueError):
@@ -535,12 +478,12 @@ class TestConcat:
         # mixture distance is pure boundary effect, within 8*q*Rw/n
         t = (1, 2)
         parts = [rect("12" * 60), rect("1" * 130)]
-        measures = [empirical_measure(p.without_marks(), t) for p in parts]
+        measures = [empirical_measure(p, t) for p in parts]
         glued = concat(parts)
         n = glued.width
         lams = [F(p.width, n) for p in parts]
         d = dstar(
-            empirical_measure(glued.without_marks(), t),
+            empirical_measure(glued, t),
             mixture(measures, lams),
             t,
         ).value

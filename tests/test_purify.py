@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -32,12 +33,13 @@ from strictform.purify import (
     SeparationViolation,
     TargetFamily,
     _census,
+    _gap_keys,
     _repair,
     _stage_gamma,
+    _window_rows,
     check_nesting,
     classify,
     config_from_dict,
-    extract_k_rectangles,
     purify_pipeline,
     replace_bad,
     select_tabbed,
@@ -50,44 +52,92 @@ from test_golden import NOISY_CONFIG
 F = Fraction
 
 
+class Grid(NamedTuple):
+    """A k-gap as the flag grid that a Rectangle once carried: its cells,
+    and ``marks[i][j]`` set iff a row-(i+1) marker sits right after cell
+    (i+1, j).  Grids compare as the old ``(cells, marks)`` pairs."""
+
+    cells: tuple
+    marks: tuple
+
+    @property
+    def width(self):
+        return len(self.cells[0])
+
+
+def to_grid(key, k):
+    """The flag grid of a depth-k gap key: its flag rows as bools, then row
+    k, which flags only the gap's last cell."""
+    last = (False,) * (len(key[0]) - 1) + (True,)
+    return Grid(key[:k], tuple(tuple(map(bool, row)) for row in key[k:]) + (last,))
+
+
+def to_key(grid):
+    """The gap key of a flag grid, the inverse of to_grid."""
+    return (*grid.cells, *map(bytes, grid.marks[:-1]))
+
+
+def gap_keys(w, ms, k):
+    """Every k-gap of w as (p, key), in window order."""
+    ps, slices, rows = _window_rows(w, ms, k)
+    return list(zip(ps, _gap_keys(rows, slices)))
+
+
 def reference_classify(rect, family):
     """classify without a memo, as first written: the reference."""
-    bare = rect.without_marks()
     for member in family.members:
-        if dstar(bare, member, family.truncation).value < family.gamma:
+        if dstar(rect, member, family.truncation).value < family.gamma:
             return GOOD
     return BAD
 
 
 def reference_extract_k_rectangles(w, ms, k):
-    """extract_k_rectangles as first written, one extract_rectangle (and one
-    marker search per finer row) per gap: the reference."""
+    """The k-gaps of w as first extracted, one extract_rectangle per gap and
+    one marker search per row, each as (p, grid) with the flag grid that
+    ``extract_rectangle(..., markers)`` copied: the reference."""
     if not 1 <= k <= ms.row_count:
         raise InvalidMarkers(f"marker system has no row {k}")
     if not check_two_gaps(ms, k):
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
     ps = ms.cuts(k, w.origin, w.columns)
-    return [
-        (p, extract_rectangle(w, k, p + 1, q, ms))
-        for p, q in zip(ps, ps[1:])
-    ]
+    gaps = []
+    for p, q in zip(ps, ps[1:]):
+        flags = [[False] * (q - p) for _ in range(k)]
+        for j in range(k):
+            for x in ms.positions_between(j + 1, p + 1, q):
+                flags[j][x - p - 1] = True
+        cells = extract_rectangle(w, k, p + 1, q).cells
+        gaps.append((p, Grid(cells, tuple(map(tuple, flags)))))
+    return gaps
+
+
+def reference_select_tabbed(good, l):
+    """select_tabbed as first written, on flag grids in their (cells, marks)
+    order: the reference."""
+    chosen = {}
+    for rect in good:
+        cur = chosen.get(rect.width)
+        if cur is None or (rect.cells, rect.marks) < (cur.cells, cur.marks):
+            chosen[rect.width] = rect
+    for width in (l, l + 1):
+        if width not in chosen:
+            raise MissingLength(width)
+    return chosen[l], chosen[l + 1]
 
 
 def reference_replace_bad(w, ms, k, family, tabbed):
     """replace_bad as first written, extracting, locating and classifying the
-    window's k-rectangles itself and rescanning each finer row per bad gap:
-    the reference."""
-    rects = [rect for _, rect in extract_k_rectangles(w, ms, k)]
+    window's k-gaps itself and rescanning each finer row per bad gap, with
+    ``tabbed`` the flag grid of each width: the reference."""
     sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
     placements = []
     changed = 0
-    ps = ms.positions_between(k, w.origin, w.origin + w.columns - 1)
-    for p, rect in zip(ps, rects):
-        if classify(rect, family) == GOOD:
+    for p, rect in reference_extract_k_rectangles(w, ms, k):
+        if classify(Rectangle(rect.cells), family) == GOOD:
             continue
         q = p + rect.width
         block = tabbed[rect.width]
-        placements.append((p + 1, block))
+        placements.append((p + 1, Rectangle(block.cells)))
         for j in range(1, k):
             inside = {x for x in sub_rows[j] if p < x < q}
             fresh = {
@@ -104,17 +154,19 @@ def reference_replace_bad(w, ms, k, family, tabbed):
 
 
 def reference_census(samples, family, k):
-    """_census as first written, extracting each window into (p, rect) gaps
-    and classifying each distinct rectangle: the reference."""
+    """_census as first written, extracting each window into (p, grid) gaps
+    and classifying each distinct grid: the reference."""
     census = {GOOD: 0, BAD: 0}
     verdicts = {}
     bad_gaps = []
     for sample in samples:
         bad = []
-        for p, rect in extract_k_rectangles(sample.window, sample.markers, k):
+        for p, rect in reference_extract_k_rectangles(
+            sample.window, sample.markers, k
+        ):
             verdict = verdicts.get(rect)
             if verdict is None:
-                verdict = verdicts[rect] = classify(rect, family)
+                verdict = verdicts[rect] = classify(Rectangle(rect.cells), family)
             census[verdict] += 1
             if verdict == BAD:
                 bad.append((p, rect))
@@ -124,7 +176,7 @@ def reference_census(samples, family, k):
 
 def reference_repair(sample, family, k, bad, tabbed, verdicts):
     """_repair as first written, re-checking every gap of the repaired
-    window: the reference."""
+    window as a flag grid: the reference."""
     trunc = family.truncation
     before = sample.measure
     window, ms, changed, replaced = replace_bad(
@@ -132,25 +184,27 @@ def reference_repair(sample, family, k, bad, tabbed, verdicts):
     )
     sample.window, sample.markers = window, ms
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
+    known = {to_grid(key, k): verdict for key, verdict in verdicts.items()}
     all_good = all(
-        (verdicts.get(rect) or classify(rect, family)) == GOOD
-        for _, rect in extract_k_rectangles(window, ms, k)
+        (known.get(rect) or classify(Rectangle(rect.cells), family)) == GOOD
+        for _, rect in reference_extract_k_rectangles(window, ms, k)
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
 
 
 def census_bad(w, ms, k, family):
-    """The bad (p, rect) gaps that _census finds in one window."""
+    """The bad (p, key) gaps that _census finds in one window."""
     _, _, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
     return bad
 
 
 def reference_purify_stage(samples, config, stage, targets, coarse):
     """purify_stage as first written, extracting every window three times
-    per stage, with the nesting check of reference_check_nesting against
-    the coarse good sets: the reference for the census/repair split.  It
-    returns the good sets of every stage, the last one included."""
+    per stage into flag grids, with the nesting check of
+    reference_check_nesting against the coarse good sets: the reference for
+    the census/repair split.  It returns the good sets of every stage, the
+    last one included."""
     k = config.depths[stage - 1]
     eps = config.epsilons[stage - 1]
     trunc = config.truncation
@@ -169,15 +223,15 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
         for sample in fam_samples:
-            for _, rect in extract_k_rectangles(
+            for _, rect in reference_extract_k_rectangles(
                 sample.window, sample.markers, k
             ):
-                verdict = classify(rect, family)
+                verdict = classify(Rectangle(rect.cells), family)
                 census[verdict] += 1
                 if verdict == GOOD:
                     record.add(rect)
         l = config.gaps[k - 1]
-        short, long = select_tabbed(record, l)
+        short, long = reference_select_tabbed(record, l)
         tabbed = {short.width: short, long.width: long}
 
         fam_report = {
@@ -203,8 +257,8 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
             moved = dstar(before, sample.measure, trunc).value
             displacement_max = max(displacement_max, moved)
             total_good = all(
-                classify(rect, family) == GOOD
-                for _, rect in extract_k_rectangles(window, ms, k)
+                classify(Rectangle(rect.cells), family) == GOOD
+                for _, rect in reference_extract_k_rectangles(window, ms, k)
             )
             fam_report["samples"].append(
                 {
@@ -271,31 +325,34 @@ def mixed_tree_config():
 
 
 class TestExtractKRectangles:
+    # the k-gaps of a window, cut by _window_rows and _gap_keys as keys
     def test_two_widths(self):
         w = lift_binary("01001010", 1)
         ms = MarkerSystem(((0, 3, 7),), (3,), 0, 7)
-        rects = extract_k_rectangles(w, ms, 1)
-        assert [(p, r.width) for p, r in rects] == [(0, 3), (3, 4)]
+        keys = gap_keys(w, ms, 1)
+        assert [(p, len(key[0])) for p, key in keys] == [(0, 3), (3, 4)]
 
     def test_no_complete_gap(self):
         w = lift_binary("0101", 1)
         ms = MarkerSystem(((-2, 6),), (8,), -2, 6)
-        assert extract_k_rectangles(w, ms, 1) == []
+        assert gap_keys(w, ms, 1) == []
 
     def test_bad_gap_rejected(self):
         w = lift_binary("0100101", 1)
         ms = MarkerSystem(((0, 6),), (3,), 0, 6)
         with pytest.raises(ValueError):
-            extract_k_rectangles(w, ms, 1)
+            gap_keys(w, ms, 1)
 
     def test_interior_markers_embedded(self):
         w = lift_binary("010010100", 2)
         ms = MarkerSystem(((0, 3, 7), (0, 7)), (3, 7), 0, 7)
-        rects = extract_k_rectangles(w, ms, 2)
-        assert len(rects) == 1
-        p, rect = rects[0]
+        keys = gap_keys(w, ms, 2)
+        assert len(keys) == 1
+        p, key = keys[0]
         assert p == 0
-        assert rect.marks[0] == (False, False, True, False, False, False, True)
+        # the gap covers columns 1..7, with a row-1 marker after 3 and 7
+        assert key[:2] == tuple(row[1:8] for row in w.cells)
+        assert key[2] == bytes([0, 0, 1, 0, 0, 0, 1])
 
 
 @st.composite
@@ -346,36 +403,37 @@ class TestExtractKRectanglesDifferential:
     @given(extraction_cases())
     def test_matches_reference(self, case):
         w, ms, k = case
-        got = extract_k_rectangles(w, ms, k)
-        assert got == reference_extract_k_rectangles(w, ms, k)
-        first = {}
-        for _, rect in got:
-            # equal values of the same types: flags are bools, not bytes
-            assert all(type(row) is tuple for row in rect.cells + rect.marks)
-            assert all(type(f) is bool for row in rect.marks for f in row)
-            # and equal gaps are one object
-            assert first.setdefault(rect, rect) is rect
+        got = gap_keys(w, ms, k)
+        # each key is the flag grid of the reference's gap, cells as tuples
+        # and k - 1 flag rows as bytes
+        assert [(p, to_grid(key, k)) for p, key in got] == (
+            reference_extract_k_rectangles(w, ms, k)
+        )
+        for _, key in got:
+            assert len(key) == 2 * k - 1
+            assert all(type(row) is tuple for row in key[:k])
+            assert all(type(row) is bytes for row in key[k:])
 
     def test_equal_gaps_are_one_object(self):
         # from origin 4, rows 1 and 2 read 2 1211 1211 and 4 1311 1311; the
-        # two 4-gaps of row 2 hold the same cells and row-1 flags
+        # two 4-gaps of row 2 hold the same cells and row-1 flags, and the
+        # census's bad gaps share one key
         w = ArrayWindow(
             AmalgamationChain.canonical(2), 4,
             ((2, 1, 2, 1, 1, 1, 2, 1, 1), (4, 1, 3, 1, 1, 1, 3, 1, 1)),
             INDEPENDENT,
         )
         ms = MarkerSystem(((4, 6, 8, 10, 12), (4, 8, 12)), (2, 4), 4, 12)
-        (p, a), (q, b) = extract_k_rectangles(w, ms, 2)
+        (p, a), (q, b) = census_bad(w, ms, 2, point_family(1, F(1, 10)))
         assert (p, q) == (4, 8)
         assert a is b
-        assert a.cells == ((1, 2, 1, 1), (1, 3, 1, 1))
-        assert a.marks == ((False, True, False, True), (False, False, False, True))
+        assert a == ((1, 2, 1, 1), (1, 3, 1, 1), bytes([0, 1, 0, 1]))
 
     def test_window_with_fewer_rows_rejected(self):
         w = lift_binary("0100101", 1)
         ms = MarkerSystem(((0, 3, 6), (0, 6)), (3, 6), 0, 6)
         with pytest.raises(ValueError):
-            extract_k_rectangles(w, ms, 2)
+            gap_keys(w, ms, 2)
 
 
 @st.composite
@@ -393,7 +451,9 @@ def census_cases(draw):
     members = tuple(
         empirical_measure(Rectangle.from_rows(g), trunc) for g in grids
     )
-    gaps = [r for w, ms, _ in windows for _, r in extract_k_rectangles(w, ms, k)]
+    gaps = [
+        Rectangle(key[:k]) for w, ms, _ in windows for _, key in gap_keys(w, ms, k)
+    ]
     gamma = draw(
         st.sampled_from(
             [F(1, 2)]
@@ -420,12 +480,17 @@ class TestCensusDifferential:
         expected = reference_census(samples, family, k)
         assert census == expected[0]
         # the same verdicts, first seen in the same order
-        assert list(verdicts.items()) == list(expected[1].items())
-        assert bad_gaps == expected[2]
+        got = [(to_grid(key, k), verdict) for key, verdict in verdicts.items()]
+        assert got == list(expected[1].items())
+        assert [
+            [(p, to_grid(key, k)) for p, key in bad] for bad in bad_gaps
+        ] == expected[2]
         # one classify per distinct measure key
         trunc = family.truncation
         assert len(keys) == len(set(keys))
-        assert set(keys) == {_measure_key(r, trunc) for r in verdicts}
+        assert set(keys) == {
+            _measure_key(Rectangle(key[:k]), trunc) for key in verdicts
+        }
 
 
 class TestClassify:
@@ -443,9 +508,24 @@ class TestClassify:
         assert classify(from_word("111"), fam) == BAD
 
     def test_flags_ignored(self):
-        fam = point_family(1, F(3, 10))
-        marked = Rectangle.from_rows([[1, 1, 1]], [[False, True, False]])
-        assert classify(marked, fam) == GOOD
+        # two 2-gaps of equal cells whose row-1 markers differ: two keys,
+        # one verdict from the cells, one classify call
+        w = lift_binary("0" * 10, 2)
+        ms = MarkerSystem(((0, 2, 4, 7, 8), (0, 4, 8)), (2, 4), 0, 8)
+        calls = []
+
+        def counted(rect, family):
+            calls.append(rect)
+            return classify(rect, family)
+
+        sample = SimpleNamespace(window=w, markers=ms)
+        with mock.patch.object(purify, "classify", counted):
+            census, verdicts, _ = _census([sample], point_family(1, F(3, 10)), 2)
+        assert census == {GOOD: 2, BAD: 0}
+        assert [key[2] for key in verdicts] == [
+            bytes([0, 1, 0, 1]), bytes([0, 0, 1, 1])
+        ]
+        assert calls == [Rectangle(((1,) * 4, (1,) * 4))]
 
     def test_min_over_members(self):
         t = (1, 2)
@@ -470,8 +550,8 @@ def _grids(rows, min_width, max_width):
 
 @st.composite
 def family_and_calls(draw):
-    """A family of 1-3 members and a sequence of classify calls that mixes
-    marked and unmarked copies of the same cells and repeats them."""
+    """A family of 1-3 members and a sequence of classify calls that repeats
+    rectangles."""
     rows, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     trunc = (rows, width)
     members = tuple(
@@ -480,15 +560,7 @@ def family_and_calls(draw):
     )
     pool = []
     for grid in draw(st.lists(_grids(rows, width, 5), min_size=2, max_size=5)):
-        marks = draw(
-            st.lists(
-                st.lists(st.booleans(), min_size=len(grid[0]),
-                         max_size=len(grid[0])),
-                min_size=rows,
-                max_size=rows,
-            )
-        )
-        pool += [Rectangle.from_rows(grid), Rectangle.from_rows(grid, marks)]
+        pool.append(Rectangle.from_rows(grid))
     # a radius equal to one rectangle's distance splits the pool
     gamma = draw(
         st.sampled_from(
@@ -503,9 +575,9 @@ def family_and_calls(draw):
 @st.composite
 def integer_classify_cases(draw):
     """A family of 1-3 members, each the measure of a grid or a mixture of
-    two with fractional counts, a pool of marked and unmarked rectangles,
-    and a gamma at, or just around, one rectangle's distance to one member,
-    so the strict-< boundary is hit."""
+    two with fractional counts, a pool of rectangles, and a gamma at, or
+    just around, one rectangle's distance to one member, so the strict-<
+    boundary is hit."""
     rows, width = draw(st.integers(1, 2)), draw(st.integers(1, 3))
     trunc = (rows, width)
 
@@ -522,8 +594,7 @@ def integer_classify_cases(draw):
             members.append(measure())
     pool = []
     for grid in draw(st.lists(_grids(rows, width, 5), min_size=1, max_size=4)):
-        flags = [[c == len(row) - 1 for c in range(len(row))] for row in grid]
-        pool += [Rectangle.from_rows(grid), Rectangle.from_rows(grid, flags)]
+        pool.append(Rectangle.from_rows(grid))
     at = draw(
         st.sampled_from([dstar(r, m, trunc).value for r in pool for m in members])
     )
@@ -538,9 +609,8 @@ class TestClassifyIntegers:
         family, pool = case
         trunc = family.truncation
         for rect in pool:
-            bare = rect.without_marks()
             near = any(
-                dstar(bare, m, trunc).value < family.gamma
+                dstar(rect, m, trunc).value < family.gamma
                 for m in family.members
             )
             assert classify(rect, family) == (GOOD if near else BAD)
@@ -582,22 +652,19 @@ class TestClassifyMemo:
         )
         w = lift_binary(word, 1)
         ms = MarkerSystem((tuple(cuts),), (3,), 0, cuts[-1])
-        tabbed = {
-            3: from_word("111"),
-            4: from_word("1111"),
-        }
+        tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         fam = point_family(1, F(3, 10))
         bad = census_bad(w, ms, 1, fam)
         out, ms2, _, _ = replace_bad(w, ms, 1, bad, tabbed)
         fresh = point_family(1, F(3, 10))
-        for _, rect in extract_k_rectangles(out, ms2, 1):
-            assert reference_classify(rect, fresh) == GOOD
+        for _, key in gap_keys(out, ms2, 1):
+            assert reference_classify(Rectangle(key), fresh) == GOOD
 
 
 def reference_check_nesting(fine, coarse, k, coarse_l):
-    """check_nesting as first written, on whole rectangles with their flags
-    cleared: the reference."""
-    coarse_good = {r.without_marks() for r in coarse}
+    """check_nesting as first written, on whole flag grids, their cells
+    compared: the reference."""
+    coarse_good = {r.cells for r in coarse}
     for rect in fine:
         cuts = [
             j + 1
@@ -608,81 +675,127 @@ def reference_check_nesting(fine, coarse, k, coarse_l):
         for a, b in zip(bounds, bounds[1:]):
             if b - a not in (coarse_l, coarse_l + 1):
                 return False
-            if rect.sub(k, a, b - a).without_marks() not in coarse_good:
+            piece = Rectangle(rect.cells).sub(k, a, b - a)
+            if piece.cells not in coarse_good:
                 return False
     return True
 
 
+def _flag_rows(draw, width, n):
+    # n random 0/1 flag rows of a gap key, as bytes
+    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    return [*map(bytes, draw(st.lists(row, min_size=n, max_size=n)))]
+
+
 @st.composite
 def nesting_cases(draw):
-    """Flagged coarse rectangles of widths l and l+1, and fine rectangles
-    glued from them under extra rows and random flags, with row-k cuts at
-    the junctions; the first fine rectangle may get a stray cut or a
-    changed cell in rows 1..k."""
-    k, l = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    rows = draw(st.integers(k, 3))
-
-    def flags(width, n):
-        row = st.lists(st.booleans(), min_size=width, max_size=width)
-        return draw(st.lists(row, min_size=n, max_size=n))
-
+    """Coarse gap keys of depth 1 or 2 and widths l and l+1 with random flag
+    rows, and fine keys of a depth up to 3 above it, glued from their cells
+    under extra rows and random flag rows, with coarse-row cuts at the
+    junctions; the first fine key may get a stray cut or a changed cell in
+    the coarse rows."""
+    coarse_k, l = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    k = draw(st.integers(coarse_k + 1, 3))
     coarse = [
-        Rectangle.from_rows(grid, flags(len(grid[0]), k))
-        for grid in draw(st.lists(_grids(k, l, l + 1), min_size=1, max_size=4))
+        (*map(tuple, grid), *_flag_rows(draw, len(grid[0]), coarse_k - 1))
+        for grid in draw(
+            st.lists(_grids(coarse_k, l, l + 1), min_size=1, max_size=4)
+        )
     ]
     grids = []
     for _ in range(draw(st.integers(1, 3))):
         pieces = draw(st.lists(st.sampled_from(coarse), min_size=1, max_size=4))
-        cells = [[v for p in pieces for v in p.cells[i]] for i in range(k)]
+        cells = [[v for p in pieces for v in p[i]] for i in range(coarse_k)]
         width = len(cells[0])
-        cells += draw(_grids(rows - k, width, width))
-        marks = flags(width, rows)
-        ends = set(itertools.accumulate(p.width for p in pieces))
-        marks[k - 1] = [j + 1 in ends for j in range(width)]
-        grids.append((cells, marks))
-    cells, marks = grids[0]
+        cells += draw(_grids(k - coarse_k, width, width))
+        flags = [bytearray(row) for row in _flag_rows(draw, width, k - 1)]
+        ends = set(itertools.accumulate(len(p[0]) for p in pieces))
+        flags[coarse_k - 1] = bytearray(j + 1 in ends for j in range(width))
+        grids.append((cells, flags))
+    cells, flags = grids[0]
     j = draw(st.integers(0, len(cells[0]) - 1))
     change = draw(st.sampled_from(["none", "cut", "cell"]))
     if change == "cut":
-        marks[k - 1][j] = not marks[k - 1][j]
+        flags[coarse_k - 1][j] ^= 1
     elif change == "cell":
-        i = draw(st.integers(0, k - 1))
+        i = draw(st.integers(0, coarse_k - 1))
         cells[i][j] = 3 - cells[i][j]
-    fine = {Rectangle.from_rows(c, m) for c, m in grids}
-    return fine, set(coarse), k, l
+    fine = {(*map(tuple, c), *map(bytes, f)) for c, f in grids}
+    return fine, set(coarse), k, coarse_k, l
 
 
 class TestCheckNesting:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(nesting_cases())
     def test_matches_reference(self, case):
-        assert check_nesting(*case) == reference_check_nesting(*case)
+        # fine depths 2 and 3, over coarse depths 1 and 2
+        fine, coarse, k, coarse_k, l = case
+        expected = reference_check_nesting(
+            {to_grid(key, k) for key in fine},
+            {to_grid(key, coarse_k) for key in coarse},
+            coarse_k,
+            l,
+        )
+        assert check_nesting(*case) == expected
 
 
 class TestSelectTabbed:
     def test_basic_pair(self):
-        good = [from_word("111"), from_word("1111")]
+        good = [((1, 1, 1),), ((1, 1, 1, 1),)]
         short, long = select_tabbed(good, 3)
-        assert short.width == 3 and long.width == 4
+        assert len(short[0]) == 3 and len(long[0]) == 4
 
     def test_missing_length(self):
-        good = [from_word("111"), from_word("112")]
+        good = [((1, 1, 1),), ((1, 1, 2),)]
         with pytest.raises(MissingLength) as exc:
             select_tabbed(good, 3)
         assert exc.value.width == 4
 
     def test_lexicographic_and_order_free(self):
-        a = from_word("112")
-        b = from_word("111")
-        c = from_word("2111")
+        a = ((1, 1, 2),)
+        b = ((1, 1, 1),)
+        c = ((2, 1, 1, 1),)
         assert select_tabbed([a, b, c], 3) == select_tabbed([c, a, b], 3)
         assert select_tabbed([a, b, c], 3)[0] == b
 
     def test_flag_breaks_tie(self):
-        plain = from_word("111")
-        marked = Rectangle.from_rows([[1, 1, 1]], [[True, False, False]])
-        wide = from_word("1111")
+        # equal cells: the key with no row-1 marker inside sorts first
+        cells = ((1, 1, 1), (1, 1, 1))
+        plain = (*cells, bytes([0, 0, 1]))
+        marked = (*cells, bytes([1, 0, 1]))
+        wide = ((1,) * 4, (1,) * 4, bytes([0, 0, 0, 1]))
         assert select_tabbed([marked, plain, wide], 3)[0] == plain
+
+
+@st.composite
+def tabbed_cases(draw):
+    """Gap keys of depth 2 or 3 and widths l and l + 1, each cell grid drawn
+    with 1-3 flag variants, so equal cells with different flags meet."""
+    k, l = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.sampled_from([l, l + 1]))
+        cells = tuple(map(tuple, draw(_grids(k, width, width))))
+        for _ in range(draw(st.integers(1, 3))):
+            keys.append((*cells, *_flag_rows(draw, width, k - 1)))
+    return keys, k, l
+
+
+class TestSelectTabbedDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(tabbed_cases())
+    def test_matches_flag_grid_order(self, case):
+        keys, k, l = case
+        grids = [to_grid(key, k) for key in keys]
+        try:
+            expected = reference_select_tabbed(grids, l)
+        except MissingLength as exc:
+            with pytest.raises(MissingLength) as got:
+                select_tabbed(keys, l)
+            assert got.value.width == exc.width
+            return
+        chosen = select_tabbed(keys, l)
+        assert [to_grid(key, k) for key in chosen] == list(expected)
 
 
 class TestReplaceBad:
@@ -691,17 +804,14 @@ class TestReplaceBad:
         w = lift_binary("0000010000", 1)
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
-        tabbed = {
-            3: from_word("111"),
-            4: from_word("1111"),
-        }
+        tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         return w, ms, fam, tabbed
 
     def test_identity_when_all_good(self):
         w = lift_binary("0000000000", 1)
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
-        tabbed = {3: from_word("111"), 4: from_word("1111")}
+        tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
         out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
         assert bad == []
@@ -729,7 +839,7 @@ class TestReplaceBad:
         w = lift_binary("01101011101", 2)
         ms = MarkerSystem(((0, 3, 6, 9), (0, 9)), (3, 9), 0, 9)
         fam = point_family(1, F(1, 10))
-        tabbed = {3: from_word("111"), 4: from_word("1111")}
+        tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
         out, _, _, _ = replace_bad(w, ms, 1, bad, tabbed)
         assert bad and out.cells[1] == w.cells[1]
@@ -740,13 +850,13 @@ class TestReplaceBad:
             w, ms, 1, census_bad(w, ms, 1, fam), tabbed
         )
         fresh = point_family(1, F(3, 10))
-        for _, rect in extract_k_rectangles(out, ms2, 1):
-            assert classify(rect, fam) == GOOD
-            assert reference_classify(rect, fresh) == GOOD
+        for _, key in gap_keys(out, ms2, 1):
+            assert classify(Rectangle(key), fam) == GOOD
+            assert reference_classify(Rectangle(key), fresh) == GOOD
 
     def _two_row_fixture(self):
         # one bad 2-gap (0, 9] with a row-1 marker at 4 inside, and a
-        # tabbed block whose interior row-1 flag lands on 5
+        # tabbed key whose interior row-1 flag lands on 5
         w = lift_binary("01101011101", 2)
         ms = MarkerSystem(((0, 4, 9), (0, 9)), (4, 9), 0, 9)
         fam = TargetFamily(
@@ -755,22 +865,20 @@ class TestReplaceBad:
                 window_to_rectangle(lift_binary("0" * 12, 2)), (1, 2)),),
             F(1, 10),
         )
-        block = window_to_rectangle(
-            lift_binary("0" * 11, 2),
-            MarkerSystem(((0, 5, 9), (0, 9)), (5, 9), 0, 9),
-        ).sub(2, 1, 9)
+        block = ((1,) * 9, (1,) * 9, bytes([0, 0, 0, 0, 1, 0, 0, 0, 1]))
         return w, ms, fam, {9: block}
 
     def test_submarkers_rewritten(self):
-        # replacing a 2-rectangle moves the interior row-1 markers to the
-        # tabbed rectangle's flags
+        # replacing a 2-gap moves the interior row-1 markers to the tabbed
+        # key's flags
         w, ms, fam, tabbed = self._two_row_fixture()
         bad = census_bad(w, ms, 2, fam)
         out, ms2, _, replaced = replace_bad(w, ms, 2, bad, tabbed)
         assert replaced == 1
         assert ms2.row(1) == (0, 5, 9)
         assert ms2.row(2) == ms.row(2)
-        assert (out, ms2) == reference_replace_bad(w, ms, 2, fam, tabbed)[:2]
+        grids = {9: to_grid(tabbed[9], 2)}
+        assert (out, ms2) == reference_replace_bad(w, ms, 2, fam, grids)[:2]
 
     def test_reads_no_window(self, monkeypatch):
         # the census has extracted and classified the gaps already
@@ -780,7 +888,7 @@ class TestReplaceBad:
         def forbidden(*args):
             raise AssertionError("replace_bad read the window again")
 
-        monkeypatch.setattr(purify, "extract_k_rectangles", forbidden)
+        monkeypatch.setattr(purify, "_window_rows", forbidden)
         monkeypatch.setattr(purify, "classify", forbidden)
         monkeypatch.setattr(MarkerSystem, "positions_between", forbidden)
         _, ms2, changed, replaced = replace_bad(w, ms, 2, bad, tabbed)
@@ -789,32 +897,28 @@ class TestReplaceBad:
 
 @st.composite
 def replacement_cases(draw):
-    """A two-row window whose row k has gaps of l and l + 1, at k = 2 with
-    row-1 markers drawn anywhere in it; a point-mass family under which some
-    gaps are bad, and tabbed blocks of both widths with random cells and
-    flags, the last-cell flags included."""
-    k, l = draw(st.integers(1, 2)), draw(st.integers(2, 4))
+    """A three-row window whose row k (1 to 3) has gaps of l and l + 1, with
+    the markers of each row below k drawn anywhere in it; a point-mass
+    family under which some gaps are bad, and tabbed keys of both widths
+    with random cells and flag rows, the last-cell flags included."""
+    k, l = draw(st.integers(1, 3)), draw(st.integers(2, 4))
     cuts = [draw(st.integers(0, 2))]
     widths = st.lists(st.sampled_from([l, l + 1]), min_size=1, max_size=6)
     for width in draw(widths):
         cuts.append(cuts[-1] + width)
     columns = cuts[-1] + 1 + draw(st.integers(0, 2))
-    word = draw(st.text("01", min_size=columns + 1, max_size=columns + 1))
-    w = lift_binary(word, 2)
-    if k == 1:
-        ms = MarkerSystem((tuple(cuts),), (l,), 0, columns - 1)
-    else:
-        fine = tuple(sorted(draw(st.sets(st.integers(0, columns - 1)))))
-        ms = MarkerSystem((fine, tuple(cuts)), (1, l), 0, columns - 1)
+    word = draw(st.text("01", min_size=columns + 2, max_size=columns + 2))
+    w = lift_binary(word, 3)
+    fine = st.sets(st.integers(0, columns - 1))
+    rows = [tuple(sorted(draw(fine))) for _ in range(k - 1)] + [tuple(cuts)]
+    ms = MarkerSystem(tuple(rows), (1,) * (k - 1) + (l,), 0, columns - 1)
     family = point_family(
         draw(st.integers(1, 2)), draw(st.sampled_from([F(1, 10), F(3, 10)]))
     )
     tabbed = {}
     for width in (l, l + 1):
-        row = st.lists(st.booleans(), min_size=width, max_size=width)
-        marks = draw(st.lists(row, min_size=k, max_size=k))
-        cells = draw(_grids(k, width, width))
-        tabbed[width] = Rectangle.from_rows(cells, marks)
+        cells = map(tuple, draw(_grids(k, width, width)))
+        tabbed[width] = (*cells, *_flag_rows(draw, width, k - 1))
     return w, ms, k, family, tabbed
 
 
@@ -822,9 +926,11 @@ class TestReplaceBadDifferential:
     @settings(max_examples=300, deadline=None)
     @given(replacement_cases())
     def test_matches_reference(self, case):
+        # depths 1 to 3: at 3, the markers of rows 1 and 2 are rewritten
         w, ms, k, family, tabbed = case
         bad = census_bad(w, ms, k, family)
-        expected = reference_replace_bad(w, ms, k, family, tabbed)
+        grids = {width: to_grid(key, k) for width, key in tabbed.items()}
+        expected = reference_replace_bad(w, ms, k, family, grids)
         assert replace_bad(w, ms, k, bad, tabbed) == expected
 
 
@@ -871,7 +977,7 @@ class TestRepairDifferential:
         w = lift_binary("0000010000", 1)
         ms = MarkerSystem(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
-        tabbed = {3: from_word("111"), 4: from_word("1111")}
+        tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
         assert len(bad) == 1
         assert got == expected and got[0][3] is True
@@ -929,7 +1035,7 @@ class TestCensusCost:
         distinct = {}
         for s in samples:
             distinct.setdefault(s.path[:1], set()).update(
-                rect for _, rect in extract_k_rectangles(s.window, s.markers, k)
+                Rectangle(key) for _, key in gap_keys(s.window, s.markers, k)
             )
         calls = []
 
@@ -1116,7 +1222,7 @@ class TestStageSplit:
         assert _outcome(config) == expected
 
     def test_one_extraction_per_clean_sample(self, monkeypatch):
-        calls = {"extract": 0, "keys": 0, "replace": 0}
+        calls = {"keys": 0, "replace": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -1124,8 +1230,6 @@ class TestStageSplit:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(purify, "extract_k_rectangles",
-                            counted("extract", extract_k_rectangles))
         monkeypatch.setattr(purify, "_gap_keys",
                             counted("keys", purify._gap_keys))
         monkeypatch.setattr(purify, "replace_bad",
@@ -1142,7 +1246,6 @@ class TestStageSplit:
         # a key pass per census window, a second one over a window with
         # bad gaps, and one over the replaced gaps of a repaired window
         assert calls == {
-            "extract": 0,
             "keys": len(rows) + 2 * repaired,
             "replace": repaired,
         }
@@ -1160,10 +1263,14 @@ def reference_nesting(config, check):
         )
     nesting_ok = True
     for stage in range(2, config.stage_count + 1):
-        k = config.depths[stage - 2]
+        k, coarse_k = config.depths[stage - 1], config.depths[stage - 2]
         for path, fine in records[stage].items():
             coarse = records[stage - 1][path[: stage - 1]]
-            if not check(fine, coarse, k, config.gaps[k - 1]):
+            fine_keys = {to_key(rect) for rect in fine}
+            coarse_keys = {to_key(rect) for rect in coarse}
+            if not check(
+                fine_keys, coarse_keys, k, coarse_k, config.gaps[coarse_k - 1]
+            ):
                 nesting_ok = False
     return nesting_ok
 
@@ -1173,9 +1280,9 @@ def failing_check(fail):
     is in ``fail``."""
     calls = []
 
-    def check(fine, coarse, k, coarse_l):
-        calls.append((fine, coarse, k, coarse_l))
-        return len(calls) - 1 not in fail and check_nesting(fine, coarse, k, coarse_l)
+    def check(*args):
+        calls.append(args)
+        return len(calls) - 1 not in fail and check_nesting(*args)
 
     return check, calls
 

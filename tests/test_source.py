@@ -38,6 +38,18 @@ def test_no_floats_outside_cli():
     assert found == []
 
 
+def test_no_marks_attribute():
+    # a gap's marker flags live in its purify key; a rectangle holds cells
+    # only, and no module reads a flag grid beside the keys
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "marks"
+    ]
+    assert found == []
+
+
 def _unused_imports(tree):
     imported = {}
     for node in tree.body:

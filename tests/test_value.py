@@ -62,7 +62,7 @@ OLD_FIELDS = {
         ("chain", REQUIRED), ("origin", REQUIRED), ("cells", REQUIRED),
         ("mode", INVERSE_LIMIT),
     ],
-    Rectangle: [("cells", REQUIRED), ("marks", REQUIRED)],
+    Rectangle: [("cells", REQUIRED)],
     GapDecomposition: [("a", REQUIRED), ("b", REQUIRED), ("l", REQUIRED)],
     MarkerSystem: [
         ("positions", REQUIRED), ("gaps", REQUIRED), ("lo", REQUIRED),
@@ -119,7 +119,7 @@ CONFIG = {
 def samples():
     """A few instances of every class, some with equal fields."""
     w = lift_binary("0110100", 3)
-    r = Rectangle.from_rows([[1, 2], [1, 3]], [[0, 1], [0, 0]])
+    r = Rectangle.from_rows([[1, 2], [1, 3]])
     m = empirical_measure(from_word("1211"), (1, 2))
     spec = parse_spec("periodic:01")
     config = config_from_dict(CONFIG)
@@ -132,7 +132,8 @@ def samples():
             w, shift(w, 2), ArrayWindow(w.chain, w.origin, w.cells, INDEPENDENT),
         ],
         Rectangle: [
-            r, r.without_marks(), from_word("12"), r.sub(1, 0, 1),
+            r, Rectangle.from_rows([[1, 2], [1, 2]]), from_word("12"),
+            r.sub(1, 0, 1),
         ],
         GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
         MarkerSystem: [
@@ -234,20 +235,19 @@ def test_fields_are_read_only(cls, i):
 
 
 class Cells(Value):
-    __slots__ = ("cells", "marks")
+    __slots__ = ("cells",)
 
-    def __init__(self, cells, marks):
+    def __init__(self, cells):
         _set(self, "cells", cells)
-        _set(self, "marks", marks)
 
 
 def test_other_class_with_equal_fields_is_unequal():
     r = from_word("12")
-    other = Cells(r.cells, r.marks)
+    other = Cells(r.cells)
     assert other != r and r != other
     assert not other == r and not r == other
-    assert r != (r.cells, r.marks)
-    assert r != TWINS[Rectangle](r.cells, r.marks)
+    assert r != r.cells and r != (r.cells,)
+    assert r != TWINS[Rectangle](r.cells)
 
 
 def test_mutable_classes_get_fresh_defaults():
@@ -261,11 +261,9 @@ def test_mutable_classes_get_fresh_defaults():
 
 rows = st.integers(1, 3).flatmap(
     lambda k: st.integers(1, 4).flatmap(
-        lambda w: st.tuples(
-            st.lists(st.lists(st.integers(1, 3), min_size=w, max_size=w),
-                     min_size=k, max_size=k),
-            st.lists(st.lists(st.booleans(), min_size=w, max_size=w),
-                     min_size=k, max_size=k),
+        lambda w: st.lists(
+            st.lists(st.integers(1, 3), min_size=w, max_size=w),
+            min_size=k, max_size=k,
         )
     )
 )
@@ -274,5 +272,5 @@ rows = st.integers(1, 3).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(rows, min_size=1, max_size=4))
 def test_random_rectangles_match_twin(grids):
-    items = [Rectangle.from_rows(cells, marks) for cells, marks in grids]
+    items = [Rectangle.from_rows(cells) for cells in grids]
     assert_matches_twin(items)
