@@ -14,8 +14,6 @@ from typing import Iterator
 
 from ._value import Value, _set
 
-CHACON_RULES = {"0": "0010", "1": "1"}
-
 _MASK64 = (1 << 64) - 1
 
 _BITS_TO_ASCII = bytes.maketrans(b"\0\1", b"01")
@@ -72,52 +70,15 @@ class LanguageOracle(Value):
         return out
 
 
-def periodic_oracle(word: str, horizon: int | None = None) -> LanguageOracle:
-    """Language of the bi-infinite repetition of ``word`` and its shifts.
-
-    The text keeps ``2 * horizon // len(word) + 2`` copies of the word, more
-    than ``2 * horizon + len(word)`` symbols: the lag search of ``assemble``
-    needs a base word of length at most the horizon at offsets i and i + l,
-    with l up to the horizon, for every start i within one period."""
-    if not word:
-        raise ValueError("period word must be nonempty")
-    h = horizon if horizon is not None else max(64, 8 * len(word))
-    reps = 2 * h // len(word) + 2
-    return LanguageOracle(tuple(sorted(set(word))), h, word * reps)
-
-
-def full_shift_oracle(size: int, horizon: int = 10**6) -> LanguageOracle:
-    if not 1 <= size <= 9:
-        raise ValueError("alphabet size must be in [1, 9]")
-    alphabet = tuple(str(s) for s in range(1, size + 1))
-    return LanguageOracle(alphabet, horizon)
-
-
-def substitution_oracle(
-    rules: dict[str, str], seed: str, depth: int
-) -> LanguageOracle:
-    """Factors of the depth-fold iterate of a non-erasing substitution."""
-    if any(not img for img in rules.values()):
-        raise ValueError("substitution must be non-erasing")
-    if seed not in rules:
-        raise ValueError(f"seed {seed!r} has no rule")
-    text = seed
-    for _ in range(depth):
-        text = "".join(rules[c] for c in text)
-    alphabet = tuple(sorted(set(rules)))
-    return LanguageOracle(alphabet, len(text), text)
-
-
-def chacon_oracle(depth: int = 10) -> LanguageOracle:
-    return substitution_oracle(CHACON_RULES, "0", depth)
-
-
 def _chacon_text(length: int) -> str:
-    """The shortest Chacon iterate with at least ``length`` symbols."""
-    depth = 0
-    while (oracle := chacon_oracle(depth)).horizon < length:
-        depth += 1
-    return oracle.text
+    """The shortest Chacon iterate with at least ``length`` symbols.
+
+    B_0 = 0 and B_{d+1} = B_d B_d 1 B_d, the image of B_d under the
+    substitution 0 -> 0010, 1 -> 1."""
+    text = "0"
+    while len(text) < length:
+        text = text + text + "1" + text
+    return text
 
 
 def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
@@ -149,16 +110,6 @@ def sturmian_word(alpha: Fraction, rho: Fraction, n: int) -> str:
     return bits.decode()
 
 
-def sturmian_oracle(
-    alpha: Fraction, rho: Fraction, horizon: int
-) -> LanguageOracle:
-    """Factors of the ``8 * horizon`` prefix.  When ``alpha`` is close to a
-    rational with a small denominator the prefix is nearly periodic and can
-    miss factors: it has fewer than ``n + 1`` of length ``n``."""
-    text = sturmian_word(alpha, rho, 8 * horizon)
-    return LanguageOracle(("0", "1"), horizon, text)
-
-
 def _splitmix64(state: int) -> Iterator[int]:
     # fixed 64-bit splittable mix sequence; documented so outputs are
     # bit-stable across implementations
@@ -184,16 +135,6 @@ def bernoulli_window(p: Fraction, seed: int, n: int) -> str:
     gen = _splitmix64(seed)
     return "".join(
         "1" if next(gen) < threshold else "0" for _ in range(n)
-    )
-
-
-def bernoulli_oracle(
-    p: Fraction, seed: int, horizon: int
-) -> LanguageOracle:
-    """By design, the language is the factor set of the ``8 * horizon``
-    sample, not of the full Bernoulli shift."""
-    return LanguageOracle(
-        ("0", "1"), horizon, bernoulli_window(p, seed, 8 * horizon)
     )
 
 
@@ -228,10 +169,19 @@ class GeneratorSpec(Value):
         raise ValueError(f"{self.kind} oracle does not generate words")
 
     def oracle(self, horizon: int) -> LanguageOracle:
+        """The language at this horizon: the one way to build an oracle."""
+        if self.kind == "full":
+            alphabet = tuple(str(s) for s in range(1, self.size + 1))
+            return LanguageOracle(alphabet, horizon)
         if self.kind == "periodic":
-            return periodic_oracle(self.word_arg, horizon)
-        if self.kind == "sturmian":
-            return sturmian_oracle(self.alpha, self.rho, horizon)
+            # The text keeps 2 * horizon // len(word) + 2 copies of the word,
+            # more than 2 * horizon + len(word) symbols: the lag search of
+            # assemble needs a base word of length at most the horizon at
+            # offsets i and i + l, with l up to the horizon, for every start
+            # i within one period.
+            word = self.word_arg
+            text = word * (2 * horizon // len(word) + 2)
+            return LanguageOracle(tuple(sorted(set(word))), horizon, text)
         if self.kind == "chacon":
             # B_{d+1} = B_d B_d 1 B_d holds every factor of length <= |B_d|,
             # since each lies in B_d B_d or B_d 1 B_d.  Queries reach
@@ -239,12 +189,13 @@ class GeneratorSpec(Value):
             # horizon), and |B_{d+1}| = 3 |B_d| + 1 >= 6 * horizon + 1
             # exactly when |B_d| >= 2 * horizon.
             text = _chacon_text(6 * horizon + 1)
-            return LanguageOracle(("0", "1"), horizon, text)
-        if self.kind == "bernoulli":
-            return bernoulli_oracle(self.p, self.seed, horizon)
-        if self.kind == "full":
-            return full_shift_oracle(self.size, horizon)
-        raise ValueError(f"unknown oracle kind {self.kind!r}")
+        else:
+            # the factors of the 8 * horizon prefix, not of the subshift: a
+            # Sturmian near a rational with a small denominator is nearly
+            # periodic there and can miss factors, and a Bernoulli sample is
+            # one sample
+            text = self.word(8 * horizon)
+        return LanguageOracle(("0", "1"), horizon, text)
 
 
 def parse_spec(spec: str) -> GeneratorSpec:
@@ -282,6 +233,6 @@ def parse_spec(spec: str) -> GeneratorSpec:
             if not 1 <= size <= 9:
                 raise ValueError("alphabet size must be in [1, 9]")
             return GeneratorSpec(kind, spec, size=size)
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown generator kind {kind!r}")

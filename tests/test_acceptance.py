@@ -13,17 +13,15 @@ from itertools import product
 
 from strictform.arrays import Rectangle, lift_binary
 from strictform.assemble import (
-    PeriodSpec,
     build_stitch_kit,
     check_stitchable,
     convergence_check,
-    detect_exceptional,
     embed_aperiodic,
     embed_periodic,
     reconstruct,
 )
 from strictform.cli import main as cli_main
-from strictform.generators import full_shift_oracle, parse_spec
+from strictform.generators import parse_spec
 from strictform.markers import (
     build_marker_system,
     check_balanced,
@@ -35,6 +33,7 @@ from strictform.measures import dstar, empirical_measure
 from strictform.purify import config_from_dict, purify_pipeline
 
 from array_helpers import from_word
+from assemble_helpers import PeriodSpec, detect_exceptional
 from measure_helpers import concat, mixture, point_mass
 
 F = Fraction
@@ -204,7 +203,7 @@ def test_criterion_5_purification_end_to_end():
 
 
 def test_criterion_6_stitching():
-    kit = build_stitch_kit(full_shift_oracle(2), 3, 50)
+    kit = build_stitch_kit(parse_spec("full:2").oracle(10**6), 3, 50)
     ok = all(check_stitchable(kit, l)[0] for l in kit.l_sequence)
     # the substitution-oracle kit outcome is horizon-certified and frozen
     chacon = build_stitch_kit(parse_spec("chacon").oracle(600), 2, 200)
@@ -218,8 +217,8 @@ def test_criterion_6_stitching():
 def test_criterion_7_embedding_roundtrip():
     t0 = time.monotonic()
     rng = random.Random(11)
-    kit = build_stitch_kit(full_shift_oracle(2), 3, 50)
-    oracle = full_shift_oracle(2)
+    oracle = parse_spec("full:2").oracle(10**6)
+    kit = build_stitch_kit(oracle, 3, 50)
     ok = True
     for trial in range(20):
         rows = 4

@@ -14,11 +14,9 @@ from strictform.arrays import (
 from strictform.assemble import (
     NotFoundWithinHorizon,
     NoWitness,
-    PeriodSpec,
     build_stitch_kit,
     check_stitchable,
     convergence_check,
-    detect_exceptional,
     embed_aperiodic,
     embed_periodic,
     lifted_contains,
@@ -30,24 +28,20 @@ from strictform.assemble import (
     _to_oracle_word,
     _witness,
 )
-from strictform.generators import (
-    LanguageOracle,
-    bernoulli_oracle,
-    chacon_oracle,
-    full_shift_oracle,
-    parse_spec,
-    periodic_oracle,
-    sturmian_oracle,
-)
+from strictform.generators import LanguageOracle, parse_spec
 from strictform.markers import MarkerSystem
 from strictform.purify import _window_rows
 
 from array_helpers import from_word
+from assemble_helpers import PeriodSpec, detect_exceptional
+from test_generators import reference_chacon_text
+
+FULL_SHIFT = parse_spec("full:2").oracle(10**6)
 
 
 @pytest.fixture(scope="module")
 def fs_kit():
-    return build_stitch_kit(full_shift_oracle(2), 3, 50)
+    return build_stitch_kit(FULL_SHIFT, 3, 50)
 
 
 @pytest.fixture(scope="module")
@@ -99,29 +93,27 @@ class TestBinaryWordBridge:
         assert rectangle_to_binary_word(from_word("13")) is None
 
     def test_lifted_contains(self):
-        o = periodic_oracle("01", 64)
+        o = parse_spec("periodic:01").oracle(64)
         assert lifted_contains(o, from_word("1212"))
         assert not lifted_contains(o, from_word("11"))
 
 
 class TestTransitionLength:
     def test_full_shift_12(self):
-        fs = full_shift_oracle(2)
-        assert transition_length(fs, from_word("12"), 50) == 2
+        assert transition_length(FULL_SHIFT, from_word("12"), 50) == 2
 
     def test_full_shift_11(self):
-        fs = full_shift_oracle(2)
-        assert transition_length(fs, from_word("11"), 50) == 1
+        assert transition_length(FULL_SHIFT, from_word("11"), 50) == 1
 
     def test_periodic_never_transitions(self):
         # period-2 occurrences differ by even amounts only; an odd horizon
         # leaves no certified tail
-        o = periodic_oracle("12", 64)
+        o = parse_spec("periodic:12").oracle(64)
         with pytest.raises(NotFoundWithinHorizon):
             transition_length(o, from_word("1"), 31)
 
     def test_not_in_language_rejected(self):
-        o = periodic_oracle("12", 64)
+        o = parse_spec("periodic:12").oracle(64)
         with pytest.raises(ValueError):
             transition_length(o, from_word("11"), 31)
 
@@ -187,29 +179,39 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def chacon_iterate(depth):
+    # the whole depth-fold iterate, its length the horizon
+    text = reference_chacon_text(depth)
+    return LanguageOracle(("0", "1"), len(text), text)
+
+
 horizons = st.integers(8, 64)
 lag_oracles = st.one_of(
     st.builds(
-        periodic_oracle,
+        lambda word, h: parse_spec(f"periodic:{word}").oracle(h),
         st.sampled_from(["01", "12"]).flatmap(
             lambda ab: st.text(ab, min_size=1, max_size=7)
         ),
         horizons,
     ),
     st.builds(
-        bernoulli_oracle,
+        lambda p, seed, h: (
+            parse_spec(f"bernoulli:{p}:seed={seed}").oracle(h)
+        ),
         st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]),
         st.integers(0, 50),
         horizons,
     ),
     st.builds(
-        sturmian_oracle,
+        lambda alpha, rho, h: (
+            parse_spec(f"sturmian:{alpha}:rho={rho}").oracle(h)
+        ),
         st.integers(1, 1008).map(lambda a: Fraction(a, 1009)),
         st.integers(0, 6).map(lambda r: Fraction(r, 7)),
         horizons,
     ),
-    st.builds(chacon_oracle, st.integers(0, 8)),
-    st.just(full_shift_oracle(2)),
+    st.builds(chacon_iterate, st.integers(0, 8)),
+    st.just(FULL_SHIFT),
 )
 
 
@@ -279,7 +281,7 @@ def _kit_and_pairs(x0, levels, horizon):
 class TestChaconOracleDifferential:
     # the depth-10 iterate (88,573 symbols) holds every factor of length
     # up to 29,524, far beyond twice each horizon below
-    REFERENCE_TEXT = chacon_oracle(10).text
+    REFERENCE_TEXT = reference_chacon_text(10)
 
     @pytest.mark.parametrize(
         "levels, horizon",
@@ -349,7 +351,7 @@ class TestCheckStitchable:
             assert ok and bad == []
 
     def test_corrupted_pair_flagged(self):
-        kit = build_stitch_kit(full_shift_oracle(2), 2, 50)
+        kit = build_stitch_kit(FULL_SHIFT, 2, 50)
         _, Rbar = tabbed_rectangles(kit, 3)
         # a non-lift-consistent tab cannot sit next to anything
         kit.tabbed[3] = (Rectangle.from_rows([[1, 2, 1], [1, 1, 1]]), Rbar)
@@ -424,33 +426,32 @@ class TestEmbedAperiodic:
 
 class TestConvergenceCheck:
     def test_clean_windows_pass(self):
-        fs = full_shift_oracle(2)
         systems = [
             ("a", lift_binary("011010011010", 3), 0, 9),
             ("b", lift_binary("000111000111", 3), 0, 9),
         ]
-        rep = convergence_check(systems, fs, 2)
+        rep = convergence_check(systems, FULL_SHIFT, 2)
         assert rep["ok"]
         assert all(s["violations"] == [] for s in rep["systems"])
         assert rep["systems"][0]["checked"] == 9
 
     def test_violation_located(self):
-        fs = full_shift_oracle(2)
         w = lift_binary("011010011010", 3)
         cells = [list(r) for r in w.cells]
         cells[1][4] = 1 if cells[1][4] != 1 else 2  # break lift consistency
         broken = ArrayWindow(
             w.chain, 0, tuple(tuple(r) for r in cells), INDEPENDENT
         )
-        rep = convergence_check([("bad", broken, 0, 9)], fs, 2)
+        rep = convergence_check([("bad", broken, 0, 9)], FULL_SHIFT, 2)
         assert not rep["ok"]
         cols = [v["column"] for v in rep["systems"][0]["violations"]]
         assert cols and all(3 <= c <= 4 for c in cols)
 
     def test_too_few_rows(self):
-        fs = full_shift_oracle(2)
         with pytest.raises(ValueError):
-            convergence_check([("a", lift_binary("0110", 1), 0, 2)], fs, 2)
+            convergence_check(
+                [("a", lift_binary("0110", 1), 0, 2)], FULL_SHIFT, 2
+            )
 
 
 class TestReconstruct:

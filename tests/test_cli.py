@@ -112,6 +112,8 @@ TREE_PATH_ERRORS = [
     ([dict(_LEAVES[0], target="sturmian:1999/2000"), _LEAVES[1]],
      "tree[0].target: 'sturmian:1999/2000' needs a denominator above the "
      "word length 2000"),
+    ([_LEAVES[0], dict(_LEAVES[1], target="sturmian:1/0")],
+     "tree[1].target: bad generator spec 'sturmian:1/0'"),
 ]
 
 # keys replaced together -> the message of the stage rule they break
@@ -359,7 +361,7 @@ class TestPurify:
             "node_not_object", "tree_object", "empty_samples", "empty_families",
             "full_target", "full_sample", "periodic_2_sample",
             "periodic_2_target", "sturmian_1_2_sample",
-            "sturmian_denominator_at_length",
+            "sturmian_denominator_at_length", "sturmian_zero_denominator",
         ],
     )
     def test_tree_error_names_json_path(self, tmp_path, capsys, tree, message):
@@ -506,6 +508,7 @@ class TestAssemble:
         [
             "bogus", "full", "periodic:", "chacon:3",
             "full:0", "full:10", "bernoulli:2", "bernoulli:0", "sturmian:3/2",
+            "sturmian:1/0", "sturmian:1/3:rho=1/0", "bernoulli:1/0:seed=1",
         ],
     )
     def test_unparseable_oracle_exits_2(self, spec, capsys):

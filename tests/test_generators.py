@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from strictform.generators import (
+    GeneratorSpec,
     HorizonExhausted,
+    LanguageOracle,
+    _chacon_text,
     _splitmix64,
     bernoulli_window,
-    chacon_oracle,
-    full_shift_oracle,
     parse_spec,
-    periodic_oracle,
-    substitution_oracle,
-    sturmian_oracle,
     sturmian_word,
 )
 from test_measures import cesaro_spread
@@ -33,29 +31,31 @@ def assert_factor_closed(oracle, n):
 
 class TestPeriodicOracle:
     def test_words_of_12(self):
-        assert set(periodic_oracle("12").words(2)) == {"12", "21"}
+        words = set(parse_spec("periodic:12").oracle(64).words(2))
+        assert words == {"12", "21"}
 
     def test_constant(self):
-        assert set(periodic_oracle("1").words(4)) == {"1111"}
+        assert set(parse_spec("periodic:1").oracle(64).words(4)) == {"1111"}
 
     def test_cyclic_shifts(self):
-        assert set(periodic_oracle("112").words(3)) == {"112", "121", "211"}
+        words = set(parse_spec("periodic:112").oracle(64).words(3))
+        assert words == {"112", "121", "211"}
 
     def test_factor_closed(self):
-        assert_factor_closed(periodic_oracle("1121221"), 5)
+        assert_factor_closed(parse_spec("periodic:1121221").oracle(64), 5)
 
     def test_horizon_enforced(self):
-        o = periodic_oracle("12", horizon=8)
+        o = parse_spec("periodic:12").oracle(8)
         with pytest.raises(HorizonExhausted):
             o.contains("121212121")
 
 
 class TestFullShiftOracle:
     def test_word_count(self):
-        assert len(list(full_shift_oracle(2).words(3))) == 8
+        assert len(list(parse_spec("full:2").oracle(10**6).words(3))) == 8
 
     def test_membership(self):
-        o = full_shift_oracle(2)
+        o = parse_spec("full:2").oracle(10**6)
         assert o.contains("121")
         assert not o.contains("131")
 
@@ -126,12 +126,13 @@ class TestSturmian:
 
     def test_complexity_n_plus_one(self):
         # the unique-ergodicity signature: exactly n+1 factors of length n
-        o = sturmian_oracle(GOLDEN, F(0), 16)
+        o = parse_spec("sturmian:309017/500000").oracle(16)
         for n in range(1, 13):
             assert len(list(o.words(n))) == n + 1
 
     def test_factor_closed(self):
-        assert_factor_closed(sturmian_oracle(GOLDEN, F(0), 10), 6)
+        o = parse_spec("sturmian:309017/500000").oracle(10)
+        assert_factor_closed(o, 6)
 
     def test_cesaro_decay_envelope(self):
         w = sturmian_word(GOLDEN, F(0), 4096)
@@ -198,20 +199,35 @@ class TestSturmianDifferential:
         assert peak < 16 * 1024
 
 
+def reference_chacon_text(depth):
+    """B_depth as the depth-fold iterate of the substitution 0 -> 0010,
+    1 -> 1 from the seed 0, one symbol at a time."""
+    rules = {"0": "0010", "1": "1"}
+    text = "0"
+    for _ in range(depth):
+        text = "".join(rules[c] for c in text)
+    return text
+
+
 class TestSubstitution:
     def test_chacon_square(self):
-        assert chacon_oracle(2).text == "0010001010010"
-
-    def test_identity_rule(self):
-        o = substitution_oracle({"3": "3"}, "3", 5)
-        assert set(o.words(1)) == {"3"}
+        assert _chacon_text(13) == "0010001010010"
 
     def test_factor_closed(self):
-        assert_factor_closed(chacon_oracle(4), 6)
+        # horizon 20 keeps B_4, the 121-symbol iterate
+        o = parse_spec("chacon").oracle(20)
+        assert o.text == reference_chacon_text(4)
+        assert_factor_closed(o, 6)
 
-    def test_erasing_rejected(self):
-        with pytest.raises(ValueError):
-            substitution_oracle({"0": "", "1": "1"}, "0", 3)
+
+class TestChaconTextDifferential:
+    @pytest.mark.parametrize("d", range(11))
+    def test_matches_substitution_iterate(self, d):
+        size = (3 ** (d + 1) - 1) // 2
+        assert len(reference_chacon_text(d)) == size
+        for n in (size - 1, size, size + 1):
+            want = reference_chacon_text(d if n <= size else d + 1)
+            assert _chacon_text(n) == want, n
 
 
 class TestChaconOracle:
@@ -230,7 +246,7 @@ class TestChaconOracle:
 
     def test_horizon_64_holds_depth_6(self):
         o = parse_spec("chacon").oracle(64)
-        assert o.text == chacon_oracle(6).text and len(o.text) == 1093
+        assert o.text == reference_chacon_text(6) and len(o.text) == 1093
         assert o.horizon == 64
 
 
@@ -330,3 +346,61 @@ class TestParseSpec:
     def test_word_prefix_stability(self, spec_str, n):
         spec = parse_spec(spec_str)
         assert spec.word(n + 5)[:n] == spec.word(n)
+
+
+def reference_oracle(spec, horizon):
+    """GeneratorSpec.oracle as the per-kind oracle constructors built it,
+    with their checks: the reference."""
+    if spec.kind == "periodic":
+        word = spec.word_arg
+        if not word:
+            raise ValueError("period word must be nonempty")
+        reps = 2 * horizon // len(word) + 2
+        return LanguageOracle(tuple(sorted(set(word))), horizon, word * reps)
+    if spec.kind == "sturmian":
+        text = sturmian_word(spec.alpha, spec.rho, 8 * horizon)
+        return LanguageOracle(("0", "1"), horizon, text)
+    if spec.kind == "chacon":
+        depth = 0
+        while len(reference_chacon_text(depth)) < 6 * horizon + 1:
+            depth += 1
+        text = reference_chacon_text(depth)
+        return LanguageOracle(("0", "1"), horizon, text)
+    if spec.kind == "bernoulli":
+        text = bernoulli_window(spec.p, spec.seed, 8 * horizon)
+        return LanguageOracle(("0", "1"), horizon, text)
+    if spec.kind == "full":
+        if not 1 <= spec.size <= 9:
+            raise ValueError("alphabet size must be in [1, 9]")
+        alphabet = tuple(str(s) for s in range(1, spec.size + 1))
+        return LanguageOracle(alphabet, horizon)
+    raise ValueError(f"unknown oracle kind {spec.kind!r}")
+
+
+def _fields_or_error(build, spec, horizon):
+    try:
+        o = build(spec, horizon)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return o.alphabet, o.horizon, o.text
+
+
+class TestOracleDifferential:
+    # sturmian:1/3 fails at every horizon and the 1009 denominator from
+    # horizon 127 on: the word is longer than the denominator allows
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "periodic:0", "periodic:01", "periodic:1121221",
+            "periodic:0123456789", "sturmian:309017/500000",
+            "sturmian:309017/500000:rho=1/3", "sturmian:700/1009:rho=-7/5",
+            "sturmian:1/3", "chacon", "bernoulli:1/2:seed=42",
+            "bernoulli:1/8:seed=3", "full:1", "full:2", "full:9",
+        ],
+    )
+    def test_matches_per_kind_constructors(self, spec):
+        parsed = parse_spec(spec)
+        for h in [*range(1, 81), 182, 183, 300, 1000]:
+            got = _fields_or_error(GeneratorSpec.oracle, parsed, h)
+            want = _fields_or_error(reference_oracle, parsed, h)
+            assert got == want, h

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import strictform
@@ -170,3 +171,57 @@ def test_tracer_targets_exist():
     assert called == {"without_marks"}
     for meth in called:
         assert inspect.isfunction(vars(rect_cls).get(meth)), meth
+
+
+PERFBENCH = TRACER.parent
+
+# entry points of the paper's model half that no command runs yet; only
+# the tests call them, until a command wires each one and it leaves this set
+UNWIRED = {
+    "assemble.embed_periodic", "assemble.embed_aperiodic",
+    "assemble.reconstruct", "assemble.convergence_check",
+    "arrays.write_arr", "arrays.shift", "arrays.ArrayWindow.column",
+}
+
+
+def _public_definitions(tree):
+    # (qualified name, node) of each public top-level function and class,
+    # and of each public method
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("_")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _names(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_entry_point_has_a_caller():
+    # an entry point that only tests call is dead weight in the package:
+    # each public name must be read in src/ or perfbench/ outside its own
+    # definition
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    }
+    reads = sum(map(_names, trees.values()), Counter())
+    found = {
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == SRC
+        for name, node in _public_definitions(tree)
+        if reads[node.name] == _names(node)[node.name]
+    }
+    assert found == UNWIRED

@@ -23,14 +23,8 @@ from strictform.arrays import (
     lift_binary,
     shift,
 )
-from strictform.assemble import PeriodSpec, StitchKit
-from strictform.generators import (
-    GeneratorSpec,
-    LanguageOracle,
-    full_shift_oracle,
-    parse_spec,
-    periodic_oracle,
-)
+from strictform.assemble import StitchKit
+from strictform.generators import GeneratorSpec, LanguageOracle, parse_spec
 from strictform.markers import (
     GapDecomposition,
     MarkerSystem,
@@ -51,6 +45,7 @@ from strictform.purify import (
 )
 
 from array_helpers import from_word
+from assemble_helpers import PeriodSpec
 
 F = Fraction
 REQUIRED = dataclasses.MISSING
@@ -148,7 +143,8 @@ def samples():
             dstar(m, m, (1, 2)), TruncatedDistance(F(1, 3), F(1, 2)),
         ],
         LanguageOracle: [
-            periodic_oracle("01", 8), full_shift_oracle(2, 5),
+            parse_spec("periodic:01").oracle(8),
+            parse_spec("full:2").oracle(5),
             LanguageOracle(("0", "1"), 8),
         ],
         GeneratorSpec: [
@@ -251,7 +247,7 @@ def test_other_class_with_equal_fields_is_unequal():
 
 
 def test_mutable_classes_get_fresh_defaults():
-    x0 = full_shift_oracle(2)
+    x0 = parse_spec("full:2").oracle(10**6)
     a, b = StitchKit(x0, 8, []), StitchKit(x0, 8, [])
     a.tabbed[3] = None
     assert b.tabbed == {}
