@@ -1,5 +1,5 @@
-"""Finite constructions over markered symbolic arrays: amalgamation chains,
-two-gap marker hierarchies, truncated empirical-measure distances, staged
-good/bad purification, and tabbed-rectangle stitching."""
+"""Finite constructions over markered symbolic arrays: canonical-chain
+windows, two-gap marker hierarchies, truncated empirical-measure distances,
+staged good/bad purification, and tabbed-rectangle stitching."""
 
 __version__ = "0.1.0"

@@ -1,5 +1,8 @@
-"""Core data model: per-row alphabets, amalgamation chains, windows, rectangles.
+"""Core data model: alphabet sizes, the canonical amalgamation, windows,
+rectangles.
 
+Binary lifting builds every array, so its rows form the one chain that
+``canonical_sizes`` and ``amalgamate`` state; a window holds its row sizes.
 A window is a finite K-rows-by-N-columns slab of a two-sided array.  Columns
 carry absolute indices (``origin`` is the index of the first column), so the
 horizontal shift is pure coordinate bookkeeping and never mutates cells.
@@ -23,66 +26,46 @@ _ROW_ONE = bytes.maketrans(b"01", b"\1\2")
 _COMPLEMENT = bytes.maketrans(b"01", b"\1\0")
 
 
-class SymbolError(ValueError):
-    """A cell value is outside its row alphabet."""
+def canonical_sizes(rows: int) -> tuple[int, ...]:
+    """Alphabet sizes 2, 4, ..., 2^rows of the canonical chain."""
+    if not 1 <= rows <= _MAX_CANONICAL_ROWS:
+        raise ValueError(f"rows must be in [1, {_MAX_CANONICAL_ROWS}]")
+    return tuple(2**k for k in range(1, rows + 1))
 
 
-class AmalgamationChain(Value):
-    """Per-row alphabet sizes with surjections collapsing row k+1 onto row k.
+def amalgamate(m: int) -> int:
+    """The canonical map from row k+1 onto row k: symbol m to ceil(m/2)."""
+    return (m + 1) // 2
 
-    ``maps[k-1][m-1]`` is the row-k image of symbol m of row k+1 (symbols are
-    1-based).  Every map must be onto the lower alphabet.
-    """
 
-    __slots__ = ("alphabet_sizes", "maps")
-
-    def __init__(self, alphabet_sizes, maps):
-        _set(self, "alphabet_sizes", alphabet_sizes)
-        _set(self, "maps", maps)
-        if not alphabet_sizes or any(s < 1 for s in alphabet_sizes):
-            raise ValueError("alphabet sizes must be positive")
-        if len(maps) != len(alphabet_sizes) - 1:
-            raise ValueError("need exactly K-1 amalgamation maps")
-        for k, table in enumerate(maps, start=1):
-            upper, lower = alphabet_sizes[k], alphabet_sizes[k - 1]
-            if len(table) != upper:
-                raise ValueError(f"map {k} must cover the row-{k + 1} alphabet")
-            if any(not 1 <= v <= lower for v in table):
-                raise SymbolError(f"map {k} leaves the row-{k} alphabet")
-            if set(table) != set(range(1, lower + 1)):
-                raise ValueError(f"map {k} is not surjective")
-
-    @property
-    def row_count(self) -> int:
-        return len(self.alphabet_sizes)
-
-    @classmethod
-    def canonical(cls, rows: int) -> "AmalgamationChain":
-        """The chain with |alphabet_k| = 2^k and map m -> ceil(m/2)."""
-        if not 1 <= rows <= _MAX_CANONICAL_ROWS:
-            raise ValueError(f"rows must be in [1, {_MAX_CANONICAL_ROWS}]")
-        sizes = tuple(2**k for k in range(1, rows + 1))
-        maps = tuple(
-            tuple((m + 1) // 2 for m in range(1, 2 ** (k + 1) + 1))
-            for k in range(1, rows)
+def _check_sizes(sizes: tuple[int, ...], mode: str) -> None:
+    if not sizes or any(s < 1 for s in sizes):
+        raise ValueError("alphabet sizes must be positive")
+    # an inverse-limit window is judged by the canonical map, which fixes
+    # its sizes; an independent window is judged by its sizes only
+    if mode == INVERSE_LIMIT and tuple(sizes) != canonical_sizes(len(sizes)):
+        canonical = " ".join(map(str, canonical_sizes(len(sizes))))
+        raise ValueError(
+            f"inverse_limit mode needs the canonical alphabet sizes "
+            f"{canonical}, got {' '.join(map(str, sizes))}"
         )
-        return cls(sizes, maps)
 
 
 class ArrayWindow(Value):
     """K x N slab of an array; cells[k-1][j] is the symbol at (k, origin+j)."""
 
-    __slots__ = ("chain", "origin", "cells", "mode")
+    __slots__ = ("sizes", "origin", "cells", "mode")
 
-    def __init__(self, chain, origin, cells, mode=INVERSE_LIMIT):
-        _set(self, "chain", chain)
+    def __init__(self, sizes, origin, cells, mode=INVERSE_LIMIT):
+        _set(self, "sizes", sizes)
         _set(self, "origin", origin)
         _set(self, "cells", cells)
         _set(self, "mode", mode)
         if mode not in (INVERSE_LIMIT, INDEPENDENT):
             raise ValueError(f"unknown mode {mode!r}")
-        if len(cells) != chain.row_count:
-            raise ValueError("cell grid does not match the chain's row count")
+        _check_sizes(sizes, mode)
+        if len(cells) != len(sizes):
+            raise ValueError("cell grid does not match the alphabet sizes")
         widths = {len(row) for row in cells}
         if len(widths) != 1 or widths == {0}:
             raise ValueError("rows must share a positive width")
@@ -106,23 +89,20 @@ class ArrayWindow(Value):
 def validate_window(w: ArrayWindow) -> bool:
     """True iff every cell is in its alphabet and, in inverse-limit mode,
     every symbol amalgamates to the one above it."""
-    for k, row in enumerate(w.cells, start=1):
-        size = w.chain.alphabet_sizes[k - 1]
+    for row, size in zip(w.cells, w.sizes):
         if any(not 1 <= v <= size for v in row):
             return False
     if w.mode == INDEPENDENT:
         return True
-    for k in range(1, w.rows):
-        lower, upper = w.cells[k - 1], w.cells[k]
-        table = w.chain.maps[k - 1]
-        if any(table[m - 1] != v for v, m in zip(lower, upper)):
-            return False
-    return True
+    return all(
+        tuple(map(amalgamate, upper)) == tuple(lower)
+        for lower, upper in zip(w.cells, w.cells[1:])
+    )
 
 
 def shift(w: ArrayWindow, t: int) -> ArrayWindow:
     """Horizontal left shift by t: the origin decreases, cells do not move."""
-    return ArrayWindow(w.chain, w.origin - t, w.cells, w.mode)
+    return ArrayWindow(w.sizes, w.origin - t, w.cells, w.mode)
 
 
 class Rectangle(Value):
@@ -183,7 +163,7 @@ def lift_binary(word: str, rows: int) -> ArrayWindow:
     if len(data) < rows:
         raise ValueError("word shorter than the row count")
     n = len(data) - rows + 1
-    chain = AmalgamationChain.canonical(rows)
+    sizes = canonical_sizes(rows)
     # the block of cell (k, j) is that of cell (k-1, j) with bit j+k-1
     # appended, so the cell is twice the one above it, minus 1, plus that
     # bit: 2v - 1 + b = 2v - (1 - b), with 1 - b read from the complement
@@ -193,7 +173,7 @@ def lift_binary(word: str, rows: int) -> ArrayWindow:
     for k in range(2, rows + 1):
         row = tuple(map(sub, map(add, row, row), flips[k - 1 :]))
         cells.append(row)
-    return ArrayWindow(chain, 0, tuple(cells), INVERSE_LIMIT)
+    return ArrayWindow(sizes, 0, tuple(cells), INVERSE_LIMIT)
 
 
 def window_to_rectangle(w: ArrayWindow) -> Rectangle:
@@ -214,7 +194,7 @@ def replace_cells(
         for i in range(k):
             cells[i][a : a + block.width] = block.cells[i]
     return ArrayWindow(
-        w.chain, w.origin, tuple(tuple(r) for r in cells), INDEPENDENT
+        w.sizes, w.origin, tuple(tuple(r) for r in cells), INDEPENDENT
     )
 
 
@@ -229,7 +209,7 @@ def replace_cells(
 def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
     lines = [
         f"{w.rows} {w.columns} {w.origin} {w.mode}",
-        " ".join(str(s) for s in w.chain.alphabet_sizes),
+        " ".join(str(s) for s in w.sizes),
     ]
     for k, row in enumerate(w.cells, start=1):
         cuts = set()
@@ -269,7 +249,7 @@ def read_arr(path: str | Path):
         sizes = tuple(int(s) for s in toks)
         if len(sizes) != rows:
             raise ValueError("alphabet line does not match row count")
-        chain = _chain_for(sizes, mode)
+        _check_sizes(sizes, mode)
         cells, positions = [], []
         for k_idx, (n, toks) in enumerate(lines[2 : 2 + rows], start=1):
             if len(toks) != cols:
@@ -284,7 +264,7 @@ def read_arr(path: str | Path):
             positions.append(tuple(cuts))
     except ValueError as exc:
         raise ValueError(f"{path}: line {n}: {exc}") from None
-    window = ArrayWindow(chain, origin, tuple(cells), mode)
+    window = ArrayWindow(sizes, origin, tuple(cells), mode)
     if any(positions):
         # imported here: a file without marker flags needs no markers module
         from .markers import MarkerSystem
@@ -299,26 +279,3 @@ def read_arr(path: str | Path):
         return window, markers
     return window, None
 
-
-def _chain_for(sizes: tuple[int, ...], mode: str) -> AmalgamationChain:
-    """The chain for the alphabet sizes of an .arr file, which stores no maps.
-
-    An inverse-limit window is judged by its maps, and only the canonical
-    chain's maps are known from its sizes, so other sizes are rejected.  An
-    independent window never reads its maps; they fall back to the
-    order-preserving block surjections.
-    """
-    canonical = tuple(2**k for k in range(1, len(sizes) + 1))
-    if sizes == canonical:
-        return AmalgamationChain.canonical(len(sizes))
-    if mode == INVERSE_LIMIT:
-        raise ValueError(
-            f"inverse_limit mode needs the canonical alphabet sizes "
-            f"{' '.join(map(str, canonical))}, got {' '.join(map(str, sizes))}"
-        )
-    maps = []
-    for lo, hi in zip(sizes, sizes[1:]):
-        if hi < lo:
-            raise ValueError("alphabet sizes must be non-decreasing")
-        maps.append(tuple(min(lo, 1 + (m - 1) * lo // hi) for m in range(1, hi + 1)))
-    return AmalgamationChain(tuple(sizes), tuple(maps))

@@ -17,6 +17,7 @@ from .arrays import (
     INVERSE_LIMIT,
     ArrayWindow,
     Rectangle,
+    amalgamate,
     extract_rectangle,
     lift_binary,
     replace_cells,
@@ -325,18 +326,12 @@ def reconstruct(w: ArrayWindow, k: int) -> ArrayWindow:
     if not 1 <= k < w.rows:
         raise ValueError("need at least one intact row above the target")
     for j in range(k + 1, w.rows):
-        table = w.chain.maps[j - 1]
-        if any(
-            table[m - 1] != v for v, m in zip(w.cells[j - 1], w.cells[j])
-        ):
+        if tuple(map(amalgamate, w.cells[j])) != tuple(w.cells[j - 1]):
             raise ValueError(f"rows {j} and {j + 1} are not amalgamation-consistent")
-    cells = [list(row) for row in w.cells]
+    cells = list(map(tuple, w.cells))
     for j in range(k, 0, -1):
-        table = w.chain.maps[j - 1]
-        cells[j - 1] = [table[m - 1] for m in cells[j]]
-    return ArrayWindow(
-        w.chain, w.origin, tuple(tuple(r) for r in cells), INVERSE_LIMIT
-    )
+        cells[j - 1] = tuple(map(amalgamate, cells[j]))
+    return ArrayWindow(w.sizes, w.origin, tuple(cells), INVERSE_LIMIT)
 
 
 # --- .kit output format -----------------------------------------------------

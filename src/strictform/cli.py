@@ -20,9 +20,8 @@ from pathlib import Path
 
 from . import __version__
 
-# Each _cmd_* imports the strictform modules (and csv) that it runs, and no
-# others.  Without a bytecode cache every module a job loads is compiled from
-# source, so a module imported here would slow every command, --version too.
+# Each _cmd_* imports only the modules (and csv) it runs: with no bytecode
+# cache, a module imported here would be compiled for every command.
 
 
 class ConfigError(ValueError):
@@ -79,16 +78,16 @@ def _require_positive(flag: str, value: int) -> None:
         raise ConfigError(f"{flag} must be at least 1, got {value}")
 
 
-def _parse(what: str, parser, arg: str):
-    """``parser(arg)``, reporting a ValueError as a configuration error."""
+def _parse(what: str, parser, *args):
+    """``parser(*args)``, reporting a ValueError as a configuration error."""
     try:
-        return parser(arg)
+        return parser(*args)
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
 
 
 def _int_list(s: str) -> tuple[int, ...]:
-    return tuple(int(g) for g in s.split(","))
+    return tuple(map(int, s.split(",")))
 
 
 def _cmd_markers(args) -> int:
@@ -136,8 +135,8 @@ def _cmd_dstar(args) -> int:
     wa, _ = _parse(".arr file", read_arr, args.a)
     wb, _ = _parse(".arr file", read_arr, args.b)
     d = dstar(
-        empirical_measure(window_to_rectangle(wa), trunc),
-        empirical_measure(window_to_rectangle(wb), trunc),
+        _parse("--trunc", empirical_measure, window_to_rectangle(wa), trunc),
+        _parse("--trunc", empirical_measure, window_to_rectangle(wb), trunc),
         trunc,
     )
     print(f"{d.value.numerator}/{d.value.denominator} {float(d.value):.10f}")

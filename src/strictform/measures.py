@@ -77,7 +77,9 @@ def empirical_measure(
     if max_rows < 1 or max_width < 1:
         raise ValueError("truncation must be positive in both dimensions")
     if r.rows < max_rows or r.width < max_width:
-        raise ValueError("rectangle smaller than the requested truncation")
+        raise ValueError(
+            f"truncation {max_rows}x{max_width} exceeds a {r.rows}x{r.width} rectangle"
+        )
     n = r.width
     top = _slab_counts(r, max_rows, max_width)
     project = 4 * len(top) <= n - max_width + 1

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from strictform.arrays import (
     INDEPENDENT,
     INVERSE_LIMIT,
-    AmalgamationChain,
     ArrayWindow,
     Rectangle,
-    SymbolError,
+    amalgamate,
+    canonical_sizes,
     extract_rectangle,
     lift_binary,
     read_arr,
@@ -20,47 +20,74 @@ from strictform.arrays import (
     window_to_rectangle,
     write_arr,
 )
+from strictform.assemble import reconstruct
 from strictform.generators import sturmian_word
 from strictform.markers import MarkerSystem
 
-from array_helpers import amalgamate, from_word
+from array_helpers import from_word
 
 binary_words = st.text(alphabet="01", min_size=4, max_size=12)
 
 
 def canonical_window(cells, mode=INVERSE_LIMIT):
-    return ArrayWindow(AmalgamationChain.canonical(len(cells)), 0,
+    return ArrayWindow(canonical_sizes(len(cells)), 0,
                        tuple(tuple(r) for r in cells), mode)
 
 
 class TestAmalgamationChain:
     def test_canonical_sizes(self):
-        chain = AmalgamationChain.canonical(4)
-        assert chain.alphabet_sizes == (2, 4, 8, 16)
+        assert canonical_sizes(4) == (2, 4, 8, 16)
+
+    @pytest.mark.parametrize("rows", [0, 21])
+    def test_canonical_row_cap(self, rows):
+        with pytest.raises(ValueError, match=r"rows must be in \[1, 20\]"):
+            canonical_sizes(rows)
 
     def test_amalgamate_examples(self):
-        chain = AmalgamationChain.canonical(3)
-        assert amalgamate(chain, 1, 1) == 1
-        assert amalgamate(chain, 2, 4) == 2
-        assert amalgamate(chain, 2, 5) == 3
+        assert amalgamate(1) == 1
+        assert amalgamate(4) == 2
+        assert amalgamate(5) == 3
 
     def test_canonical_preimages(self):
-        # each row-k symbol s has exactly the preimages {2s-1, 2s}
-        chain = AmalgamationChain.canonical(4)
+        # each row-k symbol s has exactly the preimages {2s-1, 2s}, so the
+        # map is onto the row-k alphabet
         for k in range(1, 4):
             for s in range(1, 2**k + 1):
                 pre = [m for m in range(1, 2 ** (k + 1) + 1)
-                       if amalgamate(chain, k, m) == s]
+                       if amalgamate(m) == s]
                 assert pre == [2 * s - 1, 2 * s]
 
     def test_symbol_out_of_range(self):
-        chain = AmalgamationChain.canonical(2)
-        with pytest.raises(SymbolError):
-            amalgamate(chain, 1, 5)
+        # symbol 5 of row 2 amalgamates to the 3 below it, but neither lies
+        # in its row's alphabet
+        assert amalgamate(5) == 3
+        assert not validate_window(canonical_window([[3], [5]]))
 
-    def test_non_surjective_map_rejected(self):
-        with pytest.raises(ValueError):
-            AmalgamationChain((2, 4), ((1, 1, 1, 1),))
+
+class TestWindowSizes:
+    def test_sizes_field(self):
+        assert lift_binary("0110", 3).sizes == (2, 4, 8)
+
+    def test_noncanonical_inverse_limit_rejected(self):
+        with pytest.raises(ValueError, match="canonical alphabet sizes 2 4, got 2 3"):
+            ArrayWindow((2, 3), 0, ((1,), (1,)))
+
+    @pytest.mark.parametrize("sizes", [(4, 2), (2, 3), (1, 1), (2,) * 21])
+    def test_independent_takes_any_positive_sizes(self, sizes):
+        cells = tuple((1,) for _ in sizes)
+        w = ArrayWindow(sizes, 0, cells, INDEPENDENT)
+        assert w.sizes == sizes and validate_window(w)
+
+    @pytest.mark.parametrize("sizes", [(), (2, 0), (-1,)])
+    def test_nonpositive_sizes_rejected(self, sizes):
+        cells = tuple((1,) for _ in sizes) or ((1,),)
+        for mode in (INVERSE_LIMIT, INDEPENDENT):
+            with pytest.raises(ValueError, match="sizes must be positive"):
+                ArrayWindow(sizes, 0, cells, mode)
+
+    def test_row_count_must_match_sizes(self):
+        with pytest.raises(ValueError, match="does not match the alphabet sizes"):
+            ArrayWindow((2, 4), 0, ((1,),))
 
 
 class TestValidateWindow:
@@ -175,7 +202,7 @@ class TestLiftBinaryDifferential:
         word = data.draw(st.text(alphabet="01", min_size=rows, max_size=40))
         w = lift_binary(word, rows)
         assert w.cells == reference_lift_cells(word, rows)
-        assert w.chain == AmalgamationChain.canonical(rows)
+        assert w.sizes == canonical_sizes(rows)
         assert (w.origin, w.mode) == (0, INVERSE_LIMIT)
 
     @settings(max_examples=300, deadline=None)
@@ -324,8 +351,22 @@ class TestArrFormat:
         p = tmp_path / "a.arr"
         p.write_text("2 3 0 independent\n2 3\n1 2 2\n1 3 2\n")
         back, _ = read_arr(p)
-        assert back.chain.alphabet_sizes == (2, 3)
+        assert back.sizes == (2, 3)
         assert validate_window(back)
+
+    @pytest.mark.parametrize("mode", [INVERSE_LIMIT, INDEPENDENT])
+    def test_row_cap_only_in_inverse_limit_mode(self, tmp_path, mode):
+        # 21 rows with the canonical sizes: an independent window is judged
+        # by its sizes alone, so only the canonical chain caps the rows
+        p = tmp_path / "a.arr"
+        sizes = " ".join(str(2**k) for k in range(1, 22))
+        p.write_text(f"21 1 0 {mode}\n{sizes}\n" + "1\n" * 21)
+        if mode == INVERSE_LIMIT:
+            with pytest.raises(ValueError, match=r"line 2: rows must be in \[1, 20\]"):
+                read_arr(p)
+        else:
+            back, _ = read_arr(p)
+            assert back.rows == 21 and validate_window(back)
 
     def test_missing_row_lines_rejected(self, tmp_path):
         p = tmp_path / "a.arr"
@@ -334,3 +375,104 @@ class TestArrFormat:
         p.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="header claims 3 rows"):
             read_arr(p)
+
+
+# The map tables that windows held before they held only their sizes: the
+# canonical chain's table k - 1 sends symbol m of row k + 1 to
+# table[m - 1] in row k.  validate_window and reconstruct read them so.
+def reference_tables(rows):
+    return tuple(
+        tuple((m + 1) // 2 for m in range(1, 2 ** (k + 1) + 1))
+        for k in range(1, rows)
+    )
+
+
+def reference_validate(w):
+    tables = reference_tables(w.rows)
+    for k, row in enumerate(w.cells, start=1):
+        size = w.sizes[k - 1]
+        if any(not 1 <= v <= size for v in row):
+            return False
+    if w.mode == INDEPENDENT:
+        return True
+    for k in range(1, w.rows):
+        lower, upper = w.cells[k - 1], w.cells[k]
+        table = tables[k - 1]
+        if any(table[m - 1] != v for v, m in zip(lower, upper)):
+            return False
+    return True
+
+
+def reference_reconstruct(w, k):
+    if not 1 <= k < w.rows:
+        raise ValueError("need at least one intact row above the target")
+    tables = reference_tables(w.rows)
+    for j in range(k + 1, w.rows):
+        table = tables[j - 1]
+        if any(
+            table[m - 1] != v for v, m in zip(w.cells[j - 1], w.cells[j])
+        ):
+            raise ValueError(f"rows {j} and {j + 1} are not amalgamation-consistent")
+    cells = [list(row) for row in w.cells]
+    for j in range(k, 0, -1):
+        table = tables[j - 1]
+        cells[j - 1] = [table[m - 1] for m in cells[j]]
+    return tuple(tuple(r) for r in cells)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def canonical_windows(draw):
+    """A canonical window in either mode: a consistent column stack, from a
+    random top row, with a few cells overwritten by values in 0..2^k + 1,
+    so some leave their alphabet or break the amalgamation."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 20))
+    top = draw(st.lists(st.integers(1, 2**rows), min_size=width, max_size=width))
+    cells = [top]
+    for _ in range(rows - 1):
+        cells.insert(0, [(m + 1) // 2 for m in cells[0]])
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(st.integers(1, rows))
+        cells[k - 1][draw(st.integers(0, width - 1))] = draw(
+            st.integers(0, 2**k + 1)
+        )
+    mode = draw(st.sampled_from([INVERSE_LIMIT, INDEPENDENT]))
+    return ArrayWindow(
+        canonical_sizes(rows), 0, tuple(map(tuple, cells)), mode
+    )
+
+
+class TestCanonicalMapDifferential:
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_windows())
+    def test_validate_window_matches_tables(self, w):
+        assert validate_window(w) == reference_validate(w)
+
+    @settings(max_examples=400, deadline=None)
+    @given(canonical_windows(), st.data())
+    def test_reconstruct_matches_tables(self, w, data):
+        # a target row below the top one; a one-row window has none, so
+        # its k = 1 takes the "no intact row above" error path
+        k = data.draw(st.integers(1, max(1, w.rows - 1)))
+        got = outcome(reconstruct, w, k)
+        if all(
+            1 <= v <= size
+            for row, size in zip(w.cells[k:], w.sizes[k:])
+            for v in row
+        ):
+            want = outcome(reference_reconstruct, w, k)
+            assert (got.cells if isinstance(got, ArrayWindow) else got) == want
+        else:
+            # a table read at a symbol outside its alphabet wrapped round or
+            # raised IndexError; the map keeps such a symbol in the window,
+            # so the result is never a valid window
+            if isinstance(got, ArrayWindow):
+                assert not validate_window(got)
+            else:
+                assert got[0] is ValueError

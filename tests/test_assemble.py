@@ -440,7 +440,7 @@ class TestConvergenceCheck:
         cells = [list(r) for r in w.cells]
         cells[1][4] = 1 if cells[1][4] != 1 else 2  # break lift consistency
         broken = ArrayWindow(
-            w.chain, 0, tuple(tuple(r) for r in cells), INDEPENDENT
+            w.sizes, 0, tuple(tuple(r) for r in cells), INDEPENDENT
         )
         rep = convergence_check([("bad", broken, 0, 9)], FULL_SHIFT, 2)
         assert not rep["ok"]
@@ -465,7 +465,7 @@ class TestReconstruct:
         cells = [list(r) for r in w.cells]
         cells[0] = [1] * len(cells[0])
         broken = ArrayWindow(
-            w.chain, 0, tuple(tuple(r) for r in cells), INDEPENDENT
+            w.sizes, 0, tuple(tuple(r) for r in cells), INDEPENDENT
         )
         assert reconstruct(broken, 1).cells == w.cells
 
@@ -474,7 +474,7 @@ class TestReconstruct:
         cells = [list(r) for r in w.cells]
         cells[2] = [1] * len(cells[2])
         broken = ArrayWindow(
-            w.chain, 0, tuple(tuple(r) for r in cells), INDEPENDENT
+            w.sizes, 0, tuple(tuple(r) for r in cells), INDEPENDENT
         )
         with pytest.raises(ValueError):
             reconstruct(broken, 1)

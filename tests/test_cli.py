@@ -310,6 +310,24 @@ class TestDstar:
         assert rc == 2
         capsys.readouterr()
 
+    # a truncation beyond a window's rows or columns is bad input
+    @pytest.mark.parametrize(
+        "word, rows, trunc, size",
+        [("00", 1, "2x2", "1x2"), ("00000", 3, "1x5", "3x3")],
+    )
+    def test_oversized_truncation_exits_2(
+        self, word, rows, trunc, size, tmp_path, capsys
+    ):
+        a = tmp_path / "a.arr"
+        write_arr(a, lift_binary(word, rows))
+        rc = main(["dstar", "--a", str(a), "--b", str(a), "--trunc", trunc])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"config error: bad --trunc: truncation {trunc} exceeds a "
+            f"{size} rectangle"
+        ]
+
 
 class TestPurify:
     def test_runs_clean(self, tmp_path, capsys):
@@ -552,10 +570,11 @@ MALFORMED_ARR = {
     "float_token": ("1 3 0 independent\n2\n1 2.0 1\n", 3),
     # blank lines are skipped but still counted
     "bad_token_after_blank": ("1 3 0 independent\n\n2\n\n1 x 1\n", 5),
-    # the format stores no maps, so only the canonical sizes have known maps
+    # inverse-limit windows are judged by the canonical map, which fixes
+    # the sizes
     "noncanonical_sizes": ("2 3 0 inverse_limit\n2 3\n1 2 2\n1 3 2\n", 2),
-    # no map from a smaller alphabet onto a larger one exists
-    "decreasing_sizes": ("2 3 0 independent\n4 2\n1 2 1\n1 2 1\n", 2),
+    "zero_size": ("1 3 0 independent\n0\n1 1 1\n", 2),
+    "negative_size": ("1 3 0 independent\n-2\n1 1 1\n", 2),
     # the error names the first line after the K rows
     "extra_line": ("1 3 0 independent\n2\n1 2 1\njunk here\n", 4),
 }
@@ -598,6 +617,22 @@ class TestVerify:
     def test_bad_symbol_fails(self, tmp_path, capsys):
         p = tmp_path / "w.arr"
         p.write_text("1 3 0 independent\n2\n1 3 1\n")
+        assert main(["verify", "--arr", str(p)]) == 1
+        assert "window_valid: fail" in capsys.readouterr().out
+
+    # an independent window is judged by its sizes only, so they may
+    # decrease; a cell above its own row's size still fails
+    def test_decreasing_sizes_pass(self, tmp_path, capsys):
+        p = tmp_path / "w.arr"
+        p.write_text("2 3 0 independent\n4 2\n1 2 1\n1 2 1\n")
+        assert main(["verify", "--arr", str(p)]) == 0
+        assert "window_valid: pass" in capsys.readouterr().out
+
+    def test_decreasing_sizes_cell_over_smaller_alphabet_fails(
+        self, tmp_path, capsys
+    ):
+        p = tmp_path / "w.arr"
+        p.write_text("2 3 0 independent\n4 2\n1 4 1\n1 3 1\n")
         assert main(["verify", "--arr", str(p)]) == 1
         assert "window_valid: fail" in capsys.readouterr().out
 

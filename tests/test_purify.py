@@ -14,9 +14,9 @@ import strictform.purify as purify
 
 from strictform.arrays import (
     INDEPENDENT,
-    AmalgamationChain,
     ArrayWindow,
     Rectangle,
+    canonical_sizes,
     extract_rectangle,
     lift_binary,
     replace_cells,
@@ -375,9 +375,7 @@ def extraction_cases(draw, shape=None):
                             max_size=columns)))
         for _ in range(rows)
     )
-    w = ArrayWindow(
-        AmalgamationChain.canonical(rows), origin, cells, INDEPENDENT
-    )
+    w = ArrayWindow(canonical_sizes(rows), origin, cells, INDEPENDENT)
     steps = draw(st.lists(st.sampled_from([l, l + 1]), max_size=12))
     start = origin + draw(st.integers(-3, 3))
     row_k = [start]
@@ -419,7 +417,7 @@ class TestExtractKRectanglesDifferential:
         # two 4-gaps of row 2 hold the same cells and row-1 flags, and the
         # census's bad gaps share one key
         w = ArrayWindow(
-            AmalgamationChain.canonical(2), 4,
+            canonical_sizes(2), 4,
             ((2, 1, 2, 1, 1, 1, 2, 1, 1), (4, 1, 3, 1, 1, 1, 3, 1, 1)),
             INDEPENDENT,
         )

@@ -51,6 +51,19 @@ def test_no_marks_attribute():
     assert found == []
 
 
+def test_no_chain_attribute():
+    # arrays states the canonical chain once (canonical_sizes, amalgamate);
+    # a window holds its sizes, and no module reads map tables beside them
+    found = [
+        f"{path.name}:{node.lineno}:{node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("chain", "maps", "alphabet_sizes")
+    ]
+    assert found == []
+
+
 def _unused_imports(tree):
     imported = {}
     for node in tree.body:

@@ -17,7 +17,6 @@ from strictform._value import Value, _set
 from strictform.arrays import (
     INDEPENDENT,
     INVERSE_LIMIT,
-    AmalgamationChain,
     ArrayWindow,
     Rectangle,
     lift_binary,
@@ -52,9 +51,8 @@ REQUIRED = dataclasses.MISSING
 
 # the fields of each class as its dataclass declared them: (name, default)
 OLD_FIELDS = {
-    AmalgamationChain: [("alphabet_sizes", REQUIRED), ("maps", REQUIRED)],
     ArrayWindow: [
-        ("chain", REQUIRED), ("origin", REQUIRED), ("cells", REQUIRED),
+        ("sizes", REQUIRED), ("origin", REQUIRED), ("cells", REQUIRED),
         ("mode", INVERSE_LIMIT),
     ],
     Rectangle: [("cells", REQUIRED)],
@@ -119,12 +117,9 @@ def samples():
     spec = parse_spec("periodic:01")
     config = config_from_dict(CONFIG)
     return {
-        AmalgamationChain: [
-            AmalgamationChain.canonical(2), AmalgamationChain.canonical(3),
-            AmalgamationChain((2, 3), ((1, 1, 2),)),
-        ],
         ArrayWindow: [
-            w, shift(w, 2), ArrayWindow(w.chain, w.origin, w.cells, INDEPENDENT),
+            w, shift(w, 2), ArrayWindow(w.sizes, w.origin, w.cells, INDEPENDENT),
+            ArrayWindow((2, 3), 0, ((1, 2), (1, 3)), INDEPENDENT),
         ],
         Rectangle: [
             r, Rectangle.from_rows([[1, 2], [1, 2]]), from_word("12"),
