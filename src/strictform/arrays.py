@@ -240,6 +240,8 @@ def read_arr(path: str | Path):
         rows, cols, origin = int(k), int(cols), int(origin)
         if mode not in (INVERSE_LIMIT, INDEPENDENT):
             raise ValueError(f"unknown mode {mode!r}")
+        if rows < 1:
+            raise ValueError(f"header claims {rows} rows, need at least 1")
         if len(lines) < 2 + rows:
             raise ValueError(f"header claims {rows} rows, found {len(lines) - 2}")
         if len(lines) > 2 + rows:
@@ -273,8 +275,8 @@ def read_arr(path: str | Path):
             (min(b - a for a, b in zip(ps, ps[1:])) if len(ps) > 1 else 1)
             for ps in positions
         )
-        markers = MarkerSystem(
-            tuple(positions), gaps, origin, origin + cols - 1
+        markers = MarkerSystem.from_positions(
+            positions, gaps, origin, origin + cols - 1
         )
         return window, markers
     return window, None

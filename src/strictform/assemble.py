@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .arrays import (
     INVERSE_LIMIT,
@@ -24,7 +24,9 @@ from .arrays import (
     window_to_rectangle,
 )
 from .generators import LanguageOracle
-from .markers import MarkerSystem
+
+if TYPE_CHECKING:
+    from .markers import MarkerSystem
 
 
 class NotFoundWithinHorizon(ValueError):

@@ -101,7 +101,9 @@ def _cmd_markers(args) -> int:
 
     _require_positive("--columns", args.columns)
     gaps = _parse("gap list", _int_list, args.gaps)
-    ms = build_marker_system(args.columns, args.origin, gaps)
+    ms = _parse(
+        "marker hierarchy", build_marker_system, args.columns, args.origin, gaps
+    )
     checks = {
         "two_gaps": all(check_two_gaps(ms, k) for k in range(1, ms.row_count + 1)),
         "congruency": check_congruency(ms),
@@ -119,7 +121,7 @@ def _cmd_markers(args) -> int:
             "command": "markers",
             "columns": args.columns,
             "gaps": list(gaps),
-            "rows": [len(r) for r in ms.positions],
+            "rows": [len(steps) + 1 for steps in ms.lengths],
             "checks": checks,
         },
         config,

@@ -7,12 +7,15 @@ every marker of row k+1 must also be a marker of row k (congruency).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import eq, lt, sub
+from functools import partial
+from itertools import (
+    accumulate, chain, compress, dropwhile, islice, repeat, takewhile,
+)
+from operator import eq, ge, gt, sub
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._value import Value, _set
 
@@ -33,37 +36,60 @@ class GapDecomposition(Value):
 
 
 class MarkerSystem(Value):
-    """Sorted marker positions per row over the column range [lo, hi].
+    """Marker rows over the column range [lo, hi], each stored as its first
+    position and its gap lengths.
+
+    Row k holds the marker ``starts[k-1]`` and then one marker per entry of
+    ``lengths[k-1]``, each that many columns after the one before; an empty
+    row has the start None and no lengths.  A row costs one 8-byte tuple
+    slot per marker: the lengths of a built row repeat two int objects,
+    where a tuple of positions holds an int object and a slot per marker,
+    36 bytes.  Positions are computed as they are read (``row``);
+    ``from_positions`` builds a system from rows of sorted positions.
 
     ``gaps[k-1]`` is the base gap l_k of row k.  ``balance_windows`` records,
     per row, the interval length at which the constructor guarantees the
     balanced-frequency condition (None for hand-built systems).
     """
 
-    __slots__ = ("positions", "gaps", "lo", "hi", "balance_windows")
+    __slots__ = ("starts", "lengths", "gaps", "lo", "hi", "balance_windows")
 
-    def __init__(self, positions, gaps, lo, hi, balance_windows=None):
-        _set(self, "positions", positions)
+    def __init__(self, starts, lengths, gaps, lo, hi, balance_windows=None):
+        _set(self, "starts", starts)
+        _set(self, "lengths", lengths)
         _set(self, "gaps", gaps)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "balance_windows", balance_windows)
-        if len(positions) != len(gaps):
+        if not len(starts) == len(lengths) == len(gaps):
             raise ValueError("one base gap per row required")
-        for row in positions:
-            if not all(map(lt, row, islice(row, 1, None))):
+        for start, steps in zip(starts, lengths):
+            if start is None and steps:
+                raise ValueError("an empty row has no gap lengths")
+            if min(steps, default=1) < 1:
                 raise ValueError("positions must be sorted and distinct")
+
+    @classmethod
+    def from_positions(cls, rows, gaps, lo, hi, balance_windows=None):
+        """The system whose row k holds the sorted positions ``rows[k-1]``."""
+        forms = [_row_form(row) for row in rows]
+        return cls(
+            tuple(start for start, _ in forms),
+            tuple(steps for _, steps in forms),
+            gaps, lo, hi, balance_windows,
+        )
 
     @property
     def row_count(self) -> int:
-        return len(self.positions)
+        return len(self.starts)
 
-    def row(self, k: int) -> tuple[int, ...]:
-        return self.positions[k - 1]
+    def row(self, k: int) -> Iterator[int]:
+        """The positions of row k, in order, computed as they are read."""
+        return accumulate(self.lengths[k - 1], initial=self.starts[k - 1])
 
     def positions_between(self, k: int, first: int, last: int) -> list[int]:
-        ps = self.positions[k - 1]
-        return list(ps[bisect_left(ps, first) : bisect_right(ps, last)])
+        inside = dropwhile(partial(gt, first), self.row(k))
+        return list(takewhile(partial(ge, last), inside))
 
     # the one place that decides which markers a window spans
     def cuts(self, k: int, origin: int, columns: int) -> list[int]:
@@ -71,12 +97,19 @@ class MarkerSystem(Value):
         ``origin``."""
         return self.positions_between(k, origin, origin + columns - 1)
 
-    def with_row(self, k: int, new_positions: Sequence[int]) -> "MarkerSystem":
-        rows = list(self.positions)
-        rows[k - 1] = tuple(sorted(new_positions))
+    def with_row(self, k: int, new_positions: Iterable[int]) -> "MarkerSystem":
+        starts, lengths = list(self.starts), list(self.lengths)
+        starts[k - 1], lengths[k - 1] = _row_form(sorted(new_positions))
         return MarkerSystem(
-            tuple(rows), self.gaps, self.lo, self.hi, self.balance_windows
+            tuple(starts), tuple(lengths), self.gaps, self.lo, self.hi,
+            self.balance_windows,
         )
+
+
+def _row_form(row: Sequence[int]) -> tuple[int | None, tuple[int, ...]]:
+    """A row of positions as its first position and its gap lengths."""
+    steps = tuple(map(sub, islice(row, 1, None), row))
+    return (row[0] if row else None), steps
 
 
 def _best_split(p: int, l: int, cross: int, key) -> GapDecomposition:
@@ -141,8 +174,8 @@ def _split_steps(p: int, l: int) -> tuple[int, ...]:
 
 
 def check_two_gaps(ms: MarkerSystem, k: int) -> bool:
-    ps, l = ms.row(k), ms.gaps[k - 1]
-    return set(map(sub, islice(ps, 1, None), ps)) <= {l, l + 1}
+    l = ms.gaps[k - 1]
+    return set(ms.lengths[k - 1]) <= {l, l + 1}
 
 
 def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
@@ -171,20 +204,23 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
         raise ValueError("interval too short to constrain both gap lengths")
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
+    steps = ms.lengths[k - 1]
     return all(
-        _holds_mth_gap(ms.row(k), g, ms.lo, ms.hi - window, window)
+        _holds_mth_gap(
+            list(compress(ms.row(k), map(eq, steps, repeat(g)))),
+            g, ms.lo, ms.hi - window, window,
+        )
         for g in (l, l + 1)
     )
 
 
 def _holds_mth_gap(
-    ps: tuple[int, ...], g: int, lo: int, last: int, window: int
+    left: list[int], g: int, lo: int, last: int, window: int
 ) -> bool:
     """Every checked interval of check_balanced, from lo to ``last``, holds
-    ceil(window / (3 g)) gaps of length g."""
+    ceil(window / (3 g)) gaps of length g, given the sorted left ends
+    ``left`` of the length-g gaps."""
     m = -(-window // (3 * g))
-    steps = map(sub, islice(ps, 1, None), ps)
-    left = list(compress(ps, map(eq, steps, repeat(g))))
     # the checked starts are lo, whose run begins at entry first, and
     # left[q] + 1 for each q in [first, stop), whose run begins at q + 1;
     # each run needs m entries, the last ending by the interval's end
@@ -201,6 +237,17 @@ def check_congruency(ms: MarkerSystem) -> bool:
     )
 
 
+def check_gaps(gaps: Sequence[int]) -> None:
+    """Raise ValueError, naming the gaps, unless the base gaps are at least 2
+    and grow as l_{k+1} >= 9 l_k^2, the growth that lets every refinement
+    succeed."""
+    if not gaps or min(gaps) < 2:
+        raise ValueError("gaps: base gaps must be >= 2")
+    for a, b in zip(gaps, gaps[1:]):
+        if b < 9 * a * a:
+            raise ValueError(f"gaps: gap sequence must grow: {b} < 9*{a}^2")
+
+
 def build_marker_system(
     columns: int, origin: int, gaps: Sequence[int]
 ) -> MarkerSystem:
@@ -209,37 +256,32 @@ def build_marker_system(
 
     The top row splits the whole range by decompose_gap with its short and
     long gaps evenly interleaved; every lower row refines the gaps of the row
-    above.  Requires l_{k+1} >= 9 l_k^2 so every refinement succeeds, and
-    columns = a*l_K + b*(l_K+1) for some positive a, b (no two-gap row exists
-    otherwise).
+    above.  Requires the growth of check_gaps so every refinement succeeds,
+    and columns = a*l_K + b*(l_K+1) for some positive a, b (no two-gap row
+    exists otherwise).  Every row starts at origin.
     """
     gaps = tuple(gaps)
-    if not gaps or any(l < 2 for l in gaps):
-        raise ValueError("base gaps must be >= 2")
-    for a, b in zip(gaps, gaps[1:]):
-        if b < 9 * a * a:
-            raise ValueError(f"gap sequence must grow: {b} < 9*{a}^2")
+    check_gaps(gaps)
     rows = len(gaps)
-    lo, hi = origin, origin + columns
 
     top = gaps[-1]
     d = decompose_gap(columns, top)
     n = d.a + d.b
     # spread the b long gaps evenly among the a short ones: gap i is long
     # iff (i + 1) * b / n passes an integer that i * b / n does not reach
-    steps = (top + ((i + 1) * d.b // n > i * d.b // n) for i in range(n))
-    per_row: list[tuple[int, ...]] = [tuple(accumulate(steps, initial=lo))]
-
+    short_long = (top, top + 1)
+    steps = (short_long[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
+    per_row = [tuple(steps)]
     for l in reversed(gaps[:-1]):
         above = per_row[0]
         # every gap above is l_{k+1} or l_{k+1} + 1 long.  Split each length
         # once into its step pattern (a steps of l, then b of l + 1); the row
-        # is the running sum of the patterns of the gaps above, from above[0],
-        # so it passes through every marker above.
-        lengths = list(map(sub, islice(above, 1, None), above))
-        pattern = {p: _split_steps(p, l) for p in dict.fromkeys(lengths)}
-        steps = chain.from_iterable(map(pattern.__getitem__, lengths))
-        per_row.insert(0, tuple(accumulate(steps, initial=above[0])))
+        # is the patterns of the gaps above in turn, so it passes through
+        # every marker above.  The patterns repeat the same two length
+        # objects, so a row costs one tuple slot per gap.
+        pattern = {p: _split_steps(p, l) for p in dict.fromkeys(above)}
+        steps = chain.from_iterable(map(pattern.__getitem__, above))
+        per_row.insert(0, tuple(steps))
 
     # certified balance windows: 16*(coarse gap + 2) below the top row (each
     # window holds >= 14 full coarse gaps whose short/long shares are each
@@ -248,12 +290,15 @@ def build_marker_system(
         16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
         for k in range(rows)
     )
-    return MarkerSystem(tuple(per_row), gaps, lo, hi, balance)
+    return MarkerSystem(
+        (origin,) * rows, tuple(per_row), gaps, origin, origin + columns, balance
+    )
 
 
 # --- .mrk output: one line per row, space-separated absolute positions.
 
 
 def write_mrk(path: str | Path, ms: MarkerSystem) -> None:
-    lines = [" ".join(str(p) for p in row) for row in ms.positions]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as f:
+        for k in range(1, ms.row_count + 1):
+            f.write(" ".join(map(str, ms.row(k))) + "\n")

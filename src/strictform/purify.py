@@ -27,6 +27,7 @@ from .markers import (
     MarkerSystem,
     NoDecomposition,
     build_marker_system,
+    check_gaps,
     check_two_gaps,
     decompose_gap,
 )
@@ -229,8 +230,7 @@ class PurifyConfig(Value):
         # good means a distance below gamma, and no distance is below 0
         if gammas and min(gammas) <= 0:
             raise ValueError("gammas must be positive")
-        if min(gaps) < 2:
-            raise ValueError("gaps must be at least 2")
+        check_gaps(gaps)
         # the top marker row splits the columns into gaps of l_K and l_K + 1
         try:
             decompose_gap(columns, gaps[-1])

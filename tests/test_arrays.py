@@ -322,12 +322,12 @@ class TestArrFormat:
 
     def test_roundtrip_with_markers(self, tmp_path):
         w = lift_binary("0110100", 2)
-        ms = MarkerSystem(((0, 3, 5), (0, 5)), (3, 5), 0, 5)
+        ms = MarkerSystem.from_positions(((0, 3, 5), (0, 5)), (3, 5), 0, 5)
         p = tmp_path / "a.arr"
         write_arr(p, w, ms)
         back, ms2 = read_arr(p)
         assert back == w
-        assert ms2.positions == ms.positions
+        assert (ms2.starts, ms2.lengths) == (ms.starts, ms.lengths)
 
     @given(binary_words)
     def test_roundtrip_random(self, word):

@@ -392,7 +392,7 @@ class TestEmbedPeriodic:
 class TestEmbedAperiodic:
     def test_mixed_gaps(self, fs_kit):
         w = lift_binary("01101001101", 2)  # columns 0..9
-        ms = MarkerSystem(((0, 2, 5, 7, 9),), (2,), 0, 9)
+        ms = MarkerSystem.from_positions(((0, 2, 5, 7, 9),), (2,), 0, 9)
         out = embed_aperiodic(w, ms, 1, fs_kit)
         assert out.cells[0][1:10] == (1,) * 9
         assert out.cells[1] == w.cells[1]
@@ -401,7 +401,7 @@ class TestEmbedAperiodic:
         # every reader of a window's markers asks MarkerSystem.cuts, so the
         # window convention is decided in one place
         w = lift_binary("01101001101", 2)
-        ms = MarkerSystem(((0, 2, 5, 7, 9),), (2,), 0, 9)
+        ms = MarkerSystem.from_positions(((0, 2, 5, 7, 9),), (2,), 0, 9)
         asked, cuts = [], MarkerSystem.cuts
 
         def spy(self, k, origin, columns):
@@ -416,7 +416,7 @@ class TestEmbedAperiodic:
 
     def test_reconstruct_roundtrip(self, fs_kit):
         w = lift_binary("0110100110", 2)
-        ms = MarkerSystem(((0, 2, 4, 6, 8),), (2,), 0, 8)
+        ms = MarkerSystem.from_positions(((0, 2, 4, 6, 8),), (2,), 0, 8)
         out = embed_aperiodic(w, ms, 1, fs_kit)
         back = reconstruct(out, 1)
         # row 2 was never touched, so amalgamating it down restores row 1

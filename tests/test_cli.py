@@ -122,6 +122,9 @@ STAGE_ERRORS = [
     ({"gaps": [3, 81], "depths": [1, 2], "epsilons": ["1/4", "1/8"],
       "columns": 4 * 81 + 4 * 82},
      "leaf paths must match the number of stages"),
+    # 4001 = 3*1000 + 1001 splits, but no row of 12 refines a gap of 1000
+    ({"gaps": [12, 1000], "columns": 4001},
+     "gaps: gap sequence must grow: 1000 < 9*12^2"),
 ]
 
 
@@ -217,7 +220,7 @@ STARTUP = {
     "assemble": (
         ["assemble", "--oracle", "full:2", "--levels", "1", "--horizon", "8"],
         _COMMON | {f"strictform.{m}" for m in
-                   ("arrays", "assemble", "generators", "markers")},
+                   ("arrays", "assemble", "generators")},
     ),
     "purify": (
         ["purify", "--config", "config.json"],
@@ -286,10 +289,17 @@ class TestMarkers:
         assert main(["markers", "--columns", "10", "--gaps", gaps]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_infeasible_gaps_exit_1(self, capsys):
-        rc = main(["markers", "--columns", "100", "--gaps", "3,12"])
-        assert rc == 1
-        assert "invariant failure" in capsys.readouterr().err
+    def test_infeasible_gaps_exit_2(self, capsys):
+        # gaps and a column count that no hierarchy can have are bad input
+        for argv, message in [
+            (["--columns", "100", "--gaps", "3,12"],
+             "gaps: gap sequence must grow: 12 < 9*3^2"),
+            (["--columns", "5", "--gaps", "3"], "gap 5 too short for pieces 3,4"),
+            (["--columns", "10", "--gaps", "1"], "gaps: base gaps must be >= 2"),
+        ]:
+            assert main(["markers", *argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert f"config error: bad marker hierarchy: {message}" in err, argv
 
 
 class TestDstar:
@@ -388,7 +398,7 @@ class TestPurify:
         assert f"bad purify config: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, message", STAGE_ERRORS, ids=["depth", "leaf_paths"]
+        "overrides, message", STAGE_ERRORS, ids=["depth", "leaf_paths", "growth"]
     )
     def test_stage_rule_exits_2(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, dict(PURIFY_CONFIG, **overrides))
@@ -564,6 +574,8 @@ MALFORMED_ARR = {
     "short_file": ("2 3 0\n2 4\n", 1),
     "short_header": ("2 3 0\n2 4\n1 2 1\n1 2 3\n", 1),
     "unknown_mode": ("1 3 0 bogus\n2\n1 2 1\n", 1),
+    # a header of no rows is at fault itself, not the lines after it
+    "zero_rows": ("0 3 0 independent\n2\n1 2 1\n", 1),
     "missing_rows": ("2 3 0 independent\n2 4\n1 2 1\n", 1),
     "bad_token": ("1 3 0 independent\n2\n1 x 1\n", 3),
     "bare_bar": ("1 3 0 independent\n2\n1 | 1\n", 3),

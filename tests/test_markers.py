@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from bisect import bisect_left, bisect_right
 from hypothesis import given, settings, strategies as st
@@ -112,7 +114,7 @@ def reference_check_balanced(ms, k, window):
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
-    ps = ms.row(k)
+    ps = tuple(ms.row(k))
     if ms.hi - ms.lo < window:
         return True
     short = [0]
@@ -138,7 +140,7 @@ def reference_check_balanced_sweep(ms, k, window):
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
-    ps = ms.row(k)
+    ps = tuple(ms.row(k))
     if ms.hi - ms.lo < window:
         return True
     last = ms.hi - window
@@ -170,7 +172,7 @@ def reference_check_balanced_sweep(ms, k, window):
 
 def reference_check_two_gaps(ms, k):
     """check_two_gaps as a per-gap loop."""
-    ps, l = ms.row(k), ms.gaps[k - 1]
+    ps, l = tuple(ms.row(k)), ms.gaps[k - 1]
     return all(b - a in (l, l + 1) for a, b in zip(ps, ps[1:]))
 
 
@@ -214,13 +216,13 @@ def reference_build_marker_system(columns, origin, gaps):
         16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
         for k in range(rows)
     )
-    return MarkerSystem(tuple(per_row), gaps, lo, hi, balance)
+    return MarkerSystem.from_positions(tuple(per_row), gaps, lo, hi, balance)
 
 
 def row_system(positions, l, lo=None, hi=None):
     lo = positions[0] if lo is None else lo
     hi = positions[-1] if hi is None else hi
-    return MarkerSystem((tuple(positions),), (l,), lo, hi)
+    return MarkerSystem.from_positions((tuple(positions),), (l,), lo, hi)
 
 
 class TestDecomposeGap:
@@ -273,7 +275,7 @@ class TestSubdivideGap:
 class TestCuts:
     def test_markers_inside_the_window(self):
         # a window of 10 columns at origin o covers columns o..o+9
-        ms = MarkerSystem(((0, 3, 7, 10),), (3,), 0, 10)
+        ms = MarkerSystem.from_positions(((0, 3, 7, 10),), (3,), 0, 10)
         assert ms.cuts(1, 0, 10) == [0, 3, 7]
         assert ms.cuts(1, 1, 10) == [3, 7, 10]
         assert ms.cuts(1, 4, 3) == []
@@ -311,11 +313,11 @@ class TestPredicates:
             check_balanced(row_system([0, 3, 6], 3), 1, 5)
 
     def test_congruency_subset(self):
-        ms = MarkerSystem(((0, 3, 6, 9, 12), (0, 12)), (3, 12), 0, 12)
+        ms = MarkerSystem.from_positions(((0, 3, 6, 9, 12), (0, 12)), (3, 12), 0, 12)
         assert check_congruency(ms)
 
     def test_congruency_violated(self):
-        ms = MarkerSystem(((0, 3, 6), (5,)), (3, 5), 0, 6)
+        ms = MarkerSystem.from_positions(((0, 3, 6), (5,)), (3, 5), 0, 6)
         assert not check_congruency(ms)
 
     def test_congruency_single_row(self):
@@ -352,7 +354,7 @@ def balance_cases(draw):
         hi = lo + window + draw(st.integers(-3, 3))
     else:
         hi = (ps[-1] if ps else 0) - draw(st.integers(-3, 12))
-    return MarkerSystem((tuple(ps),), (l,), lo, max(lo, hi)), window
+    return MarkerSystem.from_positions((tuple(ps),), (l,), lo, max(lo, hi)), window
 
 
 class TestCheckBalancedDifferential:
@@ -393,11 +395,12 @@ def _pattern_row(draw, l, start):
 
 
 @st.composite
-def hand_built_systems(draw):
-    """One to three rows over a row-1 pattern with stray gaps.  Each upper
-    row keeps every s-th marker of the row below and may gain markers that
-    the row below lacks; any row may be empty or hold one marker.  Each row's
-    base gap is one of its own gap lengths when it has any."""
+def hand_built_rows(draw):
+    """``(rows, gaps, lo, hi)``: one to three tuples of sorted positions over
+    a row-1 pattern with stray gaps.  Each upper row keeps every s-th marker
+    of the row below and may gain markers that the row below lacks; any row
+    may be empty or hold one marker.  Each row's base gap is one of its own
+    gap lengths when it has any."""
     l = draw(st.integers(2, 4))
     rows = [_pattern_row(draw, l, draw(st.integers(-10, 10)))]
     gaps = [l]
@@ -414,7 +417,11 @@ def hand_built_systems(draw):
         gaps.append(draw(st.sampled_from(lengths)))
     lo = (rows[0][0] if rows[0] else 0) + draw(st.integers(-3, 12))
     hi = (rows[0][-1] if rows[0] else 0) - draw(st.integers(-3, 12))
-    return MarkerSystem(tuple(map(tuple, rows)), tuple(gaps), lo, max(lo, hi))
+    return tuple(map(tuple, rows)), tuple(gaps), lo, max(lo, hi)
+
+
+def hand_built_systems():
+    return hand_built_rows().map(lambda case: MarkerSystem.from_positions(*case))
 
 
 def assert_checks_match(ms, windows):
@@ -465,6 +472,84 @@ class TestRowChecksDifferential:
         assert_checks_match(ms, windows)
 
 
+def reference_cuts(rows, k, origin, columns):
+    """MarkerSystem.cuts on a tuple of positions, by two bisects."""
+    ps = rows[k - 1]
+    return list(ps[bisect_left(ps, origin) : bisect_right(ps, origin + columns - 1)])
+
+
+class TestGapLengthFormDifferential:
+    """The stored form, a first position and gap lengths per row, against
+    the tuple of positions per row that it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(hand_built_rows())
+    def test_rows_round_trip(self, case):
+        rows = case[0]
+        ms = MarkerSystem.from_positions(*case)
+        assert tuple(tuple(ms.row(k)) for k in range(1, ms.row_count + 1)) == rows
+        # a row is counted from its lengths, as the markers report does
+        assert [len(steps) + (start is not None)
+                for start, steps in zip(ms.starts, ms.lengths)] == list(map(len, rows))
+
+    @settings(deadline=None, max_examples=300)
+    @given(hand_built_rows(), st.data())
+    def test_eq_and_hash_follow_positions(self, case, data):
+        rows, gaps, lo, hi = case
+        k = data.draw(st.integers(1, len(rows)))
+        other = list(rows)
+        if data.draw(st.booleans()):
+            other[k - 1] = tuple(sorted(data.draw(st.sets(st.integers(-15, 15)))))
+        other = tuple(other)
+        a = MarkerSystem.from_positions(rows, gaps, lo, hi)
+        b = MarkerSystem.from_positions(other, gaps, lo, hi)
+        assert (a == b) is (rows == other)
+        if rows == other:
+            assert hash(a) == hash(b)
+
+    @settings(deadline=None, max_examples=300)
+    @given(hand_built_rows(), st.data())
+    def test_with_row_and_cuts_match_reference(self, case, data):
+        rows, gaps, lo, hi = case
+        ms = MarkerSystem.from_positions(*case)
+        k = data.draw(st.integers(1, len(rows)))
+        new = data.draw(st.sets(st.integers(-15, 60)))
+        expected = rows[: k - 1] + (tuple(sorted(new)),) + rows[k:]
+        ms2 = ms.with_row(k, new)
+        assert ms2 == MarkerSystem.from_positions(expected, gaps, lo, hi)
+        origin = data.draw(st.integers(-20, 60))
+        columns = data.draw(st.integers(1, 40))
+        for j in range(1, len(rows) + 1):
+            assert ms.cuts(j, origin, columns) == reference_cuts(
+                rows, j, origin, columns
+            )
+            assert ms2.cuts(j, origin, columns) == reference_cuts(
+                expected, j, origin, columns
+            )
+
+
+def test_heap_peak_of_the_benchmark_hierarchy():
+    # the 699,870-column hierarchy on gaps 2,36,11664 has 288,001 row-1
+    # markers.  Built and checked, it peaks at about 9.2 MB of traced heap;
+    # with a tuple of positions per row, one int object per marker, it
+    # peaked at 13.9 MB.
+    build_marker_system(703, 0, (3, 100))
+    tracemalloc.start()
+    try:
+        ms = build_marker_system(30 * 11664 + 30 * 11665, 0, (2, 36, 11664))
+        rows = range(1, ms.row_count + 1)
+        ok = (
+            all(check_two_gaps(ms, k) for k in rows)
+            and check_congruency(ms)
+            and all(check_balanced(ms, k, ms.balance_windows[k - 1]) for k in rows)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 11 * 10**6
+
+
 class TestBuildMarkerSystemDifferential:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 3), st.integers(-50, 20), st.data())
@@ -489,15 +574,16 @@ class TestMarkerSystemOrder:
     )
     def test_rejected(self, row):
         with pytest.raises(ValueError, match="positions must be sorted and distinct"):
-            MarkerSystem((row,), (3,), 0, 6)
+            MarkerSystem.from_positions((row,), (3,), 0, 6)
 
 
 class TestBuildMarkerSystem:
     def test_single_row_example(self):
         ms = build_marker_system(20, 0, (3,))
-        gaps = [b - a for a, b in zip(ms.row(1), ms.row(1)[1:])]
+        row = tuple(ms.row(1))
+        gaps = [b - a for a, b in zip(row, row[1:])]
         assert set(gaps) <= {3, 4}
-        assert ms.row(1)[0] == 0 and ms.row(1)[-1] == 20
+        assert row[0] == 0 and row[-1] == 20
 
     def test_two_rows_congruent(self):
         # 703 = 4*100 + 3*101, so the top row decomposes

@@ -64,6 +64,18 @@ def test_no_chain_attribute():
     assert found == []
 
 
+def test_no_positions_attribute():
+    # a marker row is stored as its start and gap lengths; a module that
+    # read a tuple of every position would rebuild each row in full
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "positions"
+    ]
+    assert found == []
+
+
 def _unused_imports(tree):
     imported = {}
     for node in tree.body:

@@ -58,8 +58,8 @@ OLD_FIELDS = {
     Rectangle: [("cells", REQUIRED)],
     GapDecomposition: [("a", REQUIRED), ("b", REQUIRED), ("l", REQUIRED)],
     MarkerSystem: [
-        ("positions", REQUIRED), ("gaps", REQUIRED), ("lo", REQUIRED),
-        ("hi", REQUIRED), ("balance_windows", None),
+        ("starts", REQUIRED), ("lengths", REQUIRED), ("gaps", REQUIRED),
+        ("lo", REQUIRED), ("hi", REQUIRED), ("balance_windows", None),
     ],
     EmpiricalMeasure: [("truncation", REQUIRED), ("dims", REQUIRED)],
     TruncatedDistance: [("value", REQUIRED), ("tail_bound", REQUIRED)],
@@ -128,8 +128,9 @@ def samples():
         GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
         MarkerSystem: [
             build_marker_system(703, 0, (3, 100)),
-            MarkerSystem(((0, 3, 7),), (3,), 0, 7),
-            MarkerSystem(((0, 3, 7),), (3,), 0, 7, (12,)),
+            MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7),
+            MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7, (12,)),
+            MarkerSystem.from_positions(((), (5,)), (3, 4), 0, 7),
         ],
         EmpiricalMeasure: [
             m, empirical_measure(from_word("1212"), (1, 2)),
