@@ -212,13 +212,10 @@ def write_arr(path: str | Path, w: ArrayWindow, markers=None) -> None:
         " ".join(str(s) for s in w.sizes),
     ]
     for k, row in enumerate(w.cells, start=1):
-        cuts = set()
+        flags = bytes(w.columns)
         if markers is not None and k <= markers.row_count:
-            cuts = set(markers.cuts(k, w.origin, w.columns))
-        toks = [
-            f"{v}|" if w.origin + j in cuts else str(v)
-            for j, v in enumerate(row)
-        ]
+            flags = markers.flags(k, w.origin, w.columns)
+        toks = [f"{v}|" if flag else str(v) for v, flag in zip(row, flags)]
         lines.append(" ".join(toks))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -166,6 +166,7 @@ def _cmd_assemble(args) -> int:
     from .assemble import (
         NotFoundWithinHorizon,
         NoWitness,
+        _bit_alphabet,
         build_stitch_kit,
         check_stitchable,
         write_kit,
@@ -176,6 +177,7 @@ def _cmd_assemble(args) -> int:
     _require_positive("--horizon", args.horizon)
     spec = _parse("oracle", parse_spec, args.oracle)
     oracle = spec.oracle(args.horizon)
+    _parse("oracle", _bit_alphabet, oracle)
     config = f"assemble {args.oracle} {args.levels} {args.horizon}".encode()
     try:
         kit = build_stitch_kit(oracle, args.levels, args.horizon)
@@ -265,13 +267,13 @@ def _cmd_report(args) -> int:
 
 def _report_rows(data: dict) -> list[tuple[int, float, str]]:
     rows = []
-    for si, stage in enumerate(data.get("stages", []), start=1):
-        for path, fam in sorted(stage.get("families", {}).items()):
+    for si, stage in enumerate(data["stages"], start=1):
+        for path, fam in sorted(stage["families"].items()):
             rows.append((si, _as_float(fam["diameter"]), f"diameter:{path}"))
             rows.append(
                 (si, _as_float(fam["displacement_max"]), f"displacement:{path}")
             )
-            for s in fam.get("samples", []):
+            for s in fam["samples"]:
                 rows.append(
                     (
                         si,

@@ -15,7 +15,7 @@ from itertools import (
 )
 from operator import eq, ge, gt, sub
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._value import Value, _set
 
@@ -46,6 +46,8 @@ class MarkerSystem(Value):
     where a tuple of positions holds an int object and a slot per marker,
     36 bytes.  Positions are computed as they are read (``row``);
     ``from_positions`` builds a system from rows of sorted positions.
+    ``cuts`` and ``flags`` read a row over a window, as positions or as one
+    flag byte per column; purify renders its rows once and repairs those.
 
     ``gaps[k-1]`` is the base gap l_k of row k.  ``balance_windows`` records,
     per row, the interval length at which the constructor guarantees the
@@ -72,12 +74,9 @@ class MarkerSystem(Value):
     @classmethod
     def from_positions(cls, rows, gaps, lo, hi, balance_windows=None):
         """The system whose row k holds the sorted positions ``rows[k-1]``."""
-        forms = [_row_form(row) for row in rows]
-        return cls(
-            tuple(start for start, _ in forms),
-            tuple(steps for _, steps in forms),
-            gaps, lo, hi, balance_windows,
-        )
+        starts = tuple(row[0] if row else None for row in rows)
+        lengths = tuple(tuple(map(sub, row[1:], row)) for row in rows)
+        return cls(starts, lengths, gaps, lo, hi, balance_windows)
 
     @property
     def row_count(self) -> int:
@@ -87,29 +86,20 @@ class MarkerSystem(Value):
         """The positions of row k, in order, computed as they are read."""
         return accumulate(self.lengths[k - 1], initial=self.starts[k - 1])
 
-    def positions_between(self, k: int, first: int, last: int) -> list[int]:
-        inside = dropwhile(partial(gt, first), self.row(k))
-        return list(takewhile(partial(ge, last), inside))
-
     # the one place that decides which markers a window spans
     def cuts(self, k: int, origin: int, columns: int) -> list[int]:
         """The row-k markers that cut a window of ``columns`` columns at
         ``origin``."""
-        return self.positions_between(k, origin, origin + columns - 1)
+        inside = dropwhile(partial(gt, origin), self.row(k))
+        return list(takewhile(partial(ge, origin + columns - 1), inside))
 
-    def with_row(self, k: int, new_positions: Iterable[int]) -> "MarkerSystem":
-        starts, lengths = list(self.starts), list(self.lengths)
-        starts[k - 1], lengths[k - 1] = _row_form(sorted(new_positions))
-        return MarkerSystem(
-            tuple(starts), tuple(lengths), self.gaps, self.lo, self.hi,
-            self.balance_windows,
-        )
-
-
-def _row_form(row: Sequence[int]) -> tuple[int | None, tuple[int, ...]]:
-    """A row of positions as its first position and its gap lengths."""
-    steps = tuple(map(sub, islice(row, 1, None), row))
-    return (row[0] if row else None), steps
+    def flags(self, k: int, origin: int, columns: int) -> bytes:
+        """Row k over the window of ``cuts``: byte j is 1 iff a marker sits
+        right after column ``origin + j`` (``|`` in an ``.arr`` file)."""
+        row = bytearray(columns)
+        for p in self.cuts(k, origin, columns):
+            row[p - origin] = 1
+        return bytes(row)
 
 
 def _best_split(p: int, l: int, cross: int, key) -> GapDecomposition:

@@ -11,24 +11,22 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import accumulate, combinations, compress
 from typing import Iterable
 
 from ._value import Value, _set
 from .arrays import (
+    INDEPENDENT,
     ArrayWindow,
     Rectangle,
     lift_binary,
-    replace_cells,
     window_to_rectangle,
 )
 from .generators import GeneratorSpec, parse_spec
 from .markers import (
-    MarkerSystem,
     NoDecomposition,
     build_marker_system,
     check_gaps,
-    check_two_gaps,
     decompose_gap,
 )
 from .measures import (
@@ -98,35 +96,30 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
     return BAD
 
 
-# a k-gap as (p, key): p is its left row-k marker, so it covers columns
-# p+1..p+width, and the key holds its k cell rows, then the flags of rows
-# 1..k-1 over its columns as ``bytes`` rows (1 where a marker sits right
-# after the cell); row k flags only the gap's last cell, so no key carries it
-Gap = tuple[int, tuple]
+# a k-gap as (s, key): s is the slice of the window's columns it covers,
+# and the key holds its k cell rows, then the flag rows 1..k-1 cut to s
+# (1 where a marker sits right after the cell); row k flags only the gap's
+# last cell, so no key carries it
+Gap = tuple[slice, tuple]
 
 
-def _window_rows(w: ArrayWindow, ms: MarkerSystem, k: int) -> tuple:
-    """Row k's cuts of w, the slices of the gaps between them, and the rows
-    a gap key cuts: rows 1..k of the cells, then the markers of rows 1..k-1
-    as window-long ``bytes`` rows of flags."""
-    if not 1 <= k <= ms.row_count:
+def _window_rows(w: ArrayWindow, flags: tuple, k: int, l: int) -> tuple:
+    """The slices of w's k-gaps, each from the cell after a row-k flag to
+    the next flagged cell, and the rows a gap key cuts: cell rows 1..k,
+    then the window-long flag rows 1..k-1.  A gap whose width is not l or
+    l + 1 raises InvalidMarkers."""
+    if not 1 <= k <= len(flags):
         raise InvalidMarkers(f"marker system has no row {k}")
     if k > w.rows:
         raise ValueError(f"window has no row {k}")
-    # every gap of row k, so every gap cut out below, has length l or l+1
-    if not check_two_gaps(ms, k):
+    # split at its flags, row k is the runs of cells before each flagged
+    # cell; each run with its flagged cell after the first is a gap, and the
+    # running sums of these widths are the gap bounds
+    widths = [len(run) + 1 for run in flags[k - 1].split(b"\1")[:-1]]
+    if not set(widths[1:]) <= {l, l + 1}:
         raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    origin, columns = w.origin, w.columns
-    rows = [*w.cells[:k]]
-    for j in range(1, k):
-        flags = bytearray(columns)
-        for p in ms.cuts(j, origin, columns):
-            flags[p - origin] = 1
-        rows.append(bytes(flags))
-    ps = ms.cuts(k, origin, columns)
-    # the gap between markers p and q covers columns p+1..q
-    bounds = [p + 1 - origin for p in ps]
-    return ps, [*map(slice, bounds, bounds[1:])], rows
+    bounds = [*accumulate(widths)]
+    return [*map(slice, bounds, bounds[1:])], [*w.cells[:k], *flags[: k - 1]]
 
 
 def _gap_keys(rows: list, slices: list[slice]):
@@ -156,32 +149,33 @@ def select_tabbed(good: Iterable[tuple], l: int) -> tuple[tuple, tuple]:
 
 def replace_bad(
     w: ArrayWindow,
-    ms: MarkerSystem,
+    flags: tuple,
     k: int,
     bad: list[Gap],
     tabbed: dict[int, tuple],
-) -> tuple[ArrayWindow, MarkerSystem, int, int]:
-    """Overwrite each bad k-gap ``(p, key)`` with the tabbed key of its
-    width.
+) -> tuple[ArrayWindow, tuple, int, int]:
+    """Overwrite each bad k-gap ``(s, key)`` of the window and its flag rows
+    with the tabbed key of its width, in the rows it was cut from.
 
-    Rows above k and row->=k markers never change; markers of rows below k
-    inside a replaced gap are rewritten from the tabbed key's flag rows.
-    Returns (window, markers, changed columns, replaced count); the output
-    window is in independent mode.
+    Cell rows 1..k are written over the whole gap, and flag rows 1..k-1
+    strictly inside it: the flag on the gap's last cell is the row-k
+    marker, which never moves.  Rows above k and flag rows k and up are
+    kept.  Returns (window, flags, changed columns, replaced count); the
+    output window is in independent mode.
     """
-    sub_rows = [set(ms.row(j)) for j in range(1, k)]
-    for p, key in bad:
-        # flags before the last cell are the markers strictly inside the gap
-        inner = range(p + 1, p + len(key[0]))
+    cells = [list(row) for row in w.cells[:k]]
+    fine = [bytearray(row) for row in flags[: k - 1]]
+    for s, key in bad:
         new = tabbed[len(key[0])]
-        for row, old_flags, new_flags in zip(sub_rows, key[k:], new[k:]):
-            row.difference_update(compress(inner, old_flags))
-            row.update(compress(inner, new_flags))
-    for j, row in enumerate(sub_rows, start=1):
-        ms = ms.with_row(j, row)
-    blocks = {width: Rectangle(key[:k]) for width, key in tabbed.items()}
-    window = replace_cells(w, k, [(p + 1, blocks[len(key[0])]) for p, key in bad])
-    return window, ms, sum(len(key[0]) for _, key in bad), len(bad)
+        for row, new_row in zip(cells, new):
+            row[s] = new_row
+        inner = slice(s.start, s.stop - 1)
+        for row, new_row in zip(fine, new[k:]):
+            row[inner] = new_row[:-1]
+    cells = (*map(tuple, cells), *w.cells[k:])
+    window = ArrayWindow(w.sizes, w.origin, cells, INDEPENDENT)
+    changed = sum(s.stop - s.start for s, _ in bad)
+    return window, (*map(bytes, fine), *flags[k - 1 :]), changed, len(bad)
 
 
 # --- configuration ----------------------------------------------------------
@@ -218,6 +212,8 @@ class PurifyConfig(Value):
         m = len(depths)
         if len(epsilons) != m or (gammas and len(gammas) != m):
             raise ValueError("one epsilon (and gamma, if given) per stage")
+        if not depths or depths[0] < 1:
+            raise ValueError("depths[0]: a stage depth must be at least 1")
         if list(depths) != sorted(set(depths)):
             raise ValueError("stage depths must be strictly increasing")
         if depths[-1] > len(gaps):
@@ -304,6 +300,11 @@ def config_from_dict(raw: dict) -> PurifyConfig:
     elsewhere, raises ValueError naming its JSON path, and so does an empty
     list of nodes or samples: it would drop its targets from the separation
     without a word."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config: expected an object, got {type(raw).__name__}")
+    for field in ("tree", "truncation", "gaps", "depths", "epsilons", "columns"):
+        if field not in raw:
+            raise ValueError(f"{field}: a required field is missing")
     leaves: list[LeafSpec] = []
     specs: list[tuple[str, GeneratorSpec]] = []
 
@@ -354,13 +355,14 @@ def config_from_dict(raw: dict) -> PurifyConfig:
 
 
 class _Sample:
-    __slots__ = ("path", "spec", "window", "markers", "measure", "changed")
+    __slots__ = ("path", "spec", "window", "flag_rows", "measure", "changed")
 
-    def __init__(self, path, spec, window, markers, measure):
+    def __init__(self, path, spec, window, flag_rows, measure):
         self.path: tuple[int, ...] = path
         self.spec: GeneratorSpec = spec
         self.window: ArrayWindow = window
-        self.markers: MarkerSystem = markers
+        # one window-long bytes row per marker row; repair replaces them
+        self.flag_rows: tuple[bytes, ...] = flag_rows
         # measure of the window; recounted only when replacement changes it
         self.measure: EmpiricalMeasure = measure
         self.changed: list[int] = []
@@ -398,7 +400,7 @@ def _stage_gamma(
 
 
 def _census(
-    samples: list[_Sample], family: TargetFamily, k: int
+    samples: list[_Sample], family: TargetFamily, k: int, l: int
 ) -> tuple[dict[str, int], dict[tuple, str], list[list[Gap]]]:
     """The good/bad counts of the samples' k-gaps, the verdict of each
     distinct gap key and each sample's bad gaps, in window order.
@@ -415,7 +417,7 @@ def _census(
     by_measure: dict[tuple, str] = {}
     bad_gaps = []
     for sample in samples:
-        ps, slices, rows = _window_rows(sample.window, sample.markers, k)
+        slices, rows = _window_rows(sample.window, sample.flag_rows, k, l)
         bad_keys = {}
         for key, n in Counter(_gap_keys(rows, slices)).items():
             verdict = verdicts.get(key)
@@ -432,7 +434,7 @@ def _census(
         bad = []
         if bad_keys:
             keys = map(bad_keys.get, _gap_keys(rows, slices))
-            bad = [(p, key) for p, key in zip(ps, keys) if key is not None]
+            bad = [(s, key) for s, key in zip(slices, keys) if key is not None]
         bad_gaps.append(bad)
     return census, verdicts, bad_gaps
 
@@ -455,23 +457,21 @@ def _repair(
     (replaced, changed columns, displacement, all good after).
 
     An unreplaced gap keeps its key and its good verdict: replacement
-    writes cells and finer-row markers only inside bad gaps, and row-k
-    markers never move.  So only the replaced gaps are sliced again, from
-    the new window and markers.
+    writes cells and finer-row flags only inside bad gaps, and row-k flags
+    never move.  So only the replaced gaps are sliced again, from the new
+    window and flag rows.
     """
     trunc = family.truncation
     before = sample.measure
-    window, ms, changed, replaced = replace_bad(
-        sample.window, sample.markers, k, bad, tabbed
+    window, flags, changed, replaced = replace_bad(
+        sample.window, sample.flag_rows, k, bad, tabbed
     )
-    sample.window, sample.markers = window, ms
+    sample.window, sample.flag_rows = window, flags
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
-    _, _, rows = _window_rows(window, ms, k)
-    starts = [p + 1 - window.origin for p, _ in bad]
-    slices = [slice(a, a + len(key[0])) for a, (_, key) in zip(starts, bad)]
+    rows = [*window.cells[:k], *flags[: k - 1]]
     all_good = all(
         (verdicts.get(key) or classify(Rectangle(key[:k]), family)) == GOOD
-        for key in dict.fromkeys(_gap_keys(rows, slices))
+        for key in dict.fromkeys(_gap_keys(rows, [s for s, _ in bad]))
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -528,7 +528,7 @@ def purify_stage(
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        census, verdicts, bad_gaps = _census(fam_samples, family, k)
+        census, verdicts, bad_gaps = _census(fam_samples, family, k, l)
         good = {key for key, v in verdicts.items() if v == GOOD}
         if coarse is not None:
             coarse_k = config.depths[stage - 2]
@@ -597,11 +597,14 @@ def _lift_leaves(
 ) -> tuple[dict[tuple[int, ...], EmpiricalMeasure], list[_Sample]]:
     """Each leaf's target measure and its samples, lifted and measured once
     per distinct generator.  A target that is also a sample shares its window
-    and measure, which is safe because repair rebinds a sample's window and
-    measure and never mutates them."""
+    and measure, and all share the base hierarchy's flag rows, which is safe
+    because repair rebinds those three and never mutates them."""
     word_len = config.word_length
-    base_ms = build_marker_system(config.columns, 0, config.gaps)
     rows, trunc = len(config.gaps), config.truncation
+    base_ms = build_marker_system(config.columns, 0, config.gaps)
+    base_flags = tuple(
+        base_ms.flags(k, 0, config.columns) for k in range(1, rows + 1)
+    )
     # local to the set-up: held for the whole run, it would keep every
     # replaced sample window alive
     lifted: dict[GeneratorSpec, tuple[ArrayWindow, EmpiricalMeasure]] = {}
@@ -619,7 +622,7 @@ def _lift_leaves(
         targets[leaf.path] = lift(leaf.target)[1]
         for spec in leaf.samples:
             window, measure = lift(spec)
-            samples.append(_Sample(leaf.path, spec, window, base_ms, measure))
+            samples.append(_Sample(leaf.path, spec, window, base_flags, measure))
     return targets, samples
 
 

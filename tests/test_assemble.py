@@ -30,7 +30,6 @@ from strictform.assemble import (
 )
 from strictform.generators import LanguageOracle, parse_spec
 from strictform.markers import MarkerSystem
-from strictform.purify import _window_rows
 
 from array_helpers import from_word
 from assemble_helpers import PeriodSpec, detect_exceptional
@@ -399,7 +398,8 @@ class TestEmbedAperiodic:
 
     def test_window_cuts_have_one_owner(self, fs_kit, tmp_path, monkeypatch):
         # every reader of a window's markers asks MarkerSystem.cuts, so the
-        # window convention is decided in one place
+        # window convention is decided in one place: flags, which renders
+        # purify's flag rows and write_arr's "|" marks, asks it too
         w = lift_binary("01101001101", 2)
         ms = MarkerSystem.from_positions(((0, 2, 5, 7, 9),), (2,), 0, 9)
         asked, cuts = [], MarkerSystem.cuts
@@ -409,7 +409,7 @@ class TestEmbedAperiodic:
             return cuts(self, k, origin, columns)
 
         monkeypatch.setattr(MarkerSystem, "cuts", spy)
-        _window_rows(w, ms, 1)
+        ms.flags(1, w.origin, w.columns)
         embed_aperiodic(w, ms, 1, fs_kit)
         write_arr(tmp_path / "w.arr", w, ms)
         assert asked == [(1, 0, 10)] * 3

@@ -116,15 +116,25 @@ TREE_PATH_ERRORS = [
      "tree[1].target: bad generator spec 'sturmian:1/0'"),
 ]
 
-# keys replaced together -> the message of the stage rule they break
+def _without(key):
+    return {k: v for k, v in PURIFY_CONFIG.items() if k != key}
+
+
+# a config -> the start of its message, which names the stage rule it
+# breaks or the field at fault
 STAGE_ERRORS = [
-    ({"depths": [2]}, "stage depth exceeds the marker hierarchy"),
-    ({"gaps": [3, 81], "depths": [1, 2], "epsilons": ["1/4", "1/8"],
-      "columns": 4 * 81 + 4 * 82},
+    (dict(PURIFY_CONFIG, depths=[2]), "stage depth exceeds the marker hierarchy"),
+    (dict(PURIFY_CONFIG, gaps=[3, 81], depths=[1, 2], epsilons=["1/4", "1/8"],
+          columns=4 * 81 + 4 * 82),
      "leaf paths must match the number of stages"),
     # 4001 = 3*1000 + 1001 splits, but no row of 12 refines a gap of 1000
-    ({"gaps": [12, 1000], "columns": 4001},
+    (dict(PURIFY_CONFIG, gaps=[12, 1000], columns=4001),
      "gaps: gap sequence must grow: 1000 < 9*12^2"),
+    ([PURIFY_CONFIG], "config: expected an object, got list"),
+    (_without("tree"), "tree: a required field is missing"),
+    (_without("columns"), "columns: a required field is missing"),
+    # a depth of 0 names no marker row; the truncation is not at fault
+    (dict(PURIFY_CONFIG, depths=[0]), "depths[0]: a stage depth must be at least 1"),
 ]
 
 
@@ -398,10 +408,12 @@ class TestPurify:
         assert f"bad purify config: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, message", STAGE_ERRORS, ids=["depth", "leaf_paths", "growth"]
+        "config, message", STAGE_ERRORS,
+        ids=["depth", "leaf_paths", "growth", "list", "no_tree", "no_columns",
+             "depth_zero"],
     )
-    def test_stage_rule_exits_2(self, tmp_path, capsys, overrides, message):
-        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, **overrides))
+    def test_stage_rule_exits_2(self, tmp_path, capsys, config, message):
+        cfg = write_config(tmp_path, config)
         assert main(["purify", "--config", str(cfg)]) == 2
         assert f"bad purify config: {message}" in capsys.readouterr().err
 
@@ -537,6 +549,8 @@ class TestAssemble:
             "bogus", "full", "periodic:", "chacon:3",
             "full:0", "full:10", "bernoulli:2", "bernoulli:0", "sturmian:3/2",
             "sturmian:1/0", "sturmian:1/3:rho=1/0", "bernoulli:1/0:seed=1",
+            # these parse, but a stitch kit needs a binary base language
+            "periodic:2", "full:1",
         ],
     )
     def test_unparseable_oracle_exits_2(self, spec, capsys):
@@ -688,8 +702,11 @@ class TestReport:
             _report_with_family({"displacement_max": "0/1"}),
             _report_with_family({"diameter": "wide", "displacement_max": 0}),
             _report_with_family({"diameter": "1/0", "displacement_max": 0}),
+            # a purify config has no stages
+            PURIFY_CONFIG,
         ],
-        ids=["list", "no_diameter", "word_diameter", "zero_denominator"],
+        ids=["list", "no_diameter", "word_diameter", "zero_denominator",
+             "purify_config"],
     )
     def test_not_a_purify_report_exits_2(self, tmp_path, capsys, data):
         rep = tmp_path / "report.json"

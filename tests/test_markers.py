@@ -461,9 +461,13 @@ class TestRowChecksDifferential:
             # drop one marker: a row loses its two-gap shape, and the row
             # above may lose congruency
             k = data.draw(st.integers(1, rows))
-            row = list(ms.row(k))
+            positions = [list(ms.row(j)) for j in range(1, rows + 1)]
+            row = positions[k - 1]
             del row[data.draw(st.integers(0, len(row) - 1))]
-            ms = ms.with_row(k, row)
+            ms = MarkerSystem.from_positions(
+                tuple(map(tuple, positions)), ms.gaps, ms.lo, ms.hi,
+                ms.balance_windows,
+            )
         # the certified window, plus one at or near the shortest allowed
         windows = [
             [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
@@ -476,6 +480,13 @@ def reference_cuts(rows, k, origin, columns):
     """MarkerSystem.cuts on a tuple of positions, by two bisects."""
     ps = rows[k - 1]
     return list(ps[bisect_left(ps, origin) : bisect_right(ps, origin + columns - 1)])
+
+
+def reference_flags(rows, k, origin, columns):
+    """MarkerSystem.flags on a tuple of positions: one membership test per
+    column."""
+    marked = set(rows[k - 1])
+    return bytes(origin + j in marked for j in range(columns))
 
 
 class TestGapLengthFormDifferential:
@@ -509,23 +520,18 @@ class TestGapLengthFormDifferential:
 
     @settings(deadline=None, max_examples=300)
     @given(hand_built_rows(), st.data())
-    def test_with_row_and_cuts_match_reference(self, case, data):
-        rows, gaps, lo, hi = case
+    def test_flags_and_cuts_match_reference(self, case, data):
+        rows = case[0]
         ms = MarkerSystem.from_positions(*case)
-        k = data.draw(st.integers(1, len(rows)))
-        new = data.draw(st.sets(st.integers(-15, 60)))
-        expected = rows[: k - 1] + (tuple(sorted(new)),) + rows[k:]
-        ms2 = ms.with_row(k, new)
-        assert ms2 == MarkerSystem.from_positions(expected, gaps, lo, hi)
         origin = data.draw(st.integers(-20, 60))
         columns = data.draw(st.integers(1, 40))
         for j in range(1, len(rows) + 1):
             assert ms.cuts(j, origin, columns) == reference_cuts(
                 rows, j, origin, columns
             )
-            assert ms2.cuts(j, origin, columns) == reference_cuts(
-                expected, j, origin, columns
-            )
+            flags = ms.flags(j, origin, columns)
+            assert type(flags) is bytes
+            assert flags == reference_flags(rows, j, origin, columns)
 
 
 def test_heap_peak_of_the_benchmark_hierarchy():

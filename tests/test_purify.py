@@ -22,7 +22,7 @@ from strictform.arrays import (
     replace_cells,
     window_to_rectangle,
 )
-from strictform.markers import MarkerSystem, check_two_gaps
+from strictform.markers import MarkerSystem, check_congruency, check_two_gaps
 from strictform.measures import _measure_key, dstar, empirical_measure
 from strictform.purify import (
     GOOD,
@@ -77,10 +77,54 @@ def to_key(grid):
     return (*grid.cells, *map(bytes, grid.marks[:-1]))
 
 
+def render(ms, w):
+    """Every row of ms as a flag row over w, byte j set iff a marker sits
+    at column w.origin + j: the form a purify sample holds."""
+    rows = []
+    for k in range(1, ms.row_count + 1):
+        marked = set(ms.row(k))
+        rows.append(bytes(w.origin + j in marked for j in range(w.columns)))
+    return tuple(rows)
+
+
+def read_back(flags, w, gaps):
+    """The marker system whose rows are the positions flagged in the flag
+    rows over w, with base gaps ``gaps``: the inverse of render."""
+    rows = tuple(
+        tuple(w.origin + j for j, flag in enumerate(row) if flag)
+        for row in flags
+    )
+    return MarkerSystem.from_positions(
+        rows, gaps, w.origin, w.origin + w.columns - 1
+    )
+
+
+def sample_of(w, ms, **fields):
+    """A sample of window w under ms: the flag rows that the stage loop
+    reads, and ms itself for the position-based references."""
+    return SimpleNamespace(
+        window=w, flag_rows=render(ms, w), markers=ms, **fields
+    )
+
+
+def flag_keys(w, flags, k, l):
+    """Every k-gap key of w under its flag rows, in window order."""
+    slices, rows = _window_rows(w, flags, k, l)
+    return list(_gap_keys(rows, slices))
+
+
 def gap_keys(w, ms, k):
-    """Every k-gap of w as (p, key), in window order."""
-    ps, slices, rows = _window_rows(w, ms, k)
+    """Every k-gap of w under ms as (p, key), p its left row-k marker, in
+    window order."""
+    slices, rows = _window_rows(w, render(ms, w), k, ms.gaps[k - 1])
+    ps = [w.origin + s.start - 1 for s in slices]
     return list(zip(ps, _gap_keys(rows, slices)))
+
+
+def at_markers(bad, w):
+    """Census bad gaps ``(s, key)`` as ``(p, key)``, p the left row-k
+    marker of the slice s of w."""
+    return [(w.origin + s.start - 1, key) for s, key in bad]
 
 
 def reference_classify(rect, family):
@@ -104,8 +148,9 @@ def reference_extract_k_rectangles(w, ms, k):
     for p, q in zip(ps, ps[1:]):
         flags = [[False] * (q - p) for _ in range(k)]
         for j in range(k):
-            for x in ms.positions_between(j + 1, p + 1, q):
-                flags[j][x - p - 1] = True
+            for x in ms.row(j + 1):
+                if p < x <= q:
+                    flags[j][x - p - 1] = True
         cells = extract_rectangle(w, k, p + 1, q).cells
         gaps.append((p, Grid(cells, tuple(map(tuple, flags)))))
     return gaps
@@ -147,9 +192,11 @@ def reference_replace_bad(w, ms, k, family, tabbed):
             }
             sub_rows[j] = (sub_rows[j] - inside) | fresh
         changed += q - p
-    new_ms = ms
-    for j in range(1, k):
-        new_ms = new_ms.with_row(j, sorted(sub_rows[j]))
+    rows = [tuple(sorted(sub_rows[j])) for j in range(1, k)]
+    rows += [tuple(ms.row(j)) for j in range(k, ms.row_count + 1)]
+    new_ms = MarkerSystem.from_positions(
+        tuple(rows), ms.gaps, ms.lo, ms.hi, ms.balance_windows
+    )
     return replace_cells(w, k, placements), new_ms, changed, len(placements)
 
 
@@ -176,14 +223,16 @@ def reference_census(samples, family, k):
 
 def reference_repair(sample, family, k, bad, tabbed, verdicts):
     """_repair as first written, re-checking every gap of the repaired
-    window as a flag grid: the reference."""
+    window, its flag rows read back as positions, as a flag grid: the
+    reference."""
     trunc = family.truncation
     before = sample.measure
-    window, ms, changed, replaced = replace_bad(
-        sample.window, sample.markers, k, bad, tabbed
+    window, flags, changed, replaced = purify.replace_bad(
+        sample.window, sample.flag_rows, k, bad, tabbed
     )
-    sample.window, sample.markers = window, ms
+    sample.window, sample.flag_rows = window, flags
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
+    ms = read_back(flags, window, sample.markers.gaps)
     known = {to_grid(key, k): verdict for key, verdict in verdicts.items()}
     all_good = all(
         (known.get(rect) or classify(Rectangle(rect.cells), family)) == GOOD
@@ -194,8 +243,8 @@ def reference_repair(sample, family, k, bad, tabbed, verdicts):
 
 
 def census_bad(w, ms, k, family):
-    """The bad (p, key) gaps that _census finds in one window."""
-    _, _, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
+    """The bad (s, key) gaps that _census finds in one window."""
+    _, _, (bad,) = _census([sample_of(w, ms)], family, k, ms.gaps[k - 1])
     return bad
 
 
@@ -203,8 +252,9 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
     """purify_stage as first written, extracting every window three times
     per stage into flag grids, with the nesting check of
     reference_check_nesting against the coarse good sets: the reference for
-    the census/repair split.  It returns the good sets of every stage, the
-    last one included."""
+    the census/repair split.  It reads each sample's flag rows back as
+    positions and renders the repaired markers into them.  It returns the
+    good sets of every stage, the last one included."""
     k = config.depths[stage - 1]
     eps = config.epsilons[stage - 1]
     trunc = config.truncation
@@ -223,9 +273,8 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
         for sample in fam_samples:
-            for _, rect in reference_extract_k_rectangles(
-                sample.window, sample.markers, k
-            ):
+            ms = read_back(sample.flag_rows, sample.window, config.gaps)
+            for _, rect in reference_extract_k_rectangles(sample.window, ms, k):
                 verdict = classify(Rectangle(rect.cells), family)
                 census[verdict] += 1
                 if verdict == GOOD:
@@ -245,9 +294,11 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
         for sample in fam_samples:
             before = sample.measure
             window, ms, changed, replaced = reference_replace_bad(
-                sample.window, sample.markers, k, family, tabbed
+                sample.window,
+                read_back(sample.flag_rows, sample.window, config.gaps),
+                k, family, tabbed,
             )
-            sample.window, sample.markers = window, ms
+            sample.window, sample.flag_rows = window, render(ms, window)
             sample.changed.append(changed)
             if changed:
                 sample.measure = empirical_measure(
@@ -423,7 +474,7 @@ class TestExtractKRectanglesDifferential:
         )
         ms = MarkerSystem.from_positions(((4, 6, 8, 10, 12), (4, 8, 12)), (2, 4), 4, 12)
         (p, a), (q, b) = census_bad(w, ms, 2, point_family(1, F(1, 10)))
-        assert (p, q) == (4, 8)
+        assert (p, q) == (slice(1, 5), slice(5, 9))
         assert a is b
         assert a == ((1, 2, 1, 1), (1, 3, 1, 1), bytes([0, 1, 0, 1]))
 
@@ -458,15 +509,15 @@ def census_cases(draw):
             + [min(dstar(r, m, trunc).value for m in members) for r in gaps]
         )
     )
-    samples = [SimpleNamespace(window=w, markers=ms) for w, ms, _ in windows]
-    return samples, TargetFamily((1,), members, gamma), k
+    samples = [sample_of(w, ms) for w, ms, _ in windows]
+    return samples, TargetFamily((1,), members, gamma), k, l
 
 
 class TestCensusDifferential:
     @settings(max_examples=200, deadline=None)
     @given(census_cases())
     def test_matches_reference(self, case):
-        samples, family, k = case
+        samples, family, k, l = case
         keys = []
 
         def counted(rect, family):
@@ -474,14 +525,15 @@ class TestCensusDifferential:
             return classify(rect, family)
 
         with mock.patch.object(purify, "classify", counted):
-            census, verdicts, bad_gaps = _census(samples, family, k)
+            census, verdicts, bad_gaps = _census(samples, family, k, l)
         expected = reference_census(samples, family, k)
         assert census == expected[0]
         # the same verdicts, first seen in the same order
         got = [(to_grid(key, k), verdict) for key, verdict in verdicts.items()]
         assert got == list(expected[1].items())
         assert [
-            [(p, to_grid(key, k)) for p, key in bad] for bad in bad_gaps
+            [(p, to_grid(key, k)) for p, key in at_markers(bad, sample.window)]
+            for bad, sample in zip(bad_gaps, samples)
         ] == expected[2]
         # one classify per distinct measure key
         trunc = family.truncation
@@ -516,9 +568,10 @@ class TestClassify:
             calls.append(rect)
             return classify(rect, family)
 
-        sample = SimpleNamespace(window=w, markers=ms)
+        sample = sample_of(w, ms)
+        fam = point_family(1, F(3, 10))
         with mock.patch.object(purify, "classify", counted):
-            census, verdicts, _ = _census([sample], point_family(1, F(3, 10)), 2)
+            census, verdicts, _ = _census([sample], fam, 2, 4)
         assert census == {GOOD: 2, BAD: 0}
         assert [key[2] for key in verdicts] == [
             bytes([0, 1, 0, 1]), bytes([0, 0, 1, 1])
@@ -653,9 +706,9 @@ class TestClassifyMemo:
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         fam = point_family(1, F(3, 10))
         bad = census_bad(w, ms, 1, fam)
-        out, ms2, _, _ = replace_bad(w, ms, 1, bad, tabbed)
+        out, flags, _, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
         fresh = point_family(1, F(3, 10))
-        for _, key in gap_keys(out, ms2, 1):
+        for key in flag_keys(out, flags, 1, 3):
             assert reference_classify(Rectangle(key), fresh) == GOOD
 
 
@@ -811,7 +864,7 @@ class TestReplaceBad:
         fam = point_family(1, F(3, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
+        out, _, changed, replaced = replace_bad(w, render(ms, w), 1, bad, tabbed)
         assert bad == []
         assert out.cells == w.cells and changed == 0 and replaced == 0
 
@@ -819,15 +872,15 @@ class TestReplaceBad:
         # window 111|121|111: the middle 3-gap is bad and becomes 111
         w, ms, fam, tabbed = self._fixture()
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, replaced = replace_bad(w, ms, 1, bad, tabbed)
-        assert [p for p, _ in bad] == [3]
+        out, _, changed, replaced = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        assert [s for s, _ in bad] == [slice(4, 7)]
         assert out.cells[0] == (1,) * 10
         assert changed == 3 and replaced == 1
 
     def test_changed_fraction_accounting(self):
         w, ms, fam, tabbed = self._fixture()
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, _ = replace_bad(w, ms, 1, bad, tabbed)
+        out, _, changed, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
         diff = sum(
             1 for a, b in zip(w.cells[0], out.cells[0]) if a != b
         )
@@ -839,16 +892,16 @@ class TestReplaceBad:
         fam = point_family(1, F(1, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
-        out, _, _, _ = replace_bad(w, ms, 1, bad, tabbed)
+        out, _, _, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
         assert bad and out.cells[1] == w.cells[1]
 
     def test_all_good_after(self):
         w, ms, fam, tabbed = self._fixture()
-        out, ms2, _, _ = replace_bad(
-            w, ms, 1, census_bad(w, ms, 1, fam), tabbed
+        out, flags, _, _ = replace_bad(
+            w, render(ms, w), 1, census_bad(w, ms, 1, fam), tabbed
         )
         fresh = point_family(1, F(3, 10))
-        for _, key in gap_keys(out, ms2, 1):
+        for key in flag_keys(out, flags, 1, 3):
             assert classify(Rectangle(key), fam) == GOOD
             assert reference_classify(Rectangle(key), fresh) == GOOD
 
@@ -867,30 +920,36 @@ class TestReplaceBad:
         return w, ms, fam, {9: block}
 
     def test_submarkers_rewritten(self):
-        # replacing a 2-gap moves the interior row-1 markers to the tabbed
+        # replacing a 2-gap moves the interior row-1 flags to the tabbed
         # key's flags
         w, ms, fam, tabbed = self._two_row_fixture()
         bad = census_bad(w, ms, 2, fam)
-        out, ms2, _, replaced = replace_bad(w, ms, 2, bad, tabbed)
+        flags = render(ms, w)
+        out, flags2, _, replaced = replace_bad(w, flags, 2, bad, tabbed)
         assert replaced == 1
-        assert tuple(ms2.row(1)) == (0, 5, 9)
-        assert tuple(ms2.row(2)) == tuple(ms.row(2))
+        assert flags2[0] == bytes(j in (0, 5, 9) for j in range(10))
+        assert flags2[1] is flags[1]
         grids = {9: to_grid(tabbed[9], 2)}
-        assert (out, ms2) == reference_replace_bad(w, ms, 2, fam, grids)[:2]
+        out_ref, ms_ref, _, _ = reference_replace_bad(w, ms, 2, fam, grids)
+        assert (out, flags2) == (out_ref, render(ms_ref, w))
 
     def test_reads_no_window(self, monkeypatch):
-        # the census has extracted and classified the gaps already
+        # the census has extracted and classified the gaps already, and
+        # the flag rows are written in place of any marker system
         w, ms, fam, tabbed = self._two_row_fixture()
         bad = census_bad(w, ms, 2, fam)
+        flags = render(ms, w)
 
         def forbidden(*args):
             raise AssertionError("replace_bad read the window again")
 
         monkeypatch.setattr(purify, "_window_rows", forbidden)
+        monkeypatch.setattr(purify, "_gap_keys", forbidden)
         monkeypatch.setattr(purify, "classify", forbidden)
-        monkeypatch.setattr(MarkerSystem, "positions_between", forbidden)
-        _, ms2, changed, replaced = replace_bad(w, ms, 2, bad, tabbed)
-        assert (tuple(ms2.row(1)), changed, replaced) == ((0, 5, 9), 9, 1)
+        monkeypatch.setattr(MarkerSystem, "cuts", forbidden)
+        _, flags2, changed, replaced = replace_bad(w, flags, 2, bad, tabbed)
+        row = bytes(j in (0, 5, 9) for j in range(10))
+        assert (flags2[0], changed, replaced) == (row, 9, 1)
 
 
 @st.composite
@@ -928,32 +987,31 @@ class TestReplaceBadDifferential:
         w, ms, k, family, tabbed = case
         bad = census_bad(w, ms, k, family)
         grids = {width: to_grid(key, k) for width, key in tabbed.items()}
-        expected = reference_replace_bad(w, ms, k, family, grids)
-        assert replace_bad(w, ms, k, bad, tabbed) == expected
+        window, new_ms, changed, replaced = reference_replace_bad(
+            w, ms, k, family, grids
+        )
+        expected = window, render(new_ms, w), changed, replaced
+        assert replace_bad(w, render(ms, w), k, bad, tabbed) == expected
 
 
-def _wrong_blocks(w, k, placements):
-    # replace_cells writing every block as a constant-2 block of its size
-    return replace_cells(
-        w,
-        k,
-        [
-            (first, Rectangle.from_rows([[2] * block.width] * k))
-            for first, block in placements
-        ],
-    )
+def _wrong_blocks(w, flags, k, bad, tabbed):
+    # replace_bad writing the cells of every tabbed key as 2s
+    wrong = {
+        width: ((2,) * width,) * k + key[k:] for width, key in tabbed.items()
+    }
+    return replace_bad(w, flags, k, bad, wrong)
 
 
 def _both_repairs(w, ms, k, family, tabbed):
     """_repair and reference_repair of the window's census bad gaps, each
     on its own sample: their results and the samples' repaired states."""
-    _, verdicts, (bad,) = _census([SimpleNamespace(window=w, markers=ms)], family, k)
+    _, verdicts, (bad,) = _census([sample_of(w, ms)], family, k, ms.gaps[k - 1])
     measure = empirical_measure(window_to_rectangle(w), family.truncation)
     out = []
     for repair in (_repair, reference_repair):
-        sample = SimpleNamespace(window=w, markers=ms, measure=measure)
+        sample = sample_of(w, ms, measure=measure)
         result = repair(sample, family, k, bad, tabbed, verdicts)
-        out.append((result, sample.window, sample.markers, sample.measure))
+        out.append((result, sample.window, sample.flag_rows, sample.measure))
     return bad, out
 
 
@@ -961,17 +1019,17 @@ class TestRepairDifferential:
     @settings(max_examples=300, deadline=None)
     @given(replacement_cases(), st.booleans())
     def test_matches_whole_window_recheck(self, case, wrong):
-        # random tabbed blocks, or wrong blocks written by replace_cells,
+        # random tabbed blocks, or wrong blocks written by replace_bad,
         # make the re-check fail in some cases
         w, ms, k, family, tabbed = case
-        patch = mock.patch.object(purify, "replace_cells", _wrong_blocks)
+        patch = mock.patch.object(purify, "replace_bad", _wrong_blocks)
         with patch if wrong else contextlib.nullcontext():
             _, (got, expected) = _both_repairs(w, ms, k, family, tabbed)
         assert got == expected
 
     def test_wrong_block_fails_recheck(self, monkeypatch):
         # window 111|121|111 under a point mass on 1: the tabbed 111 is good,
-        # and a replace_cells that writes 222 instead must be caught
+        # and a replace_bad that writes 222 instead must be caught
         w = lift_binary("0000010000", 1)
         ms = MarkerSystem.from_positions(((0, 3, 6, 9),), (3,), 0, 9)
         fam = point_family(1, F(3, 10))
@@ -979,7 +1037,7 @@ class TestRepairDifferential:
         bad, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
         assert len(bad) == 1
         assert got == expected and got[0][3] is True
-        monkeypatch.setattr(purify, "replace_cells", _wrong_blocks)
+        monkeypatch.setattr(purify, "replace_bad", _wrong_blocks)
         _, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)
         assert got == expected and got[0][3] is False
         assert got[1].cells[0][4:7] == (2, 2, 2)
@@ -1030,10 +1088,11 @@ class TestCensusCost:
         config = config_from_dict(NOISY_CONFIG)
         targets, samples = purify._lift_leaves(config)
         k, trunc = config.depths[0], config.truncation
+        l = config.gaps[k - 1]
         distinct = {}
         for s in samples:
             distinct.setdefault(s.path[:1], set()).update(
-                Rectangle(key) for _, key in gap_keys(s.window, s.markers, k)
+                Rectangle(key) for key in flag_keys(s.window, s.flag_rows, k, l)
             )
         calls = []
 
@@ -1174,11 +1233,13 @@ def _outcome(config):
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, stages=None):
     """One- or two-stage configs on gaps 4,144 with distinct periodic targets
     and Bernoulli samples; the target itself is usually a sample too, so
-    tabbed rectangles of both widths are usually available."""
-    stages = draw(st.integers(1, 2))
+    tabbed rectangles of both widths are usually available.  ``stages``
+    fixes the number of stages."""
+    if stages is None:
+        stages = draw(st.integers(1, 2))
     targets = iter(
         draw(st.permutations(["0", "1", "01", "0011", "1101", "001", "0111"]))
     )
@@ -1247,6 +1308,46 @@ class TestStageSplit:
             "keys": len(rows) + 2 * repaired,
             "replace": repaired,
         }
+
+
+def checked_flag_rows(config):
+    """Run the pipeline, reading every sample's flag rows back as positions
+    after each stage: they must form a two-gap, congruent marker system.
+    Returns the number of samples whose row-1 flags a stage wrote."""
+    stage_fn = purify.purify_stage
+    base, rewritten = {}, set()
+
+    def spy(samples, *args):
+        for s in samples:
+            base.setdefault(id(s), s.flag_rows[0])
+        result = stage_fn(samples, *args)
+        for s in samples:
+            ms = read_back(s.flag_rows, s.window, config.gaps)
+            rows = range(1, ms.row_count + 1)
+            assert check_congruency(ms), s.spec.spec
+            assert all(check_two_gaps(ms, k) for k in rows), s.spec.spec
+            if s.flag_rows[0] is not base[id(s)]:
+                rewritten.add(id(s))
+        return result
+
+    with mock.patch.object(purify, "purify_stage", spy):
+        _outcome(config)
+    return len(rewritten)
+
+
+class TestFlagRowsStayMarkers:
+    # replacement writes tabbed flags strictly inside bad gaps, so the flag
+    # rows stay a two-gap, congruent hierarchy; a flag written one column
+    # off breaks one of the two
+    @settings(max_examples=15, deadline=None)
+    @given(small_configs(stages=2))
+    def test_after_every_stage(self, config):
+        checked_flag_rows(config)
+
+    def test_rewritten_rows_checked(self):
+        # the noisy samples of the mixed tree are repaired at stage 2, so
+        # their row-1 flags are written
+        assert checked_flag_rows(mixed_tree_config()) > 0
 
 
 def reference_nesting(config, check):

@@ -76,6 +76,49 @@ def test_no_positions_attribute():
     assert found == []
 
 
+# what reading a marker system's rows looks like: MarkerSystem.cuts, row
+# and flags, and its stored form
+_MARKER_READS = {"cuts", "row", "flags", "starts", "lengths"}
+
+
+def test_purify_reads_markers_only_at_set_up():
+    # a purify sample holds its markers as flag rows only: the set-up
+    # renders the base hierarchy once, and no stage converts between
+    # marker positions and flag rows
+    tree = ast.parse((SRC / "purify.py").read_text())
+    set_up = _function_def(tree, "_lift_leaves")
+    inside = {id(node) for node in ast.walk(set_up)}
+    found = [
+        f"purify.py:{node.lineno}:{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in _MARKER_READS
+        and id(node) not in inside
+    ]
+    assert found == []
+    assert any(
+        isinstance(node, ast.Attribute) and node.attr == "flags"
+        for node in ast.walk(set_up)
+    )
+
+
+_GONE = {"with_row", "positions_between"}
+
+
+def test_no_marker_row_rewrites():
+    # a marker system is never rewritten, and cuts states the window range
+    # alone: no module names the row rewrite or a second range reader
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _GONE
+        or isinstance(node, ast.Name) and node.id in _GONE
+        or isinstance(node, ast.FunctionDef) and node.name in _GONE
+    ]
+    assert found == []
+
+
 def _unused_imports(tree):
     imported = {}
     for node in tree.body:
