@@ -19,6 +19,9 @@ from typing import Iterator, Sequence
 
 from ._value import Value, _set
 
+# entries of a row that check_balanced and write_mrk read at a time
+_CHUNK = 8192
+
 
 class NoDecomposition(ValueError):
     """The gap cannot be split into pieces of length l and l+1."""
@@ -188,6 +191,9 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     first one at or after t is at most t + window - g.  Among checked
     starts with the same first entry r, the earliest is the tightest; it is
     lo, or left[r-1] + 1 when left[r-1] is a checked marker.
+
+    The left ends are read as a stream, ``_CHUNK`` at a time, so a check
+    holds O(_CHUNK + m) ints and never a row's positions.
     """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
@@ -197,7 +203,7 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     steps = ms.lengths[k - 1]
     return all(
         _holds_mth_gap(
-            list(compress(ms.row(k), map(eq, steps, repeat(g)))),
+            compress(ms.row(k), map(eq, steps, repeat(g))),
             g, ms.lo, ms.hi - window, window,
         )
         for g in (l, l + 1)
@@ -205,26 +211,44 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
 
 
 def _holds_mth_gap(
-    left: list[int], g: int, lo: int, last: int, window: int
+    left: Iterator[int], g: int, lo: int, last: int, window: int
 ) -> bool:
     """Every checked interval of check_balanced, from lo to ``last``, holds
     ceil(window / (3 g)) gaps of length g, given the sorted left ends
-    ``left`` of the length-g gaps."""
+    ``left`` of the length-g gaps as an iterator.
+
+    The run of the start left[q] + 1 ends at its m-th entry left[q + m],
+    and the interval holds it iff left[q + m] - left[q] <= window + 1 - g.
+    The start lo obeys the same rule with lo - 1 in place of left[q], so
+    the entries below lo are dropped and lo - 1 goes first.  Each start
+    before ``last`` needs its m-th entry; the last m entries of a chunk are
+    carried into the next, where their runs end.
+    """
     m = -(-window // (3 * g))
-    # the checked starts are lo, whose run begins at entry first, and
-    # left[q] + 1 for each q in [first, stop), whose run begins at q + 1;
-    # each run needs m entries, the last ending by the interval's end
-    first, stop = bisect_left(left, lo), bisect_left(left, last)
-    if stop + m > len(left) or left[first + m - 1] + g > lo + window:
-        return False
-    spans = map(sub, islice(left, first + m, stop + m), islice(left, first, stop))
-    return max(spans, default=0) <= window + 1 - g
+    bound = window + 1 - g
+    left = dropwhile(partial(gt, lo), left)
+    buf = [lo - 1]
+    while True:
+        read = len(buf)
+        buf.extend(islice(left, _CHUNK))
+        stop = bisect_left(buf, last)  # the starts buf[:stop] are checked
+        if stop + m <= len(buf):
+            return max(map(sub, islice(buf, m, stop + m), buf)) <= bound
+        if len(buf) - read < _CHUNK:
+            return False  # a start before last has no m-th entry
+        # every start in buf whose run ends in buf lies before last
+        if max(map(sub, islice(buf, m, None), buf), default=0) > bound:
+            return False
+        del buf[:-m]
 
 
 def check_congruency(ms: MarkerSystem) -> bool:
-    return not any(
-        set(ms.row(k + 1)).difference(ms.row(k)) for k in range(1, ms.row_count)
-    )
+    for k in range(1, ms.row_count):
+        upper = set(ms.row(k + 1))
+        upper.difference_update(ms.row(k))
+        if upper:
+            return False
+    return True
 
 
 def check_gaps(gaps: Sequence[int]) -> None:
@@ -289,6 +313,12 @@ def build_marker_system(
 
 
 def write_mrk(path: str | Path, ms: MarkerSystem) -> None:
+    """Write each row ``_CHUNK`` positions at a time, never as one string."""
     with Path(path).open("w") as f:
         for k in range(1, ms.row_count + 1):
-            f.write(" ".join(map(str, ms.row(k))) + "\n")
+            positions = map(str, ms.row(k))
+            f.write(" ".join(islice(positions, _CHUNK)))
+            while piece := " ".join(islice(positions, _CHUNK)):
+                f.write(" ")
+                f.write(piece)
+            f.write("\n")

@@ -1,4 +1,8 @@
+import hashlib
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from bisect import bisect_left, bisect_right
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
+from strictform import markers
 from strictform.markers import (
     GapDecomposition,
     MarkerSystem,
@@ -16,6 +21,7 @@ from strictform.markers import (
     check_congruency,
     check_two_gaps,
     decompose_gap,
+    write_mrk,
 )
 
 
@@ -436,6 +442,39 @@ def assert_checks_match(ms, windows):
             ), (k, window)
 
 
+@st.composite
+def built_cases(draw):
+    """``(ms, windows)``: a built hierarchy of two or three rows, with one
+    marker sometimes dropped, and per row its certified window and one at
+    or near the shortest allowed."""
+    rows = draw(st.integers(2, 3))
+    origin = draw(st.integers(-60, 60))
+    gaps = [draw(st.integers(2, 2 if rows == 3 else 4))]
+    for _ in range(rows - 1):
+        gaps.append(9 * gaps[-1] ** 2 + draw(st.integers(0, 3)))
+    top = gaps[-1]
+    most = {2: 8, 3: 2}[rows]
+    a = draw(st.integers(1, most))
+    b = draw(st.integers(1, most))
+    ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
+    if draw(st.booleans()):
+        # drop one marker: a row loses its two-gap shape, and the row
+        # above may lose congruency
+        k = draw(st.integers(1, rows))
+        positions = [list(ms.row(j)) for j in range(1, rows + 1)]
+        row = positions[k - 1]
+        del row[draw(st.integers(0, len(row) - 1))]
+        ms = MarkerSystem.from_positions(
+            tuple(map(tuple, positions)), ms.gaps, ms.lo, ms.hi,
+            ms.balance_windows,
+        )
+    windows = [
+        [w, 3 * (l + 1) + draw(st.integers(0, 3 * l))]
+        for w, l in zip(ms.balance_windows, ms.gaps)
+    ]
+    return ms, windows
+
+
 class TestRowChecksDifferential:
     @settings(deadline=None, max_examples=400)
     @given(hand_built_systems(), st.data())
@@ -447,33 +486,9 @@ class TestRowChecksDifferential:
         assert_checks_match(ms, windows)
 
     @settings(deadline=None, max_examples=30)
-    @given(st.integers(2, 3), st.integers(-60, 60), st.data())
-    def test_built_hierarchies(self, rows, origin, data):
-        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
-        for _ in range(rows - 1):
-            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
-        top = gaps[-1]
-        most = {2: 8, 3: 2}[rows]
-        a = data.draw(st.integers(1, most))
-        b = data.draw(st.integers(1, most))
-        ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
-        if data.draw(st.booleans()):
-            # drop one marker: a row loses its two-gap shape, and the row
-            # above may lose congruency
-            k = data.draw(st.integers(1, rows))
-            positions = [list(ms.row(j)) for j in range(1, rows + 1)]
-            row = positions[k - 1]
-            del row[data.draw(st.integers(0, len(row) - 1))]
-            ms = MarkerSystem.from_positions(
-                tuple(map(tuple, positions)), ms.gaps, ms.lo, ms.hi,
-                ms.balance_windows,
-            )
-        # the certified window, plus one at or near the shortest allowed
-        windows = [
-            [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
-            for w, l in zip(ms.balance_windows, ms.gaps)
-        ]
-        assert_checks_match(ms, windows)
+    @given(built_cases())
+    def test_built_hierarchies(self, case):
+        assert_checks_match(*case)
 
 
 def reference_cuts(rows, k, origin, columns):
@@ -536,9 +551,10 @@ class TestGapLengthFormDifferential:
 
 def test_heap_peak_of_the_benchmark_hierarchy():
     # the 699,870-column hierarchy on gaps 2,36,11664 has 288,001 row-1
-    # markers.  Built and checked, it peaks at about 9.2 MB of traced heap;
-    # with a tuple of positions per row, one int object per marker, it
-    # peaked at 13.9 MB.
+    # markers.  Built and checked, it peaks at about 3.6 MB of traced heap:
+    # congruency's set of row 2 on top of the 2.5 MB system.  It peaked at
+    # 13.9 MB with a tuple of positions per row, and at 9.2 MB while
+    # check_balanced listed every left end of one gap length.
     build_marker_system(703, 0, (3, 100))
     tracemalloc.start()
     try:
@@ -553,7 +569,107 @@ def test_heap_peak_of_the_benchmark_hierarchy():
     finally:
         tracemalloc.stop()
     assert ok
-    assert peak < 11 * 10**6
+    assert peak < 4.5 * 10**6
+
+
+def reference_mrk(rows):
+    """The text write_mrk writes, one string per row."""
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def mrk_text(ms):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.mrk"
+        write_mrk(path, ms)
+        return path.read_text()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+class TestChunkBoundaries:
+    """The streaming checks and write_mrk with the chunk cut to a few
+    entries.  Hypothesis rows hold at most about 80 gaps, so at the real
+    chunk size they never reach a second chunk."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(balance_cases())
+    def test_check_balanced(self, chunk, case):
+        ms, window = case
+        with mock.patch.object(markers, "_CHUNK", chunk):
+            got = _outcome(check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
+
+    @settings(deadline=None, max_examples=300)
+    @given(hand_built_systems(), st.data())
+    def test_hand_built_rows(self, chunk, ms, data):
+        windows = [
+            [3 * (l + 1) + data.draw(st.integers(-1, 60)) for _ in range(2)]
+            for l in ms.gaps
+        ]
+        with mock.patch.object(markers, "_CHUNK", chunk):
+            assert_checks_match(ms, windows)
+
+    @settings(deadline=None, max_examples=10)
+    @given(built_cases())
+    def test_built_hierarchies(self, chunk, case):
+        with mock.patch.object(markers, "_CHUNK", chunk):
+            assert_checks_match(*case)
+
+    @settings(deadline=None, max_examples=200)
+    @given(hand_built_rows())
+    def test_write_mrk(self, chunk, case):
+        ms = MarkerSystem.from_positions(*case)
+        with mock.patch.object(markers, "_CHUNK", chunk):
+            assert mrk_text(ms) == reference_mrk(case[0])
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the traced heap peak of the call above what was
+    allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def benchmark_hierarchy():
+    return build_marker_system(699870, 0, (2, 36, 11664))
+
+
+class TestBoundedMemory:
+    """Each check, and the .mrk output, of the benchmark hierarchy holds a
+    chunk of ints above the system it reads, never a row's positions.
+    Listing row 1's 164,130 short-gap left ends, check_balanced held
+    6.7 MB."""
+
+    LIMIT = 1.5 * 10**6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_row_checks(self, benchmark_hierarchy, k):
+        ms = benchmark_hierarchy
+        for check, args in (
+            (check_two_gaps, (ms, k)),
+            (check_balanced, (ms, k, ms.balance_windows[k - 1])),
+        ):
+            ok, peak = _traced_peak(check, *args)
+            assert ok and peak < self.LIMIT, (check.__name__, peak)
+
+    def test_congruency(self, benchmark_hierarchy):
+        ok, peak = _traced_peak(check_congruency, benchmark_hierarchy)
+        assert ok and peak < self.LIMIT, peak
+
+    def test_write_mrk(self, benchmark_hierarchy, tmp_path):
+        path = tmp_path / "m.mrk"
+        _, peak = _traced_peak(write_mrk, path, benchmark_hierarchy)
+        assert peak < self.LIMIT, peak
+        # every byte as when each row was joined into one string
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "41f4f3d63303765c7784d1f2c2008604ab61fd04daae09aa52e42e4625656fa4"
+        )
 
 
 class TestBuildMarkerSystemDifferential:
