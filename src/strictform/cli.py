@@ -10,7 +10,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -51,10 +50,30 @@ def _atomic_write(path: str | Path, data: str) -> None:
         raise
 
 
+# CPython's own SHA-256, without OpenSSL: hashlib would map libcrypto into
+# every job for one digest of a few KB.  The module is _sha2 from 3.12 and
+# _sha256 before; each is a stdlib name on its versions only, so they are
+# imported by name.
+_SHA256_MODULES = ("_sha2", "_sha256")
+
+
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 of data, from the first built-in module present, or
+    from hashlib on a build that has neither."""
+    for name in _SHA256_MODULES:
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _emit_report(path: str | None, report: dict, config_bytes: bytes) -> None:
     report = dict(report)
     report["version"] = __version__
-    report["config_sha256"] = hashlib.sha256(config_bytes).hexdigest()
+    report["config_sha256"] = _sha256(config_bytes)
     text = json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
     if path:
         _atomic_write(path, text)

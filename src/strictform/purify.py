@@ -103,23 +103,32 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
 Gap = tuple[slice, tuple]
 
 
-def _window_rows(w: ArrayWindow, flags: tuple, k: int, l: int) -> tuple:
+def _window_rows(
+    w: ArrayWindow, flags: tuple, k: int, l: int, slices_of: dict | None = None
+) -> tuple:
     """The slices of w's k-gaps, each from the cell after a row-k flag to
     the next flagged cell, and the rows a gap key cuts: cell rows 1..k,
     then the window-long flag rows 1..k-1.  A gap whose width is not l or
-    l + 1 raises InvalidMarkers."""
+    l + 1 raises InvalidMarkers.  ``slices_of`` maps each row-k flag row
+    already split to its slices, so a row shared by many windows is split
+    once."""
     if not 1 <= k <= len(flags):
         raise InvalidMarkers(f"marker system has no row {k}")
     if k > w.rows:
         raise ValueError(f"window has no row {k}")
-    # split at its flags, row k is the runs of cells before each flagged
-    # cell; each run with its flagged cell after the first is a gap, and the
-    # running sums of these widths are the gap bounds
-    widths = [len(run) + 1 for run in flags[k - 1].split(b"\1")[:-1]]
-    if not set(widths[1:]) <= {l, l + 1}:
-        raise InvalidMarkers(f"row {k} gaps are not two-sized")
-    bounds = [*accumulate(widths)]
-    return [*map(slice, bounds, bounds[1:])], [*w.cells[:k], *flags[: k - 1]]
+    slices_of = {} if slices_of is None else slices_of
+    row = flags[k - 1]
+    slices = slices_of.get(row)
+    if slices is None:
+        # split at its flags, row k is the runs of cells before each flagged
+        # cell; each run with its flagged cell after the first is a gap, and
+        # the running sums of these widths are the gap bounds
+        widths = [len(run) + 1 for run in row.split(b"\1")[:-1]]
+        if not set(widths[1:]) <= {l, l + 1}:
+            raise InvalidMarkers(f"row {k} gaps are not two-sized")
+        bounds = [*accumulate(widths)]
+        slices = slices_of[row] = [*map(slice, bounds, bounds[1:])]
+    return slices, [*w.cells[:k], *flags[: k - 1]]
 
 
 def _gap_keys(rows: list, slices: list[slice]):
@@ -400,10 +409,15 @@ def _stage_gamma(
 
 
 def _census(
-    samples: list[_Sample], family: TargetFamily, k: int, l: int
+    samples: list[_Sample],
+    family: TargetFamily,
+    k: int,
+    l: int,
+    slices_of: dict | None = None,
 ) -> tuple[dict[str, int], dict[tuple, str], list[list[Gap]]]:
     """The good/bad counts of the samples' k-gaps, the verdict of each
     distinct gap key and each sample's bad gaps, in window order.
+    ``slices_of`` is passed to ``_window_rows``.
 
     A window's gap keys are counted by one Counter over one key pass, and a
     Rectangle of a key's cells is built only to classify a key the family
@@ -416,8 +430,11 @@ def _census(
     verdicts: dict[tuple, str] = {}
     by_measure: dict[tuple, str] = {}
     bad_gaps = []
+    slices_of = {} if slices_of is None else slices_of
     for sample in samples:
-        slices, rows = _window_rows(sample.window, sample.flag_rows, k, l)
+        slices, rows = _window_rows(
+            sample.window, sample.flag_rows, k, l, slices_of
+        )
         bad_keys = {}
         for key, n in Counter(_gap_keys(rows, slices)).items():
             verdict = verdicts.get(key)
@@ -524,11 +541,16 @@ def purify_stage(
     nested = True
     # the last stage's good sets are checked here and then dropped
     good_records = {} if stage < config.stage_count else None
+    # repair writes only flag rows below k, so every sample holds the base
+    # hierarchy's row k, one shared bytes object, and it is split once
+    slices_of: dict[bytes, list[slice]] = {}
 
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
-        census, verdicts, bad_gaps = _census(fam_samples, family, k, l)
+        census, verdicts, bad_gaps = _census(
+            fam_samples, family, k, l, slices_of
+        )
         good = {key for key, v in verdicts.items() if v == GOOD}
         if coarse is not None:
             coarse_k = config.depths[stage - 2]

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strictform
+import strictform.cli as cli
 import strictform.purify as purify
 from strictform.arrays import lift_binary, write_arr
 from strictform.cli import main
@@ -262,7 +264,7 @@ def _write_inputs(path):
 
 class TestStartup:
     """Each command loads only the strictform modules it runs, and no
-    command pays for dataclasses or inspect at import."""
+    command pays for dataclasses, inspect or OpenSSL's hashlib at import."""
 
     @pytest.mark.parametrize("command", list(STARTUP))
     def test_loads_only_its_modules(self, command, tmp_path):
@@ -272,7 +274,64 @@ class TestStartup:
         assert code == 0
         assert {n for n in names if n.split(".")[0] == "strictform"} == expected
         _, bare = _imported(["-c", "pass"], tmp_path)
-        assert not {"dataclasses", "inspect"} & (names - bare)
+        assert not {"dataclasses", "inspect", "hashlib", "_hashlib"} & (
+            names - bare
+        )
+
+
+# runs ``python -m strictform.cli ARGV`` and prints the exit code and which
+# of hashlib and OpenSSL's _hashlib are loaded once main has returned
+_RUN_AND_LIST_HASHLIB = """
+import runpy, sys
+try:
+    runpy.run_module("strictform.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(code, sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+"""
+
+
+class TestConfigDigest:
+    """config_sha256 comes from CPython's built-in SHA-256 module, so no
+    job maps OpenSSL; hashlib is the fallback of a build without one."""
+
+    def test_job_loads_no_hashlib(self, tmp_path):
+        report = tmp_path / "m.json"
+        argv = ["markers", "--columns", "7", "--gaps", "3", "--report", report]
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_AND_LIST_HASHLIB, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=_child_env(),
+        )
+        assert proc.stdout.split() == ["0", "[]"], proc.stderr
+        config = json.loads(report.read_text())["config_sha256"]
+        assert len(config) == 64
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=4096))
+    def test_equals_hashlib(self, data):
+        assert cli._sha256(data) == hashlib.sha256(data).hexdigest()
+
+    def test_falls_back_to_hashlib(self, monkeypatch):
+        # a None entry in sys.modules makes importing that name fail
+        for name in cli._SHA256_MODULES:
+            monkeypatch.setitem(sys.modules, name, None)
+        calls = []
+
+        def sha256(data):
+            calls.append(data)
+            return hashlib.new("sha256", data)
+
+        monkeypatch.setattr(hashlib, "sha256", sha256)
+        data = b"strictform config"
+        assert cli._sha256(data) == hashlib.new("sha256", data).hexdigest()
+        assert calls == [data]
+
+    def test_a_module_name_is_stdlib(self):
+        # the AST import check cannot see names imported by __import__
+        assert set(cli._SHA256_MODULES) & sys.stdlib_module_names
 
 
 class TestMarkers:

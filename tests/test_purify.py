@@ -1122,6 +1122,24 @@ class TestCensusCost:
             for row in fam["samples"]
         )
 
+    def test_row_k_split_once_per_stage(self, monkeypatch):
+        # every sample of a stage holds the same row-k flag row, so all the
+        # stage's families get one list of gap slices
+        seen = {}
+
+        def recorded(w, flags, k, l, slices_of=None):
+            slices, rows = _window_rows(w, flags, k, l, slices_of)
+            seen.setdefault(k, []).append(slices)
+            return slices, rows
+
+        monkeypatch.setattr(purify, "_window_rows", recorded)
+        config = config_from_dict(NOISY_CONFIG)
+        purify_pipeline(config)
+        assert sorted(seen) == list(config.depths)
+        for lists in seen.values():
+            assert len(lists) == sum(len(lf.samples) for lf in config.leaves)
+            assert all(slices is lists[0] for slices in lists)
+
 
 class TestPipeline:
     def test_depth_one_pure_families(self):
