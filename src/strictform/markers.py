@@ -13,7 +13,7 @@ from functools import partial
 from itertools import (
     accumulate, chain, compress, dropwhile, islice, repeat, takewhile,
 )
-from operator import eq, ge, gt, sub
+from operator import eq, ge, gt, lt, sub
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,6 +21,8 @@ from ._value import Value, _set
 
 # entries of a row that check_balanced and write_mrk read at a time
 _CHUNK = 8192
+# starts of check_balanced whose spans one subtraction bounds
+_STRIDE = 16
 
 
 class NoDecomposition(ValueError):
@@ -192,54 +194,88 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     starts with the same first entry r, the earliest is the tightest; it is
     lo, or left[r-1] + 1 when left[r-1] is a checked marker.
 
-    The left ends are read as a stream, ``_CHUNK`` at a time, so a check
-    holds O(_CHUNK + m) ints and never a row's positions.
+    One pass over the row serves both lengths: each ``_CHUNK`` of gap
+    lengths is turned into positions once, and the left ends of either
+    length are picked from them into that length's buffer.  The pass holds
+    O(_CHUNK + m_l + m_{l+1}) ints, never a row's positions.
+
+    The spans are screened ``_STRIDE`` starts at a time: ``left`` is
+    sorted, so for the S starts q = a .. a + S - 1 every span
+    left[q + m] - left[q] is at most left[a + S - 1 + m] - left[a].  A
+    stride whose bound is within the limit holds at every start; only a
+    stride whose bound exceeds it has its S spans checked one by one, so
+    the verdict is exact.
     """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
-    steps = ms.lengths[k - 1]
-    return all(
-        _holds_mth_gap(
-            compress(ms.row(k), map(eq, steps, repeat(g))),
-            g, ms.lo, ms.hi - window, window,
-        )
-        for g in (l, l + 1)
-    )
+    lo, last = ms.lo, ms.hi - window
+    # the left ends not yet settled, per undecided length; the start lo
+    # obeys the rule of a start left[q] + 1 with lo - 1 in place of left[q]
+    pending = {l: [lo - 1], l + 1: [lo - 1]}
+    steps, position = ms.lengths[k - 1], ms.starts[k - 1]
+    for i in range(0, len(steps), _CHUNK):
+        chunk = steps[i : i + _CHUNK]
+        ends = list(accumulate(chunk, initial=position))
+        position = ends[-1]
+        if ends[0] < lo:  # the gaps that start before lo never count
+            cut = bisect_left(ends, lo)
+            chunk, ends = chunk[cut:], ends[cut:]
+        for g, buf in list(pending.items()):
+            buf.extend(compress(ends, map(eq, chunk, repeat(g))))
+            verdict = _settle(buf, g, last, window)
+            if verdict is False:
+                return False
+            if verdict:
+                del pending[g]
+        if not pending:
+            return True
+        # drop this chunk's positions before the next chunk's are made
+        del chunk, ends
+    return False  # a start before last has no m-th gap of some length
 
 
-def _holds_mth_gap(
-    left: Iterator[int], g: int, lo: int, last: int, window: int
-) -> bool:
-    """Every checked interval of check_balanced, from lo to ``last``, holds
-    ceil(window / (3 g)) gaps of length g, given the sorted left ends
-    ``left`` of the length-g gaps as an iterator.
+def _settle(buf: list[int], g: int, last: int, window: int) -> bool | None:
+    """Check the starts whose runs end in ``buf``, the sorted left ends of
+    the length-g gaps read so far (lo - 1 first), less those already
+    checked.  True or False once every start before ``last`` is decided;
+    else None, with ``buf`` cut to its last m entries, whose runs end in a
+    later chunk.
 
     The run of the start left[q] + 1 ends at its m-th entry left[q + m],
     and the interval holds it iff left[q + m] - left[q] <= window + 1 - g.
-    The start lo obeys the same rule with lo - 1 in place of left[q], so
-    the entries below lo are dropped and lo - 1 goes first.  Each start
-    before ``last`` needs its m-th entry; the last m entries of a chunk are
-    carried into the next, where their runs end.
     """
     m = -(-window // (3 * g))
     bound = window + 1 - g
-    left = dropwhile(partial(gt, lo), left)
-    buf = [lo - 1]
-    while True:
-        read = len(buf)
-        buf.extend(islice(left, _CHUNK))
-        stop = bisect_left(buf, last)  # the starts buf[:stop] are checked
-        if stop + m <= len(buf):
-            return max(map(sub, islice(buf, m, stop + m), buf)) <= bound
-        if len(buf) - read < _CHUNK:
-            return False  # a start before last has no m-th entry
+    stop = bisect_left(buf, last)  # the starts buf[:stop] are checked
+    if stop + m <= len(buf):
+        return _spans_hold(buf, stop, m, bound)
+    if len(buf) > m:
         # every start in buf whose run ends in buf lies before last
-        if max(map(sub, islice(buf, m, None), buf), default=0) > bound:
+        if not _spans_hold(buf, len(buf) - m, m, bound):
             return False
         del buf[:-m]
+    return None
+
+
+def _spans_hold(buf: list[int], n: int, m: int, bound: int) -> bool:
+    """True iff buf[q + m] - buf[q] <= bound for every q < n, with the
+    stride screen of check_balanced: one subtraction per ``_STRIDE``
+    starts, then the exact spans of the strides it does not clear and of
+    the starts after the last whole stride."""
+    full = n // _STRIDE * _STRIDE
+    over = compress(
+        range(0, full, _STRIDE),
+        map(lt, repeat(bound),
+            map(sub, buf[_STRIDE - 1 + m :: _STRIDE], buf[:full:_STRIDE])),
+    )
+    for a in chain(over, [full]):  # then the starts after the last stride
+        end = min(a + _STRIDE, n)
+        if max(map(sub, buf[a + m : end + m], buf[a:end]), default=0) > bound:
+            return False
+    return True
 
 
 def check_congruency(ms: MarkerSystem) -> bool:

@@ -170,7 +170,9 @@ def replace_bad(
     strictly inside it: the flag on the gap's last cell is the row-k
     marker, which never moves.  Rows above k and flag rows k and up are
     kept.  Returns (window, flags, changed columns, replaced count); the
-    output window is in independent mode.
+    output window is in independent mode.  A flag row that comes out with
+    the bytes it came in with is returned as that same object, so samples
+    keep sharing the base hierarchy's rows.
     """
     cells = [list(row) for row in w.cells[:k]]
     fine = [bytearray(row) for row in flags[: k - 1]]
@@ -184,7 +186,10 @@ def replace_bad(
     cells = (*map(tuple, cells), *w.cells[k:])
     window = ArrayWindow(w.sizes, w.origin, cells, INDEPENDENT)
     changed = sum(s.stop - s.start for s, _ in bad)
-    return window, (*map(bytes, fine), *flags[k - 1 :]), changed, len(bad)
+    kept = (
+        row if row == new else bytes(new) for row, new in zip(flags, fine)
+    )
+    return window, (*kept, *flags[k - 1 :]), changed, len(bad)
 
 
 # --- configuration ----------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import tempfile
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -584,17 +585,34 @@ def mrk_text(ms):
         return path.read_text()
 
 
+def small_sizes(chunk):
+    """The chunk and the stride of check_balanced both cut to ``chunk``."""
+    return mock.patch.multiple(markers, _CHUNK=chunk, _STRIDE=chunk)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 class TestChunkBoundaries:
-    """The streaming checks and write_mrk with the chunk cut to a few
-    entries.  Hypothesis rows hold at most about 80 gaps, so at the real
-    chunk size they never reach a second chunk."""
+    """The streaming checks and write_mrk with the chunk, and check_balanced's
+    stride, cut to a few entries.  Hypothesis rows hold at most about 80
+    gaps, so at the real chunk size they never reach a second chunk, and
+    they hold at most a few strides of 16 starts."""
 
     @settings(deadline=None, max_examples=300)
     @given(balance_cases())
     def test_check_balanced(self, chunk, case):
         ms, window = case
-        with mock.patch.object(markers, "_CHUNK", chunk):
+        with small_sizes(chunk):
+            got = _outcome(check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
+
+    @settings(deadline=None, max_examples=300)
+    @given(balance_cases())
+    def test_strides_in_one_chunk(self, chunk, case):
+        # only the stride cut: a row's starts fall into many strides of
+        # one chunk, as on a long row at the real sizes
+        ms, window = case
+        with mock.patch.object(markers, "_STRIDE", chunk):
             got = _outcome(check_balanced, ms, 1, window)
         assert got == _outcome(reference_check_balanced, ms, 1, window)
         assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
@@ -606,13 +624,13 @@ class TestChunkBoundaries:
             [3 * (l + 1) + data.draw(st.integers(-1, 60)) for _ in range(2)]
             for l in ms.gaps
         ]
-        with mock.patch.object(markers, "_CHUNK", chunk):
+        with small_sizes(chunk):
             assert_checks_match(ms, windows)
 
     @settings(deadline=None, max_examples=10)
     @given(built_cases())
     def test_built_hierarchies(self, chunk, case):
-        with mock.patch.object(markers, "_CHUNK", chunk):
+        with small_sizes(chunk):
             assert_checks_match(*case)
 
     @settings(deadline=None, max_examples=200)
@@ -621,6 +639,58 @@ class TestChunkBoundaries:
         ms = MarkerSystem.from_positions(*case)
         with mock.patch.object(markers, "_CHUNK", chunk):
             assert mrk_text(ms) == reference_mrk(case[0])
+
+
+def gap_row(lengths):
+    """A one-row system with base gap 2 whose gaps have the given lengths,
+    from position 0 to its last marker."""
+    positions = [0, *accumulate(lengths)]
+    return row_system(positions, 2)
+
+
+def stride_screen(ms, window, g, stride):
+    """For row 1 of ms, read in one chunk: whether some stride's bound
+    exceeds the limit of length g, and whether every exact span meets it."""
+    ps = list(ms.row(1))
+    left = [ms.lo - 1] + [
+        a for a, b in zip(ps, ps[1:]) if b - a == g and a >= ms.lo
+    ]
+    m, limit = -(-window // (3 * g)), window + 1 - g
+    n = bisect_left(left, ms.hi - window)
+    bounds = [
+        left[a + stride - 1 + m] - left[a]
+        for a in range(0, n - stride + 1, stride)
+    ]
+    spans = [left[q + m] - left[q] for q in range(n)]
+    return max(bounds) > limit, max(spans) <= limit
+
+
+@pytest.mark.parametrize("stride", [2, 3, 7, 16])
+class TestStrideRecheck:
+    """Rows whose stride bounds exceed the limit, so check_balanced checks
+    those strides' spans one by one.  On the alternating row every span of
+    the short gaps is 25 against a limit of 29 at window 30, and a stride's
+    bound is 25 + 5 (S - 1)."""
+
+    WINDOW = 30
+
+    def check(self, ms, stride):
+        with mock.patch.object(markers, "_STRIDE", stride):
+            got = check_balanced(ms, 1, self.WINDOW)
+        assert got == reference_check_balanced(ms, 1, self.WINDOW)
+        assert got == reference_check_balanced_sweep(ms, 1, self.WINDOW)
+        return got
+
+    def test_every_span_holds(self, stride):
+        ms = gap_row((2, 3) * 60)
+        assert stride_screen(ms, self.WINDOW, 2, stride) == (True, True)
+        assert self.check(ms, stride)
+
+    def test_one_span_fails(self, stride):
+        # three long gaps in a row leave an interval short of short gaps
+        ms = gap_row((2, 3) * 30 + (3, 3, 3) + (2, 3) * 30)
+        assert stride_screen(ms, self.WINDOW, 2, stride) == (True, False)
+        assert not self.check(ms, stride)
 
 
 def _traced_peak(fn, *args):

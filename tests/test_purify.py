@@ -1331,20 +1331,19 @@ class TestStageSplit:
 def checked_flag_rows(config):
     """Run the pipeline, reading every sample's flag rows back as positions
     after each stage: they must form a two-gap, congruent marker system.
-    Returns the number of samples whose row-1 flags a stage wrote."""
+    Returns the number of samples whose row-1 flags a stage wrote: those
+    with replaced columns at a stage of depth 2 or more."""
     stage_fn = purify.purify_stage
-    base, rewritten = {}, set()
+    rewritten = set()
 
-    def spy(samples, *args):
-        for s in samples:
-            base.setdefault(id(s), s.flag_rows[0])
-        result = stage_fn(samples, *args)
+    def spy(samples, config, stage, *args):
+        result = stage_fn(samples, config, stage, *args)
         for s in samples:
             ms = read_back(s.flag_rows, s.window, config.gaps)
             rows = range(1, ms.row_count + 1)
             assert check_congruency(ms), s.spec.spec
             assert all(check_two_gaps(ms, k) for k in rows), s.spec.spec
-            if s.flag_rows[0] is not base[id(s)]:
+            if config.depths[stage - 1] > 1 and s.changed[-1]:
                 rewritten.add(id(s))
         return result
 
@@ -1366,6 +1365,24 @@ class TestFlagRowsStayMarkers:
         # the noisy samples of the mixed tree are repaired at stage 2, so
         # their row-1 flags are written
         assert checked_flag_rows(mixed_tree_config()) > 0
+
+    def test_unchanged_rows_stay_shared(self):
+        # a built hierarchy splits every row-2 gap of one width alike, so
+        # stage 2 writes row 1 back with the bytes it had: every sample,
+        # repaired or not, still holds the base hierarchy's row object
+        stage_fn = purify.purify_stage
+        seen = {}
+
+        def spy(samples, *args):
+            seen.setdefault("base", samples[0].flag_rows[0])
+            seen["samples"] = samples
+            return stage_fn(samples, *args)
+
+        with mock.patch.object(purify, "purify_stage", spy):
+            assert purify_pipeline(mixed_tree_config())["ok"]
+        samples = seen["samples"]
+        assert any(s.changed[1] for s in samples)
+        assert all(s.flag_rows[0] is seen["base"] for s in samples)
 
 
 def reference_nesting(config, check):
