@@ -173,7 +173,9 @@ def _cmd_purify(args) -> int:
     raw_bytes = Path(args.config).read_bytes()
     try:
         config = config_from_dict(json.loads(raw_bytes))
-    except (LookupError, ValueError, TypeError, AttributeError) as exc:
+    # JSON nested past the recursion limit raises RecursionError
+    except (LookupError, ValueError, TypeError, AttributeError,
+            RecursionError) as exc:
         raise ConfigError(f"bad purify config: {exc}") from exc
     report = purify_pipeline(config)
     report["command"] = "purify"
@@ -264,7 +266,7 @@ def _cmd_report(args) -> int:
 
     try:
         data = json.loads(Path(args.input).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read report: {exc}") from exc
     try:
         rows = _report_rows(data)

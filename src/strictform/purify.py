@@ -1,17 +1,23 @@
 """Good/bad classification of k-rectangles against target families, tabbed
 replacement, and the staged purification pipeline over a nested family tree.
 
-A k-gap is handled as its key: its k cell rows, then the finer-row marker
-flags inside it.  Classification reads the cells only and is decided on the
-truncated metric value; the pipeline is deterministic and platform
-independent.
+Purify runs on one marker hierarchy, built once per run, and never moves a
+marker.  ``build_marker_system`` splits every gap of one length by one step
+pattern, so every row-k gap of one width carries the same finer markers, at
+the same offsets from its first column, in every row j < k.  A k-gap is
+therefore handled as its key, its k cell rows alone: the finer markers
+would not tell two keys of one width apart, and a tabbed key of a gap's
+width spans the markers the gap spans, so replacement writes cells only.
+Classification is decided on the truncated metric value; the pipeline is
+deterministic and platform independent.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, combinations, compress
+from itertools import combinations
 from typing import Iterable
 
 from ._value import Value, _set
@@ -54,10 +60,6 @@ class SeparationViolation(ValueError):
     """The closeness radius does not respect the family separation policy."""
 
 
-class InvalidMarkers(ValueError):
-    """The marker system violates the two-gap or congruency conditions."""
-
-
 class TargetFamily(Value):
     """A node of the partition tree: its member measures and the closeness
     radius used to call a rectangle good at this stage."""
@@ -97,38 +99,8 @@ def classify(rect: Rectangle, family: TargetFamily) -> str:
 
 
 # a k-gap as (s, key): s is the slice of the window's columns it covers,
-# and the key holds its k cell rows, then the flag rows 1..k-1 cut to s
-# (1 where a marker sits right after the cell); row k flags only the gap's
-# last cell, so no key carries it
+# and the key holds its k cell rows cut to s
 Gap = tuple[slice, tuple]
-
-
-def _window_rows(
-    w: ArrayWindow, flags: tuple, k: int, l: int, slices_of: dict | None = None
-) -> tuple:
-    """The slices of w's k-gaps, each from the cell after a row-k flag to
-    the next flagged cell, and the rows a gap key cuts: cell rows 1..k,
-    then the window-long flag rows 1..k-1.  A gap whose width is not l or
-    l + 1 raises InvalidMarkers.  ``slices_of`` maps each row-k flag row
-    already split to its slices, so a row shared by many windows is split
-    once."""
-    if not 1 <= k <= len(flags):
-        raise InvalidMarkers(f"marker system has no row {k}")
-    if k > w.rows:
-        raise ValueError(f"window has no row {k}")
-    slices_of = {} if slices_of is None else slices_of
-    row = flags[k - 1]
-    slices = slices_of.get(row)
-    if slices is None:
-        # split at its flags, row k is the runs of cells before each flagged
-        # cell; each run with its flagged cell after the first is a gap, and
-        # the running sums of these widths are the gap bounds
-        widths = [len(run) + 1 for run in row.split(b"\1")[:-1]]
-        if not set(widths[1:]) <= {l, l + 1}:
-            raise InvalidMarkers(f"row {k} gaps are not two-sized")
-        bounds = [*accumulate(widths)]
-        slices = slices_of[row] = [*map(slice, bounds, bounds[1:])]
-    return slices, [*w.cells[:k], *flags[: k - 1]]
 
 
 def _gap_keys(rows: list, slices: list[slice]):
@@ -140,9 +112,8 @@ def _gap_keys(rows: list, slices: list[slice]):
 def select_tabbed(good: Iterable[tuple], l: int) -> tuple[tuple, tuple]:
     """The smallest good gap key of each width l and l+1.
 
-    Keys compare as the flag grids of their gaps did: cells first, then the
-    flag rows, where the 0/1 bytes order as False/True, and the row-k flags
-    that no key carries are equal for every key of one width.
+    Keys compare as tuples of cell rows.  A gap's markers could not break
+    a tie: every gap of one width spans the same markers.
     """
     chosen: dict[int, tuple] = {}
     for key in good:
@@ -157,39 +128,21 @@ def select_tabbed(good: Iterable[tuple], l: int) -> tuple[tuple, tuple]:
 
 
 def replace_bad(
-    w: ArrayWindow,
-    flags: tuple,
-    k: int,
-    bad: list[Gap],
-    tabbed: dict[int, tuple],
-) -> tuple[ArrayWindow, tuple, int, int]:
-    """Overwrite each bad k-gap ``(s, key)`` of the window and its flag rows
-    with the tabbed key of its width, in the rows it was cut from.
-
-    Cell rows 1..k are written over the whole gap, and flag rows 1..k-1
-    strictly inside it: the flag on the gap's last cell is the row-k
-    marker, which never moves.  Rows above k and flag rows k and up are
-    kept.  Returns (window, flags, changed columns, replaced count); the
-    output window is in independent mode.  A flag row that comes out with
-    the bytes it came in with is returned as that same object, so samples
-    keep sharing the base hierarchy's rows.
+    w: ArrayWindow, k: int, bad: list[Gap], tabbed: dict[int, tuple]
+) -> tuple[ArrayWindow, int, int]:
+    """Overwrite each bad k-gap ``(s, key)`` of the window with the tabbed
+    key of its width, in cell rows 1..k over the gap's slice; rows above k
+    are kept, and no marker moves.  Returns (window, replaced count,
+    changed columns), the changed columns at index 2, where perfbench's
+    tracer reads them; the output window is in independent mode.
     """
     cells = [list(row) for row in w.cells[:k]]
-    fine = [bytearray(row) for row in flags[: k - 1]]
     for s, key in bad:
-        new = tabbed[len(key[0])]
-        for row, new_row in zip(cells, new):
+        for row, new_row in zip(cells, tabbed[len(key[0])]):
             row[s] = new_row
-        inner = slice(s.start, s.stop - 1)
-        for row, new_row in zip(fine, new[k:]):
-            row[inner] = new_row[:-1]
     cells = (*map(tuple, cells), *w.cells[k:])
     window = ArrayWindow(w.sizes, w.origin, cells, INDEPENDENT)
-    changed = sum(s.stop - s.start for s, _ in bad)
-    kept = (
-        row if row == new else bytes(new) for row, new in zip(flags, fine)
-    )
-    return window, (*kept, *flags[k - 1 :]), changed, len(bad)
+    return window, len(bad), sum(s.stop - s.start for s, _ in bad)
 
 
 # --- configuration ----------------------------------------------------------
@@ -369,14 +322,12 @@ def config_from_dict(raw: dict) -> PurifyConfig:
 
 
 class _Sample:
-    __slots__ = ("path", "spec", "window", "flag_rows", "measure", "changed")
+    __slots__ = ("path", "spec", "window", "measure", "changed")
 
-    def __init__(self, path, spec, window, flag_rows, measure):
+    def __init__(self, path, spec, window, measure):
         self.path: tuple[int, ...] = path
         self.spec: GeneratorSpec = spec
         self.window: ArrayWindow = window
-        # one window-long bytes row per marker row; repair replaces them
-        self.flag_rows: tuple[bytes, ...] = flag_rows
         # measure of the window; recounted only when replacement changes it
         self.measure: EmpiricalMeasure = measure
         self.changed: list[int] = []
@@ -417,12 +368,11 @@ def _census(
     samples: list[_Sample],
     family: TargetFamily,
     k: int,
-    l: int,
-    slices_of: dict | None = None,
+    slices: list[slice],
 ) -> tuple[dict[str, int], dict[tuple, str], list[list[Gap]]]:
     """The good/bad counts of the samples' k-gaps, the verdict of each
-    distinct gap key and each sample's bad gaps, in window order.
-    ``slices_of`` is passed to ``_window_rows``.
+    distinct gap key and each sample's bad gaps, in window order.  Every
+    window is cut at ``slices``, the run's row-k gap slices.
 
     A window's gap keys are counted by one Counter over one key pass, and a
     Rectangle of a key's cells is built only to classify a key the family
@@ -435,16 +385,13 @@ def _census(
     verdicts: dict[tuple, str] = {}
     by_measure: dict[tuple, str] = {}
     bad_gaps = []
-    slices_of = {} if slices_of is None else slices_of
     for sample in samples:
-        slices, rows = _window_rows(
-            sample.window, sample.flag_rows, k, l, slices_of
-        )
+        rows = sample.window.cells[:k]
         bad_keys = {}
         for key, n in Counter(_gap_keys(rows, slices)).items():
             verdict = verdicts.get(key)
             if verdict is None:
-                rect = Rectangle(key[:k])
+                rect = Rectangle(key)
                 measure_key = _measure_key(rect, family.truncation)
                 verdict = by_measure.get(measure_key)
                 if verdict is None:
@@ -479,21 +426,18 @@ def _repair(
     (replaced, changed columns, displacement, all good after).
 
     An unreplaced gap keeps its key and its good verdict: replacement
-    writes cells and finer-row flags only inside bad gaps, and row-k flags
-    never move.  So only the replaced gaps are sliced again, from the new
-    window and flag rows.
+    writes cells only inside bad gaps, and no marker moves.  So only the
+    replaced gaps are sliced again, from the new window.
     """
     trunc = family.truncation
     before = sample.measure
-    window, flags, changed, replaced = replace_bad(
-        sample.window, sample.flag_rows, k, bad, tabbed
-    )
-    sample.window, sample.flag_rows = window, flags
+    window, replaced, changed = replace_bad(sample.window, k, bad, tabbed)
+    sample.window = window
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
-    rows = [*window.cells[:k], *flags[: k - 1]]
+    keys = _gap_keys(window.cells[:k], [s for s, _ in bad])
     all_good = all(
-        (verdicts.get(key) or classify(Rectangle(key[:k]), family)) == GOOD
-        for key in dict.fromkeys(_gap_keys(rows, [s for s, _ in bad]))
+        (verdicts.get(key) or classify(Rectangle(key), family)) == GOOD
+        for key in dict.fromkeys(keys)
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -526,9 +470,11 @@ def purify_stage(
     stage: int,
     targets: dict[tuple[int, ...], EmpiricalMeasure],
     coarse: dict[tuple[int, ...], set[tuple]] | None,
+    slices: dict[int, list[slice]],
 ) -> tuple[dict, bool, dict[tuple[int, ...], set[tuple]] | None]:
-    """Run one classification/replacement stage in place over the samples.
-    Each family's set of good gap keys is checked against its parent's in
+    """Run one classification/replacement stage in place over the samples,
+    whose gaps of each stage depth k are cut at ``slices[k]``.  Each
+    family's set of good gap keys is checked against its parent's in
     ``coarse`` (None at stage 1) as soon as its census ends.  Returns the
     report, the AND of those checks, and the good sets unless the stage is
     the last."""
@@ -546,24 +492,21 @@ def purify_stage(
     nested = True
     # the last stage's good sets are checked here and then dropped
     good_records = {} if stage < config.stage_count else None
-    # repair writes only flag rows below k, so every sample holds the base
-    # hierarchy's row k, one shared bytes object, and it is split once
-    slices_of: dict[bytes, list[slice]] = {}
+    if coarse is not None:
+        coarse_k = config.depths[stage - 2]
+        bounds = _piece_bounds(slices[k], slices[coarse_k])
 
     for path in paths:
         family = TargetFamily(path, tuple(members[path]), gamma)
         fam_samples = [s for s in samples if s.path[:stage] == path]
         census, verdicts, bad_gaps = _census(
-            fam_samples, family, k, l, slices_of
+            fam_samples, family, k, slices[k]
         )
         good = {key for key, v in verdicts.items() if v == GOOD}
-        if coarse is not None:
-            coarse_k = config.depths[stage - 2]
-            coarse_l = config.gaps[coarse_k - 1]
-            if not check_nesting(
-                good, coarse[path[:-1]], k, coarse_k, coarse_l
-            ):
-                nested = False
+        if coarse is not None and not check_nesting(
+            good, coarse[path[:-1]], coarse_k, bounds
+        ):
+            nested = False
         tabbed = {len(key[0]): key for key in select_tabbed(good, l)}
         rows = []
         for sample, bad in zip(fam_samples, bad_gaps):
@@ -597,41 +540,63 @@ def purify_stage(
     return report, nested, good_records
 
 
+def _piece_bounds(
+    fine: list[slice], coarse: list[slice]
+) -> dict[int, list[int]]:
+    """Per width of the ``fine`` gaps, the bounds of the ``coarse`` gaps
+    that tile one of them, as offsets from its first column: 0, then the
+    end of each.  Every fine gap of one width is cut alike, so the first of
+    each width stands for all."""
+    stops = [s.stop for s in coarse]
+    bounds: dict[int, list[int]] = {}
+    for s in fine:
+        width = s.stop - s.start
+        if width not in bounds:
+            a, b = bisect_right(stops, s.start), bisect_right(stops, s.stop)
+            bounds[width] = [0, *(end - s.start for end in stops[a:b])]
+    return bounds
+
+
 def check_nesting(
-    fine: set[tuple], coarse: set[tuple], k: int, coarse_k: int, coarse_l: int
+    fine: set[tuple],
+    coarse: set[tuple],
+    coarse_k: int,
+    bounds: dict[int, list[int]],
 ) -> bool:
-    """Every good fine-stage gap key of depth k, restricted to the coarse
-    depth, must split along its row-coarse_k markers into coarse-stage good
-    gaps of the parent family.  The cuts are read from that flag row of the
-    key with ``compress``, in one C-level pass per key."""
-    # flags play no part in the match: compare cell rows only
-    coarse_good = {key[:coarse_k] for key in coarse}
+    """Every good fine-stage gap key, restricted to the coarse depth, must
+    split along its row-coarse_k markers into coarse-stage good gaps of the
+    parent family.  A key of width w is cut at ``bounds[w]``, the one list
+    of coarse-gap bounds that every fine gap of that width shares."""
     for key in fine:
-        width = len(key[0])
-        # a flag on the last cell is the gap's right end, not a cut
-        cuts = compress(range(1, width), key[k + coarse_k - 1])
-        bounds = [0, *cuts, width]
-        for a, b in zip(bounds, bounds[1:]):
-            if b - a not in (coarse_l, coarse_l + 1):
-                return False
-            if tuple(row[a:b] for row in key[:coarse_k]) not in coarse_good:
+        cuts = bounds[len(key[0])]
+        for a, b in zip(cuts, cuts[1:]):
+            if tuple(row[a:b] for row in key[:coarse_k]) not in coarse:
                 return False
     return True
 
 
 def _lift_leaves(
     config: PurifyConfig,
-) -> tuple[dict[tuple[int, ...], EmpiricalMeasure], list[_Sample]]:
+) -> tuple[
+    dict[tuple[int, ...], EmpiricalMeasure],
+    list[_Sample],
+    dict[int, list[slice]],
+]:
     """Each leaf's target measure and its samples, lifted and measured once
-    per distinct generator.  A target that is also a sample shares its window
-    and measure, and all share the base hierarchy's flag rows, which is safe
-    because repair rebinds those three and never mutates them."""
+    per distinct generator, and the gap slices of each stage depth's marker
+    row.  A target that is also a sample shares its window and measure,
+    which is safe because repair rebinds those two and never mutates them.
+
+    The base hierarchy is built and read here alone, once per run: no
+    marker moves, so its slices cut every sample at every stage.  A row-k
+    gap runs from the column after one marker to the column of the next."""
     word_len = config.word_length
     rows, trunc = len(config.gaps), config.truncation
     base_ms = build_marker_system(config.columns, 0, config.gaps)
-    base_flags = tuple(
-        base_ms.flags(k, 0, config.columns) for k in range(1, rows + 1)
-    )
+    slices: dict[int, list[slice]] = {}
+    for k in config.depths:
+        bounds = [p + 1 for p in base_ms.cuts(k, 0, config.columns)]
+        slices[k] = [*map(slice, bounds, bounds[1:])]
     # local to the set-up: held for the whole run, it would keep every
     # replaced sample window alive
     lifted: dict[GeneratorSpec, tuple[ArrayWindow, EmpiricalMeasure]] = {}
@@ -649,20 +614,20 @@ def _lift_leaves(
         targets[leaf.path] = lift(leaf.target)[1]
         for spec in leaf.samples:
             window, measure = lift(spec)
-            samples.append(_Sample(leaf.path, spec, window, base_flags, measure))
-    return targets, samples
+            samples.append(_Sample(leaf.path, spec, window, measure))
+    return targets, samples, slices
 
 
 def purify_pipeline(config: PurifyConfig) -> dict:
     """Run all stages over refining families and verify the stage invariants:
     good-family nesting, per-family diameters, and cumulative column-change
     accounting."""
-    targets, samples = _lift_leaves(config)
+    targets, samples, slices = _lift_leaves(config)
     report: dict = {"stages": [], "columns": config.columns}
     good, nesting_ok = None, True
     for stage in range(1, config.stage_count + 1):
         stage_report, nested, good = purify_stage(
-            samples, config, stage, targets, good
+            samples, config, stage, targets, good, slices
         )
         nesting_ok = nesting_ok and nested
         report["stages"].append(stage_report)

@@ -399,7 +399,7 @@ class TestEmbedAperiodic:
     def test_window_cuts_have_one_owner(self, fs_kit, tmp_path, monkeypatch):
         # every reader of a window's markers asks MarkerSystem.cuts, so the
         # window convention is decided in one place: flags, which renders
-        # purify's flag rows and write_arr's "|" marks, asks it too
+        # write_arr's "|" marks, asks it too
         w = lift_binary("01101001101", 2)
         ms = MarkerSystem.from_positions(((0, 2, 5, 7, 9),), (2,), 0, 9)
         asked, cuts = [], MarkerSystem.cuts

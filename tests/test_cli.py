@@ -140,6 +140,12 @@ STAGE_ERRORS = [
 ]
 
 
+# JSON nested past the recursion limit, bare and under "tree": json.loads
+# raises RecursionError on it
+_DEEP = "[" * 100000 + "]" * 100000
+DEEP_JSON = [_DEEP, '{"tree": ' + _DEEP + "}"]
+
+
 def write_config(tmp_path, data=PURIFY_CONFIG):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(data))
@@ -434,6 +440,15 @@ class TestPurify:
         cfg.write_text('{"truncation": [1, 2]}')
         assert main(["purify", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", DEEP_JSON, ids=["bare", "tree"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(text)
+        assert main(["purify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: bad purify config: ")
 
     def test_out_of_range_spec_exits_2(self, tmp_path, capsys):
         tree = [{"target": "periodic:0", "samples": ["bernoulli:3/2:seed=1"]}]
@@ -753,6 +768,15 @@ class TestReport:
     def test_missing_input_exits_2(self, capsys):
         assert main(["report", "--input", "/nonexistent.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("text", DEEP_JSON, ids=["bare", "tree"])
+    def test_deep_nesting_exits_2(self, tmp_path, capsys, text):
+        rep = tmp_path / "report.json"
+        rep.write_text(text)
+        assert main(["report", "--input", str(rep)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("config error: cannot read report: ")
 
     @pytest.mark.parametrize(
         "data",

@@ -55,9 +55,9 @@ NOISY_CONFIG = {
     ],
 }
 
-# three-row hierarchy purified at depths 2 and 3: each depth-3 gap carries
-# two finer flag rows, stage 2 rewrites markers of rows 1 and 2, and the
-# nesting check reads the row-2 cuts of each fine gap
+# three-row hierarchy purified at depths 2 and 3: each depth-3 gap spans
+# markers of rows 1 and 2, and the nesting check cuts each fine gap at the
+# row-2 markers of its width
 DEEP_CONFIG = {
     "truncation": [1, 2],
     "gaps": [2, 36, 11664],

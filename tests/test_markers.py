@@ -760,6 +760,50 @@ class TestBuildMarkerSystemDifferential:
         )
 
 
+def finer_cuts(ms, k):
+    """Per width of the row-k gaps of ms, the set of distinct cut patterns
+    the gaps of that width carry: for each row j < k, the offsets of its
+    markers strictly inside the gap from the gap's left marker."""
+    finer = [list(ms.row(j)) for j in range(1, k)]
+    ps = list(ms.row(k))
+    patterns = {}
+    for p, q in zip(ps, ps[1:]):
+        cuts = tuple(
+            tuple(x - p for x in row[bisect_right(row, p) : bisect_left(row, q)])
+            for row in finer
+        )
+        patterns.setdefault(q - p, set()).add(cuts)
+    return patterns
+
+
+class TestOnePatternPerWidth:
+    # purify's gap keys hold cell rows only and its replacement writes
+    # cells only: both rest on every row-k gap of one width carrying the
+    # same finer markers, in every row below k
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 3), st.integers(-50, 20), st.data())
+    def test_built_hierarchies(self, rows, origin, data):
+        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
+        for _ in range(rows - 1):
+            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
+        top = gaps[-1]
+        most = {1: 40, 2: 8, 3: 2}[rows]
+        a = data.draw(st.integers(1, most))
+        b = data.draw(st.integers(1, most))
+        ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
+        for k in range(1, rows + 1):
+            patterns = finer_cuts(ms, k)
+            assert set(patterns) <= {gaps[k - 1], gaps[k - 1] + 1}
+            assert all(len(cuts) == 1 for cuts in patterns.values()), k
+
+    def test_two_splits_of_one_length_seen(self):
+        # two 7-gaps of row 2, split 3 + 4 and 4 + 3 by row 1
+        ms = MarkerSystem.from_positions(
+            ((0, 3, 7, 11, 14), (0, 7, 14)), (3, 7), 0, 14
+        )
+        assert finer_cuts(ms, 2) == {7: {((3,),), ((4,),)}}
+
+
 class TestMarkerSystemOrder:
     @pytest.mark.parametrize(
         "row", [(0, 6, 3), (0, 3, 3, 6)], ids=["unsorted", "duplicate"]

@@ -1,6 +1,5 @@
 import contextlib
 import importlib.util
-import itertools
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,21 +21,20 @@ from strictform.arrays import (
     replace_cells,
     window_to_rectangle,
 )
-from strictform.markers import MarkerSystem, check_congruency, check_two_gaps
+from strictform.markers import MarkerSystem, build_marker_system
 from strictform.measures import _measure_key, dstar, empirical_measure
 from strictform.purify import (
     GOOD,
     BAD,
-    InvalidMarkers,
     MissingLength,
     PurifyConfig,
     SeparationViolation,
     TargetFamily,
     _census,
     _gap_keys,
+    _piece_bounds,
     _repair,
     _stage_gamma,
-    _window_rows,
     check_nesting,
     classify,
     config_from_dict,
@@ -55,7 +53,7 @@ F = Fraction
 class Grid(NamedTuple):
     """A k-gap as the flag grid that a Rectangle once carried: its cells,
     and ``marks[i][j]`` set iff a row-(i+1) marker sits right after cell
-    (i+1, j).  Grids compare as the old ``(cells, marks)`` pairs."""
+    (i+1, j).  The references work on grids; a purify key is the cells."""
 
     cells: tuple
     marks: tuple
@@ -65,60 +63,26 @@ class Grid(NamedTuple):
         return len(self.cells[0])
 
 
-def to_grid(key, k):
-    """The flag grid of a depth-k gap key: its flag rows as bools, then row
-    k, which flags only the gap's last cell."""
-    last = (False,) * (len(key[0]) - 1) + (True,)
-    return Grid(key[:k], tuple(tuple(map(bool, row)) for row in key[k:]) + (last,))
-
-
-def to_key(grid):
-    """The gap key of a flag grid, the inverse of to_grid."""
-    return (*grid.cells, *map(bytes, grid.marks[:-1]))
-
-
-def render(ms, w):
-    """Every row of ms as a flag row over w, byte j set iff a marker sits
-    at column w.origin + j: the form a purify sample holds."""
-    rows = []
-    for k in range(1, ms.row_count + 1):
-        marked = set(ms.row(k))
-        rows.append(bytes(w.origin + j in marked for j in range(w.columns)))
-    return tuple(rows)
-
-
-def read_back(flags, w, gaps):
-    """The marker system whose rows are the positions flagged in the flag
-    rows over w, with base gaps ``gaps``: the inverse of render."""
-    rows = tuple(
-        tuple(w.origin + j for j, flag in enumerate(row) if flag)
-        for row in flags
-    )
-    return MarkerSystem.from_positions(
-        rows, gaps, w.origin, w.origin + w.columns - 1
-    )
-
-
-def sample_of(w, ms, **fields):
-    """A sample of window w under ms: the flag rows that the stage loop
-    reads, and ms itself for the position-based references."""
-    return SimpleNamespace(
-        window=w, flag_rows=render(ms, w), markers=ms, **fields
-    )
-
-
-def flag_keys(w, flags, k, l):
-    """Every k-gap key of w under its flag rows, in window order."""
-    slices, rows = _window_rows(w, flags, k, l)
-    return list(_gap_keys(rows, slices))
+def row_slices(ms, k, origin, columns):
+    """The slices of the row-k gaps of ms over the window of ``columns``
+    columns at ``origin``, cut as the purify set-up cuts its hierarchy:
+    from the column after one marker to the column of the next."""
+    bounds = [p - origin + 1 for p in ms.cuts(k, origin, columns)]
+    return [*map(slice, bounds, bounds[1:])]
 
 
 def gap_keys(w, ms, k):
     """Every k-gap of w under ms as (p, key), p its left row-k marker, in
     window order."""
-    slices, rows = _window_rows(w, render(ms, w), k, ms.gaps[k - 1])
+    slices = row_slices(ms, k, w.origin, w.columns)
     ps = [w.origin + s.start - 1 for s in slices]
-    return list(zip(ps, _gap_keys(rows, slices)))
+    return list(zip(ps, _gap_keys(w.cells[:k], slices)))
+
+
+def sample_of(w, ms, **fields):
+    """A sample of window w under ms: the window that the stage loop reads,
+    and ms for the position-based references."""
+    return SimpleNamespace(window=w, markers=ms, **fields)
 
 
 def at_markers(bad, w):
@@ -135,25 +99,32 @@ def reference_classify(rect, family):
     return BAD
 
 
+def gap_marks(rows, p, q):
+    """The flag grid marks of the gap (p, q], ``rows`` the sets of the
+    marker rows 1..k."""
+    return tuple(tuple(x in row for x in range(p + 1, q + 1)) for row in rows)
+
+
 def reference_extract_k_rectangles(w, ms, k):
-    """The k-gaps of w as first extracted, one extract_rectangle per gap and
-    one marker search per row, each as (p, grid) with the flag grid that
+    """The k-gaps of w as first extracted, one extract_rectangle and one
+    marker scan per gap, each as (p, grid) with the flag grid that
     ``extract_rectangle(..., markers)`` copied: the reference."""
-    if not 1 <= k <= ms.row_count:
-        raise InvalidMarkers(f"marker system has no row {k}")
-    if not check_two_gaps(ms, k):
-        raise InvalidMarkers(f"row {k} gaps are not two-sized")
     ps = ms.cuts(k, w.origin, w.columns)
-    gaps = []
-    for p, q in zip(ps, ps[1:]):
-        flags = [[False] * (q - p) for _ in range(k)]
-        for j in range(k):
-            for x in ms.row(j + 1):
-                if p < x <= q:
-                    flags[j][x - p - 1] = True
-        cells = extract_rectangle(w, k, p + 1, q).cells
-        gaps.append((p, Grid(cells, tuple(map(tuple, flags)))))
-    return gaps
+    rows = [set(ms.row(j)) for j in range(1, k + 1)]
+    return [
+        (p, Grid(extract_rectangle(w, k, p + 1, q).cells, gap_marks(rows, p, q)))
+        for p, q in zip(ps, ps[1:])
+    ]
+
+
+def as_grids(tabbed, w, ms, k):
+    """The tabbed keys as flag grids: each key's cells, with the marks of a
+    gap of its width in w under ms."""
+    marks = {
+        rect.width: rect.marks
+        for _, rect in reference_extract_k_rectangles(w, ms, k)
+    }
+    return {width: Grid(tabbed[width], m) for width, m in marks.items()}
 
 
 def reference_select_tabbed(good, l):
@@ -173,7 +144,9 @@ def reference_select_tabbed(good, l):
 def reference_replace_bad(w, ms, k, family, tabbed):
     """replace_bad as first written, extracting, locating and classifying the
     window's k-gaps itself and rescanning each finer row per bad gap, with
-    ``tabbed`` the flag grid of each width: the reference."""
+    ``tabbed`` the flag grid of each width: the reference.  It writes the
+    tabbed grid's finer markers into each bad gap and returns the marker
+    system they make."""
     sub_rows = {j: set(ms.row(j)) for j in range(1, k)}
     placements = []
     changed = 0
@@ -223,20 +196,18 @@ def reference_census(samples, family, k):
 
 def reference_repair(sample, family, k, bad, tabbed, verdicts):
     """_repair as first written, re-checking every gap of the repaired
-    window, its flag rows read back as positions, as a flag grid: the
-    reference."""
+    window under the sample's markers: the reference."""
     trunc = family.truncation
     before = sample.measure
-    window, flags, changed, replaced = purify.replace_bad(
-        sample.window, sample.flag_rows, k, bad, tabbed
+    window, replaced, changed = purify.replace_bad(
+        sample.window, k, bad, tabbed
     )
-    sample.window, sample.flag_rows = window, flags
+    sample.window = window
     sample.measure = empirical_measure(window_to_rectangle(window), trunc)
-    ms = read_back(flags, window, sample.markers.gaps)
-    known = {to_grid(key, k): verdict for key, verdict in verdicts.items()}
     all_good = all(
-        (known.get(rect) or classify(Rectangle(rect.cells), family)) == GOOD
-        for _, rect in reference_extract_k_rectangles(window, ms, k)
+        (verdicts.get(rect.cells) or classify(Rectangle(rect.cells), family))
+        == GOOD
+        for _, rect in reference_extract_k_rectangles(window, sample.markers, k)
     )
     moved = dstar(before, sample.measure, trunc).value
     return replaced, changed, moved, all_good
@@ -244,17 +215,20 @@ def reference_repair(sample, family, k, bad, tabbed, verdicts):
 
 def census_bad(w, ms, k, family):
     """The bad (s, key) gaps that _census finds in one window."""
-    _, _, (bad,) = _census([sample_of(w, ms)], family, k, ms.gaps[k - 1])
+    slices = row_slices(ms, k, w.origin, w.columns)
+    _, _, (bad,) = _census([sample_of(w, ms)], family, k, slices)
     return bad
 
 
-def reference_purify_stage(samples, config, stage, targets, coarse):
+def reference_purify_stage(samples, config, stage, targets, coarse, slices):
     """purify_stage as first written, extracting every window three times
-    per stage into flag grids, with the nesting check of
-    reference_check_nesting against the coarse good sets: the reference for
-    the census/repair split.  It reads each sample's flag rows back as
-    positions and renders the repaired markers into them.  It returns the
-    good sets of every stage, the last one included."""
+    per stage into flag grids under the built hierarchy, with the nesting
+    check of reference_check_nesting against the coarse good sets: the
+    reference for the census/repair split.  It takes ``slices`` to match
+    purify_stage, and cuts the hierarchy itself.  Each replacement rewrites
+    the finer markers from the tabbed grid, and must leave them as they
+    were.  It returns the good sets of every stage, the last one included."""
+    ms = build_marker_system(config.columns, 0, config.gaps)
     k = config.depths[stage - 1]
     eps = config.epsilons[stage - 1]
     trunc = config.truncation
@@ -273,7 +247,6 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
         census = {GOOD: 0, BAD: 0}
         fam_samples = [s for s in samples if s.path[:stage] == path]
         for sample in fam_samples:
-            ms = read_back(sample.flag_rows, sample.window, config.gaps)
             for _, rect in reference_extract_k_rectangles(sample.window, ms, k):
                 verdict = classify(Rectangle(rect.cells), family)
                 census[verdict] += 1
@@ -293,12 +266,11 @@ def reference_purify_stage(samples, config, stage, targets, coarse):
         out_measures = []
         for sample in fam_samples:
             before = sample.measure
-            window, ms, changed, replaced = reference_replace_bad(
-                sample.window,
-                read_back(sample.flag_rows, sample.window, config.gaps),
-                k, family, tabbed,
+            window, new_ms, changed, replaced = reference_replace_bad(
+                sample.window, ms, k, family, tabbed
             )
-            sample.window, sample.flag_rows = window, render(ms, window)
+            assert new_ms == ms, "a replacement moved a marker"
+            sample.window = window
             sample.changed.append(changed)
             if changed:
                 sample.measure = empirical_measure(
@@ -376,10 +348,10 @@ def mixed_tree_config():
 
 
 class TestExtractKRectangles:
-    # the k-gaps of a window, cut by _window_rows and _gap_keys as keys
+    # the k-gaps of a window, cut at the set-up's slices by _gap_keys
     def test_two_widths(self):
         w = lift_binary("01001010", 1)
-        ms = MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7)
+        ms = build_marker_system(7, 0, (3,))
         keys = gap_keys(w, ms, 1)
         assert [(p, len(key[0])) for p, key in keys] == [(0, 3), (3, 4)]
 
@@ -389,135 +361,143 @@ class TestExtractKRectangles:
         assert gap_keys(w, ms, 1) == []
 
     def test_bad_gap_rejected(self):
-        w = lift_binary("0100101", 1)
-        ms = MarkerSystem.from_positions(((0, 6),), (3,), 0, 6)
-        with pytest.raises(ValueError):
-            gap_keys(w, ms, 1)
+        # no gap of neither width l nor l + 1 reaches a census: the config
+        # refuses a column count that the top gap cannot split, and the
+        # set-up cuts every row of the built hierarchy into two widths
+        with pytest.raises(ValueError, match="columns: "):
+            PurifyConfig((1, 2), (3,), (1,), (F(1, 4),), 5, ())
+        config = mixed_tree_config()
+        _, _, slices = purify._lift_leaves(config)
+        assert sorted(slices) == list(config.depths)
+        for k, row in slices.items():
+            l = config.gaps[k - 1]
+            assert {s.stop - s.start for s in row} == {l, l + 1}
 
     def test_interior_markers_embedded(self):
-        w = lift_binary("010010100", 2)
-        ms = MarkerSystem.from_positions(((0, 3, 7), (0, 7)), (3, 7), 0, 7)
+        # a 2-gap's key is its two cell rows; the row-1 markers inside it
+        # are the piece bounds of its width, nine gaps of 2 and six of 3
+        w = lift_binary("01001" * 22, 2)
+        ms = build_marker_system(109, 0, (2, 36))
         keys = gap_keys(w, ms, 2)
-        assert len(keys) == 1
-        p, key = keys[0]
-        assert p == 0
-        # the gap covers columns 1..7, with a row-1 marker after 3 and 7
-        assert key[:2] == tuple(row[1:8] for row in w.cells)
-        assert key[2] == bytes([0, 0, 1, 0, 0, 0, 1])
+        assert [p for p, _ in keys] == [0, 36]
+        assert keys[0][1] == tuple(row[1:37] for row in w.cells)
+        fine, coarse = (row_slices(ms, j, 0, w.columns) for j in (2, 1))
+        assert _piece_bounds(fine, coarse) == {
+            36: [*range(0, 19, 2), *range(21, 37, 3)]
+        }
 
 
 @st.composite
-def extraction_cases(draw, shape=None):
-    """A window of 1-3 rows over {1, 2} at a non-zero origin, with a
-    hand-built marker system: row k runs in steps of l or l + 1 from near
-    the window's left end, and every other row holds any markers around the
-    window, so flags fall inside, on and outside the gaps.  ``shape`` fixes
-    (rows, k, l)."""
-    if shape is None:
-        rows = draw(st.integers(1, 3))
-        k = draw(st.integers(1, rows))
-        l = draw(st.integers(2, 4))
-    else:
-        rows, k, l = shape
-    origin = draw(st.integers(-20, 20).filter(bool))
-    columns = draw(st.integers(1, 30))
-    cells = tuple(
-        tuple(draw(st.lists(st.integers(1, 2), min_size=columns,
-                            max_size=columns)))
-        for _ in range(rows)
-    )
-    w = ArrayWindow(canonical_sizes(rows), origin, cells, INDEPENDENT)
-    steps = draw(st.lists(st.sampled_from([l, l + 1]), max_size=12))
-    start = origin + draw(st.integers(-3, 3))
-    row_k = [start]
-    for step in steps:
-        row_k.append(row_k[-1] + step)
-    positions, gaps = [], []
-    for j in range(1, rows + 1):
-        if j == k:
-            positions.append(tuple(row_k))
-            gaps.append(l)
-        else:
-            around = st.integers(origin - 3, origin + columns + 3)
-            positions.append(tuple(sorted(draw(st.sets(around, max_size=12)))))
-            gaps.append(draw(st.integers(2, 4)))
-    ms = MarkerSystem.from_positions(
-        tuple(positions), tuple(gaps), origin - 3, origin + columns + 3
-    )
-    return w, ms, k
+def hierarchies(draw):
+    """A built hierarchy of 1 or 2 rows at a random origin, small enough
+    for the references' marker scans: 2 rows span 73 to 343 columns."""
+    rows = draw(st.integers(1, 2))
+    gaps = [draw(st.integers(2, 4 if rows == 1 else 3))]
+    if rows == 2:
+        gaps.append(9 * gaps[0] ** 2 + draw(st.integers(0, 3)))
+    top, most = gaps[-1], 12 if rows == 1 else 3
+    a, b = draw(st.integers(1, most)), draw(st.integers(1, most))
+    return build_marker_system(a * top + b * (top + 1), draw(st.integers(-20, 20)), gaps)
+
+
+def windows_over(ms, rows):
+    """The window that purify cuts under ms, the columns of ms from its
+    origin, with ``rows`` rows of cells 1 and 2.  A 2 is drawn at one of
+    three rates, so gaps repeat, differ slightly or differ widely."""
+    columns = ms.hi - ms.lo
+
+    @st.composite
+    def window(draw):
+        rate = draw(st.sampled_from([0, 0.05, 0.5]))
+        rnd = draw(st.randoms(use_true_random=True))
+        cells = tuple(
+            tuple(1 + (rnd.random() < rate) for _ in range(columns))
+            for _ in range(rows)
+        )
+        return ArrayWindow(canonical_sizes(rows), ms.lo, cells, INDEPENDENT)
+
+    return window()
+
+
+@st.composite
+def extraction_cases(draw):
+    """A built hierarchy, one of its rows k, and a window over it of k to 3
+    rows."""
+    ms = draw(hierarchies())
+    k = draw(st.integers(1, ms.row_count))
+    return draw(windows_over(ms, draw(st.integers(k, 3)))), ms, k
 
 
 class TestExtractKRectanglesDifferential:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(extraction_cases())
     def test_matches_reference(self, case):
         w, ms, k = case
         got = gap_keys(w, ms, k)
-        # each key is the flag grid of the reference's gap, cells as tuples
-        # and k - 1 flag rows as bytes
-        assert [(p, to_grid(key, k)) for p, key in got] == (
-            reference_extract_k_rectangles(w, ms, k)
-        )
+        # each key is the cells of the reference's gap, k tuple rows
+        assert [(p, key) for p, key in got] == [
+            (p, rect.cells) for p, rect in reference_extract_k_rectangles(w, ms, k)
+        ]
         for _, key in got:
-            assert len(key) == 2 * k - 1
-            assert all(type(row) is tuple for row in key[:k])
-            assert all(type(row) is bytes for row in key[k:])
+            assert len(key) == k
+            assert all(type(row) is tuple for row in key)
 
     def test_equal_gaps_are_one_object(self):
-        # from origin 4, rows 1 and 2 read 2 1211 1211 and 4 1311 1311; the
-        # two 4-gaps of row 2 hold the same cells and row-1 flags, and the
-        # census's bad gaps share one key
+        # from origin 4, the row reads 1 21 111 21 1 with gaps of 2, 3 and
+        # 2; the two bad 2-gaps hold the same cells and share one key
+        ms = build_marker_system(10, 4, (2,))
         w = ArrayWindow(
-            canonical_sizes(2), 4,
-            ((2, 1, 2, 1, 1, 1, 2, 1, 1), (4, 1, 3, 1, 1, 1, 3, 1, 1)),
-            INDEPENDENT,
+            canonical_sizes(1), 4, ((1, 2, 1, 1, 1, 1, 2, 1, 1, 1),), INDEPENDENT
         )
-        ms = MarkerSystem.from_positions(((4, 6, 8, 10, 12), (4, 8, 12)), (2, 4), 4, 12)
-        (p, a), (q, b) = census_bad(w, ms, 2, point_family(1, F(1, 10)))
-        assert (p, q) == (slice(1, 5), slice(5, 9))
+        (p, a), (q, b) = census_bad(w, ms, 1, point_family(1, F(1, 10)))
+        assert (p, q) == (slice(1, 3), slice(6, 8))
         assert a is b
-        assert a == ((1, 2, 1, 1), (1, 3, 1, 1), bytes([0, 1, 0, 1]))
+        assert a == ((2, 1),)
 
     def test_window_with_fewer_rows_rejected(self):
-        w = lift_binary("0100101", 1)
-        ms = MarkerSystem.from_positions(((0, 3, 6), (0, 6)), (3, 6), 0, 6)
-        with pytest.raises(ValueError):
-            gap_keys(w, ms, 2)
+        # no stage is deeper than its windows: the config refuses a depth
+        # past the hierarchy, and the set-up lifts every window to one row
+        # per marker row
+        with pytest.raises(ValueError, match="exceeds the marker hierarchy"):
+            PurifyConfig((1, 2), (3,), (2,), (F(1, 4),), 7, ())
+        config = mixed_tree_config()
+        _, samples, _ = purify._lift_leaves(config)
+        assert {s.window.rows for s in samples} == {len(config.gaps)}
 
 
 @st.composite
 def census_cases(draw):
-    """1-3 windows of extraction_cases that share rows, k and l, and a
-    family of 1-2 members at a truncation within every gap, whose gamma is
-    one gap's distance to the family or 1/2, so some gaps are bad.  Small
-    cells make rectangles and measures repeat across gaps and windows."""
-    rows = draw(st.integers(1, 3))
-    shape = rows, draw(st.integers(1, rows)), draw(st.integers(2, 4))
-    k, l = shape[1:]
-    windows = draw(st.lists(extraction_cases(shape), min_size=1, max_size=3))
-    trunc = (draw(st.integers(1, k)), draw(st.integers(1, l)))
+    """1-3 windows of k to 3 rows over one built hierarchy, and a family of
+    1-2 members at a truncation within every gap, whose gamma is one gap's
+    distance to the family or 1/2, so some gaps are bad."""
+    ms = draw(hierarchies())
+    k = draw(st.integers(1, ms.row_count))
+    l = ms.gaps[k - 1]
+    rows = draw(st.integers(k, 3))
+    windows = draw(st.lists(windows_over(ms, rows), min_size=1, max_size=3))
+    trunc = (draw(st.integers(1, k)), draw(st.integers(1, min(l, 4))))
     grids = draw(st.lists(_grids(trunc[0], trunc[1], 8), min_size=1, max_size=2))
     members = tuple(
         empirical_measure(Rectangle.from_rows(g), trunc) for g in grids
     )
-    gaps = [
-        Rectangle(key[:k]) for w, ms, _ in windows for _, key in gap_keys(w, ms, k)
-    ]
+    gaps = [Rectangle(key) for w in windows for _, key in gap_keys(w, ms, k)]
     gamma = draw(
         st.sampled_from(
             [F(1, 2)]
             + [min(dstar(r, m, trunc).value for m in members) for r in gaps]
         )
     )
-    samples = [sample_of(w, ms) for w, ms, _ in windows]
-    return samples, TargetFamily((1,), members, gamma), k, l
+    samples = [sample_of(w, ms) for w in windows]
+    return samples, TargetFamily((1,), members, gamma), k, ms
 
 
 class TestCensusDifferential:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(census_cases())
     def test_matches_reference(self, case):
-        samples, family, k, l = case
+        samples, family, k, ms = case
+        w = samples[0].window
+        slices = row_slices(ms, k, w.origin, w.columns)
         keys = []
 
         def counted(rect, family):
@@ -525,21 +505,24 @@ class TestCensusDifferential:
             return classify(rect, family)
 
         with mock.patch.object(purify, "classify", counted):
-            census, verdicts, bad_gaps = _census(samples, family, k, l)
+            census, verdicts, bad_gaps = _census(samples, family, k, slices)
         expected = reference_census(samples, family, k)
         assert census == expected[0]
-        # the same verdicts, first seen in the same order
-        got = [(to_grid(key, k), verdict) for key, verdict in verdicts.items()]
-        assert got == list(expected[1].items())
+        # the same verdicts, first seen in the same order: the reference
+        # tells grids apart by their marks too, and a built hierarchy gives
+        # every gap of one width the same marks
+        assert list(verdicts.items()) == [
+            (rect.cells, verdict) for rect, verdict in expected[1].items()
+        ]
         assert [
-            [(p, to_grid(key, k)) for p, key in at_markers(bad, sample.window)]
+            at_markers(bad, sample.window)
             for bad, sample in zip(bad_gaps, samples)
-        ] == expected[2]
+        ] == [[(p, rect.cells) for p, rect in bad] for bad in expected[2]]
         # one classify per distinct measure key
         trunc = family.truncation
         assert len(keys) == len(set(keys))
         assert set(keys) == {
-            _measure_key(Rectangle(key[:k]), trunc) for key in verdicts
+            _measure_key(Rectangle(key), trunc) for key in verdicts
         }
 
 
@@ -558,25 +541,23 @@ class TestClassify:
         assert classify(from_word("111"), fam) == BAD
 
     def test_flags_ignored(self):
-        # two 2-gaps of equal cells whose row-1 markers differ: two keys,
-        # one verdict from the cells, one classify call
-        w = lift_binary("0" * 10, 2)
-        ms = MarkerSystem.from_positions(((0, 2, 4, 7, 8), (0, 4, 8)), (2, 4), 0, 8)
+        # two 2-gaps of equal cells, each with its row-1 markers inside: the
+        # keys hold cells only, so one key, one verdict, one classify call
+        w = lift_binary("0" * 110, 2)
+        ms = build_marker_system(109, 0, (2, 36))
         calls = []
 
         def counted(rect, family):
             calls.append(rect)
             return classify(rect, family)
 
-        sample = sample_of(w, ms)
+        slices = row_slices(ms, 2, 0, w.columns)
         fam = point_family(1, F(3, 10))
         with mock.patch.object(purify, "classify", counted):
-            census, verdicts, _ = _census([sample], fam, 2, 4)
+            census, verdicts, _ = _census([sample_of(w, ms)], fam, 2, slices)
         assert census == {GOOD: 2, BAD: 0}
-        assert [key[2] for key in verdicts] == [
-            bytes([0, 1, 0, 1]), bytes([0, 0, 1, 1])
-        ]
-        assert calls == [Rectangle(((1,) * 4, (1,) * 4))]
+        assert list(verdicts) == [((1,) * 36, (1,) * 36)]
+        assert calls == [Rectangle(((1,) * 36, (1,) * 36))]
 
     def test_min_over_members(self):
         t = (1, 2)
@@ -706,9 +687,9 @@ class TestClassifyMemo:
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         fam = point_family(1, F(3, 10))
         bad = census_bad(w, ms, 1, fam)
-        out, flags, _, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        out, _, _ = replace_bad(w, 1, bad, tabbed)
         fresh = point_family(1, F(3, 10))
-        for key in flag_keys(out, flags, 1, 3):
+        for _, key in gap_keys(out, ms, 1):
             assert reference_classify(Rectangle(key), fresh) == GOOD
 
 
@@ -732,62 +713,84 @@ def reference_check_nesting(fine, coarse, k, coarse_l):
     return True
 
 
-def _flag_rows(draw, width, n):
-    # n random 0/1 flag rows of a gap key, as bytes
-    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
-    return [*map(bytes, draw(st.lists(row, min_size=n, max_size=n)))]
+def width_marks(ms, k):
+    """Per width of the row-k gaps in the window that purify cuts under ms,
+    the flag grid marks of its first gap of that width."""
+    ps = ms.cuts(k, ms.lo, ms.hi - ms.lo)
+    rows = [set(ms.row(j)) for j in range(1, k + 1)]
+    marks = {}
+    for p, q in zip(ps, ps[1:]):
+        if q - p not in marks:
+            marks[q - p] = gap_marks(rows, p, q)
+    return marks
 
 
 @st.composite
 def nesting_cases(draw):
-    """Coarse gap keys of depth 1 or 2 and widths l and l+1 with random flag
-    rows, and fine keys of a depth up to 3 above it, glued from their cells
-    under extra rows and random flag rows, with coarse-row cuts at the
-    junctions; the first fine key may get a stray cut or a changed cell in
+    """A built hierarchy of 2 or 3 rows at origin 0, as purify builds one,
+    a coarse depth and a fine depth above it; coarse keys of both widths,
+    and fine keys glued from them at the coarse markers that the reference
+    reads for their width, under random extra rows.  The first fine key may
+    be glued along its pieces in reverse order, or get a changed cell in
     the coarse rows."""
-    coarse_k, l = draw(st.integers(1, 2)), draw(st.integers(1, 3))
-    k = draw(st.integers(coarse_k + 1, 3))
-    coarse = [
-        (*map(tuple, grid), *_flag_rows(draw, len(grid[0]), coarse_k - 1))
-        for grid in draw(
-            st.lists(_grids(coarse_k, l, l + 1), min_size=1, max_size=4)
-        )
-    ]
-    grids = []
-    for _ in range(draw(st.integers(1, 3))):
-        pieces = draw(st.lists(st.sampled_from(coarse), min_size=1, max_size=4))
-        cells = [[v for p in pieces for v in p[i]] for i in range(coarse_k)]
-        width = len(cells[0])
-        cells += draw(_grids(k - coarse_k, width, width))
-        flags = [bytearray(row) for row in _flag_rows(draw, width, k - 1)]
-        ends = set(itertools.accumulate(len(p[0]) for p in pieces))
-        flags[coarse_k - 1] = bytearray(j + 1 in ends for j in range(width))
-        grids.append((cells, flags))
-    cells, flags = grids[0]
-    j = draw(st.integers(0, len(cells[0]) - 1))
-    change = draw(st.sampled_from(["none", "cut", "cell"]))
-    if change == "cut":
-        flags[coarse_k - 1][j] ^= 1
-    elif change == "cell":
+    rows = draw(st.integers(2, 3))
+    gaps = [draw(st.integers(2, 3 if rows == 2 else 2))]
+    for _ in range(rows - 1):
+        gaps.append(9 * gaps[-1] ** 2 + draw(st.integers(0, 3)))
+    top = gaps[-1]
+    columns = draw(st.integers(1, 2)) * top + draw(st.integers(1, 2)) * (top + 1)
+    ms = build_marker_system(columns, 0, gaps)
+    coarse_k = draw(st.integers(1, rows - 1))
+    k = draw(st.integers(coarse_k + 1, rows))
+    l = gaps[coarse_k - 1]
+    coarse = {}
+    for width in (l, l + 1):
+        for _ in range(draw(st.integers(1, 2))):
+            key = tuple(map(tuple, draw(_grids(coarse_k, width, width))))
+            coarse.setdefault(width, []).append(key)
+    rnd = draw(st.randoms(use_true_random=True))
+    fine = []
+    for width, marks in width_marks(ms, k).items():
+        cuts = [c + 1 for c, flag in enumerate(marks[coarse_k - 1]) if flag]
+        widths = [b - a for a, b in zip([0, *cuts], cuts)]
+        for _ in range(draw(st.integers(0, 2))):
+            flip = not fine and draw(st.booleans())
+            pieces = [rnd.choice(coarse[w]) for w in widths[:: -1 if flip else 1]]
+            cells = [[v for p in pieces for v in p[i]] for i in range(coarse_k)]
+            cells += [
+                [rnd.choice((1, 2)) for _ in range(width)]
+                for _ in range(k - coarse_k)
+            ]
+            fine.append(cells)
+    if fine and draw(st.booleans()):
+        cells = fine[0]
         i = draw(st.integers(0, coarse_k - 1))
+        j = draw(st.integers(0, len(cells[0]) - 1))
         cells[i][j] = 3 - cells[i][j]
-    fine = {(*map(tuple, c), *map(bytes, f)) for c, f in grids}
-    return fine, set(coarse), k, coarse_k, l
+    fine = {tuple(map(tuple, cells)) for cells in fine}
+    coarse = {key for keys in coarse.values() for key in keys}
+    return ms, k, coarse_k, fine, coarse
 
 
 class TestCheckNesting:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(nesting_cases())
     def test_matches_reference(self, case):
-        # fine depths 2 and 3, over coarse depths 1 and 2
-        fine, coarse, k, coarse_k, l = case
+        # fine depths 2 and 3, over coarse depths 1 and 2; the reference
+        # reads each fine key's cuts from the marks of its width
+        ms, k, coarse_k, fine, coarse = case
+        marks = width_marks(ms, k)
         expected = reference_check_nesting(
-            {to_grid(key, k) for key in fine},
-            {to_grid(key, coarse_k) for key in coarse},
+            {Grid(key, marks[len(key[0])]) for key in fine},
+            {Grid(key, None) for key in coarse},
             coarse_k,
-            l,
+            ms.gaps[coarse_k - 1],
         )
-        assert check_nesting(*case) == expected
+        columns = ms.hi - ms.lo
+        bounds = _piece_bounds(
+            row_slices(ms, k, 0, columns), row_slices(ms, coarse_k, 0, columns)
+        )
+        assert check_nesting(fine, coarse, coarse_k, bounds) == expected
 
 
 class TestSelectTabbed:
@@ -809,35 +812,34 @@ class TestSelectTabbed:
         assert select_tabbed([a, b, c], 3) == select_tabbed([c, a, b], 3)
         assert select_tabbed([a, b, c], 3)[0] == b
 
-    def test_flag_breaks_tie(self):
-        # equal cells: the key with no row-1 marker inside sorts first
-        cells = ((1, 1, 1), (1, 1, 1))
-        plain = (*cells, bytes([0, 0, 1]))
-        marked = (*cells, bytes([1, 0, 1]))
-        wide = ((1,) * 4, (1,) * 4, bytes([0, 0, 0, 1]))
-        assert select_tabbed([marked, plain, wide], 3)[0] == plain
-
 
 @st.composite
 def tabbed_cases(draw):
-    """Gap keys of depth 2 or 3 and widths l and l + 1, each cell grid drawn
-    with 1-3 flag variants, so equal cells with different flags meet."""
-    k, l = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    """Gap keys of depth 1 to 3 and widths l and l + 1, some drawn twice,
+    and one set of flag grid marks per width, as a built hierarchy gives
+    every gap of one width."""
+    k, l = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    marks = {
+        width: tuple(
+            tuple(draw(st.lists(st.booleans(), min_size=width, max_size=width)))
+            for _ in range(k)
+        )
+        for width in (l, l + 1)
+    }
     keys = []
     for _ in range(draw(st.integers(1, 6))):
         width = draw(st.sampled_from([l, l + 1]))
-        cells = tuple(map(tuple, draw(_grids(k, width, width))))
-        for _ in range(draw(st.integers(1, 3))):
-            keys.append((*cells, *_flag_rows(draw, width, k - 1)))
-    return keys, k, l
+        key = tuple(map(tuple, draw(_grids(k, width, width))))
+        keys += [key] * draw(st.integers(1, 2))
+    return keys, marks, l
 
 
 class TestSelectTabbedDifferential:
     @settings(max_examples=300, deadline=None)
     @given(tabbed_cases())
     def test_matches_flag_grid_order(self, case):
-        keys, k, l = case
-        grids = [to_grid(key, k) for key in keys]
+        keys, marks, l = case
+        grids = [Grid(key, marks[len(key[0])]) for key in keys]
         try:
             expected = reference_select_tabbed(grids, l)
         except MissingLength as exc:
@@ -845,8 +847,7 @@ class TestSelectTabbedDifferential:
                 select_tabbed(keys, l)
             assert got.value.width == exc.width
             return
-        chosen = select_tabbed(keys, l)
-        assert [to_grid(key, k) for key in chosen] == list(expected)
+        assert list(select_tabbed(keys, l)) == [g.cells for g in expected]
 
 
 class TestReplaceBad:
@@ -864,7 +865,7 @@ class TestReplaceBad:
         fam = point_family(1, F(3, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, replaced = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        out, replaced, changed = replace_bad(w, 1, bad, tabbed)
         assert bad == []
         assert out.cells == w.cells and changed == 0 and replaced == 0
 
@@ -872,7 +873,7 @@ class TestReplaceBad:
         # window 111|121|111: the middle 3-gap is bad and becomes 111
         w, ms, fam, tabbed = self._fixture()
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, replaced = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        out, replaced, changed = replace_bad(w, 1, bad, tabbed)
         assert [s for s, _ in bad] == [slice(4, 7)]
         assert out.cells[0] == (1,) * 10
         assert changed == 3 and replaced == 1
@@ -880,7 +881,7 @@ class TestReplaceBad:
     def test_changed_fraction_accounting(self):
         w, ms, fam, tabbed = self._fixture()
         bad = census_bad(w, ms, 1, fam)
-        out, _, changed, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        out, _, changed = replace_bad(w, 1, bad, tabbed)
         diff = sum(
             1 for a, b in zip(w.cells[0], out.cells[0]) if a != b
         )
@@ -892,131 +893,115 @@ class TestReplaceBad:
         fam = point_family(1, F(1, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
-        out, _, _, _ = replace_bad(w, render(ms, w), 1, bad, tabbed)
+        out, _, _ = replace_bad(w, 1, bad, tabbed)
         assert bad and out.cells[1] == w.cells[1]
 
     def test_all_good_after(self):
         w, ms, fam, tabbed = self._fixture()
-        out, flags, _, _ = replace_bad(
-            w, render(ms, w), 1, census_bad(w, ms, 1, fam), tabbed
-        )
+        out, _, _ = replace_bad(w, 1, census_bad(w, ms, 1, fam), tabbed)
         fresh = point_family(1, F(3, 10))
-        for key in flag_keys(out, flags, 1, 3):
+        for _, key in gap_keys(out, ms, 1):
             assert classify(Rectangle(key), fam) == GOOD
             assert reference_classify(Rectangle(key), fresh) == GOOD
 
     def _two_row_fixture(self):
-        # one bad 2-gap (0, 9] with a row-1 marker at 4 inside, and a
-        # tabbed key whose interior row-1 flag lands on 5
-        w = lift_binary("01101011101", 2)
-        ms = MarkerSystem.from_positions(((0, 4, 9), (0, 9)), (4, 9), 0, 9)
-        fam = TargetFamily(
-            (1,),
-            (empirical_measure(
-                window_to_rectangle(lift_binary("0" * 12, 2)), (1, 2)),),
-            F(1, 10),
-        )
-        block = ((1,) * 9, (1,) * 9, bytes([0, 0, 0, 0, 1, 0, 0, 0, 1]))
-        return w, ms, fam, {9: block}
+        # a built hierarchy of gaps 2 and 36 over 109 columns: the window
+        # holds two 2-gaps of width 36, and the second, columns 37 to 72,
+        # holds ten 2s in row 1, so it is bad; the tabbed keys are all 1s
+        w = lift_binary("0" * 45 + "1" * 10 + "0" * 55, 2)
+        ms = build_marker_system(109, 0, (2, 36))
+        fam = point_family(1, F(1, 10))
+        tabbed = {width: ((1,) * width,) * 2 for width in (36, 37)}
+        return w, ms, fam, tabbed
 
     def test_submarkers_rewritten(self):
-        # replacing a 2-gap moves the interior row-1 flags to the tabbed
-        # key's flags
+        # the reference rewrites the row-1 markers inside a replaced 2-gap
+        # from the tabbed grid; every 36-gap of a built hierarchy holds
+        # the same ones, so they come back as they were and only cells
+        # change
         w, ms, fam, tabbed = self._two_row_fixture()
         bad = census_bad(w, ms, 2, fam)
-        flags = render(ms, w)
-        out, flags2, _, replaced = replace_bad(w, flags, 2, bad, tabbed)
-        assert replaced == 1
-        assert flags2[0] == bytes(j in (0, 5, 9) for j in range(10))
-        assert flags2[1] is flags[1]
-        grids = {9: to_grid(tabbed[9], 2)}
+        out, replaced, changed = replace_bad(w, 2, bad, tabbed)
+        assert [s for s, _ in bad] == [slice(37, 73)]
+        assert (replaced, changed) == (1, 36)
+        grids = as_grids(tabbed, w, ms, 2)
         out_ref, ms_ref, _, _ = reference_replace_bad(w, ms, 2, fam, grids)
-        assert (out, flags2) == (out_ref, render(ms_ref, w))
+        assert ms_ref == ms
+        assert out == out_ref
 
     def test_reads_no_window(self, monkeypatch):
-        # the census has extracted and classified the gaps already, and
-        # the flag rows are written in place of any marker system
+        # the census has extracted and classified the gaps already, and no
+        # marker is read or written
         w, ms, fam, tabbed = self._two_row_fixture()
         bad = census_bad(w, ms, 2, fam)
-        flags = render(ms, w)
 
         def forbidden(*args):
             raise AssertionError("replace_bad read the window again")
 
-        monkeypatch.setattr(purify, "_window_rows", forbidden)
         monkeypatch.setattr(purify, "_gap_keys", forbidden)
         monkeypatch.setattr(purify, "classify", forbidden)
         monkeypatch.setattr(MarkerSystem, "cuts", forbidden)
-        _, flags2, changed, replaced = replace_bad(w, flags, 2, bad, tabbed)
-        row = bytes(j in (0, 5, 9) for j in range(10))
-        assert (flags2[0], changed, replaced) == (row, 9, 1)
+        monkeypatch.setattr(MarkerSystem, "row", forbidden)
+        _, replaced, changed = replace_bad(w, 2, bad, tabbed)
+        assert (changed, replaced) == (36, 1)
 
 
 @st.composite
 def replacement_cases(draw):
-    """A three-row window whose row k (1 to 3) has gaps of l and l + 1, with
-    the markers of each row below k drawn anywhere in it; a point-mass
-    family under which some gaps are bad, and tabbed keys of both widths
-    with random cells and flag rows, the last-cell flags included."""
-    k, l = draw(st.integers(1, 3)), draw(st.integers(2, 4))
-    cuts = [draw(st.integers(0, 2))]
-    widths = st.lists(st.sampled_from([l, l + 1]), min_size=1, max_size=6)
-    for width in draw(widths):
-        cuts.append(cuts[-1] + width)
-    columns = cuts[-1] + 1 + draw(st.integers(0, 2))
-    word = draw(st.text("01", min_size=columns + 2, max_size=columns + 2))
-    w = lift_binary(word, 3)
-    fine = st.sets(st.integers(0, columns - 1))
-    rows = [tuple(sorted(draw(fine))) for _ in range(k - 1)] + [tuple(cuts)]
-    ms = MarkerSystem.from_positions(tuple(rows), (1,) * (k - 1) + (l,), 0, columns - 1)
+    """A built hierarchy, one of its rows k and a window over it of k to 3
+    rows; a point-mass family under which some gaps are bad, and tabbed
+    keys of both widths with random cells."""
+    ms = draw(hierarchies())
+    k = draw(st.integers(1, ms.row_count))
+    l = ms.gaps[k - 1]
+    w = draw(windows_over(ms, draw(st.integers(k, 3))))
     family = point_family(
         draw(st.integers(1, 2)), draw(st.sampled_from([F(1, 10), F(3, 10)]))
     )
-    tabbed = {}
-    for width in (l, l + 1):
-        cells = map(tuple, draw(_grids(k, width, width)))
-        tabbed[width] = (*cells, *_flag_rows(draw, width, k - 1))
+    tabbed = {
+        width: tuple(map(tuple, draw(_grids(k, width, width))))
+        for width in (l, l + 1)
+    }
     return w, ms, k, family, tabbed
 
 
 class TestReplaceBadDifferential:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(replacement_cases())
     def test_matches_reference(self, case):
-        # depths 1 to 3: at 3, the markers of rows 1 and 2 are rewritten
+        # depths 1 and 2: at 2, the reference rewrites the row-1 markers
+        # of each replaced gap, and they come back as they were
         w, ms, k, family, tabbed = case
         bad = census_bad(w, ms, k, family)
-        grids = {width: to_grid(key, k) for width, key in tabbed.items()}
         window, new_ms, changed, replaced = reference_replace_bad(
-            w, ms, k, family, grids
+            w, ms, k, family, as_grids(tabbed, w, ms, k)
         )
-        expected = window, render(new_ms, w), changed, replaced
-        assert replace_bad(w, render(ms, w), k, bad, tabbed) == expected
+        assert new_ms == ms
+        assert replace_bad(w, k, bad, tabbed) == (window, replaced, changed)
 
 
-def _wrong_blocks(w, flags, k, bad, tabbed):
+def _wrong_blocks(w, k, bad, tabbed):
     # replace_bad writing the cells of every tabbed key as 2s
-    wrong = {
-        width: ((2,) * width,) * k + key[k:] for width, key in tabbed.items()
-    }
-    return replace_bad(w, flags, k, bad, wrong)
+    wrong = {width: ((2,) * width,) * k for width in tabbed}
+    return replace_bad(w, k, bad, wrong)
 
 
 def _both_repairs(w, ms, k, family, tabbed):
     """_repair and reference_repair of the window's census bad gaps, each
     on its own sample: their results and the samples' repaired states."""
-    _, verdicts, (bad,) = _census([sample_of(w, ms)], family, k, ms.gaps[k - 1])
+    slices = row_slices(ms, k, w.origin, w.columns)
+    _, verdicts, (bad,) = _census([sample_of(w, ms)], family, k, slices)
     measure = empirical_measure(window_to_rectangle(w), family.truncation)
     out = []
     for repair in (_repair, reference_repair):
         sample = sample_of(w, ms, measure=measure)
         result = repair(sample, family, k, bad, tabbed, verdicts)
-        out.append((result, sample.window, sample.flag_rows, sample.measure))
+        out.append((result, sample.window, sample.measure))
     return bad, out
 
 
 class TestRepairDifferential:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(replacement_cases(), st.booleans())
     def test_matches_whole_window_recheck(self, case, wrong):
         # random tabbed blocks, or wrong blocks written by replace_bad,
@@ -1086,13 +1071,12 @@ class TestCensusCost:
         # classifies one rectangle of each distinct measure key of its
         # samples, once; equal measures share the call
         config = config_from_dict(NOISY_CONFIG)
-        targets, samples = purify._lift_leaves(config)
+        targets, samples, slices = purify._lift_leaves(config)
         k, trunc = config.depths[0], config.truncation
-        l = config.gaps[k - 1]
         distinct = {}
         for s in samples:
             distinct.setdefault(s.path[:1], set()).update(
-                Rectangle(key) for key in flag_keys(s.window, s.flag_rows, k, l)
+                map(Rectangle, _gap_keys(s.window.cells[:k], slices[k]))
             )
         calls = []
 
@@ -1101,7 +1085,9 @@ class TestCensusCost:
             return classify(rect, family)
 
         monkeypatch.setattr(purify, "classify", counted)
-        report, _, _ = purify.purify_stage(samples, config, 1, targets, None)
+        report, _, _ = purify.purify_stage(
+            samples, config, 1, targets, None, slices
+        )
         assert len(calls) == len(set(calls))
         keys = {
             path: {_measure_key(rect, trunc) for rect in rects}
@@ -1123,22 +1109,29 @@ class TestCensusCost:
         )
 
     def test_row_k_split_once_per_stage(self, monkeypatch):
-        # every sample of a stage holds the same row-k flag row, so all the
-        # stage's families get one list of gap slices
-        seen = {}
+        # the set-up cuts each stage depth's marker row once per run, and
+        # every census of that stage gets that one list of gap slices
+        cut, seen = [], {}
+        cuts, census = MarkerSystem.cuts, purify._census
 
-        def recorded(w, flags, k, l, slices_of=None):
-            slices, rows = _window_rows(w, flags, k, l, slices_of)
+        def cut_once(self, k, origin, columns):
+            cut.append(k)
+            return cuts(self, k, origin, columns)
+
+        def recorded(samples, family, k, slices):
             seen.setdefault(k, []).append(slices)
-            return slices, rows
+            return census(samples, family, k, slices)
 
-        monkeypatch.setattr(purify, "_window_rows", recorded)
+        monkeypatch.setattr(MarkerSystem, "cuts", cut_once)
+        monkeypatch.setattr(purify, "_census", recorded)
         config = config_from_dict(NOISY_CONFIG)
         purify_pipeline(config)
+        assert cut == list(config.depths)
         assert sorted(seen) == list(config.depths)
-        for lists in seen.values():
-            assert len(lists) == sum(len(lf.samples) for lf in config.leaves)
-            assert all(slices is lists[0] for slices in lists)
+        for stage, k in enumerate(config.depths, start=1):
+            families = {leaf.path[:stage] for leaf in config.leaves}
+            assert len(seen[k]) == len(families)
+            assert all(slices is seen[k][0] for slices in seen[k])
 
 
 class TestPipeline:
@@ -1328,83 +1321,43 @@ class TestStageSplit:
         }
 
 
-def checked_flag_rows(config):
-    """Run the pipeline, reading every sample's flag rows back as positions
-    after each stage: they must form a two-gap, congruent marker system.
-    Returns the number of samples whose row-1 flags a stage wrote: those
-    with replaced columns at a stage of depth 2 or more."""
-    stage_fn = purify.purify_stage
-    rewritten = set()
-
-    def spy(samples, config, stage, *args):
-        result = stage_fn(samples, config, stage, *args)
-        for s in samples:
-            ms = read_back(s.flag_rows, s.window, config.gaps)
-            rows = range(1, ms.row_count + 1)
-            assert check_congruency(ms), s.spec.spec
-            assert all(check_two_gaps(ms, k) for k in rows), s.spec.spec
-            if config.depths[stage - 1] > 1 and s.changed[-1]:
-                rewritten.add(id(s))
-        return result
-
-    with mock.patch.object(purify, "purify_stage", spy):
-        _outcome(config)
-    return len(rewritten)
-
-
-class TestFlagRowsStayMarkers:
-    # replacement writes tabbed flags strictly inside bad gaps, so the flag
-    # rows stay a two-gap, congruent hierarchy; a flag written one column
-    # off breaks one of the two
-    @settings(max_examples=15, deadline=None)
-    @given(small_configs(stages=2))
-    def test_after_every_stage(self, config):
-        checked_flag_rows(config)
-
-    def test_rewritten_rows_checked(self):
-        # the noisy samples of the mixed tree are repaired at stage 2, so
-        # their row-1 flags are written
-        assert checked_flag_rows(mixed_tree_config()) > 0
-
-    def test_unchanged_rows_stay_shared(self):
-        # a built hierarchy splits every row-2 gap of one width alike, so
-        # stage 2 writes row 1 back with the bytes it had: every sample,
-        # repaired or not, still holds the base hierarchy's row object
-        stage_fn = purify.purify_stage
-        seen = {}
-
-        def spy(samples, *args):
-            seen.setdefault("base", samples[0].flag_rows[0])
-            seen["samples"] = samples
-            return stage_fn(samples, *args)
-
-        with mock.patch.object(purify, "purify_stage", spy):
-            assert purify_pipeline(mixed_tree_config())["ok"]
-        samples = seen["samples"]
-        assert any(s.changed[1] for s in samples)
-        assert all(s.flag_rows[0] is seen["base"] for s in samples)
+class TestSetUp:
+    @pytest.mark.parametrize(
+        "config", [mixed_tree_config(), config_from_dict(NOISY_CONFIG)],
+        ids=["mixed_tree", "noisy"],
+    )
+    def test_slices_are_the_reference_gaps(self, config):
+        # the set-up cuts each stage depth's row into the gaps that the
+        # reference extracts from the built hierarchy
+        _, samples, slices = purify._lift_leaves(config)
+        ms = build_marker_system(config.columns, 0, config.gaps)
+        w = samples[0].window
+        for k, row in slices.items():
+            assert [(s.start - 1, s.stop - s.start) for s in row] == [
+                (p, rect.width)
+                for p, rect in reference_extract_k_rectangles(w, ms, k)
+            ]
 
 
 def reference_nesting(config, check):
     """purify_pipeline's nesting check as first written: the good sets of
     every stage are kept to the end, then each fine family's is checked
     against its parent's with ``check``."""
-    targets, samples = purify._lift_leaves(config)
+    targets, samples, slices = purify._lift_leaves(config)
     records = {}
     for stage in range(1, config.stage_count + 1):
         _, _, records[stage] = reference_purify_stage(
-            samples, config, stage, targets, None
+            samples, config, stage, targets, None, slices
         )
     nesting_ok = True
     for stage in range(2, config.stage_count + 1):
         k, coarse_k = config.depths[stage - 1], config.depths[stage - 2]
+        bounds = _piece_bounds(slices[k], slices[coarse_k])
         for path, fine in records[stage].items():
             coarse = records[stage - 1][path[: stage - 1]]
-            fine_keys = {to_key(rect) for rect in fine}
-            coarse_keys = {to_key(rect) for rect in coarse}
-            if not check(
-                fine_keys, coarse_keys, k, coarse_k, config.gaps[coarse_k - 1]
-            ):
+            fine_keys = {rect.cells for rect in fine}
+            coarse_keys = {rect.cells for rect in coarse}
+            if not check(fine_keys, coarse_keys, coarse_k, bounds):
                 nesting_ok = False
     return nesting_ok
 
@@ -1479,9 +1432,9 @@ class TestSharedLifts:
             lifts.append(word)
             return lift_binary(word, rows)
 
-        def spy(samples, config, stage, targets, coarse):
+        def spy(samples, config, stage, targets, coarse, slices):
             seen.update(samples=samples, targets=targets)
-            return stage_fn(samples, config, stage, targets, coarse)
+            return stage_fn(samples, config, stage, targets, coarse, slices)
 
         stage_fn = purify.purify_stage
         monkeypatch.setattr(purify, "lift_binary", counted_lift)

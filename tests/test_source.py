@@ -40,8 +40,8 @@ def test_no_floats_outside_cli():
 
 
 def test_no_marks_attribute():
-    # a gap's marker flags live in its purify key; a rectangle holds cells
-    # only, and no module reads a flag grid beside the keys
+    # a rectangle holds cells only, and so does a purify gap key: no module
+    # reads a flag grid
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
@@ -82,9 +82,8 @@ _MARKER_READS = {"cuts", "row", "flags", "starts", "lengths"}
 
 
 def test_purify_reads_markers_only_at_set_up():
-    # a purify sample holds its markers as flag rows only: the set-up
-    # renders the base hierarchy once, and no stage converts between
-    # marker positions and flag rows
+    # purify's markers never move: the set-up cuts the base hierarchy's
+    # rows into gap slices once per run, and no stage reads a marker
     tree = ast.parse((SRC / "purify.py").read_text())
     set_up = _function_def(tree, "_lift_leaves")
     inside = {id(node) for node in ast.walk(set_up)}
@@ -97,9 +96,29 @@ def test_purify_reads_markers_only_at_set_up():
     ]
     assert found == []
     assert any(
-        isinstance(node, ast.Attribute) and node.attr == "flags"
+        isinstance(node, ast.Attribute) and node.attr == "cuts"
         for node in ast.walk(set_up)
     )
+
+
+# what a purify sample or gap key that carried its markers looked like:
+# the per-sample flag rows, the cache that split them and their splitter
+_PURIFY_GONE = {"flag_rows", "slices_of", "_window_rows"}
+
+
+def test_purify_carries_no_flag_rows():
+    # no sample field, gap key or replace_bad argument holds a flag row:
+    # purify.py names none of them, not even as a slot string
+    found = [
+        f"purify.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "purify.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _PURIFY_GONE
+        or isinstance(node, ast.Name) and node.id in _PURIFY_GONE
+        or isinstance(node, ast.FunctionDef) and node.name in _PURIFY_GONE
+        or isinstance(node, ast.arg) and node.arg in _PURIFY_GONE
+        or isinstance(node, ast.Constant) and node.value in _PURIFY_GONE
+    ]
+    assert found == []
 
 
 _GONE = {"with_row", "positions_between"}
