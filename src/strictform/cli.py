@@ -306,9 +306,11 @@ def _report_rows(data: dict) -> list[tuple[int, float, str]]:
 
 
 def _as_float(v) -> float:
-    if isinstance(v, str) and "/" in v:
-        return float(Fraction(v))
-    return float(v)
+    """A report number (an int or a "p/q" string) as a float; a bool, NaN,
+    an infinity or another string raises."""
+    if isinstance(v, bool):
+        raise TypeError(f"expected a number, got {v!r}")
+    return float(Fraction(v))
 
 
 def _build_parser() -> argparse.ArgumentParser:

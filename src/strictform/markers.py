@@ -13,16 +13,15 @@ from functools import partial
 from itertools import (
     accumulate, chain, compress, dropwhile, islice, repeat, takewhile,
 )
-from operator import eq, ge, gt, lt, sub
+from operator import eq, ge, gt, sub
 from pathlib import Path
 from typing import Iterator, Sequence
 
 from ._value import Value, _set
 
-# entries of a row that check_balanced and write_mrk read at a time
+# gaps of a top-row run of check_balanced, and positions that write_mrk
+# joins at a time
 _CHUNK = 8192
-# starts of check_balanced whose spans one subtraction bounds
-_STRIDE = 16
 
 
 class NoDecomposition(ValueError):
@@ -51,23 +50,32 @@ class MarkerSystem(Value):
     where a tuple of positions holds an int object and a slot per marker,
     36 bytes.  Positions are computed as they are read (``row``);
     ``from_positions`` builds a system from rows of sorted positions.
-    ``cuts`` and ``flags`` read a row over a window, as positions or as one
-    flag byte per column; purify renders its rows once and repairs those.
+    ``cuts`` reads a row's markers inside a window, and ``flags`` marks them
+    with one byte per column, as an ``.arr`` file does.
 
     ``gaps[k-1]`` is the base gap l_k of row k.  ``balance_windows`` records,
     per row, the interval length at which the constructor guarantees the
     balanced-frequency condition (None for hand-built systems).
+    ``patterns[k-1]``, for each row k below the top, pairs each gap length
+    of row k+1 with the row-k gap lengths it splits into, so that row k is
+    the patterns of row k+1's gaps in turn (None for hand-built systems;
+    ``check_balanced`` reads it).
     """
 
-    __slots__ = ("starts", "lengths", "gaps", "lo", "hi", "balance_windows")
+    __slots__ = (
+        "starts", "lengths", "gaps", "lo", "hi", "balance_windows", "patterns",
+    )
 
-    def __init__(self, starts, lengths, gaps, lo, hi, balance_windows=None):
+    def __init__(
+        self, starts, lengths, gaps, lo, hi, balance_windows=None, patterns=None
+    ):
         _set(self, "starts", starts)
         _set(self, "lengths", lengths)
         _set(self, "gaps", gaps)
         _set(self, "lo", lo)
         _set(self, "hi", hi)
         _set(self, "balance_windows", balance_windows)
+        _set(self, "patterns", patterns)
         if not len(starts) == len(lengths) == len(gaps):
             raise ValueError("one base gap per row required")
         for start, steps in zip(starts, lengths):
@@ -177,103 +185,71 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     """True iff every length-``window`` interval inside [lo, hi] fully contains
     at least window/(3 l_k) gaps of length l_k and window/(3 (l_k+1)) gaps of
     length l_k+1.  Only gaps with both endpoints inside the interval count.
+    ``ms`` must be built (``patterns`` set): its rows run from lo to hi,
+    and row k is row k+1 with each gap expanded through its pattern.
 
-    Only the start lo and the start p + 1 just after each marker p are
-    checked.  The gaps inside an interval [t, t + window] are those between
-    the first marker at or after t and the last at or before t + window.
-    Between two such starts the first marker stays put while the last can
-    only move right, so both counts only rise; each is smallest at a checked
-    start.
+    Each length g is checked on its own, as the m-th gap of that length,
+    m = ceil(window / (3 g)).  The length-g gaps inside [t, t + window] are
+    those whose left ends lie in [t, t + window - g], consecutive entries of
+    the sorted left ends ``left``.  Among the starts whose first entry is
+    left[q + 1], the earliest, left[q] + 1, is the tightest, and it holds m
+    gaps iff left[q + m] - left[q] <= window + 1 - g.
 
-    Each length g is then checked on its own, as the m-th gap of that
-    length: with m = ceil(window / (3 g)) and ``left`` the sorted left ends
-    of the length-g gaps, the ones inside [t, t + window] are those with
-    left end in [t, t + window - g], a run of consecutive entries of
-    ``left``.  The interval holds m of them iff the m-th entry from the
-    first one at or after t is at most t + window - g.  Among checked
-    starts with the same first entry r, the earliest is the tightest; it is
-    lo, or left[r-1] + 1 when left[r-1] is a checked marker.
+    The row is read in runs of its coarse row: row k+1 with each gap read
+    as its pattern, or at the top row the row itself.  With c the shortest
+    coarse gap and r = window // c + 2, the r - 1 coarse gaps after the one
+    an interval starts in span more than ``window``.  So the run of r coarse
+    gaps from there decides every start in its first gap, wherever the run
+    occurs, and below the top row only the distinct runs are checked.  At
+    the top row a run is ``_CHUNK`` gaps plus r - 1, checked at the starts
+    in its first ``_CHUNK`` gaps, so no run holds the row.  The row's last
+    run reaches hi and is checked at all of its starts up to hi - window.
 
-    One pass over the row serves both lengths: each ``_CHUNK`` of gap
-    lengths is turned into positions once, and the left ends of either
-    length are picked from them into that length's buffer.  The pass holds
-    O(_CHUNK + m_l + m_{l+1}) ints, never a row's positions.
-
-    The spans are screened ``_STRIDE`` starts at a time: ``left`` is
-    sorted, so for the S starts q = a .. a + S - 1 every span
-    left[q + m] - left[q] is at most left[a + S - 1 + m] - left[a].  A
-    stride whose bound is within the limit holds at every start; only a
-    stride whose bound exceeds it has its S spans checked one by one, so
-    the verdict is exact.
+    A run counts from its first marker P, a coarse marker: its ``left``
+    begins with P - 1, whose start is P itself.  In the first run P is lo,
+    the earliest start of all.  In a later run P is an extra start, but an
+    interval from P lies inside [lo, hi] all the same, so checking it fails
+    no balanced row and the verdict stays exact.
     """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
+    if ms.patterns is None:
+        raise ValueError("balance is checked on built systems only")
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
-    lo, last = ms.lo, ms.hi - window
-    # the left ends not yet settled, per undecided length; the start lo
-    # obeys the rule of a start left[q] + 1 with lo - 1 in place of left[q]
-    pending = {l: [lo - 1], l + 1: [lo - 1]}
-    steps, position = ms.lengths[k - 1], ms.starts[k - 1]
-    for i in range(0, len(steps), _CHUNK):
-        chunk = steps[i : i + _CHUNK]
-        ends = list(accumulate(chunk, initial=position))
-        position = ends[-1]
-        if ends[0] < lo:  # the gaps that start before lo never count
-            cut = bisect_left(ends, lo)
-            chunk, ends = chunk[cut:], ends[cut:]
-        for g, buf in list(pending.items()):
-            buf.extend(compress(ends, map(eq, chunk, repeat(g))))
-            verdict = _settle(buf, g, last, window)
-            if verdict is False:
-                return False
-            if verdict:
-                del pending[g]
-        if not pending:
-            return True
-        # drop this chunk's positions before the next chunk's are made
-        del chunk, ends
-    return False  # a start before last has no m-th gap of some length
-
-
-def _settle(buf: list[int], g: int, last: int, window: int) -> bool | None:
-    """Check the starts whose runs end in ``buf``, the sorted left ends of
-    the length-g gaps read so far (lo - 1 first), less those already
-    checked.  True or False once every start before ``last`` is decided;
-    else None, with ``buf`` cut to its last m entries, whose runs end in a
-    later chunk.
-
-    The run of the start left[q] + 1 ends at its m-th entry left[q + m],
-    and the interval holds it iff left[q + m] - left[q] <= window + 1 - g.
-    """
-    m = -(-window // (3 * g))
-    bound = window + 1 - g
-    stop = bisect_left(buf, last)  # the starts buf[:stop] are checked
-    if stop + m <= len(buf):
-        return _spans_hold(buf, stop, m, bound)
-    if len(buf) > m:
-        # every start in buf whose run ends in buf lies before last
-        if not _spans_hold(buf, len(buf) - m, m, bound):
+    if k < ms.row_count:
+        coarse, step, pattern = ms.lengths[k], 1, dict(ms.patterns[k - 1])
+    else:
+        coarse, step, pattern = ms.lengths[k - 1], _CHUNK, None
+    span = step + window // min(coarse) + 1
+    # the head of the last run, the first that reaches the end of the row
+    last = max(0, -(-(len(coarse) - span) // step)) * step
+    runs = (coarse[i : i + span] for i in range(0, last, step))
+    if pattern:
+        runs = dict.fromkeys(runs)  # equal runs have one verdict
+    for run in runs:
+        if not _run_holds(run, pattern, sum(run[:step]), l, window):
             return False
-        del buf[:-m]
-    return None
+    run = coarse[last:]
+    return _run_holds(run, pattern, sum(run) - window, l, window)
 
 
-def _spans_hold(buf: list[int], n: int, m: int, bound: int) -> bool:
-    """True iff buf[q + m] - buf[q] <= bound for every q < n, with the
-    stride screen of check_balanced: one subtraction per ``_STRIDE``
-    starts, then the exact spans of the strides it does not clear and of
-    the starts after the last whole stride."""
-    full = n // _STRIDE * _STRIDE
-    over = compress(
-        range(0, full, _STRIDE),
-        map(lt, repeat(bound),
-            map(sub, buf[_STRIDE - 1 + m :: _STRIDE], buf[:full:_STRIDE])),
-    )
-    for a in chain(over, [full]):  # then the starts after the last stride
-        end = min(a + _STRIDE, n)
-        if max(map(sub, buf[a + m : end + m], buf[a:end]), default=0) > bound:
+def _run_holds(run, pattern, stop: int, l: int, window: int) -> bool:
+    """Whether every checked start of ``run`` up to ``stop``, a position
+    from its first marker, holds enough gaps of both lengths inside the
+    run.  The gaps are ``run`` itself, or with a ``pattern`` the patterns
+    of its gaps in turn."""
+    if pattern:
+        run = list(chain.from_iterable(map(pattern.__getitem__, run)))
+    ends = list(accumulate(run, initial=0))
+    for g in (l, l + 1):
+        m = -(-window // (3 * g))
+        left = [-1, *compress(ends, map(eq, run, repeat(g)))]
+        n = bisect_left(left, stop)
+        if n + m > len(left):
+            return False
+        if max(map(sub, left[m : n + m], left[:n])) > window + 1 - g:
             return False
     return True
 
@@ -322,6 +298,7 @@ def build_marker_system(
     short_long = (top, top + 1)
     steps = (short_long[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
     per_row = [tuple(steps)]
+    patterns = []
     for l in reversed(gaps[:-1]):
         above = per_row[0]
         # every gap above is l_{k+1} or l_{k+1} + 1 long.  Split each length
@@ -332,6 +309,7 @@ def build_marker_system(
         pattern = {p: _split_steps(p, l) for p in dict.fromkeys(above)}
         steps = chain.from_iterable(map(pattern.__getitem__, above))
         per_row.insert(0, tuple(steps))
+        patterns.insert(0, tuple(pattern.items()))
 
     # certified balance windows: 16*(coarse gap + 2) below the top row (each
     # window holds >= 14 full coarse gaps whose short/long shares are each
@@ -341,7 +319,8 @@ def build_marker_system(
         for k in range(rows)
     )
     return MarkerSystem(
-        (origin,) * rows, tuple(per_row), gaps, origin, origin + columns, balance
+        (origin,) * rows, tuple(per_row), gaps, origin, origin + columns,
+        balance, tuple(patterns),
     )
 
 

@@ -177,8 +177,10 @@ class PurifyConfig(Value):
         if len(truncation) != 2 or min(truncation) < 1:
             raise ValueError("truncation must be [rows, width], each >= 1")
         m = len(depths)
-        if len(epsilons) != m or (gammas and len(gammas) != m):
-            raise ValueError("one epsilon (and gamma, if given) per stage")
+        if len(epsilons) != m:
+            raise ValueError("one epsilon per stage")
+        if gammas is not None and len(gammas) != m:
+            raise ValueError("gammas: one gamma per stage")
         if not depths or depths[0] < 1:
             raise ValueError("depths[0]: a stage depth must be at least 1")
         if list(depths) != sorted(set(depths)):
@@ -303,7 +305,7 @@ def config_from_dict(raw: dict) -> PurifyConfig:
         leaves=tuple(leaves),
         gammas=(
             _exacts("gammas", raw["gammas"], Fraction)
-            if raw.get("gammas")
+            if raw.get("gammas") is not None
             else None
         ),
     )

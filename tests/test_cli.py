@@ -50,6 +50,12 @@ MALFORMED_FIELDS = [
     ("tree", [{"target": 1, "samples": ["periodic:0"]}]),
     ("tree", [{"target": "periodic:0", "samples": 7}]),
     ("gammas", 5),
+    # only a missing field or null means no override
+    ("gammas", 0),
+    ("gammas", False),
+    ("gammas", ""),
+    ("gammas", {}),
+    ("gammas", []),
     # a JSON value of the wrong type is not coerced
     ("columns", 1.5),
     ("columns", True),
@@ -466,6 +472,28 @@ class TestPurify:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0, "gammas: expected a list"),
+            (False, "gammas: expected a list"),
+            ("", "gammas: expected a list"),
+            ({}, "gammas: expected a list"),
+            ([], "gammas: one gamma per stage"),
+            (["1/8", "1/16"], "gammas: one gamma per stage"),
+        ],
+        ids=["zero", "false", "empty_string", "empty_object", "empty_list", "two"],
+    )
+    def test_gammas_error_names_the_field(self, tmp_path, capsys, value, message):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, gammas=value))
+        assert main(["purify", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_null_gammas_is_no_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(PURIFY_CONFIG, gammas=None))
+        assert main(["purify", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
         "tree, message", TREE_PATH_ERRORS,
         ids=[
             "samples_object", "sample_not_string", "families_object",
@@ -787,9 +815,16 @@ class TestReport:
             _report_with_family({"diameter": "1/0", "displacement_max": 0}),
             # a purify config has no stages
             PURIFY_CONFIG,
+            # values that float() reads but that are not numbers here
+            _report_with_family({"diameter": True, "displacement_max": 0}),
+            _report_with_family({"diameter": 0, "displacement_max": float("nan")}),
+            _report_with_family({"diameter": float("inf"), "displacement_max": 0}),
+            _report_with_family({"diameter": "nan", "displacement_max": 0}),
+            _report_with_family({"diameter": 0, "displacement_max": "inf"}),
         ],
         ids=["list", "no_diameter", "word_diameter", "zero_denominator",
-             "purify_config"],
+             "purify_config", "true", "bare_nan", "bare_infinity", "nan_string",
+             "inf_string"],
     )
     def test_not_a_purify_report_exits_2(self, tmp_path, capsys, data):
         rep = tmp_path / "report.json"

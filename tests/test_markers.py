@@ -1,13 +1,13 @@
 import hashlib
 import tempfile
 import tracemalloc
-from itertools import accumulate
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from bisect import bisect_left, bisect_right
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from fractions import Fraction
 
@@ -232,6 +232,27 @@ def row_system(positions, l, lo=None, hi=None):
     return MarkerSystem.from_positions((tuple(positions),), (l,), lo, hi)
 
 
+def top_row(lengths, l, origin=0):
+    """A one-row system in the built form, as build_marker_system makes it
+    (``patterns`` empty): the row has the given gap lengths and runs from
+    lo = origin to hi, its last marker."""
+    return MarkerSystem(
+        (origin,), (tuple(lengths),), (l,), origin, origin + sum(lengths),
+        None, (),
+    )
+
+
+def substitution(top, pattern, gaps, origin=0):
+    """A two-row system in the built form: row 2 has the gap lengths
+    ``top``, and row 1 splits each gap of row 2 by ``pattern``, a map from
+    a length to its steps.  Both rows run from lo = origin to hi."""
+    row1 = tuple(chain.from_iterable(map(pattern.__getitem__, top)))
+    return MarkerSystem(
+        (origin, origin), (row1, tuple(top)), tuple(gaps), origin,
+        origin + sum(top), None, (tuple(pattern.items()),),
+    )
+
+
 class TestDecomposeGap:
     def test_unique_solution(self):
         d = decompose_gap(7, 3)
@@ -302,22 +323,46 @@ class TestPredicates:
     def test_balanced_alternating(self):
         # every 17-window fully contains >= 2 gaps of each length,
         # 2 >= 17/9 and 2 >= 17/12
-        ps = [0]
-        for i in range(30):
-            ps.append(ps[-1] + (3 if i % 2 == 0 else 4))
-        assert check_balanced(row_system(ps, 3), 1, 17)
+        ms = substitution((7,) * 15, {7: (3, 4)}, (3, 7))
+        assert check_balanced(ms, 1, 17)
 
     def test_unbalanced_all_short(self):
-        ps = list(range(0, 90, 3))
-        assert not check_balanced(row_system(ps, 3), 1, 17)
+        ms = substitution((9,) * 10, {9: (3, 3, 3)}, (3, 9))
+        assert not check_balanced(ms, 1, 17)
 
     def test_unbalanced_all_long(self):
-        ps = list(range(0, 120, 4))
-        assert not check_balanced(row_system(ps, 3), 1, 17)
+        ms = substitution((8,) * 15, {8: (4, 4)}, (3, 8))
+        assert not check_balanced(ms, 1, 17)
 
     def test_balanced_window_too_short(self):
-        with pytest.raises(ValueError):
-            check_balanced(row_system([0, 3, 6], 3), 1, 5)
+        with pytest.raises(ValueError, match="interval too short"):
+            check_balanced(build_marker_system(20, 0, (3,)), 1, 5)
+
+    def test_balance_needs_patterns(self):
+        # a system made from positions has no patterns to check through;
+        # the references read its rows
+        ms = row_system([0, 3, 7], 3)
+        with pytest.raises(ValueError, match="built systems only"):
+            check_balanced(ms, 1, 12)
+
+    def test_spans_at_the_limit_hold(self):
+        # every span of the short gaps is 25 against a limit of 29 at
+        # window 30
+        assert check_balanced(top_row((2, 3) * 60, 2), 1, 30)
+
+    def test_three_long_gaps_fail(self):
+        # three long gaps in a row leave an interval short of short gaps
+        ms = top_row((2, 3) * 30 + (3, 3, 3) + (2, 3) * 30, 2)
+        assert not check_balanced(ms, 1, 30)
+
+    def test_long_top_row_checked_in_every_gap_of_a_run(self):
+        # a top row of two runs and a short last one, whose only run of
+        # long gaps lies inside the second run, past its first gap
+        lengths = [2, 3] * (markers._CHUNK + 50)
+        lengths[markers._CHUNK + 100 : markers._CHUNK + 107] = [3] * 7
+        ms = top_row(lengths, 2)
+        assert reference_check_balanced_sweep(ms, 1, 30) is False
+        assert check_balanced(ms, 1, 30) is False
 
     def test_congruency_subset(self):
         ms = MarkerSystem.from_positions(((0, 3, 6, 9, 12), (0, 12)), (3, 12), 0, 12)
@@ -364,22 +409,116 @@ def balance_cases(draw):
     return MarkerSystem.from_positions((tuple(ps),), (l,), lo, max(lo, hi)), window
 
 
+@st.composite
+def top_row_cases(draw):
+    """A one-row system in the built form and a window for check_balanced.
+
+    The row holds up to 200 gaps, so that a cut chunk reads it in several
+    runs.  They repeat a pattern of l and l+1, and up to three of them are
+    changed to lengths that break the two-gap rule, which makes a short
+    spot inside an otherwise balanced row.  The window runs from just below
+    3(l+1), which raises, to past hi - lo for the shorter rows."""
+    l = draw(st.integers(2, 4))
+    pattern = draw(st.sampled_from([(l, l + 1), (l, l, l + 1), (l, l + 1, l + 1)]))
+    lengths = [pattern[i % len(pattern)] for i in range(draw(st.integers(0, 200)))]
+    for _ in range(draw(st.integers(0, 3)) if lengths else 0):
+        at = draw(st.integers(0, len(lengths) - 1))
+        lengths[at] = draw(st.sampled_from([1, l - 1, l + 2, 2 * l + 1]))
+    window = 3 * (l + 1) + draw(st.integers(-1, 60))
+    return top_row(lengths, l, draw(st.integers(-10, 10))), window
+
+
+@st.composite
+def substitutions(draw):
+    """``(ms, windows)``: a hand-made two-row system in the built form.
+
+    Up to three parent lengths each get their own split into steps of l and
+    l+1, in any order and counts; row 2 is drawn from the parent lengths
+    and row 1 is their patterns in turn.  Per row, two windows from the
+    shortest allowed."""
+    l = draw(st.integers(2, 4))
+    splits = st.lists(st.sampled_from([l, l + 1]), min_size=2, max_size=8)
+    pattern = {sum(p): tuple(p) for p in draw(st.lists(splits, min_size=1, max_size=3))}
+    top = draw(st.lists(st.sampled_from(sorted(pattern)), min_size=1, max_size=40))
+    gaps = (l, min(top))
+    windows = [
+        [3 * (g + 1) + draw(st.integers(0, 4 * g)) for _ in range(2)] for g in gaps
+    ]
+    return substitution(top, pattern, gaps, draw(st.integers(-20, 20))), windows
+
+
+@st.composite
+def hierarchy_args(draw, rows=st.integers(1, 3)):
+    """``(columns, origin, gaps)`` of a built hierarchy at a random origin
+    and column count; three rows from l_1 = 2 already span 26k-56k
+    columns."""
+    rows = draw(rows)
+    gaps = [draw(st.integers(2, 2 if rows == 3 else 4))]
+    for _ in range(rows - 1):
+        gaps.append(9 * gaps[-1] ** 2 + draw(st.integers(0, 3)))
+    top = gaps[-1]
+    most = {1: 40, 2: 8, 3: 2}[rows]
+    a = draw(st.integers(1, most))
+    b = draw(st.integers(1, most))
+    return a * top + b * (top + 1), draw(st.integers(-50, 20)), tuple(gaps)
+
+
 class TestCheckBalancedDifferential:
+    """check_balanced's runs against the references, which read every
+    marker of the row."""
+
+    # the top-row runs at the real chunk, and cut so that a top row of
+    # these sizes is read in several runs
+    CHUNKS = st.sampled_from([markers._CHUNK, 5, 16, 32])
+
+    @settings(deadline=None, max_examples=400)
+    @given(top_row_cases(), CHUNKS)
+    def test_matches_reference(self, case, chunk):
+        ms, window = case
+        with small_chunk(chunk):
+            got = _outcome(check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced, ms, 1, window)
+
+    @settings(deadline=None, max_examples=400)
+    @given(top_row_cases(), CHUNKS)
+    def test_matches_sweep(self, case, chunk):
+        ms, window = case
+        with small_chunk(chunk):
+            got = _outcome(check_balanced, ms, 1, window)
+        assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
+
     @settings(deadline=None, max_examples=400)
     @given(balance_cases())
-    def test_matches_reference(self, case):
+    def test_references_agree(self, case):
+        # rows made from positions, with markers outside [lo, hi]
         ms, window = case
-        assert _outcome(check_balanced, ms, 1, window) == _outcome(
-            reference_check_balanced, ms, 1, window
+        assert _outcome(reference_check_balanced, ms, 1, window) == _outcome(
+            reference_check_balanced_sweep, ms, 1, window
         )
 
+    @settings(deadline=None, max_examples=60)
+    @given(hierarchy_args(), CHUNKS, st.data())
+    def test_built_hierarchies(self, args, chunk, data):
+        ms = build_marker_system(*args)
+        windows = [
+            [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
+            for w, l in zip(ms.balance_windows, ms.gaps)
+        ]
+        with small_chunk(chunk):
+            assert_checks_match(ms, windows)
 
-    @settings(deadline=None, max_examples=400)
-    @given(balance_cases())
-    def test_matches_sweep(self, case):
-        ms, window = case
-        assert _outcome(check_balanced, ms, 1, window) == _outcome(
-            reference_check_balanced_sweep, ms, 1, window
+    @settings(deadline=None, max_examples=300)
+    @given(substitutions(), CHUNKS)
+    def test_substitutions(self, case, chunk):
+        with small_chunk(chunk):
+            assert_checks_match(*case)
+
+    @pytest.mark.parametrize("verdict", [True, False])
+    def test_both_verdicts_occur(self, verdict):
+        find(
+            substitutions(),
+            lambda case: check_balanced(case[0], 1, case[1][0][0]) is verdict,
+            settings=settings(database=None),
         )
 
 
@@ -433,14 +572,19 @@ def hand_built_systems():
 
 def assert_checks_match(ms, windows):
     """All three checks on every row against their references; the window
-    list is per row."""
+    list is per row.  A system made from positions has no patterns, so
+    check_balanced refuses it, and the two references must agree."""
     assert check_congruency(ms) == reference_check_congruency(ms)
     for k in range(1, ms.row_count + 1):
         assert check_two_gaps(ms, k) == reference_check_two_gaps(ms, k), k
         for window in windows[k - 1]:
-            assert _outcome(check_balanced, ms, k, window) == _outcome(
-                reference_check_balanced_sweep, ms, k, window
-            ), (k, window)
+            want = _outcome(reference_check_balanced_sweep, ms, k, window)
+            if ms.patterns is None:
+                assert _outcome(reference_check_balanced, ms, k, window) == want
+                with pytest.raises(ValueError):
+                    check_balanced(ms, k, window)
+            else:
+                assert _outcome(check_balanced, ms, k, window) == want, (k, window)
 
 
 @st.composite
@@ -448,21 +592,12 @@ def built_cases(draw):
     """``(ms, windows)``: a built hierarchy of two or three rows, with one
     marker sometimes dropped, and per row its certified window and one at
     or near the shortest allowed."""
-    rows = draw(st.integers(2, 3))
-    origin = draw(st.integers(-60, 60))
-    gaps = [draw(st.integers(2, 2 if rows == 3 else 4))]
-    for _ in range(rows - 1):
-        gaps.append(9 * gaps[-1] ** 2 + draw(st.integers(0, 3)))
-    top = gaps[-1]
-    most = {2: 8, 3: 2}[rows]
-    a = draw(st.integers(1, most))
-    b = draw(st.integers(1, most))
-    ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
+    ms = build_marker_system(*draw(hierarchy_args(st.integers(2, 3))))
     if draw(st.booleans()):
-        # drop one marker: a row loses its two-gap shape, and the row
-        # above may lose congruency
-        k = draw(st.integers(1, rows))
-        positions = [list(ms.row(j)) for j in range(1, rows + 1)]
+        # drop one marker: a row loses its two-gap shape, the row above
+        # may lose congruency, and the system is made from positions
+        k = draw(st.integers(1, ms.row_count))
+        positions = [list(ms.row(j)) for j in range(1, ms.row_count + 1)]
         row = positions[k - 1]
         del row[draw(st.integers(0, len(row) - 1))]
         ms = MarkerSystem.from_positions(
@@ -585,112 +720,45 @@ def mrk_text(ms):
         return path.read_text()
 
 
-def small_sizes(chunk):
-    """The chunk and the stride of check_balanced both cut to ``chunk``."""
-    return mock.patch.multiple(markers, _CHUNK=chunk, _STRIDE=chunk)
+def small_chunk(chunk):
+    """The top-row runs of check_balanced, and write_mrk's pieces, cut to
+    ``chunk`` gaps."""
+    return mock.patch.object(markers, "_CHUNK", chunk)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 class TestChunkBoundaries:
-    """The streaming checks and write_mrk with the chunk, and check_balanced's
-    stride, cut to a few entries.  Hypothesis rows hold at most about 80
-    gaps, so at the real chunk size they never reach a second chunk, and
-    they hold at most a few strides of 16 starts."""
+    """check_balanced and write_mrk with the chunk cut to a few entries.
+    Hypothesis rows hold at most a few hundred gaps, so at the real chunk
+    size a top row is always one run."""
 
     @settings(deadline=None, max_examples=300)
-    @given(balance_cases())
+    @given(top_row_cases())
     def test_check_balanced(self, chunk, case):
         ms, window = case
-        with small_sizes(chunk):
+        with small_chunk(chunk):
             got = _outcome(check_balanced, ms, 1, window)
         assert got == _outcome(reference_check_balanced, ms, 1, window)
         assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
 
     @settings(deadline=None, max_examples=300)
-    @given(balance_cases())
-    def test_strides_in_one_chunk(self, chunk, case):
-        # only the stride cut: a row's starts fall into many strides of
-        # one chunk, as on a long row at the real sizes
-        ms, window = case
-        with mock.patch.object(markers, "_STRIDE", chunk):
-            got = _outcome(check_balanced, ms, 1, window)
-        assert got == _outcome(reference_check_balanced, ms, 1, window)
-        assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
-
-    @settings(deadline=None, max_examples=300)
-    @given(hand_built_systems(), st.data())
-    def test_hand_built_rows(self, chunk, ms, data):
-        windows = [
-            [3 * (l + 1) + data.draw(st.integers(-1, 60)) for _ in range(2)]
-            for l in ms.gaps
-        ]
-        with small_sizes(chunk):
-            assert_checks_match(ms, windows)
+    @given(substitutions())
+    def test_hand_built_rows(self, chunk, case):
+        with small_chunk(chunk):
+            assert_checks_match(*case)
 
     @settings(deadline=None, max_examples=10)
     @given(built_cases())
     def test_built_hierarchies(self, chunk, case):
-        with small_sizes(chunk):
+        with small_chunk(chunk):
             assert_checks_match(*case)
 
     @settings(deadline=None, max_examples=200)
     @given(hand_built_rows())
     def test_write_mrk(self, chunk, case):
         ms = MarkerSystem.from_positions(*case)
-        with mock.patch.object(markers, "_CHUNK", chunk):
+        with small_chunk(chunk):
             assert mrk_text(ms) == reference_mrk(case[0])
-
-
-def gap_row(lengths):
-    """A one-row system with base gap 2 whose gaps have the given lengths,
-    from position 0 to its last marker."""
-    positions = [0, *accumulate(lengths)]
-    return row_system(positions, 2)
-
-
-def stride_screen(ms, window, g, stride):
-    """For row 1 of ms, read in one chunk: whether some stride's bound
-    exceeds the limit of length g, and whether every exact span meets it."""
-    ps = list(ms.row(1))
-    left = [ms.lo - 1] + [
-        a for a, b in zip(ps, ps[1:]) if b - a == g and a >= ms.lo
-    ]
-    m, limit = -(-window // (3 * g)), window + 1 - g
-    n = bisect_left(left, ms.hi - window)
-    bounds = [
-        left[a + stride - 1 + m] - left[a]
-        for a in range(0, n - stride + 1, stride)
-    ]
-    spans = [left[q + m] - left[q] for q in range(n)]
-    return max(bounds) > limit, max(spans) <= limit
-
-
-@pytest.mark.parametrize("stride", [2, 3, 7, 16])
-class TestStrideRecheck:
-    """Rows whose stride bounds exceed the limit, so check_balanced checks
-    those strides' spans one by one.  On the alternating row every span of
-    the short gaps is 25 against a limit of 29 at window 30, and a stride's
-    bound is 25 + 5 (S - 1)."""
-
-    WINDOW = 30
-
-    def check(self, ms, stride):
-        with mock.patch.object(markers, "_STRIDE", stride):
-            got = check_balanced(ms, 1, self.WINDOW)
-        assert got == reference_check_balanced(ms, 1, self.WINDOW)
-        assert got == reference_check_balanced_sweep(ms, 1, self.WINDOW)
-        return got
-
-    def test_every_span_holds(self, stride):
-        ms = gap_row((2, 3) * 60)
-        assert stride_screen(ms, self.WINDOW, 2, stride) == (True, True)
-        assert self.check(ms, stride)
-
-    def test_one_span_fails(self, stride):
-        # three long gaps in a row leave an interval short of short gaps
-        ms = gap_row((2, 3) * 30 + (3, 3, 3) + (2, 3) * 30)
-        assert stride_screen(ms, self.WINDOW, 2, stride) == (True, False)
-        assert not self.check(ms, stride)
 
 
 def _traced_peak(fn, *args):
@@ -744,20 +812,13 @@ class TestBoundedMemory:
 
 class TestBuildMarkerSystemDifferential:
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 3), st.integers(-50, 20), st.data())
-    def test_matches_reference(self, rows, origin, data):
-        # three rows from l_1 = 2 already span 26k-56k columns
-        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
-        for _ in range(rows - 1):
-            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
-        top = gaps[-1]
-        most = {1: 40, 2: 8, 3: 2}[rows]
-        a = data.draw(st.integers(1, most))
-        b = data.draw(st.integers(1, most))
-        n = a * top + b * (top + 1)
-        assert build_marker_system(n, origin, gaps) == reference_build_marker_system(
-            n, origin, gaps
-        )
+    @given(hierarchy_args())
+    def test_matches_reference(self, args):
+        ms = build_marker_system(*args)
+        # the reference is made from positions, so it records no patterns
+        assert MarkerSystem(
+            ms.starts, ms.lengths, ms.gaps, ms.lo, ms.hi, ms.balance_windows
+        ) == reference_build_marker_system(*args)
 
 
 def finer_cuts(ms, k):
@@ -781,20 +842,23 @@ class TestOnePatternPerWidth:
     # cells only: both rest on every row-k gap of one width carrying the
     # same finer markers, in every row below k
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 3), st.integers(-50, 20), st.data())
-    def test_built_hierarchies(self, rows, origin, data):
-        gaps = [data.draw(st.integers(2, 2 if rows == 3 else 4))]
-        for _ in range(rows - 1):
-            gaps.append(9 * gaps[-1] ** 2 + data.draw(st.integers(0, 3)))
-        top = gaps[-1]
-        most = {1: 40, 2: 8, 3: 2}[rows]
-        a = data.draw(st.integers(1, most))
-        b = data.draw(st.integers(1, most))
-        ms = build_marker_system(a * top + b * (top + 1), origin, gaps)
-        for k in range(1, rows + 1):
+    @given(hierarchy_args())
+    def test_built_hierarchies(self, args):
+        ms = build_marker_system(*args)
+        gaps = ms.gaps
+        for k in range(1, ms.row_count + 1):
             patterns = finer_cuts(ms, k)
             assert set(patterns) <= {gaps[k - 1], gaps[k - 1] + 1}
             assert all(len(cuts) == 1 for cuts in patterns.values()), k
+        # and the system records them: each lower row is the row above
+        # with every gap expanded through its pattern
+        assert len(ms.patterns) == ms.row_count - 1
+        for k in range(1, ms.row_count):
+            pattern = dict(ms.patterns[k - 1])
+            assert set(pattern) == set(ms.lengths[k])
+            assert all(sum(steps) == p for p, steps in pattern.items())
+            expanded = chain.from_iterable(map(pattern.__getitem__, ms.lengths[k]))
+            assert ms.lengths[k - 1] == tuple(expanded), k
 
     def test_two_splits_of_one_length_seen(self):
         # two 7-gaps of row 2, split 3 + 4 and 4 + 3 by row 1

@@ -173,6 +173,12 @@ def reference_replace_bad(w, ms, k, family, tabbed):
     return replace_cells(w, k, placements), new_ms, changed, len(placements)
 
 
+def same_rows(a, b):
+    """Whether two marker systems hold the same rows: a built system also
+    records its patterns, which one made from positions lacks."""
+    return (a.starts, a.lengths) == (b.starts, b.lengths)
+
+
 def reference_census(samples, family, k):
     """_census as first written, extracting each window into (p, grid) gaps
     and classifying each distinct grid: the reference."""
@@ -269,7 +275,7 @@ def reference_purify_stage(samples, config, stage, targets, coarse, slices):
             window, new_ms, changed, replaced = reference_replace_bad(
                 sample.window, ms, k, family, tabbed
             )
-            assert new_ms == ms, "a replacement moved a marker"
+            assert same_rows(new_ms, ms), "a replacement moved a marker"
             sample.window = window
             sample.changed.append(changed)
             if changed:
@@ -926,7 +932,7 @@ class TestReplaceBad:
         assert (replaced, changed) == (1, 36)
         grids = as_grids(tabbed, w, ms, 2)
         out_ref, ms_ref, _, _ = reference_replace_bad(w, ms, 2, fam, grids)
-        assert ms_ref == ms
+        assert same_rows(ms_ref, ms)
         assert out == out_ref
 
     def test_reads_no_window(self, monkeypatch):
@@ -976,7 +982,7 @@ class TestReplaceBadDifferential:
         window, new_ms, changed, replaced = reference_replace_bad(
             w, ms, k, family, as_grids(tabbed, w, ms, k)
         )
-        assert new_ms == ms
+        assert same_rows(new_ms, ms)
         assert replace_bad(w, k, bad, tabbed) == (window, replaced, changed)
 
 

@@ -8,7 +8,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import strictform
+from strictform.markers import MarkerSystem, build_marker_system, check_balanced
 
 SRC = Path(strictform.__file__).parent
 
@@ -119,6 +122,48 @@ def test_purify_carries_no_flag_rows():
         or isinstance(node, ast.Constant) and node.value in _PURIFY_GONE
     ]
     assert found == []
+
+
+# what check_balanced's scan over a whole row was made of: the stride of
+# its span screen and the two helpers that settled and screened each chunk
+_MARKERS_GONE = {"_STRIDE", "_settle", "_spans_hold"}
+
+
+def test_balance_scans_no_whole_row():
+    # check_balanced reads runs of the coarse row: markers.py names none
+    # of the scan's parts, not even as a string
+    found = [
+        f"markers.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "markers.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _MARKERS_GONE
+        or isinstance(node, ast.Name) and node.id in _MARKERS_GONE
+        or isinstance(node, ast.FunctionDef) and node.name in _MARKERS_GONE
+        or isinstance(node, ast.Constant) and node.value in _MARKERS_GONE
+    ]
+    assert found == []
+
+
+class _Unread:
+    """Gap lengths that fail when read."""
+
+    def _fail(self, *args):
+        raise AssertionError("check_balanced read row k's own gap lengths")
+
+    __iter__ = __len__ = __getitem__ = _fail
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_balance_reads_the_row_above(k):
+    # below the top row, row k is read as the row above through its
+    # patterns, never from its own lengths
+    ms = build_marker_system(2 * 11664 + 2 * 11665, 0, (2, 36, 11664))
+    unread = MarkerSystem(*(getattr(ms, name) for name in ms._fields))
+    lengths = list(ms.lengths)
+    lengths[k - 1] = _Unread()
+    object.__setattr__(unread, "lengths", tuple(lengths))
+    l = ms.gaps[k - 1]
+    for window in (ms.balance_windows[k - 1], 3 * (l + 1)):
+        assert check_balanced(unread, k, window) == check_balanced(ms, k, window)
 
 
 _GONE = {"with_row", "positions_between"}

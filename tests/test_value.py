@@ -60,6 +60,7 @@ OLD_FIELDS = {
     MarkerSystem: [
         ("starts", REQUIRED), ("lengths", REQUIRED), ("gaps", REQUIRED),
         ("lo", REQUIRED), ("hi", REQUIRED), ("balance_windows", None),
+        ("patterns", None),
     ],
     EmpiricalMeasure: [("truncation", REQUIRED), ("dims", REQUIRED)],
     TruncatedDistance: [("value", REQUIRED), ("tail_bound", REQUIRED)],
