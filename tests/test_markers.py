@@ -345,16 +345,6 @@ class TestPredicates:
         with pytest.raises(ValueError, match="built systems only"):
             check_balanced(ms, 1, 12)
 
-    def test_spans_at_the_limit_hold(self):
-        # every span of the short gaps is 25 against a limit of 29 at
-        # window 30
-        assert check_balanced(top_row((2, 3) * 60, 2), 1, 30)
-
-    def test_three_long_gaps_fail(self):
-        # three long gaps in a row leave an interval short of short gaps
-        ms = top_row((2, 3) * 30 + (3, 3, 3) + (2, 3) * 30, 2)
-        assert not check_balanced(ms, 1, 30)
-
     def test_long_top_row_checked_in_every_gap_of_a_run(self):
         # a top row of two runs and a short last one, whose only run of
         # long gaps lies inside the second run, past its first gap
@@ -759,6 +749,31 @@ class TestChunkBoundaries:
         ms = MarkerSystem.from_positions(*case)
         with small_chunk(chunk):
             assert mrk_text(ms) == reference_mrk(case[0])
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7, 16])
+class TestStrideRecheck:
+    """Top rows whose spans come close to the limit, checked in runs of
+    ``chunk`` gaps, so the row's 120-odd gaps fall into many overlapping
+    runs.  On the alternating row every span of the short gaps is 25
+    against a limit of 29 at window 30."""
+
+    WINDOW = 30
+
+    def check(self, ms, chunk):
+        with small_chunk(chunk):
+            got = check_balanced(ms, 1, self.WINDOW)
+        assert got == reference_check_balanced(ms, 1, self.WINDOW)
+        assert got == reference_check_balanced_sweep(ms, 1, self.WINDOW)
+        return got
+
+    def test_every_span_holds(self, chunk):
+        assert self.check(top_row((2, 3) * 60, 2), chunk)
+
+    def test_one_span_fails(self, chunk):
+        # three long gaps in a row leave an interval short of short gaps
+        ms = top_row((2, 3) * 30 + (3, 3, 3) + (2, 3) * 30, 2)
+        assert not self.check(ms, chunk)
 
 
 def _traced_peak(fn, *args):
