@@ -140,7 +140,10 @@ def _cmd_markers(args) -> int:
             "command": "markers",
             "columns": args.columns,
             "gaps": list(gaps),
-            "rows": [len(steps) + 1 for steps in ms.lengths],
+            "rows": [
+                sum(ms.gap_counts(k).values()) + 1
+                for k in range(1, ms.row_count + 1)
+            ],
             "checks": checks,
         },
         config,

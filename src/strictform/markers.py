@@ -8,10 +8,11 @@ every marker of row k+1 must also be a marker of row k (congruency).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter, deque
 from fractions import Fraction
 from functools import partial
 from itertools import (
-    accumulate, chain, compress, dropwhile, islice, repeat, takewhile,
+    accumulate, chain, compress, dropwhile, islice, repeat, takewhile, tee,
 )
 from operator import eq, ge, gt, sub
 from pathlib import Path
@@ -40,26 +41,21 @@ class GapDecomposition(Value):
 
 
 class MarkerSystem(Value):
-    """Marker rows over the column range [lo, hi], each stored as its first
-    position and its gap lengths.
+    """Marker rows over the column range [lo, hi].
 
-    Row k holds the marker ``starts[k-1]`` and then one marker per entry of
-    ``lengths[k-1]``, each that many columns after the one before; an empty
-    row has the start None and no lengths.  A row costs one 8-byte tuple
-    slot per marker: the lengths of a built row repeat two int objects,
-    where a tuple of positions holds an int object and a slot per marker,
-    36 bytes.  Positions are computed as they are read (``row``);
-    ``from_positions`` builds a system from rows of sorted positions.
-    ``cuts`` reads a row's markers inside a window, and ``flags`` marks them
-    with one byte per column, as an ``.arr`` file does.
+    Row k holds the marker ``starts[k-1]`` (None for an empty row) and then
+    one marker per gap length, each that many columns after the one before.
+    A system made ``from_positions`` stores each row's lengths in
+    ``lengths[k-1]``.  A built system stores its top row alone: below it,
+    ``lengths[k-1]`` is None and ``patterns[k-1]`` pairs each gap length of
+    row k+1 with the row-k lengths it splits into, so row k is the image of
+    row k+1 under that substitution.  It is refused unless every row starts
+    at one marker and each pattern is positive steps summing to its gap,
+    one pattern per gap length of the row above.
 
-    ``gaps[k-1]`` is the base gap l_k of row k.  ``balance_windows`` records,
-    per row, the interval length at which the constructor guarantees the
-    balanced-frequency condition (None for hand-built systems).
-    ``patterns[k-1]``, for each row k below the top, pairs each gap length
-    of row k+1 with the row-k gap lengths it splits into, so that row k is
-    the patterns of row k+1's gaps in turn (None for hand-built systems;
-    ``check_balanced`` reads it).
+    ``gaps[k-1]`` is the base gap l_k of row k, and ``balance_windows``
+    holds per row the interval length at which the constructor guarantees
+    balance (None for hand-built systems).
     """
 
     __slots__ = (
@@ -81,8 +77,20 @@ class MarkerSystem(Value):
         for start, steps in zip(starts, lengths):
             if start is None and steps:
                 raise ValueError("an empty row has no gap lengths")
-            if min(steps, default=1) < 1:
+            if min(steps or (1,)) < 1:
                 raise ValueError("positions must be sorted and distinct")
+        lazy = 0 if patterns is None else len(lengths) - 1
+        if lengths[:lazy] != (None,) * lazy or None in lengths[lazy:] or (
+            len(patterns or ()) != lazy or lazy and len(set(starts)) > 1
+        ):
+            raise ValueError("a built system stores its top row alone")
+        for k in range(lazy, 0, -1):
+            pattern = dict(patterns[k - 1])
+            if self.gap_counts(k + 1).keys() - pattern.keys() or any(
+                min(steps, default=0) < 1 or sum(steps) != p
+                for p, steps in pattern.items()
+            ):
+                raise ValueError(f"row {k} does not split row {k + 1}")
 
     @classmethod
     def from_positions(cls, rows, gaps, lo, hi, balance_windows=None):
@@ -95,9 +103,24 @@ class MarkerSystem(Value):
     def row_count(self) -> int:
         return len(self.starts)
 
+    def steps(self, k: int) -> Iterator[int]:
+        """The gap lengths of row k, in order, expanded as they are read."""
+        if self.lengths[k - 1] is None:
+            return _expand(dict(self.patterns[k - 1]), self.steps(k + 1))
+        return iter(self.lengths[k - 1])
+
+    def gap_counts(self, k: int) -> Counter:
+        """Row k's gap count per length, pushed down through the patterns."""
+        if self.lengths[k - 1] is not None:
+            return Counter(self.lengths[k - 1])
+        pattern, counts = dict(self.patterns[k - 1]), Counter()
+        for p, n in self.gap_counts(k + 1).items():
+            counts.update({s: n * m for s, m in Counter(pattern[p]).items()})
+        return counts
+
     def row(self, k: int) -> Iterator[int]:
         """The positions of row k, in order, computed as they are read."""
-        return accumulate(self.lengths[k - 1], initial=self.starts[k - 1])
+        return accumulate(self.steps(k), initial=self.starts[k - 1])
 
     # the one place that decides which markers a window spans
     def cuts(self, k: int, origin: int, columns: int) -> list[int]:
@@ -113,6 +136,11 @@ class MarkerSystem(Value):
         for p in self.cuts(k, origin, columns):
             row[p - origin] = 1
         return bytes(row)
+
+
+def _expand(pattern: dict, gaps) -> Iterator[int]:
+    """The steps of ``gaps``, each split by its ``pattern`` in turn."""
+    return chain.from_iterable(map(pattern.__getitem__, gaps))
 
 
 def _best_split(p: int, l: int, cross: int, key) -> GapDecomposition:
@@ -177,39 +205,34 @@ def _split_steps(p: int, l: int) -> tuple[int, ...]:
 
 
 def check_two_gaps(ms: MarkerSystem, k: int) -> bool:
+    """True iff every gap of row k is l_k or l_k + 1 long.  ``gap_counts``
+    is exact below a built system's top row: row k's gaps are the steps of
+    the patterns of the lengths that row k+1 holds, and no others."""
     l = ms.gaps[k - 1]
-    return set(ms.lengths[k - 1]) <= {l, l + 1}
+    return ms.gap_counts(k).keys() <= {l, l + 1}
 
 
 def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     """True iff every length-``window`` interval inside [lo, hi] fully contains
     at least window/(3 l_k) gaps of length l_k and window/(3 (l_k+1)) gaps of
-    length l_k+1.  Only gaps with both endpoints inside the interval count.
-    ``ms`` must be built (``patterns`` set): its rows run from lo to hi,
-    and row k is row k+1 with each gap expanded through its pattern.
+    length l_k+1, counting only gaps with both ends inside.  ``ms`` must be
+    built (``patterns`` set): its rows run from lo to hi.
 
-    Each length g is checked on its own, as the m-th gap of that length,
-    m = ceil(window / (3 g)).  The length-g gaps inside [t, t + window] are
-    those whose left ends lie in [t, t + window - g], consecutive entries of
-    the sorted left ends ``left``.  Among the starts whose first entry is
-    left[q + 1], the earliest, left[q] + 1, is the tightest, and it holds m
+    Each length g is checked on its own: with m = ceil(window / (3 g)) and
+    ``left`` the sorted left ends of the length-g gaps, the start left[q] + 1
+    is the tightest of those whose first gap is left[q + 1], and it holds m
     gaps iff left[q + m] - left[q] <= window + 1 - g.
 
-    The row is read in runs of its coarse row: row k+1 with each gap read
-    as its pattern, or at the top row the row itself.  With c the shortest
+    The row is read in runs of its coarse row: row k+1 with each gap read as
+    its pattern, or at the top row the row itself.  With c the shortest
     coarse gap and r = window // c + 2, the r - 1 coarse gaps after the one
-    an interval starts in span more than ``window``.  So the run of r coarse
-    gaps from there decides every start in its first gap, wherever the run
-    occurs, and below the top row only the distinct runs are checked.  At
-    the top row a run is ``_CHUNK`` gaps plus r - 1, checked at the starts
-    in its first ``_CHUNK`` gaps, so no run holds the row.  The row's last
-    run reaches hi and is checked at all of its starts up to hi - window.
-
-    A run counts from its first marker P, a coarse marker: its ``left``
-    begins with P - 1, whose start is P itself.  In the first run P is lo,
-    the earliest start of all.  In a later run P is an extra start, but an
-    interval from P lies inside [lo, hi] all the same, so checking it fails
-    no balanced row and the verdict stays exact.
+    an interval starts in span more than ``window``, so a run of r coarse
+    gaps decides every start in its first gap wherever it occurs.  Below the
+    top row each distinct run (``_runs``) is checked once.  At the top row a
+    run is ``_CHUNK`` gaps plus r - 1, checked in its first ``_CHUNK`` gaps.
+    The last run reaches hi and is checked at every start up to hi - window.
+    A run also checks its first marker P as a start; an interval from P lies
+    inside [lo, hi] all the same, so the verdict stays exact.
     """
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
@@ -219,20 +242,43 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
     if k < ms.row_count:
-        coarse, step, pattern = ms.lengths[k], 1, dict(ms.patterns[k - 1])
+        step, pattern = 1, dict(ms.patterns[k - 1])
+        runs, run = _runs(ms, k + 1, window // min(pattern) + 2)
     else:
         coarse, step, pattern = ms.lengths[k - 1], _CHUNK, None
-    span = step + window // min(coarse) + 1
-    # the head of the last run, the first that reaches the end of the row
-    last = max(0, -(-(len(coarse) - span) // step)) * step
-    runs = (coarse[i : i + span] for i in range(0, last, step))
-    if pattern:
-        runs = dict.fromkeys(runs)  # equal runs have one verdict
-    for run in runs:
-        if not _run_holds(run, pattern, sum(run[:step]), l, window):
+        span = step + window // min(coarse) + 1
+        # the head of the last run, the first that reaches the end of the row
+        last = max(0, -(-(len(coarse) - span) // step)) * step
+        runs = (coarse[i : i + span] for i in range(0, last, step))
+        run = coarse[last:]
+    for head in runs:
+        if not _run_holds(head, pattern, sum(head[:step]), l, window):
             return False
-    run = coarse[last:]
     return _run_holds(run, pattern, sum(run) - window, l, window)
+
+
+def _runs(ms: MarkerSystem, k: int, n: int) -> tuple[dict, tuple]:
+    """The distinct runs of n consecutive row-k gaps, and the row's last n
+    gaps (all of a shorter row), never holding a row.  A run that starts in
+    the pattern of a row-(k+1) gap lies in the patterns of the m gaps from
+    there, as any m - 1 patterns hold n - 1 steps, or else in those of the
+    row's last m gaps, so the expansions of those m-runs hold them all."""
+    steps = ms.lengths[k - 1]
+    if steps is not None:
+        return dict.fromkeys(_windows(steps, n)), steps[-n:]
+    pattern = dict(ms.patterns[k - 1])
+    m = 1 - (1 - n) // min(map(len, pattern.values()), default=1)
+    runs, tail = _runs(ms, k + 1, m)
+    runs.setdefault(tail)
+    found = dict.fromkeys(
+        chain.from_iterable(_windows(_expand(pattern, run), n) for run in runs)
+    )
+    return found, tuple(deque(_expand(pattern, tail), maxlen=n))
+
+
+def _windows(steps, n: int) -> Iterator[tuple]:
+    """Every n consecutive entries of ``steps``, read once, in order."""
+    return zip(*(islice(it, i, None) for i, it in enumerate(tee(steps, n))))
 
 
 def _run_holds(run, pattern, stop: int, l: int, window: int) -> bool:
@@ -241,7 +287,7 @@ def _run_holds(run, pattern, stop: int, l: int, window: int) -> bool:
     run.  The gaps are ``run`` itself, or with a ``pattern`` the patterns
     of its gaps in turn."""
     if pattern:
-        run = list(chain.from_iterable(map(pattern.__getitem__, run)))
+        run = list(_expand(pattern, run))
     ends = list(accumulate(run, initial=0))
     for g in (l, l + 1):
         m = -(-window // (3 * g))
@@ -255,7 +301,10 @@ def _run_holds(run, pattern, stop: int, l: int, window: int) -> bool:
 
 
 def check_congruency(ms: MarkerSystem) -> bool:
-    for k in range(1, ms.row_count):
+    """True iff every marker of row k+1 is a marker of row k, for each k.
+    A built system is congruent by construction: each row starts where the
+    row above does, and each pattern sums to the gap it splits."""
+    for k in range(1, ms.row_count if ms.patterns is None else 1):
         upper = set(ms.row(k + 1))
         upper.difference_update(ms.row(k))
         if upper:
@@ -295,21 +344,15 @@ def build_marker_system(
     n = d.a + d.b
     # spread the b long gaps evenly among the a short ones: gap i is long
     # iff (i + 1) * b / n passes an integer that i * b / n does not reach
-    short_long = (top, top + 1)
-    steps = (short_long[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
-    per_row = [tuple(steps)]
-    patterns = []
+    lengths = (top, top + 1)
+    steps = tuple(lengths[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
+    patterns, above = [], set(steps)
     for l in reversed(gaps[:-1]):
-        above = per_row[0]
-        # every gap above is l_{k+1} or l_{k+1} + 1 long.  Split each length
-        # once into its step pattern (a steps of l, then b of l + 1); the row
-        # is the patterns of the gaps above in turn, so it passes through
-        # every marker above.  The patterns repeat the same two length
-        # objects, so a row costs one tuple slot per gap.
-        pattern = {p: _split_steps(p, l) for p in dict.fromkeys(above)}
-        steps = chain.from_iterable(map(pattern.__getitem__, above))
-        per_row.insert(0, tuple(steps))
+        # split each gap length of the row above once into its step pattern
+        # (a steps of l, then b of l + 1); the row is those patterns in turn
+        pattern = {p: _split_steps(p, l) for p in sorted(above)}
         patterns.insert(0, tuple(pattern.items()))
+        above = set(chain.from_iterable(pattern.values()))
 
     # certified balance windows: 16*(coarse gap + 2) below the top row (each
     # window holds >= 14 full coarse gaps whose short/long shares are each
@@ -319,8 +362,8 @@ def build_marker_system(
         for k in range(rows)
     )
     return MarkerSystem(
-        (origin,) * rows, tuple(per_row), gaps, origin, origin + columns,
-        balance, tuple(patterns),
+        (origin,) * rows, (None,) * (rows - 1) + (steps,), gaps, origin,
+        origin + columns, balance, tuple(patterns),
     )
 
 

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,7 +19,7 @@ import strictform.cli as cli
 import strictform.purify as purify
 from strictform.arrays import lift_binary, write_arr
 from strictform.cli import main
-from strictform.markers import build_marker_system
+from strictform.markers import _split_steps, build_marker_system, decompose_gap
 
 from test_golden import NOISY_CONFIG
 
@@ -364,6 +366,39 @@ class TestMarkers:
         assert data["config_sha256"]
         assert out.exists()
         capsys.readouterr()
+
+    def test_four_rows_without_out(self, capsys):
+        # row 1 of this hierarchy holds about 1e9 markers, 8 GB as a tuple:
+        # the built system stores its two top-row gaps and its patterns,
+        # and every check and count comes from the patterns.  Measured at a
+        # 2.57 MB traced peak on Python 3.10 to 3.13, most of it the two
+        # row-3 patterns of about 105,000 steps each.
+        columns, gaps = 2448880129, (2, 36, 11664, 1224440064)
+        argv = ["markers", "--columns", str(columns), "--gaps", ",".join(map(str, gaps))]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert report["checks"] == {
+            "two_gaps": True, "congruency": True, "balanced": True,
+        }
+        # independently: the top row splits the columns by decompose_gap,
+        # and each gap of a row above splits by _split_steps
+        d = decompose_gap(columns, gaps[-1])
+        counts = [Counter({gaps[-1]: d.a, gaps[-1] + 1: d.b})]
+        for l in reversed(gaps[:-1]):
+            below = Counter()
+            for p, n in counts[0].items():
+                for step in _split_steps(p, l):
+                    below[step] += n
+            counts.insert(0, below)
+        assert report["rows"] == [sum(c.values()) + 1 for c in counts]
+        assert report["rows"][0] > 10**9
+        assert peak < 3 * 10**6, peak
 
     @pytest.mark.parametrize("gaps", ["x", "3,", "3;100"])
     def test_unparseable_gaps_exit_2(self, gaps, capsys):

@@ -1,7 +1,9 @@
 import hashlib
 import tempfile
 import tracemalloc
-from itertools import chain
+from collections import Counter
+from itertools import accumulate, chain
+from operator import sub
 from pathlib import Path
 from unittest import mock
 
@@ -246,11 +248,25 @@ def substitution(top, pattern, gaps, origin=0):
     """A two-row system in the built form: row 2 has the gap lengths
     ``top``, and row 1 splits each gap of row 2 by ``pattern``, a map from
     a length to its steps.  Both rows run from lo = origin to hi."""
-    row1 = tuple(chain.from_iterable(map(pattern.__getitem__, top)))
     return MarkerSystem(
-        (origin, origin), (row1, tuple(top)), tuple(gaps), origin,
+        (origin, origin), (None, tuple(top)), tuple(gaps), origin,
         origin + sum(top), None, (tuple(pattern.items()),),
     )
+
+
+def expanded_rows(top, patterns, origin):
+    """The rows of a system in the built form as tuples of positions: the
+    top row from ``origin``, and each lower row the row above with every
+    gap split by the pattern of its length.  The reference for lazy rows."""
+    rows = [tuple(accumulate(top, initial=origin))]
+    for pattern in reversed(patterns):
+        pattern, above = dict(pattern), rows[0]
+        row = [above[0]]
+        for a, b in zip(above, above[1:]):
+            for step in pattern[b - a]:
+                row.append(row[-1] + step)
+        rows.insert(0, tuple(row))
+    return tuple(rows)
 
 
 class TestDecomposeGap:
@@ -419,22 +435,63 @@ def top_row_cases(draw):
 
 
 @st.composite
-def substitutions(draw):
-    """``(ms, windows)``: a hand-made two-row system in the built form.
+def built_forms(draw, rows=st.integers(1, 4)):
+    """``(args, valid, windows)``: the MarkerSystem arguments of a hand-made
+    system in the built form, whether they are well formed, and per row two
+    windows from the shortest allowed.
 
-    Up to three parent lengths each get their own split into steps of l and
-    l+1, in any order and counts; row 2 is drawn from the parent lengths
-    and row 1 is their patterns in turn.  Per row, two windows from the
-    shortest allowed."""
+    Bottom up: row 1 has base gap l, and each upper row has up to three gap
+    lengths, each the sum of a list of lengths of the row below (l and l+1
+    at row 1, now and then a stray) in any order and count, which is its
+    pattern; its base gap is the shortest.  The top row is drawn from the
+    last lengths.  Now and then a pattern is paired with its sum plus or
+    minus one, or holds a step below 1: MarkerSystem must refuse those, so
+    ``valid`` is false."""
+    rows = draw(rows)
     l = draw(st.integers(2, 4))
-    splits = st.lists(st.sampled_from([l, l + 1]), min_size=2, max_size=8)
-    pattern = {sum(p): tuple(p) for p in draw(st.lists(splits, min_size=1, max_size=3))}
-    top = draw(st.lists(st.sampled_from(sorted(pattern)), min_size=1, max_size=40))
-    gaps = (l, min(top))
+    gaps, lengths, patterns = [l], [l, l + 1], []
+    for k in range(rows - 1):
+        stray = draw(st.sampled_from([(), (), (), (1,), (l + 2,), (0,), (-1,)]))
+        splits = st.lists(
+            st.sampled_from(lengths + list(stray if k == 0 else ())),
+            min_size=1 if k else 2, max_size=4 if k else 6,
+        )
+        pattern = {
+            sum(steps) + draw(st.sampled_from((0,) * 12 + (-1, 1))): tuple(steps)
+            for steps in draw(st.lists(splits, min_size=1, max_size=3))
+        }
+        patterns.append(tuple(pattern.items()))
+        lengths = sorted(pattern)
+        gaps.append(max(1, min(lengths)))
+    top = draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=10))
+    origin = draw(st.integers(-20, 20))
+    valid = all(
+        min(steps) >= 1 and sum(steps) == p
+        for pattern in patterns
+        for p, steps in pattern
+    )
     windows = [
         [3 * (g + 1) + draw(st.integers(0, 4 * g)) for _ in range(2)] for g in gaps
     ]
-    return substitution(top, pattern, gaps, draw(st.integers(-20, 20))), windows
+    args = (
+        (origin,) * rows, (None,) * (rows - 1) + (tuple(top),), tuple(gaps),
+        origin, origin + sum(top), None, tuple(patterns),
+    )
+    return args, valid, windows
+
+
+def assert_built_form_matches(args, valid, windows):
+    """MarkerSystem refuses a malformed built form; a well-formed one reads
+    the rows its patterns describe, and its checks match the references on
+    those rows, made from positions."""
+    if not valid:
+        with pytest.raises(ValueError):
+            MarkerSystem(*args)
+        return
+    ms = MarkerSystem(*args)
+    starts, lengths, gaps, lo, hi, _, patterns = args
+    rows = expanded_rows(lengths[-1], patterns, starts[-1])
+    assert_checks_match(ms, windows, MarkerSystem.from_positions(rows, gaps, lo, hi))
 
 
 @st.composite
@@ -489,27 +546,48 @@ class TestCheckBalancedDifferential:
     @settings(deadline=None, max_examples=60)
     @given(hierarchy_args(), CHUNKS, st.data())
     def test_built_hierarchies(self, args, chunk, data):
+        # built from one to three rows; four from l_1 = 2 hold about 1e9
+        # row-1 markers, more than a reference can read, so four-row
+        # systems come from test_substitutions
         ms = build_marker_system(*args)
         windows = [
             [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
             for w, l in zip(ms.balance_windows, ms.gaps)
         ]
         with small_chunk(chunk):
-            assert_checks_match(ms, windows)
+            assert_checks_match(ms, windows, reference_build_marker_system(*args))
 
     @settings(deadline=None, max_examples=300)
-    @given(substitutions(), CHUNKS)
+    @given(built_forms(), CHUNKS)
     def test_substitutions(self, case, chunk):
         with small_chunk(chunk):
-            assert_checks_match(*case)
+            assert_built_form_matches(*case)
 
     @pytest.mark.parametrize("verdict", [True, False])
     def test_both_verdicts_occur(self, verdict):
         find(
-            substitutions(),
-            lambda case: check_balanced(case[0], 1, case[1][0][0]) is verdict,
+            built_forms(st.just(2)),
+            lambda case: case[1]
+            and check_balanced(MarkerSystem(*case[0]), 1, case[2][0][0]) is verdict,
             settings=settings(database=None),
         )
+
+    def test_coarse_row_under_a_one_gap_row(self):
+        # row 3 is one gap, fewer than the two that a run of row 2 needs,
+        # so the runs of row 2 come from all of row 3.  The row-1 intervals
+        # that fail lie in the 6-gaps, all short, at the head of row 2,
+        # away from its last run.
+        patterns = (
+            ((5, (2, 3)), (6, (2, 2, 2))),
+            ((63, (6,) * 3 + (5,) * 9),),
+        )
+        ms = MarkerSystem(
+            (0,) * 3, (None, None, (63,)), (2, 5, 63), 0, 63, None, patterns
+        )
+        rows = expanded_rows((63,), patterns, 0)
+        ref = MarkerSystem.from_positions(rows, ms.gaps, 0, 63)
+        assert reference_check_balanced_sweep(ref, 1, 12) is False
+        assert check_balanced(ms, 1, 12) is False
 
 
 def _pattern_row(draw, l, start):
@@ -560,17 +638,21 @@ def hand_built_systems():
     return hand_built_rows().map(lambda case: MarkerSystem.from_positions(*case))
 
 
-def assert_checks_match(ms, windows):
+def assert_checks_match(ms, windows, ref=None):
     """All three checks on every row against their references; the window
-    list is per row.  A system made from positions has no patterns, so
-    check_balanced refuses it, and the two references must agree."""
-    assert check_congruency(ms) == reference_check_congruency(ms)
+    list is per row.  The references read ``ref``, a system made from
+    positions that holds the rows of ``ms`` (``ms`` itself by default).  A
+    system made from positions has no patterns, so check_balanced refuses
+    it, and the two references must agree."""
+    ref = ms if ref is None else ref
+    assert check_congruency(ms) == reference_check_congruency(ref)
     for k in range(1, ms.row_count + 1):
-        assert check_two_gaps(ms, k) == reference_check_two_gaps(ms, k), k
+        assert tuple(ms.row(k)) == tuple(ref.row(k)), k
+        assert check_two_gaps(ms, k) == reference_check_two_gaps(ref, k), k
         for window in windows[k - 1]:
-            want = _outcome(reference_check_balanced_sweep, ms, k, window)
+            want = _outcome(reference_check_balanced_sweep, ref, k, window)
             if ms.patterns is None:
-                assert _outcome(reference_check_balanced, ms, k, window) == want
+                assert _outcome(reference_check_balanced, ref, k, window) == want
                 with pytest.raises(ValueError):
                     check_balanced(ms, k, window)
             else:
@@ -579,10 +661,11 @@ def assert_checks_match(ms, windows):
 
 @st.composite
 def built_cases(draw):
-    """``(ms, windows)``: a built hierarchy of two or three rows, with one
-    marker sometimes dropped, and per row its certified window and one at
-    or near the shortest allowed."""
-    ms = build_marker_system(*draw(hierarchy_args(st.integers(2, 3))))
+    """``(ms, windows, ref)``: a built hierarchy of two or three rows, with
+    one marker sometimes dropped, per row its certified window and one at
+    or near the shortest allowed, and the reference builder's system."""
+    args = draw(hierarchy_args(st.integers(2, 3)))
+    ms = ref = build_marker_system(*args)
     if draw(st.booleans()):
         # drop one marker: a row loses its two-gap shape, the row above
         # may lose congruency, and the system is made from positions
@@ -590,15 +673,17 @@ def built_cases(draw):
         positions = [list(ms.row(j)) for j in range(1, ms.row_count + 1)]
         row = positions[k - 1]
         del row[draw(st.integers(0, len(row) - 1))]
-        ms = MarkerSystem.from_positions(
+        ms = ref = MarkerSystem.from_positions(
             tuple(map(tuple, positions)), ms.gaps, ms.lo, ms.hi,
             ms.balance_windows,
         )
+    else:
+        ref = reference_build_marker_system(*args)
     windows = [
         [w, 3 * (l + 1) + draw(st.integers(0, 3 * l))]
         for w, l in zip(ms.balance_windows, ms.gaps)
     ]
-    return ms, windows
+    return ms, windows, ref
 
 
 class TestRowChecksDifferential:
@@ -615,6 +700,12 @@ class TestRowChecksDifferential:
     @given(built_cases())
     def test_built_hierarchies(self, case):
         assert_checks_match(*case)
+
+    @settings(deadline=None, max_examples=300)
+    @given(built_forms())
+    def test_substitutions(self, case):
+        # one to four rows, off-by-one patterns among them
+        assert_built_form_matches(*case)
 
 
 def reference_cuts(rows, k, origin, columns):
@@ -640,9 +731,11 @@ class TestGapLengthFormDifferential:
         rows = case[0]
         ms = MarkerSystem.from_positions(*case)
         assert tuple(tuple(ms.row(k)) for k in range(1, ms.row_count + 1)) == rows
-        # a row is counted from its lengths, as the markers report does
-        assert [len(steps) + (start is not None)
-                for start, steps in zip(ms.starts, ms.lengths)] == list(map(len, rows))
+        # a row is counted from its gap counts, as the markers report does
+        assert [
+            sum(ms.gap_counts(k).values()) + (start is not None)
+            for k, start in enumerate(ms.starts, start=1)
+        ] == list(map(len, rows))
 
     @settings(deadline=None, max_examples=300)
     @given(hand_built_rows(), st.data())
@@ -677,9 +770,11 @@ class TestGapLengthFormDifferential:
 
 def test_heap_peak_of_the_benchmark_hierarchy():
     # the 699,870-column hierarchy on gaps 2,36,11664 has 288,001 row-1
-    # markers.  Built and checked, it peaks at about 3.6 MB of traced heap:
-    # congruency's set of row 2 on top of the 2.5 MB system.  It peaked at
-    # 13.9 MB with a tuple of positions per row, and at 9.2 MB while
+    # markers.  Built and checked, it peaks at about 0.34 MB of traced heap
+    # (Python 3.10 to 3.13): the system stores its 60-gap top row and its
+    # patterns, and the largest item is check_balanced's expansion of one
+    # run of 18 top-row gaps.  It peaked at 3.6 MB with every row stored,
+    # at 13.9 MB with a tuple of positions per row, and at 9.2 MB while
     # check_balanced listed every left end of one gap length.
     build_marker_system(703, 0, (3, 100))
     tracemalloc.start()
@@ -695,7 +790,7 @@ def test_heap_peak_of_the_benchmark_hierarchy():
     finally:
         tracemalloc.stop()
     assert ok
-    assert peak < 4.5 * 10**6
+    assert peak < 0.5 * 10**6
 
 
 def reference_mrk(rows):
@@ -732,10 +827,10 @@ class TestChunkBoundaries:
         assert got == _outcome(reference_check_balanced_sweep, ms, 1, window)
 
     @settings(deadline=None, max_examples=300)
-    @given(substitutions())
+    @given(built_forms())
     def test_hand_built_rows(self, chunk, case):
         with small_chunk(chunk):
-            assert_checks_match(*case)
+            assert_built_form_matches(*case)
 
     @settings(deadline=None, max_examples=10)
     @given(built_cases())
@@ -796,10 +891,12 @@ def benchmark_hierarchy():
 class TestBoundedMemory:
     """Each check, and the .mrk output, of the benchmark hierarchy holds a
     chunk of ints above the system it reads, never a row's positions.
-    Listing row 1's 164,130 short-gap left ends, check_balanced held
-    6.7 MB."""
+    Measured on Python 3.10 to 3.13: check_balanced peaks at 0.33 MB (row
+    2, one run expanded), the other checks at 2 KB, and write_mrk at
+    0.57 to 0.64 MB, a chunk of position strings.  Listing row 1's 164,130
+    short-gap left ends, check_balanced held 6.7 MB."""
 
-    LIMIT = 1.5 * 10**6
+    LIMIT = 0.8 * 10**6
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_row_checks(self, benchmark_hierarchy, k):
@@ -827,13 +924,28 @@ class TestBoundedMemory:
 
 class TestBuildMarkerSystemDifferential:
     @settings(deadline=None, max_examples=60)
-    @given(hierarchy_args())
-    def test_matches_reference(self, args):
+    @given(hierarchy_args(), st.data())
+    def test_matches_reference(self, args, data):
         ms = build_marker_system(*args)
-        # the reference is made from positions, so it records no patterns
-        assert MarkerSystem(
-            ms.starts, ms.lengths, ms.gaps, ms.lo, ms.hi, ms.balance_windows
-        ) == reference_build_marker_system(*args)
+        ref = reference_build_marker_system(*args)
+        assert (ms.gaps, ms.lo, ms.hi, ms.balance_windows) == (
+            ref.gaps, ref.lo, ref.hi, ref.balance_windows
+        )
+        # the built system stores its top row alone and expands the rest
+        assert ms.lengths[:-1] == (None,) * (ms.row_count - 1)
+        rows = [tuple(ref.row(k)) for k in range(1, ref.row_count + 1)]
+        origin = data.draw(st.integers(ms.lo - 20, ms.hi + 5))
+        columns = data.draw(st.integers(1, 400))
+        for k, row in enumerate(rows, start=1):
+            assert tuple(ms.row(k)) == row, k
+            counts = Counter(map(sub, row[1:], row))
+            assert ms.gap_counts(k) == counts, k
+            assert ms.cuts(k, origin, columns) == reference_cuts(
+                rows, k, origin, columns
+            )
+            assert ms.flags(k, origin, columns) == reference_flags(
+                rows, k, origin, columns
+            )
 
 
 def finer_cuts(ms, k):
@@ -865,15 +977,21 @@ class TestOnePatternPerWidth:
             patterns = finer_cuts(ms, k)
             assert set(patterns) <= {gaps[k - 1], gaps[k - 1] + 1}
             assert all(len(cuts) == 1 for cuts in patterns.values()), k
-        # and the system records them: each lower row is the row above
-        # with every gap expanded through its pattern
+        # and the system records them: each lower row of the reference
+        # builder is the row above with every gap expanded through its
+        # pattern
+        ref = reference_build_marker_system(*args)
+        lengths = [
+            tuple(map(sub, row[1:], row))
+            for row in map(tuple, map(ref.row, range(1, ref.row_count + 1)))
+        ]
         assert len(ms.patterns) == ms.row_count - 1
         for k in range(1, ms.row_count):
             pattern = dict(ms.patterns[k - 1])
-            assert set(pattern) == set(ms.lengths[k])
+            assert set(pattern) == set(lengths[k])
             assert all(sum(steps) == p for p, steps in pattern.items())
-            expanded = chain.from_iterable(map(pattern.__getitem__, ms.lengths[k]))
-            assert ms.lengths[k - 1] == tuple(expanded), k
+            expanded = chain.from_iterable(map(pattern.__getitem__, lengths[k]))
+            assert lengths[k - 1] == tuple(expanded), k
 
     def test_two_splits_of_one_length_seen(self):
         # two 7-gaps of row 2, split 3 + 4 and 4 + 3 by row 1
@@ -890,6 +1008,42 @@ class TestMarkerSystemOrder:
     def test_rejected(self, row):
         with pytest.raises(ValueError, match="positions must be sorted and distinct"):
             MarkerSystem.from_positions((row,), (3,), 0, 6)
+
+
+class TestBuiltFormRefused:
+    """MarkerSystem refuses a built form whose rows its checks could not
+    decide from the patterns."""
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_pattern_off_by_one_refused(self, shift):
+        # a pattern summing to one more or less than the gap it splits
+        # would move every marker after it; congruency is never scanned
+        # on a built system, so the system itself is refused
+        with pytest.raises(ValueError, match="row 1 does not split row 2"):
+            substitution((7, 7), {7: (3, 4 + shift)}, (3, 7))
+
+    def test_step_below_one_refused(self):
+        with pytest.raises(ValueError, match="row 1 does not split row 2"):
+            substitution((7,), {7: (3, 4, 0)}, (3, 7))
+
+    def test_length_without_pattern_refused(self):
+        with pytest.raises(ValueError, match="row 1 does not split row 2"):
+            substitution((7, 8), {7: (3, 4)}, (3, 7))
+
+    @pytest.mark.parametrize(
+        "starts, lengths, patterns",
+        [
+            ((0, 1), (None, (7,)), ((7, (3, 4)),)),  # rows start apart
+            ((0, 0), ((3, 4), (7,)), ((7, (3, 4)),)),  # a lower row stored
+            ((0, 0), (None, None), ((7, (3, 4)),)),  # no top row
+            ((0, 0), (None, (7,)), None),  # a lazy row with no patterns
+            ((0,), ((7,),), ((7, (3, 4)),)),  # a pattern with no row
+        ],
+    )
+    def test_malformed_built_form_refused(self, starts, lengths, patterns):
+        gaps = (3, 7)[: len(starts)]
+        with pytest.raises(ValueError, match="stores its top row alone"):
+            MarkerSystem(starts, lengths, gaps, 0, 7, None, patterns)
 
 
 class TestBuildMarkerSystem:

@@ -174,9 +174,12 @@ def reference_replace_bad(w, ms, k, family, tabbed):
 
 
 def same_rows(a, b):
-    """Whether two marker systems hold the same rows: a built system also
-    records its patterns, which one made from positions lacks."""
-    return (a.starts, a.lengths) == (b.starts, b.lengths)
+    """Whether two marker systems hold the same rows: a built system stores
+    its top row and patterns, one made from positions every row."""
+    rows = range(1, a.row_count + 1)
+    return a.row_count == b.row_count and all(
+        tuple(a.row(k)) == tuple(b.row(k)) for k in rows
+    )
 
 
 def reference_census(samples, family, k):

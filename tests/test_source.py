@@ -8,10 +8,14 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import pytest
-
 import strictform
-from strictform.markers import MarkerSystem, build_marker_system, check_balanced
+from strictform.markers import (
+    MarkerSystem,
+    build_marker_system,
+    check_balanced,
+    check_congruency,
+    check_two_gaps,
+)
 
 SRC = Path(strictform.__file__).parent
 
@@ -143,27 +147,34 @@ def test_balance_scans_no_whole_row():
     assert found == []
 
 
-class _Unread:
-    """Gap lengths that fail when read."""
-
-    def _fail(self, *args):
-        raise AssertionError("check_balanced read row k's own gap lengths")
-
-    __iter__ = __len__ = __getitem__ = _fail
+def _benchmark_hierarchy():
+    return build_marker_system(2 * 11664 + 2 * 11665, 0, (2, 36, 11664))
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_balance_reads_the_row_above(k):
-    # below the top row, row k is read as the row above through its
-    # patterns, never from its own lengths
-    ms = build_marker_system(2 * 11664 + 2 * 11665, 0, (2, 36, 11664))
-    unread = MarkerSystem(*(getattr(ms, name) for name in ms._fields))
-    lengths = list(ms.lengths)
-    lengths[k - 1] = _Unread()
-    object.__setattr__(unread, "lengths", tuple(lengths))
-    l = ms.gaps[k - 1]
-    for window in (ms.balance_windows[k - 1], 3 * (l + 1)):
-        assert check_balanced(unread, k, window) == check_balanced(ms, k, window)
+def test_built_system_stores_only_its_top_row():
+    # below the top row a built system holds patterns, never a row: every
+    # lower row's lengths are None, and the stored top row has 4 gaps
+    ms = _benchmark_hierarchy()
+    assert ms.lengths[:-1] == (None, None)
+    assert len(ms.lengths[-1]) == 4
+    assert len(ms.patterns) == ms.row_count - 1
+
+
+def _unread(*args):
+    raise AssertionError("a check read a built system's row")
+
+
+def test_row_checks_read_no_row(monkeypatch):
+    # on a built system two_gaps and congruency come from the patterns,
+    # and balance from runs of the coarse row: none reads a row through
+    # MarkerSystem.row or its gap lengths through MarkerSystem.steps
+    ms = _benchmark_hierarchy()
+    monkeypatch.setattr(MarkerSystem, "row", _unread)
+    monkeypatch.setattr(MarkerSystem, "steps", _unread)
+    assert check_congruency(ms)
+    for k in range(1, ms.row_count + 1):
+        assert check_two_gaps(ms, k)
+        assert check_balanced(ms, k, ms.balance_windows[k - 1])
 
 
 _GONE = {"with_row", "positions_between"}

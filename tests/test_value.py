@@ -127,9 +127,11 @@ def samples():
             r.sub(1, 0, 1),
         ],
         GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
+        # the first holds every row's lengths: a built system is refused
+        # without its patterns
         MarkerSystem: [
-            build_marker_system(703, 0, (3, 100)),
             MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7),
+            build_marker_system(703, 0, (3, 100)),
             MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7, (12,)),
             MarkerSystem.from_positions(((), (5,)), (3, 4), 0, 7),
         ],
