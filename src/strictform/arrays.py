@@ -264,17 +264,4 @@ def read_arr(path: str | Path):
     except ValueError as exc:
         raise ValueError(f"{path}: line {n}: {exc}") from None
     window = ArrayWindow(sizes, origin, tuple(cells), mode)
-    if any(positions):
-        # imported here: a file without marker flags needs no markers module
-        from .markers import MarkerSystem
-
-        gaps = tuple(
-            (min(b - a for a, b in zip(ps, ps[1:])) if len(ps) > 1 else 1)
-            for ps in positions
-        )
-        markers = MarkerSystem.from_positions(
-            positions, gaps, origin, origin + cols - 1
-        )
-        return window, markers
-    return window, None
-
+    return window, tuple(positions) if any(positions) else None

@@ -41,86 +41,70 @@ class GapDecomposition(Value):
 
 
 class MarkerSystem(Value):
-    """Marker rows over the column range [lo, hi].
+    """A marker hierarchy over the column range [lo, hi], hi = lo + sum(top).
 
-    Row k holds the marker ``starts[k-1]`` (None for an empty row) and then
-    one marker per gap length, each that many columns after the one before.
-    A system made ``from_positions`` stores each row's lengths in
-    ``lengths[k-1]``.  A built system stores its top row alone: below it,
-    ``lengths[k-1]`` is None and ``patterns[k-1]`` pairs each gap length of
-    row k+1 with the row-k lengths it splits into, so row k is the image of
-    row k+1 under that substitution.  It is refused unless every row starts
-    at one marker and each pattern is positive steps summing to its gap,
-    one pattern per gap length of the row above.
-
-    ``gaps[k-1]`` is the base gap l_k of row k, and ``balance_windows``
-    holds per row the interval length at which the constructor guarantees
-    balance (None for hand-built systems).
+    Every row starts at the marker lo.  The top row then holds one marker
+    per length in ``top``, each that many columns after the one before.
+    Below it, ``patterns[k-1]`` pairs each gap length of row k+1 with the
+    row-k lengths it splits into, so row k is the image of row k+1 under
+    that substitution, and every marker of row k+1 is one of row k.
+    ``gaps[k-1]`` is the base gap l_k of row k.  A system is refused unless
+    it has one pattern per row below the top, its top steps are at least 1,
+    and each pattern is steps of at least 1 summing to its gap, one pattern
+    per gap length of the row above.
     """
 
-    __slots__ = (
-        "starts", "lengths", "gaps", "lo", "hi", "balance_windows", "patterns",
-    )
+    __slots__ = ("lo", "top", "patterns", "gaps")
 
-    def __init__(
-        self, starts, lengths, gaps, lo, hi, balance_windows=None, patterns=None
-    ):
-        _set(self, "starts", starts)
-        _set(self, "lengths", lengths)
-        _set(self, "gaps", gaps)
+    def __init__(self, lo, top, patterns, gaps):
         _set(self, "lo", lo)
-        _set(self, "hi", hi)
-        _set(self, "balance_windows", balance_windows)
+        _set(self, "top", top)
         _set(self, "patterns", patterns)
-        if not len(starts) == len(lengths) == len(gaps):
-            raise ValueError("one base gap per row required")
-        for start, steps in zip(starts, lengths):
-            if start is None and steps:
-                raise ValueError("an empty row has no gap lengths")
-            if min(steps or (1,)) < 1:
-                raise ValueError("positions must be sorted and distinct")
-        lazy = 0 if patterns is None else len(lengths) - 1
-        if lengths[:lazy] != (None,) * lazy or None in lengths[lazy:] or (
-            len(patterns or ()) != lazy or lazy and len(set(starts)) > 1
-        ):
-            raise ValueError("a built system stores its top row alone")
-        for k in range(lazy, 0, -1):
+        _set(self, "gaps", gaps)
+        if len(patterns) != len(gaps) - 1:
+            raise ValueError("one pattern per row below the top required")
+        if min(top, default=1) < 1:
+            raise ValueError("top-row positions must be sorted and distinct")
+        # top down, the gap lengths each row holds
+        above = set(top)
+        for k in range(len(patterns), 0, -1):
             pattern = dict(patterns[k - 1])
-            if self.gap_counts(k + 1).keys() - pattern.keys() or any(
+            if above - pattern.keys() or any(
                 min(steps, default=0) < 1 or sum(steps) != p
                 for p, steps in pattern.items()
             ):
                 raise ValueError(f"row {k} does not split row {k + 1}")
-
-    @classmethod
-    def from_positions(cls, rows, gaps, lo, hi, balance_windows=None):
-        """The system whose row k holds the sorted positions ``rows[k-1]``."""
-        starts = tuple(row[0] if row else None for row in rows)
-        lengths = tuple(tuple(map(sub, row[1:], row)) for row in rows)
-        return cls(starts, lengths, gaps, lo, hi, balance_windows)
+            above = set(_expand(pattern, above))
 
     @property
     def row_count(self) -> int:
-        return len(self.starts)
+        return len(self.gaps)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + sum(self.top)
 
     def steps(self, k: int) -> Iterator[int]:
         """The gap lengths of row k, in order, expanded as they are read."""
-        if self.lengths[k - 1] is None:
-            return _expand(dict(self.patterns[k - 1]), self.steps(k + 1))
-        return iter(self.lengths[k - 1])
+        if k == self.row_count:
+            return iter(self.top)
+        return _expand(dict(self.patterns[k - 1]), self.steps(k + 1))
 
-    def gap_counts(self, k: int) -> Counter:
-        """Row k's gap count per length, pushed down through the patterns."""
-        if self.lengths[k - 1] is not None:
-            return Counter(self.lengths[k - 1])
-        pattern, counts = dict(self.patterns[k - 1]), Counter()
-        for p, n in self.gap_counts(k + 1).items():
-            counts.update({s: n * m for s, m in Counter(pattern[p]).items()})
+    def gap_counts(self) -> list[Counter]:
+        """Each row's gap count per length, row 1 first, pushed down from
+        the top row through the patterns: each pattern is counted once."""
+        counts = [Counter(self.top)]
+        for pattern in reversed(self.patterns):
+            below = Counter()
+            for p, steps in pattern:
+                if n := counts[0][p]:
+                    below.update({s: n * m for s, m in Counter(steps).items()})
+            counts.insert(0, below)
         return counts
 
     def row(self, k: int) -> Iterator[int]:
         """The positions of row k, in order, computed as they are read."""
-        return accumulate(self.steps(k), initial=self.starts[k - 1])
+        return accumulate(self.steps(k), initial=self.lo)
 
     # the one place that decides which markers a window spans
     def cuts(self, k: int, origin: int, columns: int) -> list[int]:
@@ -204,19 +188,19 @@ def _split_steps(p: int, l: int) -> tuple[int, ...]:
     return (l,) * d.a + (l + 1,) * d.b
 
 
-def check_two_gaps(ms: MarkerSystem, k: int) -> bool:
-    """True iff every gap of row k is l_k or l_k + 1 long.  ``gap_counts``
-    is exact below a built system's top row: row k's gaps are the steps of
-    the patterns of the lengths that row k+1 holds, and no others."""
-    l = ms.gaps[k - 1]
-    return ms.gap_counts(k).keys() <= {l, l + 1}
+def check_two_gaps(counts: Counter, l: int) -> bool:
+    """True iff every gap of a row, with gap ``counts`` per length (one
+    entry of ``MarkerSystem.gap_counts``), is l or l + 1 long.  The counts
+    are exact: row k's gaps are the steps of the patterns of the lengths
+    that row k+1 holds, and no others."""
+    return counts.keys() <= {l, l + 1}
 
 
 def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     """True iff every length-``window`` interval inside [lo, hi] fully contains
     at least window/(3 l_k) gaps of length l_k and window/(3 (l_k+1)) gaps of
-    length l_k+1, counting only gaps with both ends inside.  ``ms`` must be
-    built (``patterns`` set): its rows run from lo to hi.
+    length l_k+1, counting only gaps with both ends inside.  Every row runs
+    from lo to hi.
 
     Each length g is checked on its own: with m = ceil(window / (3 g)) and
     ``left`` the sorted left ends of the length-g gaps, the start left[q] + 1
@@ -237,15 +221,13 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
     l = ms.gaps[k - 1]
     if window < 3 * (l + 1):
         raise ValueError("interval too short to constrain both gap lengths")
-    if ms.patterns is None:
-        raise ValueError("balance is checked on built systems only")
     if ms.hi - ms.lo < window:
         return True  # no interval fits; vacuously balanced
     if k < ms.row_count:
         step, pattern = 1, dict(ms.patterns[k - 1])
         runs, run = _runs(ms, k + 1, window // min(pattern) + 2)
     else:
-        coarse, step, pattern = ms.lengths[k - 1], _CHUNK, None
+        coarse, step, pattern = ms.top, _CHUNK, None
         span = step + window // min(coarse) + 1
         # the head of the last run, the first that reaches the end of the row
         last = max(0, -(-(len(coarse) - span) // step)) * step
@@ -259,13 +241,13 @@ def check_balanced(ms: MarkerSystem, k: int, window: int) -> bool:
 
 def _runs(ms: MarkerSystem, k: int, n: int) -> tuple[dict, tuple]:
     """The distinct runs of n consecutive row-k gaps, and the row's last n
-    gaps (all of a shorter row), never holding a row.  A run that starts in
-    the pattern of a row-(k+1) gap lies in the patterns of the m gaps from
+    gaps (all of a shorter row), never holding a row below the top.  At the
+    top row the stored row is sliced.  Below it, a run that starts in the
+    pattern of a row-(k+1) gap lies in the patterns of the m gaps from
     there, as any m - 1 patterns hold n - 1 steps, or else in those of the
     row's last m gaps, so the expansions of those m-runs hold them all."""
-    steps = ms.lengths[k - 1]
-    if steps is not None:
-        return dict.fromkeys(_windows(steps, n)), steps[-n:]
+    if k == ms.row_count:
+        return dict.fromkeys(_windows(ms.top, n)), ms.top[-n:]
     pattern = dict(ms.patterns[k - 1])
     m = 1 - (1 - n) // min(map(len, pattern.values()), default=1)
     runs, tail = _runs(ms, k + 1, m)
@@ -300,18 +282,6 @@ def _run_holds(run, pattern, stop: int, l: int, window: int) -> bool:
     return True
 
 
-def check_congruency(ms: MarkerSystem) -> bool:
-    """True iff every marker of row k+1 is a marker of row k, for each k.
-    A built system is congruent by construction: each row starts where the
-    row above does, and each pattern sums to the gap it splits."""
-    for k in range(1, ms.row_count if ms.patterns is None else 1):
-        upper = set(ms.row(k + 1))
-        upper.difference_update(ms.row(k))
-        if upper:
-            return False
-    return True
-
-
 def check_gaps(gaps: Sequence[int]) -> None:
     """Raise ValueError, naming the gaps, unless the base gaps are at least 2
     and grow as l_{k+1} >= 9 l_k^2, the growth that lets every refinement
@@ -337,15 +307,13 @@ def build_marker_system(
     """
     gaps = tuple(gaps)
     check_gaps(gaps)
-    rows = len(gaps)
-
     top = gaps[-1]
     d = decompose_gap(columns, top)
     n = d.a + d.b
     # spread the b long gaps evenly among the a short ones: gap i is long
     # iff (i + 1) * b / n passes an integer that i * b / n does not reach
-    lengths = (top, top + 1)
-    steps = tuple(lengths[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
+    short_long = (top, top + 1)
+    steps = tuple(short_long[(i + 1) * d.b // n > i * d.b // n] for i in range(n))
     patterns, above = [], set(steps)
     for l in reversed(gaps[:-1]):
         # split each gap length of the row above once into its step pattern
@@ -353,18 +321,15 @@ def build_marker_system(
         pattern = {p: _split_steps(p, l) for p in sorted(above)}
         patterns.insert(0, tuple(pattern.items()))
         above = set(chain.from_iterable(pattern.values()))
+    return MarkerSystem(origin, steps, tuple(patterns), gaps)
 
-    # certified balance windows: 16*(coarse gap + 2) below the top row (each
-    # window holds >= 14 full coarse gaps whose short/long shares are each
-    # >= 5/12 of the gap), 48*l_K at the top (even interleaving)
-    balance = tuple(
-        16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
-        for k in range(rows)
-    )
-    return MarkerSystem(
-        (origin,) * rows, (None,) * (rows - 1) + (steps,), gaps, origin,
-        origin + columns, balance, tuple(patterns),
-    )
+
+def balance_windows(gaps: Sequence[int]) -> tuple[int, ...]:
+    """Per row, the interval length at which build_marker_system certifies
+    balance: 16*(coarse gap + 2) below the top row (each window holds >= 14
+    full coarse gaps whose short/long shares are each >= 5/12 of the gap),
+    48*l_K at the top (even interleaving)."""
+    return (*(16 * (l + 2) for l in gaps[1:]), 48 * gaps[-1])
 
 
 # --- .mrk output: one line per row, space-separated absolute positions.

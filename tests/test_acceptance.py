@@ -23,9 +23,9 @@ from strictform.assemble import (
 from strictform.cli import main as cli_main
 from strictform.generators import parse_spec
 from strictform.markers import (
+    balance_windows,
     build_marker_system,
     check_balanced,
-    check_congruency,
     check_two_gaps,
     decompose_gap,
 )
@@ -34,6 +34,7 @@ from strictform.purify import config_from_dict, purify_pipeline
 
 from array_helpers import from_word
 from assemble_helpers import PeriodSpec, detect_exceptional
+from marker_helpers import position_rows, reference_check_congruency
 from measure_helpers import concat, mixture, point_mass
 
 F = Fraction
@@ -76,12 +77,13 @@ def test_criterion_2_marker_system_construction():
         a, b = rng.randint(2, 6), rng.randint(2, 6)
         columns = a * top + b * (top + 1)
         ms = build_marker_system(columns, rng.randint(-3, 3), tuple(gaps))
-        if not check_congruency(ms):
+        # congruent by construction; the reference scans the rows
+        if not reference_check_congruency(position_rows(ms)):
             ok = False
-        for k in range(1, ms.row_count + 1):
-            if not check_two_gaps(ms, k):
-                ok = False
-            if not check_balanced(ms, k, ms.balance_windows[k - 1]):
+        if not all(map(check_two_gaps, ms.gap_counts(), ms.gaps)):
+            ok = False
+        for k, window in enumerate(balance_windows(ms.gaps), start=1):
+            if not check_balanced(ms, k, window):
                 ok = False
     elapsed = time.monotonic() - t0
     report(2, ok and elapsed < 30)

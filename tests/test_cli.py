@@ -257,9 +257,15 @@ STARTUP = {
         ["dstar", "--a", "a.arr", "--b", "b.arr", "--trunc", "1x2"],
         _COMMON | {"strictform.arrays", "strictform.measures"},
     ),
+    # an .arr file's markers are read as position rows, never as a
+    # MarkerSystem
+    "dstar_marked": (
+        ["dstar", "--a", "marked.arr", "--b", "marked.arr", "--trunc", "1x2"],
+        _COMMON | {"strictform.arrays", "strictform.measures"},
+    ),
     "verify": (
         ["verify", "--arr", "marked.arr"],
-        _COMMON | {"strictform.arrays", "strictform.markers"},
+        _COMMON | {"strictform.arrays"},
     ),
     "report": (["report", "--input", "report.json"], {"strictform"}),
 }
@@ -810,6 +816,30 @@ class TestVerify:
         p.write_text("2 3 0 independent\n2 4\n1 2 1\n")
         assert main(["verify", "--arr", str(p)]) != 0
         assert "header claims 2 rows, found 1" in capsys.readouterr().err
+
+    # a marker sits after each cell marked "|": the rows below are read
+    # as the positions of their marks, from origin 0
+    @pytest.mark.parametrize(
+        "rows, code, verdicts",
+        [
+            # one row with gaps 3 and 5
+            (["1| 1 1 1| 1 1 1 1 1|"], 1, ("pass", "fail")),
+            # row 2's marker at 5 is not on row 1 (0, 3, 6)
+            (["1| 1 1 1| 1 1 1| 1 1", "1| 1 1 1 1 1| 1 1 1"], 1, ("fail", "pass")),
+            # a one-marker row 1 over an unmarked row 2
+            (["1 1 1 1| 1 1 1 1 1", "1 1 1 1 1 1 1 1 1"], 0, ("pass", "pass")),
+        ],
+        ids=["two_gap_lengths_apart", "marker_off_the_row_below", "one_marker"],
+    )
+    def test_marker_verdicts(self, rows, code, verdicts, tmp_path, capsys):
+        p = tmp_path / "w.arr"
+        sizes = " ".join("2" * len(rows))
+        p.write_text(f"{len(rows)} 9 0 independent\n{sizes}\n" + "\n".join(rows))
+        assert main(["verify", "--arr", str(p)]) == code
+        congruency, two_gaps = verdicts
+        assert capsys.readouterr().out == (
+            f"congruency: {congruency}\ntwo_gaps: {two_gaps}\nwindow_valid: pass\n"
+        )
 
 
 def _report_with_family(fam):

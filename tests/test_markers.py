@@ -14,18 +14,21 @@ from hypothesis import find, given, settings, strategies as st
 from fractions import Fraction
 
 from strictform import markers
+from strictform.cli import _marker_checks
 from strictform.markers import (
     GapDecomposition,
     MarkerSystem,
     NoDecomposition,
     _decompose_balanced,
+    balance_windows,
     build_marker_system,
     check_balanced,
-    check_congruency,
     check_two_gaps,
     decompose_gap,
     write_mrk,
 )
+
+from marker_helpers import PositionRows, position_rows, reference_check_congruency
 
 
 def subdivide_gap(start, end, l):
@@ -180,18 +183,23 @@ def reference_check_balanced_sweep(ms, k, window):
 
 
 def reference_check_two_gaps(ms, k):
-    """check_two_gaps as a per-gap loop."""
+    """check_two_gaps as a per-gap loop over row k."""
     ps, l = tuple(ms.row(k)), ms.gaps[k - 1]
     return all(b - a in (l, l + 1) for a, b in zip(ps, ps[1:]))
 
 
-def reference_check_congruency(ms):
-    """check_congruency with a set of each lower row."""
-    for k in range(1, ms.row_count):
-        lower = set(ms.row(k))
-        if any(p not in lower for p in ms.row(k + 1)):
-            return False
-    return True
+def two_gaps(ms, k):
+    """check_two_gaps on row k of a MarkerSystem, from its gap counts."""
+    return check_two_gaps(ms.gap_counts()[k - 1], ms.gaps[k - 1])
+
+
+def reference_balance_windows(gaps):
+    """The certified windows as build_marker_system first stored them."""
+    rows = len(gaps)
+    return tuple(
+        16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
+        for k in range(rows)
+    )
 
 
 def reference_build_marker_system(columns, origin, gaps):
@@ -221,43 +229,27 @@ def reference_build_marker_system(columns, origin, gaps):
         for a, b in zip(above, above[1:]):
             refined.extend(subdivide_gap(a, b, l))
         per_row.insert(0, tuple(sorted(refined)))
-    balance = tuple(
-        16 * (gaps[k + 1] + 2) if k + 1 < rows else 48 * gaps[-1]
-        for k in range(rows)
-    )
-    return MarkerSystem.from_positions(tuple(per_row), gaps, lo, hi, balance)
-
-
-def row_system(positions, l, lo=None, hi=None):
-    lo = positions[0] if lo is None else lo
-    hi = positions[-1] if hi is None else hi
-    return MarkerSystem.from_positions((tuple(positions),), (l,), lo, hi)
+    return PositionRows(tuple(per_row), gaps, lo, hi)
 
 
 def top_row(lengths, l, origin=0):
-    """A one-row system in the built form, as build_marker_system makes it
-    (``patterns`` empty): the row has the given gap lengths and runs from
-    lo = origin to hi, its last marker."""
-    return MarkerSystem(
-        (origin,), (tuple(lengths),), (l,), origin, origin + sum(lengths),
-        None, (),
-    )
+    """A one-row system, as build_marker_system makes it (``patterns``
+    empty): the row has the given gap lengths and runs from lo = origin to
+    hi, its last marker."""
+    return MarkerSystem(origin, tuple(lengths), (), (l,))
 
 
 def substitution(top, pattern, gaps, origin=0):
-    """A two-row system in the built form: row 2 has the gap lengths
-    ``top``, and row 1 splits each gap of row 2 by ``pattern``, a map from
-    a length to its steps.  Both rows run from lo = origin to hi."""
-    return MarkerSystem(
-        (origin, origin), (None, tuple(top)), tuple(gaps), origin,
-        origin + sum(top), None, (tuple(pattern.items()),),
-    )
+    """A two-row system: row 2 has the gap lengths ``top``, and row 1
+    splits each gap of row 2 by ``pattern``, a map from a length to its
+    steps.  Both rows run from lo = origin to hi."""
+    return MarkerSystem(origin, tuple(top), (tuple(pattern.items()),), tuple(gaps))
 
 
 def expanded_rows(top, patterns, origin):
-    """The rows of a system in the built form as tuples of positions: the
-    top row from ``origin``, and each lower row the row above with every
-    gap split by the pattern of its length.  The reference for lazy rows."""
+    """The rows of a system as tuples of positions: the top row from
+    ``origin``, and each lower row the row above with every gap split by
+    the pattern of its length.  The reference for lazy rows."""
     rows = [tuple(accumulate(top, initial=origin))]
     for pattern in reversed(patterns):
         pattern, above = dict(pattern), rows[0]
@@ -319,7 +311,7 @@ class TestSubdivideGap:
 class TestCuts:
     def test_markers_inside_the_window(self):
         # a window of 10 columns at origin o covers columns o..o+9
-        ms = MarkerSystem.from_positions(((0, 3, 7, 10),), (3,), 0, 10)
+        ms = top_row((3, 4, 3), 3)
         assert ms.cuts(1, 0, 10) == [0, 3, 7]
         assert ms.cuts(1, 1, 10) == [3, 7, 10]
         assert ms.cuts(1, 4, 3) == []
@@ -327,14 +319,13 @@ class TestCuts:
 
 class TestPredicates:
     def test_two_gaps_true(self):
-        ms = row_system([0, 3, 7, 10, 13, 17], 3)
-        assert check_two_gaps(ms, 1)
+        assert two_gaps(top_row((3, 4, 3, 3, 4), 3), 1)
 
     def test_two_gaps_false(self):
-        assert not check_two_gaps(row_system([0, 3, 8], 3), 1)
+        assert not two_gaps(top_row((3, 5), 3), 1)
 
     def test_two_gaps_vacuous(self):
-        assert check_two_gaps(row_system([5], 3), 1)
+        assert two_gaps(top_row((), 3, 5), 1)
 
     def test_balanced_alternating(self):
         # every 17-window fully contains >= 2 gaps of each length,
@@ -354,13 +345,6 @@ class TestPredicates:
         with pytest.raises(ValueError, match="interval too short"):
             check_balanced(build_marker_system(20, 0, (3,)), 1, 5)
 
-    def test_balance_needs_patterns(self):
-        # a system made from positions has no patterns to check through;
-        # the references read its rows
-        ms = row_system([0, 3, 7], 3)
-        with pytest.raises(ValueError, match="built systems only"):
-            check_balanced(ms, 1, 12)
-
     def test_long_top_row_checked_in_every_gap_of_a_run(self):
         # a top row of two runs and a short last one, whose only run of
         # long gaps lies inside the second run, past its first gap
@@ -370,16 +354,16 @@ class TestPredicates:
         assert reference_check_balanced_sweep(ms, 1, 30) is False
         assert check_balanced(ms, 1, 30) is False
 
+    # a built system is congruent by construction; verify checks the
+    # position rows of an .arr file
     def test_congruency_subset(self):
-        ms = MarkerSystem.from_positions(((0, 3, 6, 9, 12), (0, 12)), (3, 12), 0, 12)
-        assert check_congruency(ms)
+        assert _marker_checks(((0, 3, 6, 9, 12), (0, 12)))["congruency"]
 
     def test_congruency_violated(self):
-        ms = MarkerSystem.from_positions(((0, 3, 6), (5,)), (3, 5), 0, 6)
-        assert not check_congruency(ms)
+        assert not _marker_checks(((0, 3, 6), (5,)))["congruency"]
 
     def test_congruency_single_row(self):
-        assert check_congruency(row_system([0, 3], 3))
+        assert _marker_checks(((0, 3),))["congruency"]
 
 
 @st.composite
@@ -412,12 +396,12 @@ def balance_cases(draw):
         hi = lo + window + draw(st.integers(-3, 3))
     else:
         hi = (ps[-1] if ps else 0) - draw(st.integers(-3, 12))
-    return MarkerSystem.from_positions((tuple(ps),), (l,), lo, max(lo, hi)), window
+    return PositionRows((tuple(ps),), (l,), lo, max(lo, hi)), window
 
 
 @st.composite
 def top_row_cases(draw):
-    """A one-row system in the built form and a window for check_balanced.
+    """A one-row system and a window for check_balanced.
 
     The row holds up to 200 gaps, so that a cut chunk reads it in several
     runs.  They repeat a pattern of l and l+1, and up to three of them are
@@ -437,8 +421,8 @@ def top_row_cases(draw):
 @st.composite
 def built_forms(draw, rows=st.integers(1, 4)):
     """``(args, valid, windows)``: the MarkerSystem arguments of a hand-made
-    system in the built form, whether they are well formed, and per row two
-    windows from the shortest allowed.
+    system, whether they are well formed, and per row two windows from the
+    shortest allowed.
 
     Bottom up: row 1 has base gap l, and each upper row has up to three gap
     lengths, each the sum of a list of lengths of the row below (l and l+1
@@ -473,25 +457,27 @@ def built_forms(draw, rows=st.integers(1, 4)):
     windows = [
         [3 * (g + 1) + draw(st.integers(0, 4 * g)) for _ in range(2)] for g in gaps
     ]
-    args = (
-        (origin,) * rows, (None,) * (rows - 1) + (tuple(top),), tuple(gaps),
-        origin, origin + sum(top), None, tuple(patterns),
-    )
+    args = (origin, tuple(top), tuple(patterns), tuple(gaps))
     return args, valid, windows
 
 
+def valid_args():
+    """``(lo, top, patterns, gaps)`` of a well-formed hand-made system."""
+    return built_forms().filter(lambda case: case[1]).map(lambda case: case[0])
+
+
 def assert_built_form_matches(args, valid, windows):
-    """MarkerSystem refuses a malformed built form; a well-formed one reads
-    the rows its patterns describe, and its checks match the references on
-    those rows, made from positions."""
+    """MarkerSystem refuses a malformed system; a well-formed one reads the
+    rows its patterns describe, and its checks match the references on
+    those rows, held as positions."""
     if not valid:
         with pytest.raises(ValueError):
             MarkerSystem(*args)
         return
     ms = MarkerSystem(*args)
-    starts, lengths, gaps, lo, hi, _, patterns = args
-    rows = expanded_rows(lengths[-1], patterns, starts[-1])
-    assert_checks_match(ms, windows, MarkerSystem.from_positions(rows, gaps, lo, hi))
+    lo, top, patterns, gaps = args
+    rows = expanded_rows(top, patterns, lo)
+    assert_checks_match(ms, windows, PositionRows(rows, gaps, lo, ms.hi))
 
 
 @st.composite
@@ -537,7 +523,7 @@ class TestCheckBalancedDifferential:
     @settings(deadline=None, max_examples=400)
     @given(balance_cases())
     def test_references_agree(self, case):
-        # rows made from positions, with markers outside [lo, hi]
+        # rows held as positions, with markers outside [lo, hi]
         ms, window = case
         assert _outcome(reference_check_balanced, ms, 1, window) == _outcome(
             reference_check_balanced_sweep, ms, 1, window
@@ -552,7 +538,7 @@ class TestCheckBalancedDifferential:
         ms = build_marker_system(*args)
         windows = [
             [w, 3 * (l + 1) + data.draw(st.integers(0, 3 * l))]
-            for w, l in zip(ms.balance_windows, ms.gaps)
+            for w, l in zip(balance_windows(ms.gaps), ms.gaps)
         ]
         with small_chunk(chunk):
             assert_checks_match(ms, windows, reference_build_marker_system(*args))
@@ -581,11 +567,8 @@ class TestCheckBalancedDifferential:
             ((5, (2, 3)), (6, (2, 2, 2))),
             ((63, (6,) * 3 + (5,) * 9),),
         )
-        ms = MarkerSystem(
-            (0,) * 3, (None, None, (63,)), (2, 5, 63), 0, 63, None, patterns
-        )
-        rows = expanded_rows((63,), patterns, 0)
-        ref = MarkerSystem.from_positions(rows, ms.gaps, 0, 63)
+        ms = MarkerSystem(0, (63,), patterns, (2, 5, 63))
+        ref = PositionRows(expanded_rows((63,), patterns, 0), ms.gaps, 0, 63)
         assert reference_check_balanced_sweep(ref, 1, 12) is False
         assert check_balanced(ms, 1, 12) is False
 
@@ -610,14 +593,12 @@ def _pattern_row(draw, l, start):
 
 @st.composite
 def hand_built_rows(draw):
-    """``(rows, gaps, lo, hi)``: one to three tuples of sorted positions over
-    a row-1 pattern with stray gaps.  Each upper row keeps every s-th marker
-    of the row below and may gain markers that the row below lacks; any row
-    may be empty or hold one marker.  Each row's base gap is one of its own
-    gap lengths when it has any."""
+    """One to three tuples of sorted positions over a row-1 pattern with
+    stray gaps, as an .arr file's marker rows.  Each upper row keeps every
+    s-th marker of the row below and may gain markers that the row below
+    lacks; any row may be empty or hold one marker."""
     l = draw(st.integers(2, 4))
     rows = [_pattern_row(draw, l, draw(st.integers(-10, 10)))]
-    gaps = [l]
     for _ in range(draw(st.integers(0, 2))):
         below = rows[-1]
         row = below[draw(st.integers(0, 2)) :: draw(st.integers(1, 4))]
@@ -625,76 +606,75 @@ def hand_built_rows(draw):
             row = row[: draw(st.integers(0, 1))]
         for _ in range(draw(st.integers(0, 2))):
             row.append(draw(st.integers(-12, (below[-1] if below else 0) + 12)))
-        row = sorted(set(row))
-        lengths = sorted({b - a for a, b in zip(row, row[1:])}) or [2]
-        rows.append(row)
-        gaps.append(draw(st.sampled_from(lengths)))
-    lo = (rows[0][0] if rows[0] else 0) + draw(st.integers(-3, 12))
-    hi = (rows[0][-1] if rows[0] else 0) - draw(st.integers(-3, 12))
-    return tuple(map(tuple, rows)), tuple(gaps), lo, max(lo, hi)
+        rows.append(sorted(set(row)))
+    return tuple(map(tuple, rows))
 
 
-def hand_built_systems():
-    return hand_built_rows().map(lambda case: MarkerSystem.from_positions(*case))
+def reference_marker_checks(rows):
+    """verify's marker verdicts from the references, each row's base gap
+    its shortest gap; the verdicts read no column range."""
+    gaps = tuple(min(map(sub, row[1:], row), default=1) for row in rows)
+    ref = PositionRows(rows, gaps, 0, 0)
+    return {
+        "two_gaps": all(
+            reference_check_two_gaps(ref, k) for k in range(1, len(rows) + 1)
+        ),
+        "congruency": reference_check_congruency(ref),
+    }
 
 
-def assert_checks_match(ms, windows, ref=None):
-    """All three checks on every row against their references; the window
-    list is per row.  The references read ``ref``, a system made from
-    positions that holds the rows of ``ms`` (``ms`` itself by default).  A
-    system made from positions has no patterns, so check_balanced refuses
-    it, and the two references must agree."""
-    ref = ms if ref is None else ref
-    assert check_congruency(ms) == reference_check_congruency(ref)
+def assert_checks_match(ms, windows, ref):
+    """The checks of ``ms`` on every row against their references, which
+    read ``ref``, the rows of ``ms`` held as positions; the window list is
+    per row.  ``ms`` is congruent by construction, and the reference scan
+    of its rows must agree."""
+    assert reference_check_congruency(ref)
     for k in range(1, ms.row_count + 1):
-        assert tuple(ms.row(k)) == tuple(ref.row(k)), k
-        assert check_two_gaps(ms, k) == reference_check_two_gaps(ref, k), k
+        assert tuple(ms.row(k)) == ref.rows[k - 1], k
+        assert two_gaps(ms, k) == reference_check_two_gaps(ref, k), k
         for window in windows[k - 1]:
             want = _outcome(reference_check_balanced_sweep, ref, k, window)
-            if ms.patterns is None:
-                assert _outcome(reference_check_balanced, ref, k, window) == want
-                with pytest.raises(ValueError):
-                    check_balanced(ms, k, window)
-            else:
-                assert _outcome(check_balanced, ms, k, window) == want, (k, window)
+            assert _outcome(check_balanced, ms, k, window) == want, (k, window)
 
 
 @st.composite
 def built_cases(draw):
-    """``(ms, windows, ref)``: a built hierarchy of two or three rows, with
-    one marker sometimes dropped, per row its certified window and one at
-    or near the shortest allowed, and the reference builder's system."""
+    """``(ms, windows, ref)``: a built hierarchy of two or three rows, per
+    row its certified window and one at or near the shortest allowed, and
+    the reference builder's rows."""
     args = draw(hierarchy_args(st.integers(2, 3)))
-    ms = ref = build_marker_system(*args)
-    if draw(st.booleans()):
-        # drop one marker: a row loses its two-gap shape, the row above
-        # may lose congruency, and the system is made from positions
-        k = draw(st.integers(1, ms.row_count))
-        positions = [list(ms.row(j)) for j in range(1, ms.row_count + 1)]
-        row = positions[k - 1]
-        del row[draw(st.integers(0, len(row) - 1))]
-        ms = ref = MarkerSystem.from_positions(
-            tuple(map(tuple, positions)), ms.gaps, ms.lo, ms.hi,
-            ms.balance_windows,
-        )
-    else:
-        ref = reference_build_marker_system(*args)
+    ms = build_marker_system(*args)
     windows = [
         [w, 3 * (l + 1) + draw(st.integers(0, 3 * l))]
-        for w, l in zip(ms.balance_windows, ms.gaps)
+        for w, l in zip(balance_windows(ms.gaps), ms.gaps)
     ]
-    return ms, windows, ref
+    return ms, windows, reference_build_marker_system(*args)
+
+
+@st.composite
+def dropped_marker_rows(draw):
+    """The rows of a built hierarchy of two or three rows with one marker
+    dropped: that row loses its two-gap shape, and the row above may lose
+    congruency."""
+    ms = build_marker_system(*draw(hierarchy_args(st.integers(2, 3))))
+    rows = [list(ms.row(k)) for k in range(1, ms.row_count + 1)]
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    del row[draw(st.integers(0, len(row) - 1))]
+    return tuple(map(tuple, rows))
 
 
 class TestRowChecksDifferential:
     @settings(deadline=None, max_examples=400)
-    @given(hand_built_systems(), st.data())
-    def test_hand_built_rows(self, ms, data):
-        windows = [
-            [3 * (l + 1) + data.draw(st.integers(-1, 60)) for _ in range(2)]
-            for l in ms.gaps
-        ]
-        assert_checks_match(ms, windows)
+    @given(hand_built_rows())
+    def test_hand_built_rows(self, rows):
+        # verify's verdicts on an .arr file's rows: empty, one-marker and
+        # non-congruent rows among them
+        assert _marker_checks(rows) == reference_marker_checks(rows)
+
+    @settings(deadline=None, max_examples=30)
+    @given(dropped_marker_rows())
+    def test_dropped_marker(self, rows):
+        assert _marker_checks(rows) == reference_marker_checks(rows)
 
     @settings(deadline=None, max_examples=30)
     @given(built_cases())
@@ -722,42 +702,41 @@ def reference_flags(rows, k, origin, columns):
 
 
 class TestGapLengthFormDifferential:
-    """The stored form, a first position and gap lengths per row, against
-    the tuple of positions per row that it replaced."""
+    """The stored form, a top row and step patterns, against the tuple of
+    positions per row that it stands for."""
 
     @settings(deadline=None, max_examples=300)
-    @given(hand_built_rows())
-    def test_rows_round_trip(self, case):
-        rows = case[0]
-        ms = MarkerSystem.from_positions(*case)
+    @given(valid_args())
+    def test_rows_round_trip(self, args):
+        ms, rows = MarkerSystem(*args), expanded_rows(*args[1:3], args[0])
         assert tuple(tuple(ms.row(k)) for k in range(1, ms.row_count + 1)) == rows
         # a row is counted from its gap counts, as the markers report does
-        assert [
-            sum(ms.gap_counts(k).values()) + (start is not None)
-            for k, start in enumerate(ms.starts, start=1)
-        ] == list(map(len, rows))
+        assert [sum(c.values()) + 1 for c in ms.gap_counts()] == list(map(len, rows))
 
     @settings(deadline=None, max_examples=300)
-    @given(hand_built_rows(), st.data())
-    def test_eq_and_hash_follow_positions(self, case, data):
-        rows, gaps, lo, hi = case
-        k = data.draw(st.integers(1, len(rows)))
-        other = list(rows)
+    @given(valid_args(), st.data())
+    def test_eq_and_hash_follow_positions(self, args, data):
+        # two systems on the same patterns, the second with a top step
+        # sometimes replaced by another length that the patterns split
+        lo, top, patterns, gaps = args
+        other = list(top)
         if data.draw(st.booleans()):
-            other[k - 1] = tuple(sorted(data.draw(st.sets(st.integers(-15, 15)))))
-        other = tuple(other)
-        a = MarkerSystem.from_positions(rows, gaps, lo, hi)
-        b = MarkerSystem.from_positions(other, gaps, lo, hi)
-        assert (a == b) is (rows == other)
-        if rows == other:
+            lengths = [p for p, _ in patterns[-1]] if patterns else range(1, 9)
+            other[data.draw(st.integers(0, len(top) - 1))] = data.draw(
+                st.sampled_from(lengths)
+            )
+        a = MarkerSystem(*args)
+        b = MarkerSystem(lo, tuple(other), patterns, gaps)
+        same = expanded_rows(top, patterns, lo) == expanded_rows(other, patterns, lo)
+        assert (a == b) is same
+        if same:
             assert hash(a) == hash(b)
 
     @settings(deadline=None, max_examples=300)
-    @given(hand_built_rows(), st.data())
-    def test_flags_and_cuts_match_reference(self, case, data):
-        rows = case[0]
-        ms = MarkerSystem.from_positions(*case)
-        origin = data.draw(st.integers(-20, 60))
+    @given(valid_args(), st.data())
+    def test_flags_and_cuts_match_reference(self, args, data):
+        ms, rows = MarkerSystem(*args), expanded_rows(*args[1:3], args[0])
+        origin = data.draw(st.integers(ms.lo - 20, ms.lo + 60))
         columns = data.draw(st.integers(1, 40))
         for j in range(1, len(rows) + 1):
             assert ms.cuts(j, origin, columns) == reference_cuts(
@@ -780,11 +759,9 @@ def test_heap_peak_of_the_benchmark_hierarchy():
     tracemalloc.start()
     try:
         ms = build_marker_system(30 * 11664 + 30 * 11665, 0, (2, 36, 11664))
-        rows = range(1, ms.row_count + 1)
-        ok = (
-            all(check_two_gaps(ms, k) for k in rows)
-            and check_congruency(ms)
-            and all(check_balanced(ms, k, ms.balance_windows[k - 1]) for k in rows)
+        windows = enumerate(balance_windows(ms.gaps), start=1)
+        ok = all(map(check_two_gaps, ms.gap_counts(), ms.gaps)) and all(
+            check_balanced(ms, k, window) for k, window in windows
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -839,11 +816,11 @@ class TestChunkBoundaries:
             assert_checks_match(*case)
 
     @settings(deadline=None, max_examples=200)
-    @given(hand_built_rows())
-    def test_write_mrk(self, chunk, case):
-        ms = MarkerSystem.from_positions(*case)
+    @given(valid_args())
+    def test_write_mrk(self, chunk, args):
         with small_chunk(chunk):
-            assert mrk_text(ms) == reference_mrk(case[0])
+            text = mrk_text(MarkerSystem(*args))
+        assert text == reference_mrk(expanded_rows(*args[1:3], args[0]))
 
 
 @pytest.mark.parametrize("chunk", [2, 3, 7, 16])
@@ -902,15 +879,18 @@ class TestBoundedMemory:
     def test_row_checks(self, benchmark_hierarchy, k):
         ms = benchmark_hierarchy
         for check, args in (
-            (check_two_gaps, (ms, k)),
-            (check_balanced, (ms, k, ms.balance_windows[k - 1])),
+            (two_gaps, (ms, k)),
+            (check_balanced, (ms, k, balance_windows(ms.gaps)[k - 1])),
         ):
             ok, peak = _traced_peak(check, *args)
             assert ok and peak < self.LIMIT, (check.__name__, peak)
 
     def test_congruency(self, benchmark_hierarchy):
-        ok, peak = _traced_peak(check_congruency, benchmark_hierarchy)
-        assert ok and peak < self.LIMIT, peak
+        # congruency holds by construction: the constructor checks that
+        # every pattern sums to the gap it splits, and reads no row
+        ms = benchmark_hierarchy
+        again, peak = _traced_peak(MarkerSystem, ms.lo, ms.top, ms.patterns, ms.gaps)
+        assert again == ms and peak < self.LIMIT, peak
 
     def test_write_mrk(self, benchmark_hierarchy, tmp_path):
         path = tmp_path / "m.mrk"
@@ -928,18 +908,14 @@ class TestBuildMarkerSystemDifferential:
     def test_matches_reference(self, args, data):
         ms = build_marker_system(*args)
         ref = reference_build_marker_system(*args)
-        assert (ms.gaps, ms.lo, ms.hi, ms.balance_windows) == (
-            ref.gaps, ref.lo, ref.hi, ref.balance_windows
-        )
-        # the built system stores its top row alone and expands the rest
-        assert ms.lengths[:-1] == (None,) * (ms.row_count - 1)
-        rows = [tuple(ref.row(k)) for k in range(1, ref.row_count + 1)]
+        assert (ms.gaps, ms.lo, ms.hi) == (ref.gaps, ref.lo, ref.hi)
+        assert balance_windows(ms.gaps) == reference_balance_windows(ms.gaps)
+        rows = ref.rows
         origin = data.draw(st.integers(ms.lo - 20, ms.hi + 5))
         columns = data.draw(st.integers(1, 400))
-        for k, row in enumerate(rows, start=1):
+        for k, (row, counts) in enumerate(zip(rows, ms.gap_counts()), start=1):
             assert tuple(ms.row(k)) == row, k
-            counts = Counter(map(sub, row[1:], row))
-            assert ms.gap_counts(k) == counts, k
+            assert counts == Counter(map(sub, row[1:], row)), k
             assert ms.cuts(k, origin, columns) == reference_cuts(
                 rows, k, origin, columns
             )
@@ -981,10 +957,7 @@ class TestOnePatternPerWidth:
         # builder is the row above with every gap expanded through its
         # pattern
         ref = reference_build_marker_system(*args)
-        lengths = [
-            tuple(map(sub, row[1:], row))
-            for row in map(tuple, map(ref.row, range(1, ref.row_count + 1)))
-        ]
+        lengths = [tuple(map(sub, row[1:], row)) for row in ref.rows]
         assert len(ms.patterns) == ms.row_count - 1
         for k in range(1, ms.row_count):
             pattern = dict(ms.patterns[k - 1])
@@ -995,9 +968,7 @@ class TestOnePatternPerWidth:
 
     def test_two_splits_of_one_length_seen(self):
         # two 7-gaps of row 2, split 3 + 4 and 4 + 3 by row 1
-        ms = MarkerSystem.from_positions(
-            ((0, 3, 7, 11, 14), (0, 7, 14)), (3, 7), 0, 14
-        )
+        ms = PositionRows(((0, 3, 7, 11, 14), (0, 7, 14)), (3, 7), 0, 14)
         assert finer_cuts(ms, 2) == {7: {((3,),), ((4,),)}}
 
 
@@ -1006,13 +977,14 @@ class TestMarkerSystemOrder:
         "row", [(0, 6, 3), (0, 3, 3, 6)], ids=["unsorted", "duplicate"]
     )
     def test_rejected(self, row):
+        # a top step below 1
         with pytest.raises(ValueError, match="positions must be sorted and distinct"):
-            MarkerSystem.from_positions((row,), (3,), 0, 6)
+            MarkerSystem(row[0], tuple(map(sub, row[1:], row)), (), (3,))
 
 
 class TestBuiltFormRefused:
-    """MarkerSystem refuses a built form whose rows its checks could not
-    decide from the patterns."""
+    """MarkerSystem refuses a system whose rows its checks could not decide
+    from the patterns."""
 
     @pytest.mark.parametrize("shift", [-1, 1])
     def test_pattern_off_by_one_refused(self, shift):
@@ -1031,19 +1003,18 @@ class TestBuiltFormRefused:
             substitution((7, 8), {7: (3, 4)}, (3, 7))
 
     @pytest.mark.parametrize(
-        "starts, lengths, patterns",
-        [
-            ((0, 1), (None, (7,)), ((7, (3, 4)),)),  # rows start apart
-            ((0, 0), ((3, 4), (7,)), ((7, (3, 4)),)),  # a lower row stored
-            ((0, 0), (None, None), ((7, (3, 4)),)),  # no top row
-            ((0, 0), (None, (7,)), None),  # a lazy row with no patterns
-            ((0,), ((7,),), ((7, (3, 4)),)),  # a pattern with no row
-        ],
+        "patterns, gaps",
+        [((), (3, 7)), ((((7, (3, 4)),),), (7,)), ((((7, (3, 4)),),) * 2, (3, 7))],
+        ids=["too_few", "one_row", "too_many"],
     )
-    def test_malformed_built_form_refused(self, starts, lengths, patterns):
-        gaps = (3, 7)[: len(starts)]
-        with pytest.raises(ValueError, match="stores its top row alone"):
-            MarkerSystem(starts, lengths, gaps, 0, 7, None, patterns)
+    def test_wrong_pattern_count_refused(self, patterns, gaps):
+        with pytest.raises(ValueError, match="one pattern per row below the top"):
+            MarkerSystem(0, (7,), patterns, gaps)
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_top_step_below_one_refused(self, step):
+        with pytest.raises(ValueError, match="positions must be sorted and distinct"):
+            substitution((7, step, 7), {7: (3, 4)}, (3, 7))
 
 
 class TestBuildMarkerSystem:
@@ -1057,8 +1028,8 @@ class TestBuildMarkerSystem:
     def test_two_rows_congruent(self):
         # 703 = 4*100 + 3*101, so the top row decomposes
         ms = build_marker_system(703, 0, (3, 100))
-        assert check_congruency(ms)
-        assert check_two_gaps(ms, 1) and check_two_gaps(ms, 2)
+        assert reference_check_congruency(position_rows(ms))
+        assert two_gaps(ms, 1) and two_gaps(ms, 2)
 
     def test_bad_sequence_rejected(self):
         with pytest.raises(ValueError):
@@ -1067,8 +1038,8 @@ class TestBuildMarkerSystem:
     def test_balanced_certified_windows(self):
         # 2703 = 15*150 + 3*151 exceeds the row-1 certified window
         ms = build_marker_system(2703, 0, (4, 150))
-        for k in range(1, ms.row_count + 1):
-            assert check_balanced(ms, k, ms.balance_windows[k - 1])
+        for k, window in enumerate(balance_windows(ms.gaps), start=1):
+            assert check_balanced(ms, k, window)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(2, 6), st.integers(0, 3), st.data())
@@ -1081,7 +1052,7 @@ class TestBuildMarkerSystem:
         b = data.draw(st.integers(2, 20))
         n = a * top + b * (top + 1)
         ms = build_marker_system(n, origin, tuple(gaps))
-        assert check_congruency(ms)
-        for k in range(1, ms.row_count + 1):
-            assert check_two_gaps(ms, k)
-            assert check_balanced(ms, k, ms.balance_windows[k - 1])
+        assert reference_check_congruency(position_rows(ms))
+        for k, window in enumerate(balance_windows(ms.gaps), start=1):
+            assert two_gaps(ms, k)
+            assert check_balanced(ms, k, window)

@@ -44,6 +44,7 @@ from strictform.purify import (
 )
 
 from array_helpers import from_word
+from marker_helpers import PositionRows
 from measure_helpers import mixture, point_mass
 from test_golden import NOISY_CONFIG
 
@@ -167,15 +168,13 @@ def reference_replace_bad(w, ms, k, family, tabbed):
         changed += q - p
     rows = [tuple(sorted(sub_rows[j])) for j in range(1, k)]
     rows += [tuple(ms.row(j)) for j in range(k, ms.row_count + 1)]
-    new_ms = MarkerSystem.from_positions(
-        tuple(rows), ms.gaps, ms.lo, ms.hi, ms.balance_windows
-    )
+    new_ms = PositionRows(tuple(rows), ms.gaps, ms.lo, ms.hi)
     return replace_cells(w, k, placements), new_ms, changed, len(placements)
 
 
 def same_rows(a, b):
-    """Whether two marker systems hold the same rows: a built system stores
-    its top row and patterns, one made from positions every row."""
+    """Whether two marker systems hold the same rows: a MarkerSystem stores
+    its top row and patterns, PositionRows every row."""
     rows = range(1, a.row_count + 1)
     return a.row_count == b.row_count and all(
         tuple(a.row(k)) == tuple(b.row(k)) for k in rows
@@ -366,7 +365,7 @@ class TestExtractKRectangles:
 
     def test_no_complete_gap(self):
         w = lift_binary("0101", 1)
-        ms = MarkerSystem.from_positions(((-2, 6),), (8,), -2, 6)
+        ms = MarkerSystem(-2, (8,), (), (8,))
         assert gap_keys(w, ms, 1) == []
 
     def test_bad_gap_rejected(self):
@@ -685,14 +684,10 @@ class TestClassifyMemo:
     def test_replace_bad_output_good_on_fresh_family(self, widths, data):
         # judged by the reference on a new family, so no verdict cached
         # during the replacement can vouch for its own output
-        cuts = [0]
-        for width in widths:
-            cuts.append(cuts[-1] + width)
-        word = data.draw(
-            st.text("01", min_size=cuts[-1] + 1, max_size=cuts[-1] + 1)
-        )
+        columns = sum(widths) + 1
+        word = data.draw(st.text("01", min_size=columns, max_size=columns))
         w = lift_binary(word, 1)
-        ms = MarkerSystem.from_positions((tuple(cuts),), (3,), 0, cuts[-1])
+        ms = MarkerSystem(0, tuple(widths), (), (3,))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         fam = point_family(1, F(3, 10))
         bad = census_bad(w, ms, 1, fam)
@@ -863,14 +858,14 @@ class TestReplaceBad:
     def _fixture(self):
         # row 1 reads 1111121111; the middle 3-gap reads 121, which is bad
         w = lift_binary("0000010000", 1)
-        ms = MarkerSystem.from_positions(((0, 3, 6, 9),), (3,), 0, 9)
+        ms = MarkerSystem(0, (3, 3, 3), (), (3,))
         fam = point_family(1, F(3, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         return w, ms, fam, tabbed
 
     def test_identity_when_all_good(self):
         w = lift_binary("0000000000", 1)
-        ms = MarkerSystem.from_positions(((0, 3, 6, 9),), (3,), 0, 9)
+        ms = MarkerSystem(0, (3, 3, 3), (), (3,))
         fam = point_family(1, F(3, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
@@ -898,7 +893,7 @@ class TestReplaceBad:
 
     def test_rows_above_untouched(self):
         w = lift_binary("01101011101", 2)
-        ms = MarkerSystem.from_positions(((0, 3, 6, 9), (0, 9)), (3, 9), 0, 9)
+        ms = MarkerSystem(0, (9,), (((9, (3, 3, 3)),),), (3, 9))
         fam = point_family(1, F(1, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad = census_bad(w, ms, 1, fam)
@@ -1025,7 +1020,7 @@ class TestRepairDifferential:
         # window 111|121|111 under a point mass on 1: the tabbed 111 is good,
         # and a replace_bad that writes 222 instead must be caught
         w = lift_binary("0000010000", 1)
-        ms = MarkerSystem.from_positions(((0, 3, 6, 9),), (3,), 0, 9)
+        ms = MarkerSystem(0, (3, 3, 3), (), (3,))
         fam = point_family(1, F(3, 10))
         tabbed = {3: ((1, 1, 1),), 4: ((1, 1, 1, 1),)}
         bad, (got, expected) = _both_repairs(w, ms, 1, fam, tabbed)

@@ -11,11 +11,13 @@ from pathlib import Path
 import strictform
 from strictform.markers import (
     MarkerSystem,
+    balance_windows,
     build_marker_system,
     check_balanced,
-    check_congruency,
     check_two_gaps,
 )
+
+from marker_helpers import position_rows, reference_check_congruency
 
 SRC = Path(strictform.__file__).parent
 
@@ -83,9 +85,9 @@ def test_no_positions_attribute():
     assert found == []
 
 
-# what reading a marker system's rows looks like: MarkerSystem.cuts, row
-# and flags, and its stored form
-_MARKER_READS = {"cuts", "row", "flags", "starts", "lengths"}
+# what reading a marker system's rows looks like: MarkerSystem.cuts, row,
+# flags and steps, and its stored form
+_MARKER_READS = {"cuts", "row", "flags", "steps", "top", "patterns"}
 
 
 def test_purify_reads_markers_only_at_set_up():
@@ -152,11 +154,11 @@ def _benchmark_hierarchy():
 
 
 def test_built_system_stores_only_its_top_row():
-    # below the top row a built system holds patterns, never a row: every
-    # lower row's lengths are None, and the stored top row has 4 gaps
+    # below the top row a built system holds patterns, never a row: its
+    # fields are the origin, the 4-gap top row, the patterns and the gaps
     ms = _benchmark_hierarchy()
-    assert ms.lengths[:-1] == (None, None)
-    assert len(ms.lengths[-1]) == 4
+    assert MarkerSystem.__slots__ == ("lo", "top", "patterns", "gaps")
+    assert len(ms.top) == 4
     assert len(ms.patterns) == ms.row_count - 1
 
 
@@ -165,16 +167,45 @@ def _unread(*args):
 
 
 def test_row_checks_read_no_row(monkeypatch):
-    # on a built system two_gaps and congruency come from the patterns,
-    # and balance from runs of the coarse row: none reads a row through
-    # MarkerSystem.row or its gap lengths through MarkerSystem.steps
+    # congruency holds by construction, and the reference scan of the rows
+    # agrees.  two_gaps comes from the patterns and balance from runs of
+    # the coarse row: neither reads a row through MarkerSystem.row or its
+    # gap lengths through MarkerSystem.steps
     ms = _benchmark_hierarchy()
+    assert reference_check_congruency(position_rows(ms))
     monkeypatch.setattr(MarkerSystem, "row", _unread)
     monkeypatch.setattr(MarkerSystem, "steps", _unread)
-    assert check_congruency(ms)
-    for k in range(1, ms.row_count + 1):
-        assert check_two_gaps(ms, k)
-        assert check_balanced(ms, k, ms.balance_windows[k - 1])
+    assert all(map(check_two_gaps, ms.gap_counts(), ms.gaps))
+    for k, window in enumerate(balance_windows(ms.gaps), start=1):
+        assert check_balanced(ms, k, window)
+
+
+# what a marker system made from positions looked like: its constructor
+# and its stored rows
+_ONE_FORM_GONE = {"from_positions", "starts", "lengths"}
+
+
+def test_marker_system_has_one_form():
+    # a MarkerSystem is its top row and step patterns: markers.py names
+    # no second form, not even as a string, and arrays.py reads an .arr
+    # file's markers as position rows without importing markers
+    found = [
+        f"markers.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "markers.py").read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in _ONE_FORM_GONE
+        or isinstance(node, ast.Name) and node.id in _ONE_FORM_GONE
+        or isinstance(node, ast.FunctionDef) and node.name in _ONE_FORM_GONE
+        or isinstance(node, ast.arg) and node.arg in _ONE_FORM_GONE
+        or isinstance(node, ast.Constant) and node.value in _ONE_FORM_GONE
+    ]
+    found += [
+        f"arrays.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "arrays.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and "markers" in (node.module or "")
+        or isinstance(node, ast.Import)
+        and any("markers" in alias.name for alias in node.names)
+    ]
+    assert found == []
 
 
 _GONE = {"with_row", "positions_between"}

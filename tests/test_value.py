@@ -58,9 +58,8 @@ OLD_FIELDS = {
     Rectangle: [("cells", REQUIRED)],
     GapDecomposition: [("a", REQUIRED), ("b", REQUIRED), ("l", REQUIRED)],
     MarkerSystem: [
-        ("starts", REQUIRED), ("lengths", REQUIRED), ("gaps", REQUIRED),
-        ("lo", REQUIRED), ("hi", REQUIRED), ("balance_windows", None),
-        ("patterns", None),
+        ("lo", REQUIRED), ("top", REQUIRED), ("patterns", REQUIRED),
+        ("gaps", REQUIRED),
     ],
     EmpiricalMeasure: [("truncation", REQUIRED), ("dims", REQUIRED)],
     TruncatedDistance: [("value", REQUIRED), ("tail_bound", REQUIRED)],
@@ -127,13 +126,11 @@ def samples():
             r.sub(1, 0, 1),
         ],
         GapDecomposition: [decompose_gap(100, 3), decompose_gap(7, 3)],
-        # the first holds every row's lengths: a built system is refused
-        # without its patterns
         MarkerSystem: [
-            MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7),
+            MarkerSystem(0, (3, 4), (), (3,)),
             build_marker_system(703, 0, (3, 100)),
-            MarkerSystem.from_positions(((0, 3, 7),), (3,), 0, 7, (12,)),
-            MarkerSystem.from_positions(((), (5,)), (3, 4), 0, 7),
+            MarkerSystem(0, (3, 4), (), (4,)),
+            MarkerSystem(0, (7,), (((7, (3, 4)),),), (3, 7)),
         ],
         EmpiricalMeasure: [
             m, empirical_measure(from_word("1212"), (1, 2)),
